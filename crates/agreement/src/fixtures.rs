@@ -3,10 +3,10 @@
 //!
 //! Both the exploration sweeps (`tests/explore_sweeps.rs`,
 //! `tests/exhaustive.rs`) and the `explore_sweep` bench drive exactly
-//! these programs; the bench's deterministic state-count lines are what
-//! the CI determinism gate diffs and what ROADMAP.md records as
-//! baselines. Keeping one definition guarantees the test-side sweeps and
-//! the gated bench can never drift apart.
+//! these programs. The sweep list itself is shared too: [`catalogue`]
+//! is what the bench prints and what the tier-1 golden test diffs
+//! against `tests/golden/explore_catalogue.txt`, so the test-side
+//! sweeps and the bench can never drift apart.
 //!
 //! Bodies are **bounded** (propose plus a fixed number of polls — no
 //! busy-wait), as the exhaustive explorer requires, and encode their last
@@ -21,12 +21,11 @@
 //! nothing to declare: every operation they perform (`tas`,
 //! `xcons_propose`, `reg_read`/`reg_write`) already returns a
 //! minimal-width result the body consumes whole, so the summary
-//! reduction is, correctly, a no-op on them: running the bench
-//! catalogue with and without `MPCN_EXPLORE_VIEWSUM=0` prints
-//! byte-identical fig5/fig6 lines (the CI gate itself compares only the
-//! `complete=`/`violations=` verdict fields).
+//! reduction is, correctly, a no-op on them.
 
+use mpcn_runtime::explore::{ExploreLimits, ExploreReport, Explorer, Reduction};
 use mpcn_runtime::model_world::{Body, ModelWorld, RunReport, Symmetry};
+use mpcn_runtime::sched::Crashes;
 use mpcn_runtime::Env;
 
 use crate::safe::SafeAgreement;
@@ -146,6 +145,188 @@ pub fn check_winners(report: &RunReport, n: usize, x: u32) -> Result<(), String>
     Ok(())
 }
 
+/// One of the fixture programs above, paired with its checker: the
+/// bodies a catalogued sweep explores and the predicate every completed
+/// run must satisfy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fixture {
+    /// [`fig1_bodies`]`(n, 1)` under [`check_agreement`]`(n, false)`.
+    Fig1 {
+        /// Number of processes.
+        n: usize,
+    },
+    /// [`fig5_bodies`]`(n, x)` under [`check_winners`].
+    Fig5 {
+        /// Number of processes.
+        n: usize,
+        /// At most `x` processes win.
+        x: u32,
+    },
+    /// [`fig6_bodies`]`(n, x, 1)` under [`check_agreement`]`(n, false)`.
+    Fig6 {
+        /// Number of processes.
+        n: usize,
+        /// Consensus number of the x-consensus objects.
+        x: u32,
+    },
+}
+
+impl Fixture {
+    /// Fresh process bodies (re-invoked per expansion).
+    pub fn bodies(self) -> Vec<Body> {
+        match self {
+            Fixture::Fig1 { n } => fig1_bodies(n, 1),
+            Fixture::Fig5 { n, x } => fig5_bodies(n, x),
+            Fixture::Fig6 { n, x } => fig6_bodies(n, x, 1),
+        }
+    }
+
+    /// The outcome-only checker for one completed run.
+    pub fn check(self, report: &RunReport) -> Result<(), String> {
+        match self {
+            Fixture::Fig1 { n } | Fixture::Fig6 { n, .. } => check_agreement(report, n, false),
+            Fixture::Fig5 { n, x } => check_winners(report, n, x),
+        }
+    }
+}
+
+/// One catalogued sweep: a labelled fixture and the explorer that
+/// sweeps it.
+#[derive(Debug, Clone)]
+pub struct CatalogueSweep {
+    /// The label its `explore:` line carries.
+    pub label: &'static str,
+    /// The program and checker.
+    pub fixture: Fixture,
+    /// The configured explorer ([`Reduction::full`] unless the label
+    /// says `unpruned`).
+    pub explorer: Explorer,
+    /// The catalogued point *is* a counterexample (the unfenced Figure 1
+    /// object under TSO): the sweep must find a violation, where every
+    /// other sweep must find none.
+    pub expect_violation: bool,
+}
+
+impl CatalogueSweep {
+    /// Runs the fixture under `explorer` — the sweep's own, or a variant
+    /// of it (spilled, another reduction set).
+    pub fn run_with(&self, explorer: &Explorer) -> ExploreReport {
+        explorer.run(|| self.fixture.bodies(), |r| self.fixture.check(r))
+    }
+
+    /// Runs the sweep as catalogued.
+    pub fn run(&self) -> ExploreReport {
+        self.run_with(&self.explorer)
+    }
+}
+
+/// The explorer catalogue: every sweep the `explore_sweep` bench prints
+/// and `tests/golden/explore_catalogue.txt` pins, in golden-file order,
+/// at `threads` expansion workers (reports are byte-identical for every
+/// worker count). The Figure 1 sweeps declare [`FIG1_SYMMETRY`]; the
+/// `fig1 n=3 tso` sweep is the pinned weak-memory counterexample.
+pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
+    let limits =
+        |max_expansions, max_depth| ExploreLimits { max_expansions, max_steps: 2_000, max_depth };
+    let fig1 = |n| Explorer::new(n).threads(threads).symmetry(FIG1_SYMMETRY);
+    let plain = |n| Explorer::new(n).threads(threads);
+    let sweep = |label, fixture, explorer| CatalogueSweep {
+        label,
+        fixture,
+        explorer,
+        expect_violation: false,
+    };
+    let bounded = |explorer: Explorer| explorer.resident_ceiling(2_048).checkpoint_every(8);
+    let unbounded = usize::MAX;
+    vec![
+        sweep(
+            "fig1 n=3 pruned",
+            Fixture::Fig1 { n: 3 },
+            fig1(3).limits(limits(2_000_000, unbounded)),
+        ),
+        sweep(
+            "fig1 n=3 unpruned",
+            Fixture::Fig1 { n: 3 },
+            plain(3).limits(limits(2_000_000, unbounded)).reduction(Reduction::none()),
+        ),
+        // The crash plan names a pid, so the symmetry quotient gates
+        // itself off (`symm=off`) even though the spec is supplied.
+        sweep(
+            "fig1 n=3 crash(0@1) pruned",
+            Fixture::Fig1 { n: 3 },
+            fig1(3).crashes(Crashes::AtOwnStep(vec![(0, 1)])).limits(limits(2_000_000, unbounded)),
+        ),
+        sweep(
+            "fig1 n=4 depth<=9 pruned",
+            Fixture::Fig1 { n: 4 },
+            fig1(4).limits(limits(2_000_000, 9)),
+        ),
+        sweep(
+            "fig5 n=4 x=2 pruned",
+            Fixture::Fig5 { n: 4, x: 2 },
+            plain(4).limits(limits(500_000, unbounded)),
+        ),
+        sweep(
+            "fig6 n=3 x=2 pruned",
+            Fixture::Fig6 { n: 3, x: 2 },
+            plain(3).limits(limits(1_000_000, unbounded)),
+        ),
+        sweep(
+            "fig6 n=4 x=2 pruned",
+            Fixture::Fig6 { n: 4, x: 2 },
+            plain(4).limits(limits(2_000_000, unbounded)),
+        ),
+        sweep(
+            "fig1 n=4 pruned",
+            Fixture::Fig1 { n: 4 },
+            fig1(4).limits(limits(2_000_000, unbounded)),
+        ),
+        // A deliberately binding resident ceiling with 8-layer
+        // checkpoints, so eviction and anchored rehydration run on every
+        // catalogue pass; eviction is memory policy, invisible in the
+        // line.
+        sweep(
+            "fig1 n=5 pruned",
+            Fixture::Fig1 { n: 5 },
+            bounded(fig1(5).limits(limits(60_000_000, unbounded))),
+        ),
+        // The fault-tolerance sweeps: every placement of up to `f`
+        // crashes as explicit frontier branches, the symmetry quotient
+        // live (`UpTo` names no process).
+        sweep(
+            "fig1 n=5 f=1 pruned",
+            Fixture::Fig1 { n: 5 },
+            bounded(fig1(5).crashes(Crashes::UpTo(1)).limits(limits(60_000_000, unbounded))),
+        ),
+        sweep(
+            "fig1 n=4 f=2 pruned",
+            Fixture::Fig1 { n: 4 },
+            bounded(fig1(4).crashes(Crashes::UpTo(2)).limits(limits(60_000_000, unbounded))),
+        ),
+        // The weak-memory sweeps (x86-TSO store buffers; the symmetry
+        // quotient gates itself off). Unfenced safe agreement breaks, so
+        // this line deterministically ends `complete=false violations=1`.
+        CatalogueSweep {
+            expect_violation: true,
+            ..sweep(
+                "fig1 n=3 tso pruned",
+                Fixture::Fig1 { n: 3 },
+                fig1(3).tso(true).limits(limits(10_000_000, unbounded)),
+            )
+        },
+        sweep(
+            "fig5 n=4 x=2 tso pruned",
+            Fixture::Fig5 { n: 4, x: 2 },
+            plain(4).tso(true).limits(limits(500_000, unbounded)),
+        ),
+        sweep(
+            "fig6 n=3 x=2 tso pruned",
+            Fixture::Fig6 { n: 3, x: 2 },
+            plain(3).tso(true).limits(limits(10_000_000, unbounded)),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,9 +362,7 @@ mod tests {
             steps: 0,
             timed_out: false,
             trace: None,
-            branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind: vec![],
         };
         // Disagreement (decoded 100 vs 101).

@@ -1,53 +1,41 @@
-//! Model-checking sweeps of the paper's object types (ROADMAP "Explorer
-//! scale-up" / "Figure 1 at n = 5"; architecture guide in
-//! `docs/EXPLORER.md`):
+//! Model-checking sweeps of the paper's object types (architecture guide
+//! in `docs/EXPLORER.md`):
 //!
-//! * Figure 1 safe agreement, `n = 3..6` — **exhaustive through
-//!   `n = 5`** (DPOR footprint commutation + the observation quotient +
-//!   the declared view summaries of `SafeAgreement`; the `n = 4` and
-//!   `n = 5` sweeps pin exact state-count baselines, and a summary-off
-//!   sweep pins that `Reduction::no_viewsum` reproduces the PR 4
-//!   `n = 4` baseline byte for byte). `n = 6` is also exhaustible
-//!   (~20 s release) — pinned by an `#[ignore]`d release-scale test
-//!   that runs through a disk-backed `SpillStore` under a binding
-//!   resident ceiling (the storage layer at its design scale);
+//! * the **explorer catalogue** (`fixtures::catalogue`, also printed by
+//!   the `explore_sweep` bench): every sweep's summary line must equal
+//!   its line in `tests/golden/explore_catalogue.txt`, the one place
+//!   those lines are pinned — and a matrix switches each reduction off
+//!   in turn over the catalogue's small fixtures, demanding the full
+//!   set's verdicts;
+//! * Figure 1 safe agreement, `n = 3..7` — exhaustive, termination
+//!   checked too; `n = 6` pinned in tier-1, and `n = 6` without
+//!   symmetry plus `n = 7`, both through a disk-backed `SpillStore`,
+//!   behind `#[ignore]` (release scale);
 //! * Figure 5 `x_compete`, `n = 3..5` — exhaustive at `n = 3, 4`,
 //!   bounded-depth at `n = 5`;
 //! * Figure 6 x-safe agreement, `n = 3..5` — exhaustive at `n = 3, 4`
 //!   (the `n = 4` sweep additionally pins that `threads = 1` and
-//!   `threads = 2` produce byte-identical reports, the bounded
-//!   frontier that an artificially tiny snapshot ceiling is invisible,
-//!   and the storage layer that a disk-spilled sweep reproduces the
-//!   in-memory line byte for byte), bounded-depth at `n = 5`;
+//!   `threads = 2` produce identical reports, that an artificially tiny
+//!   snapshot ceiling is invisible, and that a disk-spilled sweep
+//!   reproduces the in-memory line byte for byte), bounded-depth at
+//!   `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
-//!   `(process, step)` pair, DPOR-on vs DPOR-off, verdicts cross-checked
-//!   against the gated-replay oracle — plus a crash-count differential
-//!   pinning that one `Crashes::UpTo(1)` sweep reproduces the exact
-//!   outcome union of the whole matrix;
-//! * fault-tolerance sweeps (ROADMAP "crash-count adversary"):
-//!   `fig1 n = 5, f = 1` and `n = 4, f = 2` under `Crashes::UpTo(f)` —
-//!   every crash placement explored as explicit frontier branches,
-//!   exhausted with every reduction live, the pid-symmetry quotient
-//!   included, exact state counts pinned;
+//!   `(process, step)` pair, DPOR-on vs pruning-only, verdicts
+//!   cross-checked against the gated-replay oracle — plus a crash-count
+//!   differential pinning that one `Crashes::UpTo(1)` sweep reproduces
+//!   the exact outcome union of the whole matrix;
 //! * weak-memory sweeps (`Explorer::tso`, x86-TSO store buffers):
 //!   Figure 1 at `n = 3, 4` — where unfenced safe agreement **breaks**
 //!   (every process's propose parks in its own store buffer, its scan
 //!   forwards only its own write, and all `n` decide their own
-//!   proposals); the exact counterexample choice vectors and the
-//!   sweep lines up to their discovery are pinned and replayed through
-//!   the gated engine — plus Figure 5 at `n = 3, 4` and Figure 6 at
-//!   `n = 3`, which stay correct under TSO (their test&set / x-consensus
-//!   steps fence), exhausted and pinned.
-//!
-//! The deterministic state-count lines these sweeps produce are also
-//! printed by `crates/bench/benches/explore_sweep.rs` and diffed by the
-//! CI determinism gate (including across explorer thread counts, and
-//! across `MPCN_EXPLORE_DPOR` / `MPCN_EXPLORE_VIEWSUM` modes for the
-//! verdict fields — `docs/EXPLORER.md` catalogues every knob); the
-//! baselines are recorded in ROADMAP.md and EXPERIMENTS.md.
+//!   proposals); the exact counterexample choice vectors are pinned and
+//!   replayed through the gated engine — plus Figure 5 at `n = 3`,
+//!   which stays correct under TSO (its test&set / x-consensus steps
+//!   fence).
 
 use mpcn_agreement::fixtures::{
-    check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies, FIG1_SYMMETRY,
+    catalogue, check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies,
+    CatalogueSweep, FIG1_SYMMETRY,
 };
 use mpcn_runtime::explore::{
     explore, replay_tso, threads_from_env, ExploreLimits, Explorer, Reduction,
@@ -88,13 +76,110 @@ fn fig1_n3_pruned_sweep_beats_unpruned_reference() {
     );
 }
 
-/// The Figure 1 `n = 4` sweep under the full reduction set, now
-/// including the pid-symmetry quotient declared by `FIG1_SYMMETRY`:
-/// 906 expansions where the symmetry-free engine needed 10 212 — ~11×,
-/// approaching the `4! = 24` orbit bound — with zero violations, the
-/// exact state counts pinned as the recorded baseline (the
-/// `explore_sweep` bench prints the same line; ROADMAP.md and
-/// EXPERIMENTS.md record it).
+/// The one place the catalogue's summary lines are pinned: every sweep
+/// of `fixtures::catalogue`, run at `MPCN_EXPLORE_THREADS` workers
+/// (default 2), must print exactly its line of
+/// `tests/golden/explore_catalogue.txt` — which is generated at one
+/// worker, so this also pins that the thread count is invisible. After
+/// an intentional search-shape change, regenerate the file with
+/// `MPCN_EXPLORE_THREADS=1 cargo bench --bench explore_sweep -- --quick
+/// 2>&1 >/dev/null | grep -E '^explore:' > tests/golden/explore_catalogue.txt`.
+#[test]
+fn catalogue_matches_golden_file() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/explore_catalogue.txt");
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let golden: Vec<&str> = golden.lines().collect();
+    let lines: Vec<String> = catalogue(threads_from_env(2))
+        .iter()
+        .map(|sweep| {
+            let report = sweep.run();
+            assert_eq!(
+                !report.violations.is_empty(),
+                sweep.expect_violation,
+                "{}: unexpected verdict",
+                sweep.label
+            );
+            report.summary_line(sweep.label)
+        })
+        .collect();
+    let drift: Vec<String> = (0..lines.len().max(golden.len()))
+        .filter(|&i| lines.get(i).map(String::as_str) != golden.get(i).copied())
+        .map(|i| {
+            format!("- {}\n+ {}", golden.get(i).unwrap_or(&""), lines.get(i).map_or("", |l| l))
+        })
+        .collect();
+    assert!(
+        drift.is_empty(),
+        "the catalogue drifted from {} (regenerate it only for an intentional \
+         search-shape change):\n{}",
+        path.display(),
+        drift.join("\n")
+    );
+}
+
+/// Switching off any one reduction — DPOR, the observation quotient,
+/// the view summaries, or the symmetry quotient — changes state counts
+/// but never the answer: over the catalogue's small fixtures (Figure 1
+/// at `n = 3` plain, under a crash plan, under one counted crash, and
+/// under TSO; Figure 5 at `n = 4` and Figure 6 at `n = 3`, each under
+/// SC and TSO) every variant must reach the full set's `complete` flag,
+/// violation count, and first violation message — the TSO
+/// counterexample included.
+#[test]
+fn reduction_matrix_preserves_catalogue_verdicts() {
+    const LABELS: [&str; 7] = [
+        "fig1 n=3 pruned",
+        "fig1 n=3 crash(0@1) pruned",
+        "fig5 n=4 x=2 pruned",
+        "fig6 n=3 x=2 pruned",
+        "fig1 n=3 tso pruned",
+        "fig5 n=4 x=2 tso pruned",
+        "fig6 n=3 x=2 tso pruned",
+    ];
+    let mut sweeps: Vec<CatalogueSweep> = catalogue(threads_from_env(2))
+        .into_iter()
+        .filter(|sweep| LABELS.contains(&sweep.label))
+        .collect();
+    assert_eq!(sweeps.len(), LABELS.len(), "matrix labels drifted from the catalogue");
+    // The catalogue's crash-count sweeps start at n = 4; one counted
+    // crash at n = 3 keeps the matrix small.
+    let fig1 = sweeps.iter().find(|s| s.label == "fig1 n=3 pruned").expect("listed above").clone();
+    sweeps.push(CatalogueSweep {
+        label: "fig1 n=3 f=1 pruned",
+        explorer: fig1.explorer.clone().crashes(Crashes::UpTo(1)),
+        ..fig1
+    });
+    let full = Reduction::full();
+    let variants = [
+        ("dpor", Reduction { dpor: false, ..full }),
+        ("quotient_obs", Reduction { quotient_obs: false, ..full }),
+        ("view_summaries", Reduction { view_summaries: false, ..full }),
+        ("symmetry", Reduction { symmetry: false, ..full }),
+    ];
+    let verdict = |sweep: &CatalogueSweep, reduction: Reduction| {
+        let out = sweep.run_with(&sweep.explorer.clone().reduction(reduction));
+        (out.complete, out.violations.len(), out.violation().map(|v| v.message.clone()))
+    };
+    for sweep in &sweeps {
+        let reference = verdict(sweep, full);
+        assert_eq!(reference.1 > 0, sweep.expect_violation, "{}: unexpected verdict", sweep.label);
+        for (off, reduction) in variants {
+            assert_eq!(
+                verdict(sweep, reduction),
+                reference,
+                "{}: switching off {off} changed the verdict",
+                sweep.label
+            );
+        }
+    }
+}
+
+/// The Figure 1 `n = 4` sweep under the full reduction set, the
+/// pid-symmetry quotient included, checked for termination as well as
+/// agreement and validity (the catalogue's `fig1 n=4 pruned` line pins
+/// its state counts).
 #[test]
 fn fig1_n4_exhaustive_baseline() {
     let out = Explorer::new(4)
@@ -104,70 +189,15 @@ fn fig1_n4_exhaustive_baseline() {
         .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
     out.assert_no_violation();
     assert!(out.complete, "fig1 n = 4 must exhaust ({} runs)", out.runs());
-    assert_eq!(
-        out.stats.summary(),
-        "runs=29 expansions=906 visited=505 pruned=401 sleep=155 dpor=71 qhits=328 symm=327 \
-         max_depth=16 depth_limited=0 branching=[0,104,162,140,71]",
-        "fig1 n = 4 symmetry baseline drifted"
-    );
 }
 
-/// The symmetry-off differential anchor: [`Reduction::no_symm`] must
-/// reproduce the PR 5/6 `n = 4` baseline **byte for byte** even with
-/// the spec supplied — the quotient changes only state *identity*, so
-/// switching it off restores the pre-symmetry engine's exact search
-/// shape, `symm=` field absent and all (the mode `MPCN_EXPLORE_SYMM=0`
-/// selects for the whole bench catalogue).
-#[test]
-fn fig1_n4_symm_off_reproduces_pr5_baseline() {
-    let out = Explorer::new(4)
-        .threads(threads_from_env(2))
-        .reduction(Reduction::no_symm())
-        .symmetry(FIG1_SYMMETRY)
-        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
-        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
-    out.assert_no_violation();
-    assert!(out.complete, "fig1 n = 4 must exhaust without symmetry too");
-    assert_eq!(
-        out.stats.summary(),
-        "runs=221 expansions=10212 visited=6248 pruned=3964 sleep=2807 dpor=1361 qhits=3549 \
-         max_depth=16 depth_limited=0 branching=[0,1136,2184,1956,752]",
-        "symmetry-off mode must reproduce the PR 5/6 fig1 n = 4 baseline"
-    );
-}
-
-/// The summary-off differential anchor: [`Reduction::no_viewsum`] must
-/// reproduce the PR 4 `n = 4` baseline **byte for byte** — the declared
-/// summaries change how observations are *folded*, never what the
-/// program does, so switching them off restores the summary-free
-/// engine's exact search shape (the mode `MPCN_EXPLORE_VIEWSUM=0`
-/// selects for the whole bench catalogue).
-#[test]
-fn fig1_n4_viewsum_off_reproduces_pr4_baseline() {
-    let out = Explorer::new(4)
-        .threads(threads_from_env(2))
-        .reduction(Reduction::no_viewsum())
-        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
-        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
-    out.assert_no_violation();
-    assert!(out.complete, "fig1 n = 4 must exhaust without summaries too");
-    assert_eq!(
-        out.stats.summary(),
-        "runs=221 expansions=397070 visited=168174 pruned=228896 sleep=85521 dpor=38233 \
-         qhits=228896 max_depth=16 depth_limited=0 branching=[0,5304,31614,71852,59184]",
-        "summary-off mode must reproduce the PR 4 fig1 n = 4 baseline"
-    );
-}
-
-/// The Figure 1 scale-up milestone (ROADMAP "Figure 1 at `n = 5`"):
-/// safe agreement at `n = 5` — 5 proposers, schedule depth 20 — is
-/// **exhausted** in 3 345 expansions under the full reduction set with
-/// the pid-symmetry quotient (~37× below the 122 727 of the symmetry-
-/// free engine, approaching the `5! = 120` orbit bound). Runs under the
-/// same 2 048-node resident ceiling and 8-layer checkpoint stride as
-/// the bench catalogue — no longer binding at this size (the symmetry-
-/// off anchor below keeps the mass-eviction pin) — and the exact state
-/// counts are pinned (the `explore_sweep` bench prints the same line).
+/// The Figure 1 scale-up milestone: safe agreement at `n = 5` — 5
+/// proposers, schedule depth 20 — is **exhausted** under the full
+/// reduction set with the pid-symmetry quotient, termination checked,
+/// under the catalogue's 2 048-node resident ceiling and 8-layer
+/// checkpoint stride, with anchored rehydration replaying at most one
+/// stride (the catalogue's `fig1 n=5 pruned` line pins its state
+/// counts).
 #[test]
 fn fig1_n5_exhaustive_symm_baseline() {
     let out = Explorer::new(5)
@@ -183,47 +213,6 @@ fn fig1_n5_exhaustive_symm_baseline() {
         .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
     out.assert_no_violation();
     assert!(out.complete, "fig1 n = 5 must exhaust ({} runs)", out.runs());
-    assert_eq!(
-        out.stats.summary(),
-        "runs=54 expansions=3345 visited=1542 pruned=1803 sleep=616 dpor=324 qhits=1599 \
-         symm=1601 max_depth=20 depth_limited=0 branching=[0,208,380,434,320,147]",
-        "fig1 n = 5 symmetry baseline drifted"
-    );
-    assert!(
-        out.stats.max_rehydration_replay <= 8,
-        "anchored rehydration must replay at most checkpoint_every decisions ({})",
-        out.stats.max_rehydration_replay
-    );
-}
-
-/// The symmetry-off `n = 5` anchor: [`Reduction::no_symm`] reproduces
-/// the PR 5 view-summary milestone line byte for byte, under the same
-/// deliberately binding 2 048-node resident ceiling and 8-layer
-/// checkpoint stride — so mass eviction and anchored rehydration stay
-/// pinned at a width where the ceiling actually binds.
-#[test]
-fn fig1_n5_symm_off_reproduces_pr5_baseline() {
-    let out = Explorer::new(5)
-        .threads(threads_from_env(2))
-        .reduction(Reduction::no_symm())
-        .symmetry(FIG1_SYMMETRY)
-        .limits(ExploreLimits {
-            max_expansions: 60_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .resident_ceiling(2_048)
-        .checkpoint_every(8)
-        .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
-    out.assert_no_violation();
-    assert!(out.complete, "fig1 n = 5 must exhaust without symmetry too");
-    assert_eq!(
-        out.stats.summary(),
-        "runs=956 expansions=122727 visited=62464 pruned=60263 sleep=38869 dpor=19999 \
-         qhits=56216 max_depth=20 depth_limited=0 branching=[0,6055,15390,20390,14780,4894]",
-        "symmetry-off mode must reproduce the PR 5 fig1 n = 5 baseline"
-    );
-    assert!(out.stats.evicted > 10_000, "the 2 048-node ceiling must evict en masse");
     assert!(
         out.stats.max_rehydration_replay <= 8,
         "anchored rehydration must replay at most checkpoint_every decisions ({})",
@@ -251,8 +240,9 @@ fn fig1_n6_exhaustive_symm_baseline() {
     assert!(out.complete, "fig1 n = 6 must exhaust ({} runs)", out.runs());
     assert_eq!(
         out.stats.summary(),
-        "runs=90 expansions=10399 visited=4062 pruned=6337 sleep=1967 dpor=1165 qhits=5846 \
-         symm=5890 max_depth=24 depth_limited=0 branching=[0,365,738,992,956,642,280]",
+        "runs=90 expansions=10399 visited=4062 pruned=6337 dpor=3132 qhits=5846 symm=5890 \
+         crashes=0 flushes=0 max_depth=24 depth_limited=0 \
+         branching=[0,365,738,992,956,642,280]",
         "fig1 n = 6 symmetry baseline drifted"
     );
 }
@@ -290,8 +280,8 @@ fn fig1_n6_exhaustive_viewsum_spill_baseline() {
     assert!(out.complete, "fig1 n = 6 must exhaust ({} runs)", out.runs());
     assert_eq!(
         out.stats.summary(),
-        "runs=3963 expansions=1370196 visited=597940 pruned=772256 sleep=476312 dpor=257518 \
-         qhits=737210 max_depth=24 depth_limited=0 \
+        "runs=3963 expansions=1370196 visited=597940 pruned=772256 dpor=733830 qhits=737210 \
+         symm=off crashes=0 flushes=0 max_depth=24 depth_limited=0 \
          branching=[0,29916,94350,162840,169230,105882,31760]",
         "fig1 n = 6 view-summary baseline drifted"
     );
@@ -332,8 +322,8 @@ fn fig1_n7_exhaustive_symm_spill_baseline() {
     assert!(out.complete, "fig1 n = 7 must exhaust ({} runs)", out.runs());
     assert_eq!(
         out.stats.summary(),
-        "runs=139 expansions=28312 visited=9565 pruned=18747 sleep=5369 dpor=3527 qhits=17690 \
-         symm=17880 max_depth=28 depth_limited=0 \
+        "runs=139 expansions=28312 visited=9565 pruned=18747 dpor=8896 qhits=17690 \
+         symm=17880 crashes=0 flushes=0 max_depth=28 depth_limited=0 \
          branching=[0,586,1271,1898,2144,1856,1174,498]",
         "fig1 n = 7 symmetry baseline drifted"
     );
@@ -407,8 +397,8 @@ fn fig6_n4_exhaustive_is_thread_count_invariant() {
 
 /// The crash-schedule matrix: `fig1 n = 3` with a crash injected at
 /// every `(process, step)` pair — every victim, every own-step position
-/// in its 4-operation body — swept exhaustively under DPOR **and** under
-/// the DPOR-off baseline. Verdicts must match pair for pair, and both
+/// in its 4-operation body — swept exhaustively under the full
+/// reduction set **and** under pruning alone. Verdicts must match pair for pair, and both
 /// agree with the gated-replay oracle: any violation either sweep found
 /// would be re-executed through the gated reference engine (the
 /// explorer's built-in confirmation) before being reported, and the
@@ -430,7 +420,7 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
                     .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, false))
             };
             let dpor = sweep(Reduction::full());
-            let baseline = sweep(Reduction::no_dpor());
+            let baseline = sweep(Reduction { prune_visited: true, ..Reduction::none() });
             dpor.assert_no_violation();
             baseline.assert_no_violation();
             assert_eq!(
@@ -507,80 +497,6 @@ fn fig1_n3_crash_count_matches_single_victim_union() {
     let (counted, out) = collect(Crashes::UpTo(1));
     assert_eq!(counted, union, "UpTo(1) must reproduce the single-victim union exactly");
     assert!(out.stats.crash_branches > 0, "the crash band must actually branch");
-    assert!(
-        out.stats.summary().contains(" crashes="),
-        "the summary must surface the crash-branch counter"
-    );
-}
-
-/// The fault-tolerance milestone sweep: Figure 1 at `n = 5` under the
-/// symmetric crash-count adversary with budget `f = 1` — every
-/// placement of one crash at every park point, explored as explicit
-/// crash branches in the same frontier — **exhausted with every
-/// reduction live**, the pid-symmetry quotient included (`UpTo` names
-/// no process, so the quotient stays sound; `docs/EXPLORER.md` §3.7
-/// has the argument). Runs under the same 2 048-node resident ceiling
-/// and 8-layer checkpoint stride as the bench catalogue, which prints
-/// the same line.
-#[test]
-fn fig1_n5_f1_fault_tolerance_exhaustive_baseline() {
-    let out = Explorer::new(5)
-        .threads(threads_from_env(2))
-        .symmetry(FIG1_SYMMETRY)
-        .crashes(Crashes::UpTo(1))
-        .limits(ExploreLimits {
-            max_expansions: 60_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .resident_ceiling(2_048)
-        .checkpoint_every(8)
-        .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, false));
-    out.assert_no_violation();
-    assert!(out.complete, "fig1 n = 5 f = 1 must exhaust ({} runs)", out.runs());
-    let summary = out.stats.summary();
-    assert!(out.stats.symm_hits > 0, "the symmetry quotient must fire under UpTo: {summary}");
-    assert!(out.stats.crash_branches > 0, "the crash band must branch: {summary}");
-    assert_eq!(
-        summary,
-        "runs=241 expansions=8135 visited=4356 pruned=3779 sleep=878 dpor=5774 qhits=3479 \
-         symm=3536 crashes=2072 max_depth=20 depth_limited=0 \
-         branching=[0,797,1261,1196,715,147]",
-        "fig1 n = 5 f = 1 fault-tolerance baseline drifted"
-    );
-}
-
-/// The second fault-tolerance axis: Figure 1 at `n = 4` with crash
-/// budget `f = 2` — every placement of up to two crashes, including
-/// both orders of every crash pair, so the DPOR crash/crash and
-/// op/crash commutation rules are exercised at a budget boundary —
-/// exhausted under the full reduction set with the symmetry quotient
-/// live. The bench catalogue prints the same line.
-#[test]
-fn fig1_n4_f2_fault_tolerance_exhaustive_baseline() {
-    let out = Explorer::new(4)
-        .threads(threads_from_env(2))
-        .symmetry(FIG1_SYMMETRY)
-        .crashes(Crashes::UpTo(2))
-        .limits(ExploreLimits {
-            max_expansions: 60_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .resident_ceiling(2_048)
-        .checkpoint_every(8)
-        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, false));
-    out.assert_no_violation();
-    assert!(out.complete, "fig1 n = 4 f = 2 must exhaust ({} runs)", out.runs());
-    let summary = out.stats.summary();
-    assert!(out.stats.symm_hits > 0, "the symmetry quotient must fire under UpTo: {summary}");
-    assert!(out.stats.crash_branches > 0, "the crash band must branch: {summary}");
-    assert_eq!(
-        summary,
-        "runs=220 expansions=2671 visited=1741 pruned=930 sleep=202 dpor=2532 qhits=813 \
-         symm=835 crashes=1065 max_depth=16 depth_limited=0 branching=[0,547,594,310,71]",
-        "fig1 n = 4 f = 2 fault-tolerance baseline drifted"
-    );
 }
 
 /// The weak-memory counterexample: under x86-TSO store buffers
@@ -589,13 +505,11 @@ fn fig1_n4_f2_fault_tolerance_exhaustive_baseline() {
 /// the propose scan forwards the issuer's own buffered write but sees
 /// nobody else's, so along the schedule that defers every flush each
 /// process observes itself as the only stable proposal and decides its
-/// own value — all three decide differently. The sweep line up to the
-/// discovery, the exact counterexample choice vector (pure op-band:
-/// every store still parked when the deciding scans run), and its
-/// gated-engine replay are all pinned. The summary carries no `symm=`
-/// field even though a spec is supplied: the quotient is gated off
-/// under TSO (buffered keys are not relabeled — `docs/EXPLORER.md`
-/// §3.8).
+/// own value — all three decide differently. The exact counterexample
+/// choice vector (pure op-band: every store still parked when the
+/// deciding scans run) and its gated-engine replay are pinned (the
+/// catalogue's `fig1 n=3 tso pruned` line pins the sweep's state
+/// counts).
 #[test]
 fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
     let out = Explorer::new(3)
@@ -612,13 +526,6 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
     let v = out.violation().expect("TSO must break unfenced safe agreement at n = 3");
     assert_eq!(v.message, "agreement violated: [100, 101, 102]");
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2]);
-    assert_eq!(
-        out.stats.summary(),
-        "runs=1 expansions=12637 visited=5997 pruned=6393 sleep=473 dpor=4237 qhits=5799 \
-         symm=off flushes=5149 max_depth=18 depth_limited=0 \
-         branching=[0,659,1633,1955,1257,429,64]",
-        "fig1 n = 3 TSO counterexample baseline drifted"
-    );
     // Gated replay: the relaxed outcome reproduces — every process
     // decides its own proposal (encoded `v + 1`).
     let replayed = replay_tso(3, Crashes::None, 2_000, || fig1_bodies(3, 1), &v.choices);
@@ -648,8 +555,8 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3]);
     assert_eq!(
         out.stats.summary(),
-        "runs=1 expansions=515323 visited=203841 pruned=308832 sleep=17383 dpor=225681 \
-         qhits=299475 symm=off flushes=214196 max_depth=24 depth_limited=0 \
+        "runs=1 expansions=515323 visited=203841 pruned=308832 dpor=243064 qhits=299475 \
+         symm=off crashes=0 flushes=214196 max_depth=24 depth_limited=0 \
          branching=[0,7808,28061,53743,58861,37884,14280,2948,256]",
         "fig1 n = 4 TSO counterexample baseline drifted"
     );
@@ -661,23 +568,11 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
 /// Figure 5 under TSO: `x_compete` performs only fencing operations
 /// (test&set and x-consensus — each drains its issuer's buffer), so
 /// store buffers never hold a write, the flush band never opens
-/// (`flushes=0`), and the object stays correct — exhausted at
-/// `n = 3, 4` with the exact lines pinned.
+/// (`flushes=0`), and the object stays correct — exhausted at `n = 3`
+/// (line pinned here) and `n = 4` (line pinned in the catalogue).
 #[test]
 fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
-    let expected = [
-        (
-            3usize,
-            "runs=3 expansions=33 visited=21 pruned=12 sleep=0 dpor=0 qhits=12 flushes=0 \
-             max_depth=5 depth_limited=0 branching=[0,6,12,1]",
-        ),
-        (
-            4,
-            "runs=6 expansions=172 visited=86 pruned=86 sleep=0 dpor=0 qhits=86 flushes=0 \
-             max_depth=7 depth_limited=0 branching=[0,24,24,32,1]",
-        ),
-    ];
-    for (n, line) in expected {
+    for n in [3usize, 4] {
         let out = Explorer::new(n)
             .threads(threads_from_env(2))
             .tso(true)
@@ -690,35 +585,15 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
         out.assert_no_violation();
         assert!(out.complete, "fig5 n = {n} must exhaust under TSO ({} runs)", out.runs());
         assert_eq!(out.stats.flush_branches, 0, "x_compete must never buffer a store");
-        assert_eq!(out.stats.summary(), line, "fig5 n = {n} TSO baseline drifted");
+        if n == 3 {
+            assert_eq!(
+                out.stats.summary(),
+                "runs=3 expansions=33 visited=21 pruned=12 dpor=0 qhits=12 symm=off crashes=0 \
+                 flushes=0 max_depth=5 depth_limited=0 branching=[0,6,12,1]",
+                "fig5 n = 3 TSO baseline drifted"
+            );
+        }
     }
-}
-
-/// Figure 6 under TSO: x-safe agreement *does* buffer plain register
-/// writes (the flush band branches 1 209 times), yet stays correct —
-/// its decisions flow through x-consensus objects, whose fencing steps
-/// order the buffered state before any decision is read. Exhausted at
-/// `n = 3` with the exact line pinned.
-#[test]
-fn fig6_n3_tso_sweep_stays_correct() {
-    let out = Explorer::new(3)
-        .threads(threads_from_env(2))
-        .tso(true)
-        .limits(ExploreLimits {
-            max_expansions: 10_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, false));
-    out.assert_no_violation();
-    assert!(out.complete, "fig6 n = 3 must exhaust under TSO ({} runs)", out.runs());
-    assert!(out.stats.flush_branches > 0, "fig6 bodies must exercise the flush band");
-    assert_eq!(
-        out.stats.summary(),
-        "runs=11 expansions=5523 visited=2118 pruned=3405 sleep=181 dpor=0 qhits=2480 \
-         flushes=1209 max_depth=16 depth_limited=0 branching=[0,193,636,913,330,36]",
-        "fig6 n = 3 TSO baseline drifted"
-    );
 }
 
 /// The bounded-memory frontier on the Figure 6 scale-up sweep: an

@@ -1,6 +1,6 @@
 //! Direct coverage of the process-identity symmetry quotient
 //! (`Snapshot::fingerprint_symmetric`, `Reduction::symmetry`,
-//! `Explorer::symmetry`; soundness argument in `docs/EXPLORER.md` §3.6):
+//! `Explorer::symmetry`; soundness argument in `docs/EXPLORER.md` §3.5):
 //!
 //! * pid-permuted executions of the Figure 1 program — run schedule `s`
 //!   vs run `π(s)` for every permutation `π` — must produce identical
@@ -78,7 +78,7 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// hash).
 ///
 /// The decided-prefix restriction is the min-index caveat of
-/// `docs/EXPLORER.md` §3.6 made concrete: `SafeAgreement::try_decide`
+/// `docs/EXPLORER.md` §3.5 made concrete: `SafeAgreement::try_decide`
 /// returns the proposal of the *smallest-index* stable process, and
 /// `min π(K) ≠ π(min K)`, so once a successful poll has executed, the
 /// pid-permuted *execution* is no longer a pid-relabeling of the base
@@ -288,8 +288,8 @@ fn canonical_fingerprint_survives_codec_roundtrip() {
 
 /// Programs that declare no spec are untouched by the reduction flag:
 /// the fig6 sweep prints byte-identical summary lines under
-/// `Reduction::full()` (symmetry on, no spec to act on) and
-/// `Reduction::no_symm()`.
+/// `Reduction::full()` (symmetry on, no spec to act on) and the same
+/// set with `symmetry` off.
 #[test]
 fn programs_without_a_spec_are_untouched() {
     let sweep = |reduction: Reduction| {
@@ -303,7 +303,7 @@ fn programs_without_a_spec_are_untouched() {
             .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, true))
     };
     let on = sweep(Reduction::full());
-    let off = sweep(Reduction::no_symm());
+    let off = sweep(Reduction { symmetry: false, ..Reduction::full() });
     assert_eq!(
         on.stats.summary(),
         off.stats.summary(),

@@ -22,7 +22,8 @@
 //!    nondeterministic effect of phase 1 is invisible to phase 2, so the
 //!    whole exploration — counts, violations, report — is byte-identical
 //!    for `threads = 1` and `threads = k` (property-tested in
-//!    `tests/proptests.rs` and diffed by the CI determinism gate).
+//!    `tests/proptests.rs`, and pinned by the golden catalogue test,
+//!    which runs at two workers against lines generated at one).
 //!
 //! Terminal nodes (everyone decided/crashed, or the per-path step budget
 //! exhausted) synthesize their [`RunReport`] from the snapshot and are
@@ -53,13 +54,13 @@
 //!
 //! # Reductions (see [`super::Reduction`])
 //!
-//! The skip rule generalizing the commuting-reads reduction lives in
-//! [`Engine::skip_kind`]: with DPOR on, a child pick is skipped when its
-//! pending *action* (operation footprint or crash delivery) commutes with
-//! the action that created the node and the pids are inverted — only the
-//! pid-canonical order of each adjacent independent pair is explored. The
-//! observation quotient swaps [`Snapshot::fingerprint`] for
-//! [`Snapshot::fingerprint_quotient`] as the visited-set identity.
+//! The one commutation rule lives in [`Engine::skips`]: with DPOR on, a
+//! child pick is skipped when its pending *action* (operation footprint,
+//! crash delivery, or flush) commutes with the action that created the
+//! node and the pids are inverted — only the pid-canonical order of each
+//! adjacent independent pair is explored. The observation quotient swaps
+//! [`Snapshot::fingerprint`] for [`Snapshot::fingerprint_quotient`] as
+//! the visited-set identity.
 //!
 //! # Bounded-memory frontier ([`super::Explorer::resident_ceiling`])
 //!
@@ -181,10 +182,6 @@ impl Action {
         }
     }
 
-    fn is_pure_read(&self) -> bool {
-        matches!(self, Action::Op(f) if f.pure_read)
-    }
-
     /// The action's memory footprint, for the TSO fence rule: `None`
     /// for crashes (which touch no memory).
     fn footprint(&self) -> Option<&Footprint> {
@@ -196,18 +193,10 @@ impl Action {
 
     /// Whether the action consumes one global step (ops and flushes do;
     /// crash deliveries do not) — what the mixed-transposition timeout
-    /// guard in [`Engine::skip_kind`] needs to know.
+    /// guard in [`Engine::skips`] needs to know.
     fn consumes_step(&self) -> bool {
         !matches!(self, Action::Crash)
     }
-}
-
-/// Which reduction rule skipped a sibling (for the statistics split).
-enum SkipKind {
-    /// The commuting-pure-reads special case (counted as `sleep`).
-    Sleep,
-    /// The general DPOR footprint/crash-commutation rule.
-    Dpor,
 }
 
 /// A node's state payload: resident nodes carry their snapshot (shared —
@@ -217,16 +206,16 @@ enum SkipKind {
 pub(super) enum Store {
     Resident(Arc<Snapshot>),
     Evicted {
-        /// Pending footprint per pid (what [`Engine::skip_kind`] reads).
+        /// Pending footprint per pid (what [`Engine::skips`] reads).
         pending: Vec<Option<Footprint>>,
         /// Store-buffer head (next-to-flush) footprint per pid — `None`
         /// for empty buffers and everywhere under SC (what the
-        /// flush-band arm of [`Engine::skip_kind`] reads).
+        /// flush-band arm of [`Engine::skips`] reads).
         flush_heads: Vec<Option<Footprint>>,
         /// Per-process own-step clocks (what the crash plan reads).
         own_steps: Vec<u64>,
         /// Completed steps along the path (what the timeout guard of
-        /// [`Engine::skip_kind`] reads).
+        /// [`Engine::skips`] reads).
         steps: u64,
     },
 }
@@ -333,10 +322,9 @@ struct Expanded {
     /// pruned.
     symm_coarsened: bool,
     pre_pruned: bool,
-    /// The executed decision delivered a crash (a crash-band branch
-    /// under [`Crashes::UpTo`], or a firing [`Crashes::AtOwnStep`]
-    /// plan) — feeds the `crashes=` counter.
-    crashed: bool,
+    /// The executed decision was a crash-band branch of
+    /// [`Crashes::UpTo`] — feeds the `crashes=` counter.
+    crash_branch: bool,
     /// The executed decision flushed a store-buffer head (a TSO
     /// flush-band branch) — feeds the `flushes=` counter.
     flushed: bool,
@@ -393,7 +381,6 @@ pub(super) struct Engine<'a, F, C> {
     check: &'a C,
     /// See [`Shared::prune`] — also the snapshot-tracking flag.
     prune: bool,
-    sleep: bool,
     dpor: bool,
     quotient: bool,
     viewsum: bool,
@@ -466,16 +453,14 @@ where
         // is a pure count (the number of crashed flags in the state,
         // which the erasure sort key already carries), so relabeling
         // pids maps every explored schedule to an explored schedule
-        // with the same budget consumption (docs/EXPLORER.md §3.7).
+        // with the same budget consumption (docs/EXPLORER.md §3.6).
         // And, of course, a declared spec. TSO gates the quotient off
         // wholesale: the symmetric fingerprint canonicalizes per-process
         // words by erasure sort, and a store buffer's *contents* (keys
         // whose `ObjKey::a` may encode concrete pids) are folded into
         // those words — a permutation of pids does not permute the
         // buffered keys, so the canonical form is not an automorphism
-        // witness under TSO. The summary line says `symm=off` (via
-        // `symm_requested` below) instead of silently dropping the
-        // field.
+        // witness under TSO. The summary line then says `symm=off`.
         let symmetry = if ex.reduction.prune_visited
             && ex.reduction.symmetry
             && !ex.tso
@@ -487,19 +472,11 @@ where
         };
         let mut stats = ExploreStats::new(ex.n);
         stats.symm_enabled = symmetry.is_some();
-        // `symm=off` marker: the quotient was asked for (knob on, spec
-        // supplied) but gated itself off — make that visible in the
-        // summary line instead of silently dropping the `symm=` field.
-        stats.symm_requested =
-            ex.reduction.prune_visited && ex.reduction.symmetry && ex.symmetry.is_some();
-        stats.crashcount_enabled = matches!(ex.crashes, Crashes::UpTo(_));
-        stats.tso_enabled = ex.tso;
         Engine {
             ex,
             make_bodies,
             check,
             prune: ex.reduction.prune_visited && reducible,
-            sleep: ex.reduction.sleep_reads && reducible,
             dpor: ex.reduction.dpor && reducible,
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs && reducible,
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries && reducible,
@@ -691,22 +668,15 @@ where
         // (`2 * alive.len() + pid` flushes raw process `pid`'s head —
         // raw pids, because buffers outlive their owner's finish or
         // crash and the owner may have left the alive set). The band
-        // offsets match `ScheduleState::pick_tso` exactly, so
-        // counterexample vectors replay their flush placements through
-        // the gated engine verbatim.
+        // offsets match `ScheduleState::pick` exactly, so counterexample
+        // vectors replay their crash and flush placements through the
+        // gated engine verbatim.
         let a = node.alive.len();
         let choices = if node.crash.budget_left() { 0..2 * a } else { 0..a };
         for choice in choices.chain(flushable.iter().map(|&p| 2 * a + p)) {
-            match self.skip_kind(&node, choice) {
-                Some(SkipKind::Sleep) => {
-                    self.stats.sleep_skips += 1;
-                    continue;
-                }
-                Some(SkipKind::Dpor) => {
-                    self.stats.dpor_skips += 1;
-                    continue;
-                }
-                None => {}
+            if self.skips(&node, choice) {
+                self.stats.dpor_skips += 1;
+                continue;
             }
             if !self.take_work() {
                 return;
@@ -757,23 +727,21 @@ where
         true
     }
 
-    /// The partial-order skip rule. Picking `p = alive[choice]` right
-    /// after the action that created `node` (performed by `q`) is
-    /// redundant when `p < q` and the two actions *commute*: the
-    /// transposed pair reaches the canonical (pid-ascending) pair's
-    /// state, whose subtree is covered from its canonical representative.
-    ///
-    /// With [`super::Reduction::dpor`] the commuting test is the full
-    /// action-level one ([`Action::commutes`]: footprint independence,
-    /// crash commutation); otherwise only the legacy commuting-pure-reads
-    /// special case applies. `p`'s action is a crash delivery when the
-    /// (stateless) crash plan fires at its current own-step clock, and
-    /// the completed operation's footprint otherwise.
-    fn skip_kind(&self, node: &Node, choice: usize) -> Option<SkipKind> {
-        if !self.dpor && !self.sleep {
-            return None;
+    /// The partial-order skip rule ([`super::Reduction::dpor`]). Picking
+    /// `p = alive[choice]` right after the action that created `node`
+    /// (performed by `q`) is redundant when `p < q` and the two actions
+    /// *commute* ([`Action::commutes`]: footprint independence — pure
+    /// reads included — and crash commutation): the transposed pair
+    /// reaches the canonical (pid-ascending) pair's state, whose subtree
+    /// is covered from its canonical representative. `p`'s action is a
+    /// crash delivery when the (stateless) crash plan fires at its
+    /// current own-step clock, and the completed operation's footprint
+    /// otherwise.
+    fn skips(&self, node: &Node, choice: usize) -> bool {
+        if !self.dpor {
+            return false;
         }
-        let (q, act_q) = node.incoming.as_ref()?;
+        let Some((q, act_q)) = &node.incoming else { return false };
         let a = node.alive.len();
         let (p, act_p) = if let Some(pid) = choice.checked_sub(2 * a) {
             // A TSO flush-band sibling: the action is the buffered
@@ -782,7 +750,8 @@ where
             // process's action touches `pid`'s buffer (only `pid`'s own
             // ops enqueue to it, and same-pid pairs never skip), so the
             // covering transposed path flushes the identical entry.
-            (pid, Action::Flush(node.flush_head(pid)?))
+            let Some(head) = node.flush_head(pid) else { return false };
+            (pid, Action::Flush(head))
         } else if let Some(i) = choice.checked_sub(a) {
             // A crash-band sibling ([`Crashes::UpTo`] budget branch):
             // the action is the crash delivery itself. Transposing it
@@ -797,12 +766,13 @@ where
             let act = if self.crash_fires(p, node.own_steps(p)) {
                 Action::Crash
             } else {
-                Action::Op(node.pending_footprint(p)?)
+                let Some(footprint) = node.pending_footprint(p) else { return false };
+                Action::Op(footprint)
             };
             (p, act)
         };
         if p >= *q {
-            return None;
+            return false;
         }
         // The TSO fence rule: an operation that drains the caller's
         // store buffer (`tas`, `xcons_propose`, `fence`) may write
@@ -813,7 +783,7 @@ where
         if self.ex.tso
             && [&act_p, act_q].iter().any(|act| act.footprint().is_some_and(Footprint::fences))
         {
-            return None;
+            return false;
         }
         // A crash delivery consumes no step but an operation (or a
         // flush) does, so transposing a step-consuming action past an
@@ -829,16 +799,9 @@ where
             && act_p.consumes_step()
             && node.steps() + 1 >= self.ex.limits.max_steps
         {
-            return None;
+            return false;
         }
-        let read_read = act_p.is_pure_read() && act_q.is_pure_read();
-        if self.dpor && act_p.commutes(act_q) {
-            Some(if read_read { SkipKind::Sleep } else { SkipKind::Dpor })
-        } else if self.sleep && !self.dpor && read_read {
-            Some(SkipKind::Sleep)
-        } else {
-            None
-        }
+        act_p.commutes(act_q)
     }
 
     /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
@@ -916,7 +879,7 @@ where
                     self.stats.max_rehydration_replay =
                         self.stats.max_rehydration_replay.max(child.rehydration_replay);
                     self.stats.store_reads += child.store_reads;
-                    if child.crashed {
+                    if child.crash_branch {
                         self.stats.crash_branches += 1;
                     }
                     if child.flushed {
@@ -1125,6 +1088,7 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
     });
     let (snap, pid, crashed_now, flushed_now) =
         apply_choice(shared, parent, &node.alive, &mut crash, choice);
+    let crash_branch = (node.alive.len()..2 * node.alive.len()).contains(&choice);
     let (fp, coarsened, symm_coarsened) = if shared.prune {
         let coarsened = shared.quotient && snap.quotient_coarsens();
         match &shared.symmetry {
@@ -1145,7 +1109,7 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
             coarsened,
             symm_coarsened,
             pre_pruned: true,
-            crashed: crashed_now,
+            crash_branch,
             flushed: flushed_now,
             rehydration_replay,
             store_reads,
@@ -1178,7 +1142,7 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
         coarsened,
         symm_coarsened,
         pre_pruned: false,
-        crashed: crashed_now,
+        crash_branch,
         flushed: flushed_now,
         rehydration_replay,
         store_reads,

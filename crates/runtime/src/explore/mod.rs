@@ -1,7 +1,8 @@
 //! Bounded model checking of model-world programs: exhaustive schedule
-//! enumeration with visited-state pruning, a commuting-reads reduction,
-//! snapshot-resume execution, and optional parallel frontier expansion —
-//! loom-style, but over the model world's virtual processes.
+//! enumeration with visited-state pruning, DPOR-style commutation,
+//! state quotients, snapshot-resume execution, and optional parallel
+//! frontier expansion — loom-style, but over the model world's virtual
+//! processes.
 //!
 //! # Enumeration (snapshot-resuming frontier search)
 //!
@@ -24,9 +25,10 @@
 //! `(snapshot, pending choice)` jobs; [`Explorer::threads`] workers claim
 //! jobs from a shared cursor and probe a fingerprint-sharded visited set,
 //! while all state mutation happens in a canonical-order merge per layer
-//! — so reports are **byte-identical for any thread count** (the CI
-//! determinism gate diffs `threads=1` against `threads=2`). See the
-//! `frontier` module docs for the two-phase argument.
+//! — so reports are **byte-identical for any thread count** (the golden
+//! catalogue test runs at `threads=2` against lines generated at
+//! `threads=1`). See the `frontier` module docs for the two-phase
+//! argument.
 //!
 //! # Prefix pruning ([`Reduction::prune_visited`])
 //!
@@ -51,40 +53,31 @@
 //! *not* part of the state and may differ between the retained
 //! representative and a pruned schedule.
 //!
-//! # Commuting reads ([`Reduction::sleep_reads`])
-//!
-//! Two adjacent picks that both execute *pure reads* (`reg_read`,
-//! `snap_scan`) commute: neither changes memory, so both orders reach the
-//! same state. In the spirit of sleep sets, the explorer keeps only the
-//! canonical (pid-ascending) order of each such adjacent pair and skips
-//! the transposed sibling *before executing it* — a read's purity is a
-//! function of the reader's own operation log, so the snapshot knows
-//! every parked process's pending-operation purity. Crash plans are
-//! honored: a pick that would deliver a crash is never treated as a read,
-//! and the reduction is disabled under [`Crashes::Random`] (whose RNG
-//! state is not a function of the reached state — that policy is for
-//! sampling, not exhaustive exploration, and disables visited-state
-//! pruning too).
-//!
 //! # DPOR footprints ([`Reduction::dpor`])
 //!
-//! The commuting-reads rule generalizes to full **dependency
-//! footprints**: every parked process's pending operation is known to
-//! its snapshot as a [`Footprint`](crate::model_world::Footprint) —
-//! which object it touches, at which snapshot cell, and whether it is a
-//! pure read. Two adjacent *actions* commute when their footprints are
-//! independent (disjoint objects, both pure reads, or snapshot writes to
+//! Every parked process's pending operation is known to its snapshot as
+//! a [`Footprint`](crate::model_world::Footprint) — which object it
+//! touches, at which snapshot cell, and whether it is a pure read (a
+//! function of the process's own operation log, so nothing executes to
+//! learn it). Two adjacent *actions* commute when their footprints are
+//! independent (both pure reads, disjoint objects, or snapshot writes to
 //! disjoint cells) or when either is a crash delivery (a crash only
 //! flips the victim's liveness flags, which no operation reads, and
 //! leaves every other process's enabledness and own-step clock
-//! untouched). As with the read-read rule, only the canonical
-//! (pid-ascending) order of each adjacent commuting pair is explored —
-//! the persistent-set-style backtracking of DPOR collapsed onto the
-//! layered frontier. Soundness is *differentially tested* against the
-//! unreduced enumeration on random programs (`tests/proptests.rs`) and
-//! against the non-DPOR reduction on the agreement fixtures, in the
-//! spirit of testing reductions against the unreduced semantics rather
-//! than assuming them.
+//! untouched). In the spirit of sleep sets, only the canonical
+//! (pid-ascending) order of each adjacent commuting pair is explored and
+//! the transposed sibling is skipped *before executing it* — the
+//! persistent-set-style backtracking of DPOR collapsed onto the layered
+//! frontier. Crash plans are honored: a pick that would deliver a crash
+//! is a crash action, never the pending operation. Soundness is
+//! *differentially tested* against the unreduced enumeration on random
+//! programs (`tests/proptests.rs`) and with each reduction switched off
+//! on the agreement fixtures, in the spirit of testing reductions
+//! against the unreduced semantics rather than assuming them.
+//!
+//! [`Crashes::Random`] disables every reduction: its RNG state is not a
+//! function of the reached state (that policy is for sampling, not
+//! exhaustive exploration).
 //!
 //! # Observation quotient ([`Reduction::quotient_obs`])
 //!
@@ -134,9 +127,7 @@
 //! construction — nothing the fold drops was ever returned to the
 //! program — and is *differentially tested* like DPOR: summary-on vs
 //! summary-off violation sets and replay verdicts on random programs in
-//! `tests/proptests.rs`, plus a CI verdict gate over the bench catalogue
-//! (`MPCN_EXPLORE_VIEWSUM=0` selects [`Reduction::no_viewsum`], which
-//! reproduces the summary-free baselines byte for byte).
+//! `tests/proptests.rs`.
 //!
 //! # Bounded-memory frontier ([`Explorer::resident_ceiling`])
 //!
@@ -165,9 +156,7 @@
 //! with unspent budget (a crash sibling next to each op expansion in
 //! the frontier), exhausting all placements of up to `f` crashes — and
 //! because it names no pid, it is the one crash adversary the symmetry
-//! quotient stays live under (its fault-tolerance sweeps are gated in
-//! CI by `MPCN_EXPLORE_CRASHCOUNT`, see [`crashcount_from_env`]).
-//! [`ExploreLimits::max_depth`] bounds
+//! quotient stays live under. [`ExploreLimits::max_depth`] bounds
 //! *sibling enumeration* depth for bounded-depth sweeps of larger
 //! configurations: runs still execute to completion (along the canonical
 //! choice-0 suffix), but scheduling alternatives are only explored in the
@@ -234,11 +223,10 @@ impl ExploreLimits {
 pub struct Reduction {
     /// Skip subtrees rooted at an already-visited global state.
     pub prune_visited: bool,
-    /// Keep only the canonical order of adjacent commuting pure reads.
-    pub sleep_reads: bool,
-    /// Generalize the commuting-reads rule to full dependency footprints
-    /// and crash commutation (DPOR-style persistent-set pruning; see the
-    /// [module docs](self)). Subsumes [`Reduction::sleep_reads`].
+    /// Keep only the canonical order of adjacent commuting actions —
+    /// independent footprints (pure reads included) and crash
+    /// deliveries (DPOR-style persistent-set pruning; see the
+    /// [module docs](self)).
     pub dpor: bool,
     /// Quotient state fingerprints by the observation abstraction:
     /// finished and crashed processes' observation histories are dropped
@@ -272,7 +260,6 @@ impl Reduction {
     pub fn full() -> Self {
         Reduction {
             prune_visited: true,
-            sleep_reads: true,
             dpor: true,
             quotient_obs: true,
             view_summaries: true,
@@ -285,55 +272,11 @@ impl Reduction {
     pub fn none() -> Self {
         Reduction {
             prune_visited: false,
-            sleep_reads: false,
             dpor: false,
             quotient_obs: false,
             view_summaries: false,
             symmetry: false,
         }
-    }
-
-    /// Visited-state pruning and commuting pure reads only — the
-    /// pre-DPOR reduction set, kept as the differential baseline the
-    /// DPOR-vs-off tests and the CI verdict gate compare
-    /// [`Reduction::full`] against.
-    pub fn no_dpor() -> Self {
-        Reduction {
-            prune_visited: true,
-            sleep_reads: true,
-            dpor: false,
-            quotient_obs: false,
-            view_summaries: false,
-            symmetry: false,
-        }
-    }
-
-    /// Everything except view summaries (and the later symmetry
-    /// quotient) — the differential baseline the summary-on vs
-    /// summary-off tests and the `MPCN_EXPLORE_VIEWSUM=0` CI verdict
-    /// gate compare [`Reduction::full`] against. Reproduces the
-    /// summary-free PR 4 engine's state counts byte for byte (raw views
-    /// are folded exactly as plain scans fold them), which is why
-    /// [`Reduction::symmetry`] — added after that baseline was recorded
-    /// — stays pinned off here.
-    pub fn no_viewsum() -> Self {
-        Reduction {
-            prune_visited: true,
-            sleep_reads: true,
-            dpor: true,
-            quotient_obs: true,
-            view_summaries: false,
-            symmetry: false,
-        }
-    }
-
-    /// Everything except the process-identity symmetry quotient — the
-    /// differential baseline the symmetry-on vs symmetry-off tests and
-    /// the `MPCN_EXPLORE_SYMM=0` CI verdict gate compare
-    /// [`Reduction::full`] against. Reproduces the pre-symmetry (PR 5/6)
-    /// engine's state counts byte for byte.
-    pub fn no_symm() -> Self {
-        Reduction { symmetry: false, ..Reduction::full() }
     }
 }
 
@@ -404,7 +347,8 @@ pub struct Explorer {
 
 impl Explorer {
     /// An explorer for `n`-process programs with no crashes, default
-    /// limits, both reductions enabled, and single-threaded expansion.
+    /// limits, every reduction enabled ([`Reduction::full`]), and
+    /// single-threaded expansion.
     pub fn new(n: usize) -> Self {
         Explorer {
             n,
@@ -443,8 +387,8 @@ impl Explorer {
 
     /// Sets the crash adversary, exhausted alongside the schedules.
     ///
-    /// [`Crashes::Random`] disables both reductions: its RNG state is a
-    /// function of the pick history, not of the reached state, so neither
+    /// [`Crashes::Random`] disables every reduction: its RNG state is a
+    /// function of the pick history, not of the reached state, so no
     /// pruning argument applies (and random crashes are a sampling
     /// policy, not an exhaustive one).
     pub fn crashes(mut self, c: Crashes) -> Self {
@@ -722,10 +666,11 @@ impl Explorer {
     }
 }
 
-/// Worker count for sweeps driven by benches and CI: the value of the
-/// `MPCN_EXPLORE_THREADS` environment variable, or `default` when unset
-/// or unparsable. The CI determinism gate runs the explore benches under
-/// `1` and `2` and diffs their state-count lines.
+/// Worker count for sweeps driven by benches and the catalogue tests:
+/// the value of the `MPCN_EXPLORE_THREADS` environment variable, or
+/// `default` when unset or unparsable. Reports are byte-identical for
+/// every worker count, which the golden catalogue test checks by running
+/// at `2` against lines generated at `1`.
 pub fn threads_from_env(default: usize) -> usize {
     std::env::var("MPCN_EXPLORE_THREADS")
         .ok()
@@ -734,62 +679,14 @@ pub fn threads_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Reduction set for sweeps driven by benches and CI (the full env-knob
-/// catalogue lives in `docs/EXPLORER.md`): [`Reduction::full`] by
-/// default; the `MPCN_EXPLORE_DPOR=0` environment variable selects
-/// [`Reduction::no_dpor`] and `MPCN_EXPLORE_VIEWSUM=0` clears
-/// [`Reduction::view_summaries`] (so `DPOR=0` alone already implies
-/// summaries off — [`Reduction::no_dpor`] *is* the pre-DPOR baseline),
-/// and `MPCN_EXPLORE_SYMM=0` clears [`Reduction::symmetry`] (under it
-/// the catalogue reproduces the pre-symmetry PR 5/6 lines byte for
-/// byte). The CI verdict gates run the explore bench in each mode and
-/// assert every common sweep reaches the same `complete`/`violations`
-/// verdict (state counts legitimately differ).
-pub fn reduction_from_env() -> Reduction {
-    let mut r = match std::env::var("MPCN_EXPLORE_DPOR").as_deref() {
-        Ok("0") => Reduction::no_dpor(),
-        _ => Reduction::full(),
-    };
-    if std::env::var("MPCN_EXPLORE_VIEWSUM").as_deref() == Ok("0") {
-        r.view_summaries = false;
-    }
-    if std::env::var("MPCN_EXPLORE_SYMM").as_deref() == Ok("0") {
-        r.symmetry = false;
-    }
-    r
-}
-
 /// Whether sweeps driven by benches and CI should spill to disk: `true`
 /// iff the `MPCN_EXPLORE_SPILL` environment variable is `1`. The CI
 /// spill gate runs the explore bench catalogue in this mode (each sweep
 /// in its own temporary directory) and diffs the summary lines against
-/// the in-memory run — spilling is a storage policy and must be
+/// the golden catalogue — spilling is a storage policy and must be
 /// invisible in the report.
 pub fn spill_from_env() -> bool {
     std::env::var("MPCN_EXPLORE_SPILL").as_deref() == Ok("1")
-}
-
-/// Whether benches and CI should run the [`Crashes::UpTo`] crash-count
-/// fault-tolerance sweeps: `true` unless the `MPCN_EXPLORE_CRASHCOUNT`
-/// environment variable is `0`. With the knob off the bench catalogue
-/// prints exactly its pre-crash-count lines (the new sweeps are simply
-/// absent), which is how the byte-identity of every prior baseline is
-/// checked; the CI `CRASHCOUNT` verdict gate runs the catalogue in both
-/// modes and asserts every common sweep reaches the same verdict.
-pub fn crashcount_from_env() -> bool {
-    std::env::var("MPCN_EXPLORE_CRASHCOUNT").as_deref() != Ok("0")
-}
-
-/// Whether benches and CI should run the TSO weak-memory sweeps
-/// ([`Explorer::tso`]): `true` unless the `MPCN_EXPLORE_TSO`
-/// environment variable is `0`. With the knob off the bench catalogue
-/// prints exactly its pre-TSO lines (the weak-memory sweeps are simply
-/// absent), which is how the byte-identity of every sequentially
-/// consistent baseline is checked; the CI `TSO` verdict gate runs the
-/// catalogue in both modes and asserts every common sweep reaches the
-/// same verdict.
-pub fn tso_from_env() -> bool {
-    std::env::var("MPCN_EXPLORE_TSO").as_deref() != Ok("0")
 }
 
 /// Exhaustively explores every schedule with **no reductions** — the
@@ -1027,9 +924,10 @@ mod tests {
         assert!(pruned.stats.states_pruned > 0);
     }
 
-    /// Readers followed by private writes: each transposed adjacent read
-    /// pair is skipped before execution, so the reduction expands
-    /// strictly fewer states than plain enumeration.
+    /// Readers followed by private writes: the sleep-set-style read-read
+    /// case of the DPOR rule skips each transposed adjacent read pair
+    /// before execution, so it expands strictly fewer states than plain
+    /// enumeration.
     #[test]
     fn sleep_reduction_cuts_transposed_read_pairs() {
         let bodies = || {
@@ -1044,13 +942,13 @@ mod tests {
                 .collect()
         };
         let unpruned = explore(2, Crashes::None, ExploreLimits::default(), bodies, |_r| Ok(()));
-        let sleep = Explorer::new(2)
-            .reduction(Reduction { sleep_reads: true, ..Reduction::none() })
+        let dpor = Explorer::new(2)
+            .reduction(Reduction { dpor: true, ..Reduction::none() })
             .run(bodies, |_r| Ok(()));
         assert_eq!(unpruned.runs(), 6, "C(4,2) interleavings");
-        assert!(sleep.complete);
-        assert!(sleep.runs() < unpruned.runs(), "{} !< {}", sleep.runs(), unpruned.runs());
-        assert!(sleep.stats.sleep_skips > 0);
+        assert!(dpor.complete);
+        assert!(dpor.runs() < unpruned.runs(), "{} !< {}", dpor.runs(), unpruned.runs());
+        assert!(dpor.stats.dpor_skips > 0);
     }
 
     /// Reductions must preserve the violation set of outcome-only
@@ -1122,13 +1020,13 @@ mod tests {
             .run(tas_bodies, one_winner);
         assert!(out.complete);
         assert_eq!(out.stats.states_pruned, 0);
-        assert_eq!(out.stats.sleep_skips, 0);
+        assert_eq!(out.stats.dpor_skips, 0);
         assert_eq!(out.runs(), 2, "behaves as plain enumeration");
     }
 
     /// The DPOR footprint rule skips transposed adjacent *writes to
-    /// disjoint objects* — pairs the pure-read rule cannot touch — and
-    /// reaches the same verdict over strictly less work.
+    /// disjoint objects* — not just pure reads — and reaches the same
+    /// verdict over strictly less work than pruning alone.
     #[test]
     fn dpor_skips_commuting_writes_before_execution() {
         let bodies = || {
@@ -1142,7 +1040,9 @@ mod tests {
                 })
                 .collect()
         };
-        let without = Explorer::new(3).reduction(Reduction::no_dpor()).run(bodies, |_r| Ok(()));
+        let without = Explorer::new(3)
+            .reduction(Reduction { prune_visited: true, ..Reduction::none() })
+            .run(bodies, |_r| Ok(()));
         let with = Explorer::new(3).run(bodies, |_r| Ok(()));
         assert!(without.complete && with.complete);
         assert!(with.stats.dpor_skips > 0, "disjoint-register writes must be skipped");
@@ -1466,7 +1366,7 @@ mod tests {
 
     /// The crash-count kill-and-resume contract: a spilled
     /// [`Crashes::UpTo`] sweep halted between barriers and resumed from
-    /// its (v3) manifest — which round-trips the `up_to:<f>` policy and
+    /// its manifest — which round-trips the `up_to:<f>` policy and
     /// the crash-branch counter — reaches the byte-identical report of
     /// the uninterrupted in-memory run, crash branches re-queued with
     /// exactly the budget each persisted node had left.
@@ -1478,10 +1378,6 @@ mod tests {
             .resident_ceiling(1)
             .checkpoint_every(2)
             .run(spill_bodies, |_r| Ok(()));
-        assert!(
-            baseline.stats.summary().contains(" crashes="),
-            "the crash-count sweep must report its crash-branch counter"
-        );
         assert!(baseline.stats.crash_branches > 0, "budget 1 must branch on crash delivery");
         let halted = Explorer::new(3)
             .crashes(Crashes::UpTo(1))
@@ -1502,7 +1398,7 @@ mod tests {
     /// evicted nodes carry their flush-head footprints, resident
     /// checkpoints serialize store-buffer contents through the snapshot
     /// codec, and the manifest records the `tso` flag plus the flush
-    /// counters — so a sweep killed mid-flight resumes to the byte-
+    /// counter — so a sweep killed mid-flight resumes to the byte-
     /// identical report of the uninterrupted run.
     #[test]
     fn tso_sweep_resumes_to_identical_report() {
@@ -1515,10 +1411,6 @@ mod tests {
             ex.run(spill_bodies, |_r| Ok(()))
         };
         let baseline = sweep(false);
-        assert!(
-            baseline.stats.summary().contains(" flushes="),
-            "a TSO sweep must report its flush-branch counter"
-        );
         assert!(baseline.stats.flush_branches > 0, "buffered writes must branch on flushes");
         let halted = sweep(true);
         assert!(!halted.complete, "a halted sweep is not a proof");
@@ -1529,20 +1421,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A v3 manifest (pre-TSO key set) must be rejected whole, not
-    /// partially decoded: it cannot describe a TSO sweep (no `tso`
-    /// configuration key, no flush-head footprints in its node
-    /// records) or the statistics a resumed summary line needs.
+    /// Older manifests must be rejected whole, not partially decoded: a
+    /// v4 manifest counts read-read skips apart from `dpor_skips` and
+    /// records a separate read-read reduction flag, and a v3 one (pre-TSO
+    /// key set) cannot describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
-        let dir = sweep_dir("v3-reject");
+        let dir = sweep_dir("old-reject");
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=4"), "current manifests are v4");
-        std::fs::write(&manifest, text.replace("manifest_version=4", "manifest_version=3"))
-            .expect("rewrite manifest");
+        assert!(text.contains("manifest_version=5"), "current manifests are v5");
+        let downgrade = |version: u64| {
+            let old = text.replace("manifest_version=5", &format!("manifest_version={version}"));
+            std::fs::write(&manifest, old).expect("rewrite manifest");
+        };
+        downgrade(4);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v4 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 4"), "{e}");
+        downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
 

@@ -3,7 +3,8 @@
 //! Everything in this module is **deterministic**: the same program,
 //! limits, and reduction settings produce byte-identical
 //! [`ExploreStats::summary`] strings on every run, machine, and
-//! optimization level — the property the CI determinism gate diffs.
+//! optimization level — the property the golden catalogue test and the
+//! CI determinism gate diff.
 
 use crate::sched::Schedule;
 
@@ -34,14 +35,11 @@ pub struct ExploreStats {
     /// Expansions that reached an already-visited state (each cuts the
     /// entire subtree below it).
     pub states_pruned: u64,
-    /// Sibling subtrees skipped — before execution — by the
-    /// commuting-reads (sleep-set-style) reduction.
-    pub sleep_skips: u64,
     /// Sibling subtrees skipped — before execution — by the DPOR
-    /// footprint rule beyond the pure-read special case: adjacent
-    /// operations on disjoint objects, snapshot writes to disjoint
-    /// cells, and crash commutations, explored in canonical pid order
-    /// only ([`super::Reduction::dpor`]).
+    /// commutation rule: adjacent pure reads, operations on disjoint
+    /// objects, snapshot writes to disjoint cells, and crash
+    /// commutations, explored in canonical pid order only
+    /// ([`super::Reduction::dpor`]).
     pub dpor_skips: u64,
     /// Pruned expansions whose state identity was coarsened by the
     /// observation quotient (the raw fingerprint differed from the
@@ -50,46 +48,27 @@ pub struct ExploreStats {
     pub quotient_hits: u64,
     /// Pruned expansions whose canonical pid permutation was
     /// nontrivial: merges only the process-identity symmetry quotient
-    /// achieves ([`super::Reduction::symmetry`]). On the summary line
-    /// (as `symm=`) only while the quotient is active
-    /// ([`ExploreStats::symm_enabled`]), so symmetry-off sweeps print
-    /// the exact pre-symmetry baseline lines.
+    /// achieves ([`super::Reduction::symmetry`]).
     pub symm_hits: u64,
     /// The symmetry quotient was active for this sweep: the reduction
     /// flag was on, the program declared a [`crate::model_world::Symmetry`]
-    /// spec, and the adversary was pid-blind ([`crate::sched::Crashes::None`]
-    /// or [`crate::sched::Crashes::UpTo`]). Controls whether
-    /// [`ExploreStats::summary`] prints the `symm=` field.
+    /// spec, the adversary was pid-blind ([`crate::sched::Crashes::None`]
+    /// or [`crate::sched::Crashes::UpTo`]), and the memory model was
+    /// sequentially consistent. [`ExploreStats::summary`] prints
+    /// `symm=off` otherwise, and a resumed sweep must agree with it
+    /// (the visited set lives in one state space).
     pub symm_enabled: bool,
-    /// The symmetry quotient was *requested* — reduction flag on, spec
-    /// declared — whether or not it could activate. When requested but
-    /// not enabled (a pid-naming crash adversary gated it off), the
-    /// summary line says `symm=off` so catalogue diffs distinguish
-    /// "quotient inactive" from "zero hits". Sweeps that never asked
-    /// (no spec, or the knob/flag off) print no `symm=` field at all,
-    /// preserving every pre-symmetry baseline line byte for byte.
-    pub symm_requested: bool,
-    /// Crash-branch expansions executed: scheduling decisions that
-    /// delivered a crash — under [`crate::sched::Crashes::UpTo`], one
-    /// per explored crash-band branch. On the summary line (as
-    /// `crashes=`) only under the crash-count adversary
-    /// ([`ExploreStats::crashcount_enabled`]), so every other sweep
-    /// prints its exact prior baseline line.
+    /// Crash-branch expansions executed: crash-band scheduling decisions
+    /// of the crash-count adversary [`crate::sched::Crashes::UpTo`], one
+    /// per explored branch. Crashes a plan delivers instead of a step
+    /// ([`crate::sched::Crashes::AtOwnStep`]) are not branches and are
+    /// not counted.
     pub crash_branches: u64,
-    /// The adversary was [`crate::sched::Crashes::UpTo`] — controls
-    /// whether [`ExploreStats::summary`] prints the `crashes=` field.
-    pub crashcount_enabled: bool,
-    /// Flush-branch expansions executed under the TSO memory model:
-    /// scheduling decisions that drained one store-buffer head to
-    /// shared memory (one per explored flush-band branch). On the
-    /// summary line (as `flushes=`) only under TSO
-    /// ([`ExploreStats::tso_enabled`]), so every sequentially
-    /// consistent sweep prints its exact prior baseline line.
+    /// Flush-branch expansions executed under the TSO memory model
+    /// ([`super::Explorer::tso`]): scheduling decisions that drained one
+    /// store-buffer head to shared memory (one per explored flush-band
+    /// branch). Always `0` under sequential consistency.
     pub flush_branches: u64,
-    /// The sweep explored under the x86-TSO memory model
-    /// ([`super::Explorer::tso`]) — controls whether
-    /// [`ExploreStats::summary`] prints the `flushes=` field.
-    pub tso_enabled: bool,
     /// Frontier nodes evicted down to scheduling metadata by
     /// [`super::Explorer::resident_ceiling`] and rehydrated on demand.
     /// Deliberately **not** part of [`ExploreStats::summary`]: the
@@ -125,7 +104,9 @@ pub struct ExploreStats {
     /// the canonical choice-0 suffix instead of branching.
     pub depth_limited_runs: u64,
     /// `branching_histogram[d]` counts expanded (interior) tree nodes
-    /// that had exactly `d` schedulable processes (index `0 ..= n`).
+    /// that had exactly `d` schedulable actions: alive processes, plus
+    /// non-empty store buffers under TSO — so the index runs `0 ..= n`
+    /// under sequential consistency and up to `2n` under TSO.
     pub branching_histogram: Vec<u64>,
 }
 
@@ -136,16 +117,12 @@ impl ExploreStats {
             expansions: 0,
             states_visited: 0,
             states_pruned: 0,
-            sleep_skips: 0,
             dpor_skips: 0,
             quotient_hits: 0,
             symm_hits: 0,
             symm_enabled: false,
-            symm_requested: false,
             crash_branches: 0,
-            crashcount_enabled: false,
             flush_branches: 0,
-            tso_enabled: false,
             evicted: 0,
             max_rehydration_replay: 0,
             spilled: 0,
@@ -157,58 +134,28 @@ impl ExploreStats {
         }
     }
 
-    /// Total expanded decisions (sum of the branching histogram).
-    pub fn decisions(&self) -> u64 {
-        self.branching_histogram.iter().sum()
-    }
-
     /// One deterministic `key=value` line (no timing, no pointers), fit
-    /// for golden files and the CI determinism gate. The `symm=` field
-    /// appears as a hit count only when the symmetry quotient was active
-    /// ([`ExploreStats::symm_enabled`]), and as the literal `symm=off`
-    /// when it was requested but gated off
-    /// ([`ExploreStats::symm_requested`]); sweeps that never asked for
-    /// it — every asymmetric program, every `no_symm()` /
-    /// `MPCN_EXPLORE_SYMM=0` baseline — print byte for byte what the
-    /// pre-symmetry engine printed. The `crashes=` field appears only
-    /// under the crash-count adversary
-    /// ([`ExploreStats::crashcount_enabled`]), and the `flushes=` field
-    /// only under the TSO memory model ([`ExploreStats::tso_enabled`])
-    /// — sequentially consistent sweeps print their exact pre-TSO
-    /// lines.
+    /// for golden files and the determinism gates. Every sweep prints
+    /// every field in one fixed order; `symm=` reads `off` whenever the
+    /// symmetry quotient was inactive ([`ExploreStats::symm_enabled`]),
+    /// so "quotient inactive" stays distinguishable from "zero hits".
     pub fn summary(&self) -> String {
         let hist =
             self.branching_histogram.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
-        let symm = if self.symm_enabled {
-            format!(" symm={}", self.symm_hits)
-        } else if self.symm_requested {
-            " symm=off".to_string()
-        } else {
-            String::new()
-        };
-        let crashes = if self.crashcount_enabled {
-            format!(" crashes={}", self.crash_branches)
-        } else {
-            String::new()
-        };
-        let flushes = if self.tso_enabled {
-            format!(" flushes={}", self.flush_branches)
-        } else {
-            String::new()
-        };
+        let symm = if self.symm_enabled { self.symm_hits.to_string() } else { "off".to_string() };
         format!(
-            "runs={} expansions={} visited={} pruned={} sleep={} dpor={} \
-             qhits={}{symm}{crashes}{flushes} max_depth={} depth_limited={} branching=[{}]",
+            "runs={} expansions={} visited={} pruned={} dpor={} qhits={} symm={symm} \
+             crashes={} flushes={} max_depth={} depth_limited={} branching=[{hist}]",
             self.runs,
             self.expansions,
             self.states_visited,
             self.states_pruned,
-            self.sleep_skips,
             self.dpor_skips,
             self.quotient_hits,
+            self.crash_branches,
+            self.flush_branches,
             self.max_depth,
             self.depth_limited_runs,
-            hist
         )
     }
 }
@@ -302,70 +249,29 @@ mod tests {
         stats.states_visited = 12;
         stats.dpor_skips = 3;
         stats.quotient_hits = 2;
+        stats.crash_branches = 5;
+        stats.flush_branches = 11;
         stats.evicted = 5;
         stats.spilled = 9;
         stats.spill_bytes = 4096;
         stats.store_reads = 3;
         stats.max_depth = 4;
         stats.branching_histogram = vec![0, 4, 8];
+        // Every field prints, in one order; the storage counters stay
+        // off the line.
         assert_eq!(
             stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 max_depth=4 \
-             depth_limited=0 branching=[0,4,8]"
+            "runs=6 expansions=14 visited=12 pruned=0 dpor=3 qhits=2 symm=off crashes=5 \
+             flushes=11 max_depth=4 depth_limited=0 branching=[0,4,8]"
         );
-        assert_eq!(stats.decisions(), 12);
-        // Even a nonzero symm_hits stays off the line while the quotient
-        // is inactive (the pre-symmetry baseline byte-identity contract);
-        // enabling it inserts the field between qhits and max_depth.
+        // A nonzero symm_hits stays hidden behind `symm=off` while the
+        // quotient is inactive; enabling it prints the count in place.
         stats.symm_hits = 7;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 max_depth=4 \
-             depth_limited=0 branching=[0,4,8]"
-        );
+        assert!(stats.summary().contains(" symm=off "));
         stats.symm_enabled = true;
         assert_eq!(
             stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=7 max_depth=4 \
-             depth_limited=0 branching=[0,4,8]"
-        );
-        // Requested-but-gated-off prints the literal `symm=off` (an
-        // active quotient wins over the marker).
-        stats.symm_enabled = false;
-        stats.symm_requested = true;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=off max_depth=4 \
-             depth_limited=0 branching=[0,4,8]"
-        );
-        // The crash-branch counter surfaces only under the crash-count
-        // adversary, after the symm field.
-        stats.crash_branches = 5;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=off max_depth=4 \
-             depth_limited=0 branching=[0,4,8]"
-        );
-        stats.crashcount_enabled = true;
-        stats.symm_enabled = true;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=7 crashes=5 \
-             max_depth=4 depth_limited=0 branching=[0,4,8]"
-        );
-        // The flush-branch counter surfaces only under the TSO memory
-        // model, after the crashes field — a nonzero count alone stays
-        // off the line (the SC baseline byte-identity contract).
-        stats.flush_branches = 11;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=7 crashes=5 \
-             max_depth=4 depth_limited=0 branching=[0,4,8]"
-        );
-        stats.tso_enabled = true;
-        assert_eq!(
-            stats.summary(),
-            "runs=6 expansions=14 visited=12 pruned=0 sleep=0 dpor=3 qhits=2 symm=7 crashes=5 \
+            "runs=6 expansions=14 visited=12 pruned=0 dpor=3 qhits=2 symm=7 crashes=5 \
              flushes=11 max_depth=4 depth_limited=0 branching=[0,4,8]"
         );
     }

@@ -66,16 +66,17 @@ use super::{ExploreLimits, Explorer, Reduction};
 /// Magic of the binary frontier/violations state file.
 const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// Version of the `MANIFEST` key set. v3 added the crash-count
-/// adversary: the `up_to:<f>` crash policy encoding and the
-/// `symm_requested` / `crash_branches` / `crashcount_enabled` running
-/// statistics. v4 added the TSO weak-memory mode: the `tso`
-/// configuration key, the `flush_branches` / `tso_enabled` running
-/// statistics, and — in the frontier state file — per-node
-/// store-buffer flush-head footprints plus the `Flush` incoming-action
-/// tag. An older manifest cannot describe a TSO sweep (nor carry the
-/// fields a resumed summary line needs), so older manifests are
-/// rejected whole rather than partially decoded.
-const MANIFEST_VERSION: u64 = 4;
+/// adversary (the `up_to:<f>` crash policy encoding and the
+/// `crash_branches` statistic); v4 added the TSO weak-memory mode (the
+/// `tso` configuration key, the `flush_branches` statistic, and — in
+/// the frontier state file — per-node store-buffer flush-head footprints
+/// plus the `Flush` incoming-action tag). v5 folded the commuting-reads
+/// rule into DPOR: `dpor_skips` now counts every skip made before
+/// execution, and the separate read-read reduction flag, its counter and
+/// the per-mode summary flags are gone. An older manifest would resume
+/// with a different reduction set or misread counters, so older
+/// manifests are rejected whole rather than partially decoded.
+const MANIFEST_VERSION: u64 = 5;
 
 /// Where a stored checkpoint snapshot lives — what [`SnapshotStore::put`]
 /// returns and a frontier anchor carries.
@@ -583,7 +584,6 @@ fn render_manifest(
     kv("max_steps", ex.limits.max_steps.to_string());
     kv("max_depth", (ex.limits.max_depth as u64).to_string());
     kv("prune_visited", ex.reduction.prune_visited.to_string());
-    kv("sleep_reads", ex.reduction.sleep_reads.to_string());
     kv("dpor", ex.reduction.dpor.to_string());
     kv("quotient_obs", ex.reduction.quotient_obs.to_string());
     kv("view_summaries", ex.reduction.view_summaries.to_string());
@@ -606,16 +606,12 @@ fn render_manifest(
     kv("expansions", stats.expansions.to_string());
     kv("states_visited", stats.states_visited.to_string());
     kv("states_pruned", stats.states_pruned.to_string());
-    kv("sleep_skips", stats.sleep_skips.to_string());
     kv("dpor_skips", stats.dpor_skips.to_string());
     kv("quotient_hits", stats.quotient_hits.to_string());
     kv("symm_hits", stats.symm_hits.to_string());
     kv("symm_enabled", stats.symm_enabled.to_string());
-    kv("symm_requested", stats.symm_requested.to_string());
     kv("crash_branches", stats.crash_branches.to_string());
-    kv("crashcount_enabled", stats.crashcount_enabled.to_string());
     kv("flush_branches", stats.flush_branches.to_string());
-    kv("tso_enabled", stats.tso_enabled.to_string());
     kv("evicted", stats.evicted.to_string());
     kv("max_rehydration_replay", stats.max_rehydration_replay.to_string());
     kv("spilled", stats.spilled.to_string());
@@ -732,7 +728,6 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         },
         reduction: Reduction {
             prune_visited: m.bool("prune_visited")?,
-            sleep_reads: m.bool("sleep_reads")?,
             dpor: m.bool("dpor")?,
             quotient_obs: m.bool("quotient_obs")?,
             view_summaries: m.bool("view_summaries")?,
@@ -765,16 +760,12 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         expansions: m.u64("expansions")?,
         states_visited: m.u64("states_visited")?,
         states_pruned: m.u64("states_pruned")?,
-        sleep_skips: m.u64("sleep_skips")?,
         dpor_skips: m.u64("dpor_skips")?,
         quotient_hits: m.u64("quotient_hits")?,
         symm_hits: m.u64("symm_hits")?,
         symm_enabled: m.bool("symm_enabled")?,
-        symm_requested: m.bool("symm_requested")?,
         crash_branches: m.u64("crash_branches")?,
-        crashcount_enabled: m.bool("crashcount_enabled")?,
         flush_branches: m.u64("flush_branches")?,
-        tso_enabled: m.bool("tso_enabled")?,
         evicted: m.u64("evicted")?,
         max_rehydration_replay: m.u64("max_rehydration_replay")?,
         spilled: m.u64("spilled")?,

@@ -62,7 +62,7 @@ pub mod thread_world;
 pub mod world;
 
 pub use explore::{ExploreLimits, ExploreReport, ExploreStats, Explorer, Reduction, Violation};
-pub use model_world::{Decision, Footprint, ModelWorld, Outcome, RunConfig, RunReport, Snapshot};
+pub use model_world::{Footprint, ModelWorld, Outcome, RunConfig, RunReport, Snapshot};
 pub use program::{SimOp, SimProcess, SimResponse, SimStep, XConsLayout};
 pub use sched::{Crashes, Schedule};
 pub use world::{Env, ObjKey, Pid, World};

@@ -101,59 +101,6 @@ impl Outcome {
     }
 }
 
-/// One scheduling decision of a run, as recorded under
-/// [`RunConfig::record_decisions`]: who was schedulable, which of them were
-/// parked before a *pure read* (a `reg_read` or `snap_scan`, operations
-/// that cannot change shared memory), who was picked, and whether the pick
-/// delivered an adversary crash instead of a step.
-///
-/// The exhaustive explorer's sleep-set-style reduction uses these records
-/// to recognize adjacent read–read transpositions ([`crate::explore`]).
-/// Process sets are bitmasks (bit `p` = process `p`), so decision
-/// recording requires `n ≤ 64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision {
-    /// Bitmask of processes alive (schedulable) at this decision.
-    pub alive: u64,
-    /// Bitmask of alive processes whose pending operation is a pure read.
-    pub reads: u64,
-    /// The process picked.
-    pub picked: Pid,
-    /// `true` if the pick delivered an adversary crash instead of a step.
-    pub crash: bool,
-}
-
-impl Decision {
-    /// The pid of the `idx`-th alive process (alive pids in increasing
-    /// order — the order [`crate::sched::Schedule::Indexed`] indexes into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not smaller than the number of alive processes.
-    pub fn nth_alive(&self, idx: usize) -> Pid {
-        let mut seen = 0;
-        for p in 0..64 {
-            if self.alive & (1 << p) != 0 {
-                if seen == idx {
-                    return p;
-                }
-                seen += 1;
-            }
-        }
-        panic!("alive-set index {idx} out of range (alive mask {:#x})", self.alive);
-    }
-
-    /// `true` if `pid` was parked before a pure read at this decision.
-    pub fn is_pending_read(&self, pid: Pid) -> bool {
-        self.reads & (1 << pid) != 0
-    }
-
-    /// `true` if the pick completed a pure read as a shared-memory step.
-    pub fn picked_a_read(&self) -> bool {
-        !self.crash && self.is_pending_read(self.picked)
-    }
-}
-
 /// Result of a [`ModelWorld::run`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -167,24 +114,13 @@ pub struct RunReport {
     /// The schedule of completed steps, if requested via
     /// [`RunConfig::record_trace`].
     pub trace: Option<Vec<Pid>>,
-    /// The number of alive processes at each scheduling decision (pick), if
-    /// requested via [`RunConfig::record_branching`]. This is the branch
-    /// degree the exhaustive explorer ([`crate::explore`]) uses to
-    /// enumerate sibling schedules; its length counts *picks* (including
-    /// crash deliveries and withdrawn grants), not completed steps.
-    pub branching: Option<Vec<usize>>,
     /// The global-state fingerprint after each pick, if requested via
     /// [`RunConfig::record_state_hashes`]; entry `i` identifies the state
     /// reached by the schedule prefix of `i + 1` picks (shared memory +
-    /// per-process observation history + liveness flags + results), and
-    /// the vector is index-aligned with [`RunReport::branching`]. Equal
-    /// fingerprints mean equal futures under equal schedule suffixes —
-    /// the prefix-pruning invariant of [`crate::explore`].
+    /// per-process observation history + liveness flags + results).
+    /// Equal fingerprints mean equal futures under equal schedule
+    /// suffixes — the prefix-pruning invariant of [`crate::explore`].
     pub state_hashes: Option<Vec<u64>>,
-    /// Every scheduling decision in order, if requested via
-    /// [`RunConfig::record_decisions`] (index-aligned with
-    /// [`RunReport::branching`]).
-    pub decisions: Option<Vec<Decision>>,
     /// Completed shared-memory operations per object-kind namespace —
     /// the cost breakdown of a run (e.g. how many steps went to the BG
     /// simulation's input agreements vs. snapshot agreements vs. `MEM`).
@@ -239,9 +175,7 @@ pub struct RunConfig {
     crashes: Crashes,
     max_steps: u64,
     record_trace: bool,
-    record_branching: bool,
     record_state_hashes: bool,
-    record_decisions: bool,
     view_summaries: bool,
     tso: bool,
 }
@@ -256,9 +190,7 @@ impl RunConfig {
             crashes: Crashes::None,
             max_steps: 2_000_000,
             record_trace: false,
-            record_branching: false,
             record_state_hashes: false,
-            record_decisions: false,
             view_summaries: false,
             tso: false,
         }
@@ -302,25 +234,11 @@ impl RunConfig {
         self
     }
 
-    /// Records the branch degree of every scheduling decision (for the
-    /// exhaustive explorer).
-    pub fn record_branching(mut self, yes: bool) -> Self {
-        self.record_branching = yes;
-        self
-    }
-
     /// Records a global-state fingerprint after every pick (for the
     /// explorer's visited-state pruning). Enables the per-operation
     /// fingerprint bookkeeping, so leave it off for plain runs.
     pub fn record_state_hashes(mut self, yes: bool) -> Self {
         self.record_state_hashes = yes;
-        self
-    }
-
-    /// Records every scheduling decision ([`Decision`]) — alive set,
-    /// pending pure reads, pick, crash flag. Requires `n ≤ 64`.
-    pub fn record_decisions(mut self, yes: bool) -> Self {
-        self.record_decisions = yes;
         self
     }
 
@@ -507,9 +425,6 @@ struct State {
     /// process has the same observation fingerprint (and memory agrees)
     /// are in behaviorally identical global states.
     obs_fp: Vec<u64>,
-    /// `pending_read[p]`: process `p` is parked before a pure read (a
-    /// `reg_read` or `snap_scan`); valid while `waiting[p]`.
-    pending_read: Vec<bool>,
     /// Incrementally maintained XOR accumulator over
     /// `hash(key, object-content)` of every object in `objects` —
     /// maintained as a delta on each write instead of rehashing the full
@@ -886,7 +801,6 @@ impl ModelWorld {
             own_steps: vec![0; n],
             trace: Vec::new(),
             obs_fp: vec![0; n],
-            pending_read: vec![false; n],
             mem_fp: 0,
             track,
             viewsum,
@@ -927,11 +841,6 @@ impl ModelWorld {
     pub fn run(cfg: RunConfig, bodies: Vec<Body>) -> RunReport {
         assert_eq!(bodies.len(), cfg.n(), "one body per process required");
         assert!(
-            !cfg.record_decisions || cfg.n() <= 64,
-            "decision recording uses 64-bit process masks (n = {})",
-            cfg.n()
-        );
-        assert!(
             !cfg.tso || matches!(cfg.schedule, Schedule::Indexed { .. }),
             "TSO gated runs require Schedule::Indexed (no other policy schedules flushes)"
         );
@@ -956,11 +865,9 @@ impl ModelWorld {
         let mut steps: u64 = 0;
         let mut picks: usize = 0;
         let mut timed_out = false;
-        let mut branching: Vec<usize> = Vec::new();
         let mut state_hashes: Vec<u64> = Vec::new();
-        let mut decisions: Vec<Decision> = Vec::new();
         loop {
-            let (alive, reads_mask, flushable): (Vec<Pid>, u64, Vec<Pid>) = {
+            let (alive, flushable): (Vec<Pid>, Vec<Pid>) = {
                 // Wait until every process is settled (parked at its gate,
                 // finished, or crashed): the alive set is then a pure
                 // function of the schedule prefix, so runs are replayable.
@@ -983,19 +890,12 @@ impl ModelWorld {
                 }
                 let alive: Vec<Pid> =
                     (0..n).filter(|&p| !st.finished[p] && !st.crashed[p]).collect();
-                // Only built under decision recording, which asserts
-                // n ≤ 64 — the shift would overflow for larger worlds.
-                let reads_mask = if cfg.record_decisions {
-                    alive.iter().filter(|&&p| st.pending_read[p]).fold(0u64, |m, &p| m | 1 << p)
-                } else {
-                    0
-                };
                 let flushable: Vec<Pid> = if cfg.tso {
                     (0..n).filter(|&p| !st.buffers[p].is_empty()).collect()
                 } else {
                     Vec::new()
                 };
-                (alive, reads_mask, flushable)
+                (alive, flushable)
             };
             // A TSO run is terminal only once every buffer has drained:
             // undelivered writes still change shared memory.
@@ -1009,51 +909,25 @@ impl ModelWorld {
                 }
                 break;
             }
-            if cfg.record_branching {
-                branching.push(alive.len() + flushable.len());
-            }
-            let (pid, crash_pick) = if cfg.tso {
-                match sched.pick_tso(&alive, n, &flushable) {
-                    Pick::Flush(p) => {
-                        // A flush is one global step of the hardware, not
-                        // of any process: memory and the flushed buffer
-                        // change, logs and own-step clocks do not.
-                        picks += 1;
-                        steps += 1;
-                        world.inner.st.lock().flush_head(p);
-                        if cfg.record_decisions {
-                            let alive_mask = alive.iter().fold(0u64, |m, &p| m | 1 << p);
-                            decisions.push(Decision {
-                                alive: alive_mask,
-                                reads: reads_mask,
-                                picked: p,
-                                crash: false,
-                            });
-                        }
-                        continue;
-                    }
-                    Pick::Crash(p) => (p, true),
-                    Pick::Op(p) => (p, false),
-                }
-            } else {
-                sched.pick(&alive)
-            };
             picks += 1;
+            let (pid, crash_pick) = match sched.pick(&alive, &flushable) {
+                Pick::Flush(p) => {
+                    // A flush is one global step of the hardware, not of
+                    // any process: memory and the flushed buffer change,
+                    // logs and own-step clocks do not.
+                    steps += 1;
+                    world.inner.st.lock().flush_head(p);
+                    continue;
+                }
+                Pick::Crash(p) => (p, true),
+                Pick::Op(p) => (p, false),
+            };
             let own = { world.inner.st.lock().own_steps[pid] };
             // A crash-flagged pick delivers one of the crash-count
             // adversary's budgeted crashes (inert under other policies);
             // otherwise the crash policy decides, as always.
             let crashes_now =
                 if crash_pick { crash.force_crash() } else { crash.should_crash(pid, own) };
-            if cfg.record_decisions {
-                let alive_mask = alive.iter().fold(0u64, |m, &p| m | 1 << p);
-                decisions.push(Decision {
-                    alive: alive_mask,
-                    reads: reads_mask,
-                    picked: pid,
-                    crash: crashes_now,
-                });
-            }
             if crashes_now {
                 world.inner.st.lock().adversary_crash[pid] = true;
                 world.deliver_crash(pid);
@@ -1094,9 +968,7 @@ impl ModelWorld {
             steps,
             timed_out,
             trace: cfg.record_trace.then(|| std::mem::take(&mut st.trace)),
-            branching: cfg.record_branching.then_some(branching),
             state_hashes: cfg.record_state_hashes.then_some(state_hashes),
-            decisions: cfg.record_decisions.then_some(decisions),
             ops_by_kind,
         }
     }
@@ -1194,7 +1066,6 @@ impl ModelWorld {
                 snapshot::ResumeGate::Fresh => {}
             }
         } else if !st.free {
-            st.pending_read[pid] = footprint.pure_read;
             st.waiting[pid] = true;
             self.inner.sched_cv.notify_one();
             loop {
@@ -1560,9 +1431,8 @@ mod tests {
 
     #[test]
     fn worlds_larger_than_64_processes_run_without_decision_recording() {
-        // The 64-bit decision masks only exist under record_decisions;
-        // plain runs must keep working at any n (regression: the
-        // reads-mask fold used to shift by pid unconditionally).
+        // Plain runs work at any n: nothing in the gated engine caps
+        // the world at 64 processes.
         let n = 65;
         let cfg = RunConfig::new(n).schedule(Schedule::RoundRobin);
         let bodies = (0..n)
@@ -1575,14 +1445,6 @@ mod tests {
             .collect();
         let report = ModelWorld::run(cfg, bodies);
         assert_eq!(report.decided_values().len(), n);
-    }
-
-    #[test]
-    #[should_panic(expected = "decision recording uses 64-bit process masks")]
-    fn decision_recording_rejects_large_worlds() {
-        let cfg = RunConfig::new(65).record_decisions(true);
-        let bodies = (0..65).map(|i| body(move |_env| i)).collect();
-        ModelWorld::run(cfg, bodies);
     }
 
     #[test]
@@ -1719,9 +1581,7 @@ mod tests {
             steps: 10,
             timed_out: true,
             trace: None,
-            branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind: vec![],
         };
         assert_eq!(report.decided_values(), vec![3, 3]);

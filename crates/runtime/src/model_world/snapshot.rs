@@ -247,15 +247,9 @@ impl Snapshot {
         self.buffers[pid].first().map(BufferedWrite::flush_footprint)
     }
 
-    /// `true` if alive `pid` is parked before a pure read (`reg_read` or
-    /// `snap_scan`) — a function of its own operation log only.
-    pub fn pending_read(&self, pid: Pid) -> bool {
-        self.pending_op[pid].is_some_and(|f| f.pure_read)
-    }
-
     /// The dependency footprint of the operation alive `pid` is parked
-    /// before (`None` once `pid` finished or crashed) — like the purity
-    /// bit, a function of its own operation log only. The explorer's
+    /// before (`None` once `pid` finished or crashed) — a function of its
+    /// own operation log only, purity bit included. The explorer's
     /// DPOR-style reduction reads every enabled step's footprint from
     /// here.
     pub fn pending_footprint(&self, pid: Pid) -> Option<Footprint> {
@@ -566,8 +560,8 @@ impl Snapshot {
 
     /// Synthesizes the [`RunReport`] of the path that reached this state,
     /// equivalent to what a gated [`ModelWorld::run`] over the same
-    /// schedule prefix reports (no trace/branching/hash/decision records —
-    /// those are opt-in path recordings, not state).
+    /// schedule prefix reports (no trace or state-hash records — those are
+    /// opt-in path recordings, not state).
     ///
     /// `timed_out` marks a run cut by the step budget (alive processes
     /// report [`Outcome::Undecided`], as in the gated world's timeout
@@ -592,9 +586,7 @@ impl Snapshot {
             steps: self.steps,
             timed_out,
             trace: None,
-            branching: None,
             state_hashes: None,
-            decisions: None,
             ops_by_kind,
         }
     }
@@ -625,7 +617,6 @@ impl ModelWorld {
             own_steps: snap.own_steps.clone(),
             trace: Vec::new(),
             obs_fp: snap.obs_fp.clone(),
-            pending_read: (0..n).map(|p| snap.pending_read(p)).collect(),
             mem_fp: snap.mem_fp,
             track: snap.track,
             viewsum: snap.viewsum,
@@ -881,7 +872,7 @@ mod tests {
         let snap = ModelWorld::snapshot_root(3, true, false, writer_bodies(3, 2));
         assert_eq!(snap.alive(), vec![0, 1, 2]);
         assert_eq!(snap.steps(), 0);
-        assert!(!snap.pending_read(0), "first op is a snap_write");
+        assert!(!snap.pending_footprint(0).unwrap().pure_read, "first op is a snap_write");
         assert!(!snap.is_terminal());
     }
 
@@ -948,9 +939,9 @@ mod tests {
             })]
         };
         let snap = ModelWorld::snapshot_root(n, false, false, bodies());
-        assert!(!snap.pending_read(0));
+        assert!(!snap.pending_footprint(0).unwrap().pure_read);
         let snap = ModelWorld::resume_from(&snap, 0, bodies().remove(0));
-        assert!(snap.pending_read(0), "parked before the scan");
+        assert!(snap.pending_footprint(0).unwrap().pure_read, "parked before the scan");
         let snap = ModelWorld::resume_from(&snap, 0, bodies().remove(0));
         assert!(snap.is_terminal());
         assert_eq!(snap.steps(), 2);

@@ -37,18 +37,18 @@ pub enum Schedule {
     /// At step `i`, pick `alive[choices[i] % alive.len()]` (0 beyond the
     /// end of `choices`). The backbone of the exhaustive explorer
     /// ([`crate::explore`]): a run is fully determined by its choice
-    /// vector, and the recorded branch degrees tell the explorer how many
-    /// siblings each prefix has.
+    /// vector.
     ///
-    /// One index band is special: `choices[i]` in
-    /// `alive.len()..2 * alive.len()` picks `alive[choices[i] -
-    /// alive.len()]` as a **crash delivery** — the explorer's encoding of
-    /// a [`Crashes::UpTo`] branch, so its counterexample schedules replay
-    /// crash placements through the gated engine exactly. Under any other
-    /// crash policy the pick lands on the same process but the crash flag
-    /// is inert (the policy itself decides, as before). Explorer-generated
-    /// op choices are always `< alive.len()`, so pre-existing choice
-    /// vectors are unaffected.
+    /// Two index bands are special (decoded by `ScheduleState::pick`):
+    /// `choices[i]` in `alive.len()..2 * alive.len()` picks
+    /// `alive[choices[i] - alive.len()]` as a **crash delivery** — the
+    /// explorer's encoding of a [`Crashes::UpTo`] branch, so its
+    /// counterexample schedules replay crash placements through the gated
+    /// engine exactly. Under any other crash policy the pick lands on the
+    /// same process but the crash flag is inert (the policy itself
+    /// decides). Under TSO, `2 * alive.len() + pid` flushes raw process
+    /// `pid`'s store buffer. Explorer-generated op choices are always
+    /// `< alive.len()`.
     Indexed {
         /// Index into the alive set per step.
         choices: Vec<usize>,
@@ -61,9 +61,8 @@ impl Default for Schedule {
     }
 }
 
-/// One decoded scheduling decision of a TSO-mode run
-/// ([`ScheduleState::pick_tso`]): grant a step, deliver a crash, or flush
-/// the head of a process's store buffer.
+/// One decoded scheduling decision ([`ScheduleState::pick`]): grant a
+/// step, deliver a crash, or flush the head of a process's store buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Pick {
     /// Grant `pid` one shared-memory step.
@@ -91,14 +90,34 @@ impl ScheduleState {
         ScheduleState { policy, rng: StdRng::seed_from_u64(seed), cursor: 0, rr_next: 0 }
     }
 
-    /// Picks the next process among `alive` (non-empty). The second
-    /// component is `true` iff the pick is an explicit **crash delivery**
-    /// ([`Schedule::Indexed`]'s crash index band); every other policy
-    /// always returns `false` and leaves crashing to the crash policy.
-    pub(crate) fn pick(&mut self, alive: &[Pid]) -> (Pid, bool) {
-        debug_assert!(!alive.is_empty());
+    /// Decodes the next scheduling decision among the schedulable
+    /// processes `alive` and the processes whose store buffers are
+    /// non-empty, `flushable` (always empty under sequential
+    /// consistency).
+    ///
+    /// Only [`Schedule::Indexed`] returns [`Pick::Crash`] or
+    /// [`Pick::Flush`]; every other policy grants a step to one of
+    /// `alive` (non-empty) and leaves crashing to the crash policy. An
+    /// indexed choice `idx` decodes by band:
+    ///
+    /// * `idx < alive.len()` grants `alive[idx]` a step;
+    /// * `alive.len() .. 2 * alive.len()` delivers a crash to
+    ///   `alive[idx - alive.len()]`;
+    /// * `2 * alive.len() + pid` flushes the store buffer of **raw pid**
+    ///   `pid` (raw, not alive-indexed: finished and crashed processes
+    ///   keep draining — hardware owns the buffer, not the process).
+    ///
+    /// Degradations keep foreign vectors total and deterministic: a
+    /// flush pick of a pid whose buffer is empty — and any index beyond
+    /// every band — degrades to a step grant of `alive[idx % alive.len()]`,
+    /// or to a flush of the lowest flushable pid when no process is
+    /// schedulable. With no flushable buffers, an indexed vector
+    /// therefore decodes exactly as under sequential consistency, and
+    /// explorer-generated vectors always index exactly, so degradations
+    /// never fire on them.
+    pub(crate) fn pick(&mut self, alive: &[Pid], flushable: &[Pid]) -> Pick {
         match &self.policy {
-            Schedule::RandomSeed(_) => (alive[self.rng.gen_range(0..alive.len())], false),
+            Schedule::RandomSeed(_) => Pick::Op(alive[self.rng.gen_range(0..alive.len())]),
             Schedule::RoundRobin => {
                 // Find the first alive pid at or after rr_next, cyclically.
                 let max = alive
@@ -110,79 +129,39 @@ impl ScheduleState {
                     let cand = (self.rr_next + off) % (max + 1);
                     if alive.contains(&cand) {
                         self.rr_next = cand + 1;
-                        return (cand, false);
+                        return Pick::Op(cand);
                     }
                 }
-                (alive[0], false)
+                Pick::Op(alive[0])
             }
             Schedule::Scripted { steps, .. } => {
                 while self.cursor < steps.len() {
                     let cand = steps[self.cursor];
                     self.cursor += 1;
                     if alive.contains(&cand) {
-                        return (cand, false);
+                        return Pick::Op(cand);
                     }
                 }
-                (alive[self.rng.gen_range(0..alive.len())], false)
+                Pick::Op(alive[self.rng.gen_range(0..alive.len())])
             }
             Schedule::Indexed { choices } => {
+                let a = alive.len();
                 let idx = choices.get(self.cursor).copied().unwrap_or(0);
                 self.cursor += 1;
-                if (alive.len()..2 * alive.len()).contains(&idx) {
-                    (alive[idx - alive.len()], true)
+                if (a..2 * a).contains(&idx) {
+                    return Pick::Crash(alive[idx - a]);
+                }
+                if let Some(pid) = idx.checked_sub(2 * a) {
+                    if flushable.contains(&pid) {
+                        return Pick::Flush(pid);
+                    }
+                }
+                if alive.is_empty() {
+                    Pick::Flush(flushable[0])
                 } else {
-                    (alive[idx % alive.len()], false)
+                    Pick::Op(alive[idx % a])
                 }
             }
-        }
-    }
-
-    /// Decodes the next choice of a **TSO-mode** [`Schedule::Indexed`]
-    /// run, where the index space carries one extra band beyond the op
-    /// and crash bands: `2 * alive.len() .. 2 * alive.len() + n` flushes
-    /// the store buffer of **raw pid** `idx - 2 * alive.len()` (raw, not
-    /// alive-indexed: finished and crashed processes keep draining —
-    /// hardware owns the buffer, not the process). The SC decoder
-    /// ([`ScheduleState::pick`]) never sees this band, so every
-    /// pre-existing choice vector decodes exactly as before.
-    ///
-    /// Degradations keep foreign vectors total and deterministic: a
-    /// flush pick of a pid whose buffer is empty — and any index beyond
-    /// all three bands — degrades to an op grant of
-    /// `alive[idx % alive.len()]`, or to a flush of the lowest flushable
-    /// pid when no process is schedulable. Explorer-generated vectors
-    /// always index exactly, so degradations never fire on them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is not [`Schedule::Indexed`] (the gated
-    /// engine rejects other policies under TSO before running), or if
-    /// neither an alive process nor a flushable buffer exists (the run
-    /// loop terminates before that).
-    pub(crate) fn pick_tso(&mut self, alive: &[Pid], n: usize, flushable: &[Pid]) -> Pick {
-        let Schedule::Indexed { choices } = &self.policy else {
-            panic!("TSO gated runs require Schedule::Indexed");
-        };
-        assert!(
-            !alive.is_empty() || !flushable.is_empty(),
-            "pick_tso needs a schedulable process or a non-empty buffer"
-        );
-        let a = alive.len();
-        let idx = choices.get(self.cursor).copied().unwrap_or(0);
-        self.cursor += 1;
-        if (a..2 * a).contains(&idx) {
-            return Pick::Crash(alive[idx - a]);
-        }
-        if (2 * a..2 * a + n).contains(&idx) {
-            let pid = idx - 2 * a;
-            if flushable.contains(&pid) {
-                return Pick::Flush(pid);
-            }
-        }
-        if alive.is_empty() {
-            Pick::Flush(flushable[0])
-        } else {
-            Pick::Op(alive[idx % a])
         }
     }
 }
@@ -313,7 +292,7 @@ mod tests {
         let alive: Vec<Pid> = (0..5).collect();
         let picks = |seed| {
             let mut st = ScheduleState::new(Schedule::RandomSeed(seed));
-            (0..100).map(|_| st.pick(&alive).0).collect::<Vec<_>>()
+            (0..100).map(|_| st.pick(&alive, &[])).collect::<Vec<_>>()
         };
         assert_eq!(picks(42), picks(42));
         assert_ne!(picks(42), picks(43));
@@ -323,23 +302,24 @@ mod tests {
     fn round_robin_rotates_and_skips_dead() {
         let mut st = ScheduleState::new(Schedule::RoundRobin);
         let alive: Vec<Pid> = vec![0, 1, 2];
-        let seq: Vec<_> = (0..6).map(|_| st.pick(&alive).0).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
+        let seq: Vec<_> = (0..6).map(|_| st.pick(&alive, &[])).collect();
+        assert_eq!(seq, [0, 1, 2, 0, 1, 2].map(Pick::Op));
         let alive2: Vec<Pid> = vec![0, 2];
-        let seq2: Vec<_> = (0..4).map(|_| st.pick(&alive2).0).collect();
-        assert_eq!(seq2, vec![0, 2, 0, 2]);
+        let seq2: Vec<_> = (0..4).map(|_| st.pick(&alive2, &[])).collect();
+        assert_eq!(seq2, [0, 2, 0, 2].map(Pick::Op));
     }
 
     #[test]
     fn scripted_prefix_then_random() {
         let mut st = ScheduleState::new(Schedule::Scripted { steps: vec![2, 2, 0], then_seed: 9 });
         let alive: Vec<Pid> = vec![0, 1, 2];
-        assert_eq!(st.pick(&alive), (2, false));
-        assert_eq!(st.pick(&alive), (2, false));
-        assert_eq!(st.pick(&alive), (0, false));
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(2));
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(2));
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(0));
         // Falls back to random afterwards — still within alive set.
         for _ in 0..20 {
-            assert!(alive.contains(&st.pick(&alive).0));
+            let Pick::Op(pid) = st.pick(&alive, &[]) else { panic!("scripted picks are steps") };
+            assert!(alive.contains(&pid));
         }
     }
 
@@ -347,37 +327,37 @@ mod tests {
     fn scripted_skips_dead_entries() {
         let mut st = ScheduleState::new(Schedule::Scripted { steps: vec![1, 0], then_seed: 9 });
         let alive: Vec<Pid> = vec![0, 2];
-        assert_eq!(st.pick(&alive), (0, false), "dead pid 1 skipped");
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(0), "dead pid 1 skipped");
     }
 
     #[test]
     fn indexed_crash_band_decodes_victim_and_flag() {
         let alive: Vec<Pid> = vec![0, 2, 5];
-        // Op band, crash band, beyond-band wraps as before, past the end.
+        // Op band, crash band, beyond-band wraps as before, past the end
+        // — with no flushable buffer, the flush band never decodes.
         let mut st = ScheduleState::new(Schedule::Indexed { choices: vec![1, 3, 5, 7] });
-        assert_eq!(st.pick(&alive), (2, false), "op pick");
-        assert_eq!(st.pick(&alive), (0, true), "crash pick of alive[0]");
-        assert_eq!(st.pick(&alive), (5, true), "crash pick of alive[2]");
-        assert_eq!(st.pick(&alive), (2, false), "beyond both bands wraps modulo");
-        assert_eq!(st.pick(&alive), (0, false), "past the end defaults to 0");
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(2), "op pick");
+        assert_eq!(st.pick(&alive, &[]), Pick::Crash(0), "crash pick of alive[0]");
+        assert_eq!(st.pick(&alive, &[]), Pick::Crash(5), "crash pick of alive[2]");
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(2), "beyond both bands wraps modulo");
+        assert_eq!(st.pick(&alive, &[]), Pick::Op(0), "past the end defaults to 0");
     }
 
     #[test]
     fn tso_flush_band_decodes_raw_pids_past_both_bands() {
         let alive: Vec<Pid> = vec![0, 2];
         let flushable: Vec<Pid> = vec![1, 2];
-        let n = 3;
         // Op band (0..2), crash band (2..4), flush band (4..7) by raw
         // pid, then the degradations: an empty-buffer flush pick and an
         // index beyond all bands both degrade to a wrapped op grant.
         let mut st =
             ScheduleState::new(Schedule::Indexed { choices: vec![1, 3, 4 + 1, 4 + 2, 4, 7] });
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Op(2), "op pick");
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Crash(2), "crash pick of alive[1]");
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Flush(1), "flush pick of raw pid 1");
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Flush(2), "flush pick of raw pid 2");
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Op(0), "empty buffer degrades to op");
-        assert_eq!(st.pick_tso(&alive, n, &flushable), Pick::Op(2), "beyond all bands wraps");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Op(2), "op pick");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Crash(2), "crash pick of alive[1]");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Flush(1), "flush pick of raw pid 1");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Flush(2), "flush pick of raw pid 2");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Op(0), "empty buffer degrades to op");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Op(2), "beyond all bands wraps");
     }
 
     #[test]
@@ -388,13 +368,9 @@ mod tests {
         let alive: Vec<Pid> = vec![];
         let flushable: Vec<Pid> = vec![1, 2];
         let mut st = ScheduleState::new(Schedule::Indexed { choices: vec![2, 0, 9] });
-        assert_eq!(st.pick_tso(&alive, 3, &flushable), Pick::Flush(2), "band base is 0");
-        assert_eq!(
-            st.pick_tso(&alive, 3, &flushable),
-            Pick::Flush(1),
-            "empty pid-0 buffer degrades"
-        );
-        assert_eq!(st.pick_tso(&alive, 3, &flushable), Pick::Flush(1), "beyond the band degrades");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Flush(2), "band base is 0");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Flush(1), "empty pid-0 buffer degrades");
+        assert_eq!(st.pick(&alive, &flushable), Pick::Flush(1), "beyond the band degrades");
     }
 
     #[test]

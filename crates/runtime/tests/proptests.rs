@@ -73,7 +73,7 @@ fn small_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
 /// *same* operation sequence — drawn from `(seed, op index)` alone —
 /// with pid-free operand values, so a process's identity enters only as
 /// its own snapshot-cell index. Such programs satisfy the
-/// symmetric-program contract of `docs/EXPLORER.md` §3.6 under the
+/// symmetric-program contract of `docs/EXPLORER.md` §3.5 under the
 /// **identity** value/result relabeling ([`IDENTITY_SYMMETRY`]): every
 /// stored leaf and decided value is already permutation-invariant, and
 /// the only pid-dependent state — who wrote which snapshot cell, who
@@ -299,8 +299,8 @@ proptest! {
     /// Differential DPOR test in the spirit of testing reductions against
     /// the unreduced semantics: on random small programs (n ≤ 3, schedule
     /// depth ≤ 8), DPOR-on exploration (footprint commutation + the
-    /// observation quotient) and DPOR-off exploration (the pre-DPOR
-    /// reduction set) must produce identical violation *sets* and
+    /// observation quotient) and pruning-only exploration (no commutation,
+    /// no quotient) must produce identical violation *sets* and
     /// identical *replay verdicts* — every reported schedule, replayed
     /// through the gated reference engine, must still trip the checker —
     /// under one and two expansion workers alike. DPOR never adds work.
@@ -350,7 +350,8 @@ proptest! {
                 Ok((out.stats.expansions, msgs))
             };
             let (dpor_work, dpor) = collect(Reduction::full())?;
-            let (reference_work, reference) = collect(Reduction::no_dpor())?;
+            let (reference_work, reference) =
+                collect(Reduction { prune_visited: true, ..Reduction::none() })?;
             prop_assert_eq!(
                 dpor, reference,
                 "DPOR must preserve the violation set (seed {}, threads {})", seed, threads
@@ -362,8 +363,8 @@ proptest! {
     /// Differential view-summary test — the same discipline as the DPOR
     /// gate: on random small programs (whose alphabet includes scans
     /// through a lossy declared summary), summary-on exploration
-    /// ([`Reduction::full`]) and summary-off exploration
-    /// ([`Reduction::no_viewsum`]) must produce identical violation
+    /// ([`Reduction::full`]) and summary-off exploration (also without
+    /// the symmetry quotient) must produce identical violation
     /// *sets* and identical *replay verdicts* — every reported schedule,
     /// replayed through the gated reference engine, must still trip the
     /// checker — under one and two expansion workers alike. Summaries
@@ -412,7 +413,11 @@ proptest! {
                 Ok((out.stats.expansions, msgs))
             };
             let (summarized_work, summarized) = collect(Reduction::full())?;
-            let (reference_work, reference) = collect(Reduction::no_viewsum())?;
+            let (reference_work, reference) = collect(Reduction {
+                view_summaries: false,
+                symmetry: false,
+                ..Reduction::full()
+            })?;
             prop_assert_eq!(
                 summarized, reference,
                 "view summaries must preserve the violation set (seed {}, threads {})",
@@ -426,7 +431,7 @@ proptest! {
     /// applied to the process-identity quotient: on random
     /// pid-symmetric programs with the identity relabeling, symm-on
     /// exploration ([`Reduction::full`]) and symm-off exploration
-    /// ([`Reduction::no_symm`], the PR 5/6 reduction set) must produce
+    /// (every other reduction still on) must produce
     /// identical violation *sets* and identical *replay verdicts* —
     /// every reported schedule, replayed through the gated reference
     /// engine, must still trip the checker — under one and two
@@ -478,9 +483,10 @@ proptest! {
                 Ok((out.stats.expansions, out.stats.symm_enabled, msgs))
             };
             let (symm_work, symm_active, symm) = collect(Reduction::full())?;
-            let (reference_work, reference_active, reference) = collect(Reduction::no_symm())?;
+            let (reference_work, reference_active, reference) =
+                collect(Reduction { symmetry: false, ..Reduction::full() })?;
             prop_assert!(symm_active, "spec + full reduction must activate the quotient");
-            prop_assert!(!reference_active, "no_symm must keep the quotient off");
+            prop_assert!(!reference_active, "symmetry off must keep the quotient off");
             prop_assert_eq!(
                 symm, reference,
                 "symmetry must preserve the violation set (seed {}, threads {})", seed, threads
@@ -489,8 +495,8 @@ proptest! {
         }
     }
 
-    /// The crash-and-timeout differential: the same DPOR-on vs DPOR-off
-    /// equivalence, but with a generated single-crash plan (exercising
+    /// The crash-and-timeout differential: the same DPOR-on vs
+    /// pruning-only equivalence, but with a generated single-crash plan (exercising
     /// the crash-commutes-with-everything rule on random programs) and a
     /// deliberately *binding* step budget (exercising the observation
     /// quotient's interaction with timeout cuts — a terminated process's
@@ -555,7 +561,7 @@ proptest! {
             Ok(msgs)
         };
         let dpor = collect(Reduction::full())?;
-        let reference = collect(Reduction::no_dpor())?;
+        let reference = collect(Reduction { prune_visited: true, ..Reduction::none() })?;
         prop_assert_eq!(
             dpor, reference,
             "DPOR must preserve crash/timeout verdicts (seed {})", seed
@@ -894,10 +900,8 @@ proptest! {
     /// writes, so store buffers stay permanently empty) the reference
     /// enumeration under [`Explorer::tso`] pins the *byte-identical*
     /// violation set, verdict, and statistics of the sequentially
-    /// consistent sweep — under one and two expansion workers alike.
-    /// The only permitted difference is the ` flushes=0` summary field
-    /// the TSO run appends; stripping it must recover the SC summary
-    /// byte for byte.
+    /// consistent sweep — whole summary lines included, `flushes=0` on
+    /// both — under one and two expansion workers alike.
     #[test]
     fn tso_equals_sc_on_buffer_free_programs(
         seed in 0u64..1_000_000,
@@ -932,14 +936,10 @@ proptest! {
         for threads in [1usize, 2] {
             let sc = sweep(false, threads);
             let tso = sweep(true, threads);
-            prop_assert!(
-                tso.0.contains(" flushes=0"),
-                "a buffer-free TSO sweep must report zero flush branches (seed {})", seed
-            );
             prop_assert_eq!(tso.3, 0u64);
             prop_assert_eq!(
-                (tso.0.replace(" flushes=0", ""), tso.1, &tso.2),
-                (sc.0.clone(), sc.1, &sc.2),
+                (&tso.0, tso.1, &tso.2),
+                (&sc.0, sc.1, &sc.2),
                 "TSO must be invisible on buffer-free programs (seed {}, threads {})",
                 seed, threads
             );

@@ -26,9 +26,11 @@
 //! [`Explorer`]) sweeps every schedule of the Figure 1/5/6 objects at
 //! small `n` — resuming from state snapshots instead of re-executing
 //! prefixes, optionally across worker threads with byte-identical
-//! reports — with visited-state pruning and a commuting-reads reduction,
-//! and emits replayable [`Schedule::Indexed`](runtime::Schedule)
-//! counterexamples when a checker fails.
+//! reports — with visited-state pruning, DPOR-style commutation (pure
+//! reads, independent footprints, crash deliveries), observation and
+//! view-summary quotients, and a pid-symmetry quotient, and emits
+//! replayable [`Schedule::Indexed`](runtime::Schedule) counterexamples
+//! when a checker fails.
 //!
 //! ## The paper in one example
 //!
