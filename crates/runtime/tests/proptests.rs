@@ -721,31 +721,56 @@ proptest! {
     /// vector. Checked in both observation modes: raw views and
     /// declared view summaries must each agree *between the two
     /// engines* (their identities legitimately differ from each other).
+    ///
+    /// Two further inputs reach the paths where the engines handle
+    /// state differently. A one-entry [`Crashes::AtOwnStep`] plan
+    /// (`crash_step` past the victim's last operation never fires):
+    /// the resume side delivers it with `resume_crash` when the plan
+    /// fires, as the explorer does. And under `tso` the choice vector
+    /// also picks from the flush band (`2 * alive.len() + pid`), which
+    /// the resume side executes with `resume_flush`.
     #[test]
     fn snapshot_resume_matches_gated_replay(
         seed in 0u64..1_000_000,
         pick_seed in 0u64..1_000_000,
         n in 2usize..4,
         ops in 1usize..4,
+        crash_pid in 0usize..2,
+        crash_step in 0u64..5,
+        tso in 0u8..2,
     ) {
         let make = move || small_program(seed, n, ops);
+        let tso = tso == 1;
+        let plan = vec![(crash_pid, crash_step)];
         for viewsum in [false, true] {
-            let mut snap = ModelWorld::snapshot_root(n, true, viewsum, make());
+            let mut snap = ModelWorld::snapshot_root_tso(n, true, viewsum, tso, make());
             let mut choices = Vec::new();
             let mut resumed_hashes = Vec::new();
             while !snap.is_terminal() {
                 let alive = snap.alive();
-                let c = (fp_of(&(pick_seed, choices.len())) as usize) % alive.len();
-                let pid = alive[c];
-                choices.push(c);
-                let body = make().into_iter().nth(pid).expect("pid in range");
-                snap = ModelWorld::resume_from(&snap, pid, body);
+                let flushable = snap.flushable();
+                let c = (fp_of(&(pick_seed, choices.len())) as usize)
+                    % (alive.len() + flushable.len());
+                snap = if let Some(&pid) = alive.get(c) {
+                    choices.push(c);
+                    if plan.contains(&(pid, snap.own_steps(pid))) {
+                        ModelWorld::resume_crash(&snap, pid)
+                    } else {
+                        let body = make().into_iter().nth(pid).expect("pid in range");
+                        ModelWorld::resume_from(&snap, pid, body)
+                    }
+                } else {
+                    let pid = flushable[c - alive.len()];
+                    choices.push(2 * alive.len() + pid);
+                    ModelWorld::resume_flush(&snap, pid)
+                };
                 resumed_hashes.push(snap.fingerprint());
             }
             let gated = ModelWorld::run(
-                RunConfig::replay(n, Crashes::None, 10_000, &choices)
+                RunConfig::replay(n, Crashes::AtOwnStep(plan.clone()), 10_000, &choices)
                     .record_state_hashes(true)
-                    .view_summaries(viewsum),
+                    .view_summaries(viewsum)
+                    .tso(tso),
                 make(),
             );
             let report = snap.report(false);
@@ -755,8 +780,10 @@ proptest! {
             prop_assert_eq!(
                 resumed_hashes,
                 gated.state_hashes.expect("requested"),
-                "engines disagree on state identity (viewsum {})",
-                viewsum
+                "engines disagree on state identity (viewsum {}, tso {}, plan {:?})",
+                viewsum,
+                tso,
+                plan
             );
         }
     }
