@@ -35,7 +35,7 @@ mod snapshot;
 pub use codec::{CodecError, CODEC_VERSION};
 pub use snapshot::Snapshot;
 
-use snapshot::{LogEntry, ResumeCtl};
+use snapshot::{LogEntry, ResumeCtl, ResumeGate};
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -398,67 +398,44 @@ enum Permit {
     Crash,
 }
 
+/// What drives the processes of a [`ModelWorld`].
+enum Mode {
+    /// No scheduler: every operation proceeds immediately (used for
+    /// direct unit tests of object semantics).
+    Free,
+    /// The gated engine ([`ModelWorld::run`]): one thread per process,
+    /// one scheduler grant per step.
+    Gated,
+    /// The resume engine: one process is driven from a [`Snapshot`] on
+    /// the caller thread; [`ModelWorld::step`] replays its operation log
+    /// and executes exactly the granted fresh operations (see
+    /// [`snapshot`]).
+    Resume(ResumeCtl),
+}
+
+/// A world's state: the model-world state proper plus the gated
+/// engine's scheduler handshake.
 struct State {
+    /// The model-world state, the one struct every engine steps. In free
+    /// and gated runs its operation logs and pending footprints stay
+    /// empty: the process threads hold the continuations.
+    snap: Snapshot,
+    mode: Mode,
     permits: Vec<Permit>,
-    op_done: bool,
     /// Process is parked at its gate, ready to take a granted step. The
     /// scheduler only picks among *settled* processes (waiting, finished or
     /// crashed), which makes the alive set — and hence branch degrees and
     /// traces — deterministic instead of racing with finish recording.
     waiting: Vec<bool>,
-    finished: Vec<bool>,
-    crashed: Vec<bool>,
+    op_done: bool,
     /// Crashes caused by the adversary (as opposed to the end-of-run sweep
     /// that unwinds blocked processes after a timeout).
     adversary_crash: Vec<bool>,
-    results: Vec<Option<u64>>,
     failures: Vec<(Pid, String)>,
-    objects: HashMap<ObjKey, Object>,
-    op_counts: HashMap<u32, u64>,
-    own_steps: Vec<u64>,
     trace: Vec<Pid>,
-    /// Per-process rolling fingerprint of the operation/observation
-    /// history: every shared-memory operation folds (op tag, key, result
-    /// fingerprint) into its caller's entry. Because process bodies are
-    /// deterministic closures whose control state is exactly a function of
-    /// the values their operations returned, two runs in which every
-    /// process has the same observation fingerprint (and memory agrees)
-    /// are in behaviorally identical global states.
-    obs_fp: Vec<u64>,
-    /// Incrementally maintained XOR accumulator over
-    /// `hash(key, object-content)` of every object in `objects` —
-    /// maintained as a delta on each write instead of rehashing the full
-    /// map (XOR, not [`mix`], so the fold is independent of `HashMap`
-    /// iteration order). Only maintained under [`State::track`].
-    mem_fp: u64,
-    /// Fingerprint bookkeeping enabled (set by
-    /// [`RunConfig::record_state_hashes`]); off for plain runs so the
-    /// per-operation hashing costs nothing.
-    track: bool,
-    /// Fold declared view summaries instead of raw views into
-    /// [`State::obs_fp`] (set by [`RunConfig::view_summaries`] / the
-    /// explorer's [`crate::explore::Reduction::view_summaries`]). Only
-    /// read where [`State::track`] is on; never changes behavior.
-    viewsum: bool,
-    /// Free mode: no scheduler; every op proceeds immediately (used for
-    /// direct unit tests of object semantics).
-    free: bool,
-    /// Resume mode: one process is being driven from a [`Snapshot`] on
-    /// the caller thread; [`ModelWorld::step`] replays its operation log
-    /// and executes exactly the granted fresh operations (see
-    /// [`snapshot`]).
-    resume: Option<ResumeCtl>,
-    /// TSO exploration mode ([`RunConfig::tso`]): writes enqueue into
-    /// [`State::buffers`] instead of touching memory. Fixed for the whole
-    /// path, like [`State::viewsum`].
-    tso: bool,
-    /// Per-process FIFO store buffers (always empty when [`State::tso`]
-    /// is off). `buffers[p]` holds `p`'s issued-but-unflushed writes,
-    /// oldest first.
-    buffers: Vec<Vec<BufferedWrite>>,
 }
 
-/// Operation tags folded into [`State::obs_fp`].
+/// Operation tags folded into [`Snapshot::obs_fp`].
 const OP_REG_WRITE: u64 = 1;
 const OP_REG_READ: u64 = 2;
 const OP_SNAP_WRITE: u64 = 3;
@@ -526,7 +503,7 @@ impl BufferedWrite {
 }
 
 /// Applies one buffered write to an object map, maintaining the
-/// incremental memory fingerprint exactly as [`State::with_obj`] does —
+/// incremental memory fingerprint exactly as [`Snapshot::with_obj`] does —
 /// shared by the gated world's flush delivery and
 /// [`ModelWorld::resume_flush`], so both engines move memory word for
 /// word.
@@ -579,7 +556,7 @@ pub(super) fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
 
 /// The flags word of process `p` extended with its store-buffer contents
 /// when (and only when) the buffer is non-empty — the shared rule of
-/// [`State::fingerprint`] and the snapshot fingerprints.
+/// the gated per-pick fingerprint and the snapshot fingerprints.
 pub(super) fn flags_with_buffer(flags: u64, buf: &[BufferedWrite]) -> u64 {
     if buf.is_empty() {
         flags
@@ -653,7 +630,7 @@ impl Footprint {
 }
 
 /// `hash(key, object-content)` — the per-key word XOR-folded into
-/// [`State::mem_fp`].
+/// [`Snapshot::mem_fp`].
 fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
     let mut h = Fnv1a::default();
     h.write_u64(u64::from(key.kind));
@@ -663,9 +640,9 @@ fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
     h.finish()
 }
 
-impl State {
+impl Snapshot {
     /// Folds one completed operation of `pid` into its observation
-    /// fingerprint (only called when [`State::track`] is set).
+    /// fingerprint (only called when [`Snapshot::track`] is set).
     fn observe(&mut self, pid: Pid, op: u64, key: ObjKey, result_fp: u64) {
         let mut h = Fnv1a::default();
         h.write_u64(op);
@@ -678,11 +655,11 @@ impl State {
 
     /// Runs `f` on the object at `key` (created via `default` on first
     /// access), maintaining the incremental memory fingerprint
-    /// [`State::mem_fp`]: the key's contribution is XORed out before and
+    /// [`Snapshot::mem_fp`]: the key's contribution is XORed out before and
     /// back in after the access, and a freshly defaulted object is XORed
     /// in — so `mem_fp` always equals the full-map walk without ever
-    /// recomputing it (asserted in debug builds by
-    /// [`State::fingerprint`]).
+    /// recomputing it (asserted in debug builds on the gated engine's
+    /// per-pick fingerprints).
     fn with_obj<R>(
         &mut self,
         key: ObjKey,
@@ -718,15 +695,26 @@ impl State {
         }
     }
 
-    /// The full-map recomputation of [`State::mem_fp`] — only used to
+    /// The full-map recomputation of [`Snapshot::mem_fp`] — only used to
     /// cross-check the incremental accumulator in debug builds.
     fn recompute_mem_fp(&self) -> u64 {
         self.objects.iter().fold(0u64, |acc, (key, obj)| acc ^ key_obj_fp(*key, obj))
     }
 
+    /// Accounts one completed operation of `pid` on an object of `kind`:
+    /// its own-step clock, the path's total step count and the per-kind
+    /// op counter.
+    fn count_op(&mut self, pid: Pid, kind: u32) {
+        self.own_steps[pid] += 1;
+        self.steps += 1;
+        *self.op_counts.entry(kind).or_insert(0) += 1;
+    }
+}
+
+impl State {
     /// Fingerprint of the current global state: shared memory (the
     /// incrementally maintained, iteration-order-independent
-    /// [`State::mem_fp`]), plus every process's observation history,
+    /// [`Snapshot::mem_fp`]), plus every process's observation history,
     /// liveness flags, and result.
     ///
     /// Two equal fingerprints identify states with identical futures under
@@ -734,25 +722,26 @@ impl State {
     /// pruning argument. Deliberately excluded: step counters, traces, and
     /// `op_counts` (path statistics, not state).
     fn fingerprint(&self) -> u64 {
-        debug_assert!(self.track, "fingerprints require tracking");
+        let snap = &self.snap;
+        debug_assert!(snap.track, "fingerprints require tracking");
         debug_assert_eq!(
-            self.mem_fp,
-            self.recompute_mem_fp(),
+            snap.mem_fp,
+            snap.recompute_mem_fp(),
             "incremental memory fingerprint drifted from the full-map walk"
         );
         fold_state_fp(
-            self.mem_fp,
-            (0..self.obs_fp.len()).map(|p| {
+            snap.mem_fp,
+            (0..snap.n).map(|p| {
                 (
-                    self.obs_fp[p],
+                    snap.obs_fp[p],
                     flags_with_buffer(
-                        u64::from(self.finished[p])
-                            | u64::from(self.crashed[p]) << 1
+                        u64::from(snap.finished[p])
+                            | u64::from(snap.crashed[p]) << 1
                             | u64::from(self.adversary_crash[p]) << 2
-                            | u64::from(self.results[p].is_some()) << 3,
-                        &self.buffers[p],
+                            | u64::from(snap.results[p].is_some()) << 3,
+                        &snap.buffers[p],
                     ),
-                    self.results[p].unwrap_or(0),
+                    snap.results[p].unwrap_or(0),
                 )
             }),
         )
@@ -778,36 +767,27 @@ impl std::fmt::Debug for ModelWorld {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.inner.st.lock();
         f.debug_struct("ModelWorld")
-            .field("n", &st.permits.len())
-            .field("objects", &st.objects.len())
-            .field("free", &st.free)
+            .field("n", &st.snap.n)
+            .field("objects", &st.snap.objects.len())
+            .field("free", &matches!(st.mode, Mode::Free))
             .finish()
     }
 }
 
 impl ModelWorld {
-    fn new(n: usize, free: bool, track: bool, viewsum: bool, tso: bool) -> Self {
+    /// A world driving `snap` in `mode`. Only the gated engine needs the
+    /// per-process handshake slots.
+    fn with_state(snap: Snapshot, mode: Mode) -> Self {
+        let n = if matches!(mode, Mode::Gated) { snap.n } else { 0 };
         let st = State {
+            snap,
+            mode,
             permits: vec![Permit::Idle; n],
-            op_done: false,
             waiting: vec![false; n],
-            finished: vec![false; n],
-            crashed: vec![false; n],
+            op_done: false,
             adversary_crash: vec![false; n],
-            results: vec![None; n],
             failures: Vec::new(),
-            objects: HashMap::new(),
-            op_counts: HashMap::new(),
-            own_steps: vec![0; n],
             trace: Vec::new(),
-            obs_fp: vec![0; n],
-            mem_fp: 0,
-            track,
-            viewsum,
-            free,
-            resume: None,
-            tso,
-            buffers: vec![Vec::new(); n],
         };
         ModelWorld {
             inner: Arc::new(Inner {
@@ -824,7 +804,7 @@ impl ModelWorld {
     /// use would be linearizable (each op still runs under the world lock)
     /// but not deterministic.
     pub fn new_free(n: usize) -> Self {
-        ModelWorld::new(n, true, false, false, false)
+        ModelWorld::with_state(Snapshot::new(n, false, false, false), Mode::Free)
     }
 
     /// Runs `bodies` (one per process) to completion under `cfg`.
@@ -846,7 +826,10 @@ impl ModelWorld {
         );
         install_crash_hook();
         let n = cfg.n();
-        let world = ModelWorld::new(n, false, cfg.record_state_hashes, cfg.view_summaries, cfg.tso);
+        let world = ModelWorld::with_state(
+            Snapshot::new(n, cfg.record_state_hashes, cfg.view_summaries, cfg.tso),
+            Mode::Gated,
+        );
         let mut sched = ScheduleState::new(cfg.schedule.clone());
         let mut crash = CrashState::new(cfg.crashes.clone());
 
@@ -862,18 +845,18 @@ impl ModelWorld {
             })
             .collect();
 
-        let mut steps: u64 = 0;
         let mut picks: usize = 0;
         let mut timed_out = false;
         let mut state_hashes: Vec<u64> = Vec::new();
         loop {
-            let (alive, flushable): (Vec<Pid>, Vec<Pid>) = {
+            let (alive, flushable, steps) = {
                 // Wait until every process is settled (parked at its gate,
                 // finished, or crashed): the alive set is then a pure
                 // function of the schedule prefix, so runs are replayable.
                 let mut st = world.inner.st.lock();
                 loop {
-                    let settled = (0..n).all(|p| st.waiting[p] || st.finished[p] || st.crashed[p]);
+                    let settled =
+                        (0..n).all(|p| st.waiting[p] || st.snap.finished[p] || st.snap.crashed[p]);
                     if settled {
                         break;
                     }
@@ -888,14 +871,7 @@ impl ModelWorld {
                 if cfg.record_state_hashes && picks > state_hashes.len() {
                     state_hashes.push(st.fingerprint());
                 }
-                let alive: Vec<Pid> =
-                    (0..n).filter(|&p| !st.finished[p] && !st.crashed[p]).collect();
-                let flushable: Vec<Pid> = if cfg.tso {
-                    (0..n).filter(|&p| !st.buffers[p].is_empty()).collect()
-                } else {
-                    Vec::new()
-                };
-                (alive, flushable)
+                (st.snap.alive(), st.snap.flushable(), st.snap.steps)
             };
             // A TSO run is terminal only once every buffer has drained:
             // undelivered writes still change shared memory.
@@ -915,14 +891,15 @@ impl ModelWorld {
                     // A flush is one global step of the hardware, not of
                     // any process: memory and the flushed buffer change,
                     // logs and own-step clocks do not.
-                    steps += 1;
-                    world.inner.st.lock().flush_head(p);
+                    let mut st = world.inner.st.lock();
+                    st.snap.flush_head(p);
+                    st.snap.steps += 1;
                     continue;
                 }
                 Pick::Crash(p) => (p, true),
                 Pick::Op(p) => (p, false),
             };
-            let own = { world.inner.st.lock().own_steps[pid] };
+            let own = world.inner.st.lock().snap.own_steps[pid];
             // A crash-flagged pick delivers one of the crash-count
             // adversary's budgeted crashes (inert under other policies);
             // otherwise the crash policy decides, as always.
@@ -931,8 +908,8 @@ impl ModelWorld {
             if crashes_now {
                 world.inner.st.lock().adversary_crash[pid] = true;
                 world.deliver_crash(pid);
-            } else if world.grant(pid, cfg.record_trace) {
-                steps += 1;
+            } else {
+                world.grant(pid, cfg.record_trace);
             }
         }
 
@@ -946,7 +923,7 @@ impl ModelWorld {
         }
         let outcomes = (0..n)
             .map(|p| {
-                if let Some(v) = st.results[p] {
+                if let Some(v) = st.snap.results[p] {
                     Outcome::Decided(v)
                 } else if st.adversary_crash[p] {
                     Outcome::Crashed
@@ -956,7 +933,8 @@ impl ModelWorld {
                 }
             })
             .collect();
-        let mut ops_by_kind: Vec<(u32, u64)> = st.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut ops_by_kind: Vec<(u32, u64)> =
+            st.snap.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
         ops_by_kind.sort_unstable();
         debug_assert!(
             !cfg.record_state_hashes || timed_out || state_hashes.len() == picks,
@@ -965,7 +943,7 @@ impl ModelWorld {
         );
         RunReport {
             outcomes,
-            steps,
+            steps: st.snap.steps,
             timed_out,
             trace: cfg.record_trace.then(|| std::mem::take(&mut st.trace)),
             state_hashes: cfg.record_state_hashes.then_some(state_hashes),
@@ -979,41 +957,35 @@ impl ModelWorld {
         let result = catch_unwind(AssertUnwindSafe(move || body(env)));
         let mut st = self.inner.st.lock();
         match result {
-            Ok(v) => {
-                st.finished[pid] = true;
-                st.results[pid] = Some(v);
-            }
+            Ok(v) => st.snap.finish(pid, v),
             Err(payload) => {
-                if payload.downcast_ref::<CrashSignal>().is_some() {
-                    st.crashed[pid] = true;
-                } else {
+                if payload.downcast_ref::<CrashSignal>().is_none() {
                     let msg = panic_message(payload.as_ref());
                     st.failures.push((pid, msg));
-                    st.crashed[pid] = true;
                 }
+                st.snap.crashed[pid] = true;
             }
         }
         self.inner.sched_cv.notify_one();
     }
 
-    /// Grants one step to `pid`; returns `true` if a step was completed
-    /// (`false` if the process finished or crashed while granted).
-    fn grant(&self, pid: Pid, record_trace: bool) -> bool {
+    /// Grants one step to `pid` and waits until it completes (or the
+    /// process finishes or crashes while granted).
+    fn grant(&self, pid: Pid, record_trace: bool) {
         let mut st = self.inner.st.lock();
         st.permits[pid] = Permit::Granted;
         self.inner.proc_cvs[pid].notify_one();
         loop {
             if st.op_done {
                 st.op_done = false;
-                st.own_steps[pid] += 1;
                 if record_trace {
                     st.trace.push(pid);
                 }
-                return true;
+                return;
             }
-            if st.finished[pid] || st.crashed[pid] {
+            if st.snap.finished[pid] || st.snap.crashed[pid] {
                 st.permits[pid] = Permit::Idle;
-                return false;
+                return;
             }
             if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
                 panic!("virtual process {pid} did not take its granted step within {STEP_GRANT_TIMEOUT:?} (runaway local loop?)");
@@ -1026,7 +998,7 @@ impl ModelWorld {
         let mut st = self.inner.st.lock();
         st.permits[pid] = Permit::Crash;
         self.inner.proc_cvs[pid].notify_one();
-        while !st.crashed[pid] && !st.finished[pid] {
+        while !st.snap.crashed[pid] && !st.snap.finished[pid] {
             if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
                 panic!(
                     "virtual process {pid} did not acknowledge crash within {STEP_GRANT_TIMEOUT:?}"
@@ -1049,50 +1021,54 @@ impl ModelWorld {
     /// granted fresh operations execute and are appended to the log; one
     /// operation past the budget unwinds with [`StopSignal`] — the
     /// process is then parked at its next gate, footprint recorded.
-    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut State) -> R) -> R
+    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut Snapshot) -> R) -> R
     where
         R: Clone + Send + Sync + 'static,
     {
         let key = footprint.key;
         let mut st = self.inner.st.lock();
-        if st.resume.is_some() {
-            match snapshot::resume_gate::<R>(&mut st, pid, footprint.op, key) {
-                snapshot::ResumeGate::Replayed(out) => return out,
-                snapshot::ResumeGate::Park => {
-                    st.resume.as_mut().expect("resume mode").park_at(footprint);
+        match &mut st.mode {
+            Mode::Free => {}
+            Mode::Resume(ctl) => match ctl.gate::<R>(pid, footprint.op, key) {
+                ResumeGate::Replayed(out) => return out,
+                ResumeGate::Park => {
+                    ctl.park_at(footprint);
                     drop(st);
                     std::panic::panic_any(StopSignal);
                 }
-                snapshot::ResumeGate::Fresh => {}
-            }
-        } else if !st.free {
-            st.waiting[pid] = true;
-            self.inner.sched_cv.notify_one();
-            loop {
-                match st.permits[pid] {
-                    Permit::Granted => {
-                        st.permits[pid] = Permit::Idle;
-                        st.waiting[pid] = false;
-                        break;
+                ResumeGate::Fresh => {}
+            },
+            Mode::Gated => {
+                st.waiting[pid] = true;
+                self.inner.sched_cv.notify_one();
+                loop {
+                    match st.permits[pid] {
+                        Permit::Granted => {
+                            st.permits[pid] = Permit::Idle;
+                            st.waiting[pid] = false;
+                            break;
+                        }
+                        Permit::Crash => {
+                            st.waiting[pid] = false;
+                            drop(st);
+                            std::panic::panic_any(CrashSignal);
+                        }
+                        Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
                     }
-                    Permit::Crash => {
-                        st.waiting[pid] = false;
-                        drop(st);
-                        std::panic::panic_any(CrashSignal);
-                    }
-                    Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
                 }
             }
         }
-        let out = op(&mut st);
-        *st.op_counts.entry(key.kind).or_insert(0) += 1;
-        if st.resume.is_some() {
-            st.own_steps[pid] += 1;
-            let entry = LogEntry::new(footprint.op, key, Arc::new(out.clone()));
-            st.resume.as_mut().expect("resume mode").push_fresh(entry);
-        } else if !st.free {
-            st.op_done = true;
-            self.inner.sched_cv.notify_one();
+        let out = op(&mut st.snap);
+        st.snap.count_op(pid, key.kind);
+        match &mut st.mode {
+            Mode::Free => {}
+            Mode::Resume(ctl) => {
+                ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())))
+            }
+            Mode::Gated => {
+                st.op_done = true;
+                self.inner.sched_cv.notify_one();
+            }
         }
         out
     }
@@ -1120,7 +1096,7 @@ fn downcast<T: MemVal>(stored: &Stored, key: ObjKey, what: &str) -> T {
 /// object `key` (created on first access), with the usual
 /// algorithm-bug panics (kind mismatch, length mismatch, cell type
 /// mismatch).
-fn scan_cells<T: MemVal>(st: &mut State, key: ObjKey, len: usize) -> Vec<Option<T>> {
+fn scan_cells<T: MemVal>(st: &mut Snapshot, key: ObjKey, len: usize) -> Vec<Option<T>> {
     st.with_obj(
         key,
         || Object::Snapshot(vec![None; len]),
@@ -1140,7 +1116,7 @@ fn scan_cells<T: MemVal>(st: &mut State, key: ObjKey, len: usize) -> Vec<Option<
 /// TSO store-to-load forwarding for scans: overlays `pid`'s own buffered
 /// cells of snapshot object `key` onto a freshly scanned view, in FIFO
 /// order (newest entry per cell wins). No-op under SC (buffers are empty).
-fn overlay_own_buffer<T: MemVal>(st: &State, pid: Pid, key: ObjKey, view: &mut [Option<T>]) {
+fn overlay_own_buffer<T: MemVal>(st: &Snapshot, pid: Pid, key: ObjKey, view: &mut [Option<T>]) {
     for w in st.buffers[pid].iter().filter(|w| w.key == key) {
         let i = w
             .cell_idx
@@ -1277,7 +1253,7 @@ impl World for ModelWorld {
         // check reads the fixed `tso` mode flag only (never buffer
         // contents), so whether a fence gates is a pure function of the
         // run mode and log replay stays deterministic.
-        if !self.inner.st.lock().tso {
+        if !self.inner.st.lock().snap.tso {
             return;
         }
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);

@@ -37,11 +37,9 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-
 use super::{
     apply_buffered_write, codec, flags_with_buffer, install_crash_hook, panic_message, Body,
-    BufferedWrite, Footprint, Inner, ModelWorld, Outcome, Permit, RunReport, State, StopSignal,
+    BufferedWrite, Footprint, Mode, ModelWorld, Outcome, RunReport, StopSignal,
 };
 use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
 use crate::world::{Env, ObjKey, Pid, Stored};
@@ -62,7 +60,7 @@ impl LogEntry {
     }
 }
 
-/// Driver state of one resumed process (lives in [`State::resume`]).
+/// Driver state of one resumed process (the world's resume mode).
 pub(super) struct ResumeCtl {
     /// The process being driven — resume mode executes no other body.
     pid: Pid,
@@ -79,6 +77,52 @@ pub(super) struct ResumeCtl {
 }
 
 impl ResumeCtl {
+    /// Drives `pid` from its operation `log`, granting it `budget` fresh
+    /// operations (0 = probe only).
+    fn new(pid: Pid, log: Arc<Vec<LogEntry>>, budget: usize) -> Self {
+        ResumeCtl { pid, log, cursor: 0, budget, fresh: Vec::new(), next_op: None }
+    }
+
+    /// Classifies the operation `(op_tag, key)` of `pid` against the
+    /// resume log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body diverges from its recorded log (a
+    /// nondeterministic process body — disallowed by the model) or if
+    /// another process's body somehow runs.
+    pub(super) fn gate<R: Clone + 'static>(
+        &mut self,
+        pid: Pid,
+        op_tag: u64,
+        key: ObjKey,
+    ) -> ResumeGate<R> {
+        assert_eq!(pid, self.pid, "resume executes only the picked process");
+        if self.cursor < self.log.len() {
+            let entry = &self.log[self.cursor];
+            assert!(
+                entry.op == op_tag && entry.key == key,
+                "nondeterministic process body: replay step {} issued op {op_tag} on {key}, \
+                 log records op {} on {}",
+                self.cursor,
+                entry.op,
+                entry.key
+            );
+            self.cursor += 1;
+            let out = entry
+                .result
+                .downcast_ref::<R>()
+                .expect("nondeterministic process body: replayed result type changed")
+                .clone();
+            return ResumeGate::Replayed(out);
+        }
+        if self.fresh.len() >= self.budget {
+            ResumeGate::Park
+        } else {
+            ResumeGate::Fresh
+        }
+    }
+
     pub(super) fn push_fresh(&mut self, entry: LogEntry) {
         self.fresh.push(entry);
     }
@@ -102,64 +146,42 @@ pub(super) enum ResumeGate<R> {
     Park,
 }
 
-/// Classifies the operation `(op_tag, key)` of `pid` against the resume
-/// log.
-///
-/// # Panics
-///
-/// Panics if the body diverges from its recorded log (a nondeterministic
-/// process body — disallowed by the model) or if another process's body
-/// somehow runs.
-pub(super) fn resume_gate<R: Clone + 'static>(
-    st: &mut State,
-    pid: Pid,
-    op_tag: u64,
-    key: ObjKey,
-) -> ResumeGate<R> {
-    let ctl = st.resume.as_mut().expect("resume mode");
-    assert_eq!(pid, ctl.pid, "resume executes only the picked process");
-    if ctl.cursor < ctl.log.len() {
-        let entry = &ctl.log[ctl.cursor];
-        assert!(
-            entry.op == op_tag && entry.key == key,
-            "nondeterministic process body: replay step {} issued op {op_tag} on {key}, \
-             log records op {} on {}",
-            ctl.cursor,
-            entry.op,
-            entry.key
-        );
-        ctl.cursor += 1;
-        let out = entry
-            .result
-            .downcast_ref::<R>()
-            .expect("nondeterministic process body: replayed result type changed")
-            .clone();
-        return ResumeGate::Replayed(out);
-    }
-    if ctl.fresh.len() >= ctl.budget {
-        ResumeGate::Park
-    } else {
-        ResumeGate::Fresh
-    }
-}
-
-/// A checkpoint of one reachable model-world state, from which execution
-/// can be resumed one scheduling decision at a time (see the
-/// [`crate::model_world`] module docs, "snapshot resumption").
+/// One reachable model-world state: the state every engine steps, and a
+/// checkpoint from which execution can be resumed one scheduling
+/// decision at a time (see the [`crate::model_world`] module docs,
+/// "snapshot resumption").
 #[derive(Clone)]
 pub struct Snapshot {
-    // Fields are `pub(super)` (not private) for exactly one reader/writer
-    // besides this module: the byte codec in [`super::codec`], which must
-    // see every field to guarantee exact roundtrips.
+    // Fields are `pub(super)` (not private) for the two other readers and
+    // writers: the engines in [`super`], which step this struct, and the
+    // byte codec in [`super::codec`], which must see every field to
+    // guarantee exact roundtrips.
     pub(super) n: usize,
+    /// Fingerprint bookkeeping enabled (set by
+    /// [`super::RunConfig::record_state_hashes`] or `snapshot_root`'s
+    /// `track`); off for plain runs so the per-operation hashing costs
+    /// nothing.
     pub(super) track: bool,
     /// Observation histories along this path fold declared view summaries
     /// instead of raw views (see [`super::RunConfig::view_summaries`]);
     /// fixed at the root and inherited by every successor, so a path
-    /// never mixes the two identities.
+    /// never mixes the two identities. Only read where
+    /// [`Snapshot::track`] is on; never changes behavior.
     pub(super) viewsum: bool,
     pub(super) objects: HashMap<ObjKey, super::Object>,
+    /// Incrementally maintained XOR accumulator over
+    /// `hash(key, object-content)` of every object in `objects` —
+    /// maintained as a delta on each write instead of rehashing the full
+    /// map (XOR, not [`mix`], so the fold is independent of `HashMap`
+    /// iteration order). Only maintained under [`Snapshot::track`].
     pub(super) mem_fp: u64,
+    /// Per-process rolling fingerprint of the operation/observation
+    /// history: every shared-memory operation folds (op tag, key, result
+    /// fingerprint) into its caller's entry. Because process bodies are
+    /// deterministic closures whose control state is exactly a function of
+    /// the values their operations returned, two runs in which every
+    /// process has the same observation fingerprint (and memory agrees)
+    /// are in behaviorally identical global states.
     pub(super) obs_fp: Vec<u64>,
     pub(super) logs: Vec<Arc<Vec<LogEntry>>>,
     pub(super) finished: Vec<bool>,
@@ -191,6 +213,42 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
+    /// The state before any step: empty memory, every process alive with
+    /// an empty history.
+    pub(super) fn new(n: usize, track: bool, viewsum: bool, tso: bool) -> Self {
+        Snapshot {
+            n,
+            track,
+            viewsum,
+            objects: HashMap::new(),
+            mem_fp: 0,
+            obs_fp: vec![0; n],
+            logs: (0..n).map(|_| Arc::new(Vec::new())).collect(),
+            finished: vec![false; n],
+            crashed: vec![false; n],
+            results: vec![None; n],
+            pending_op: vec![None; n],
+            own_steps: vec![0; n],
+            op_counts: HashMap::new(),
+            steps: 0,
+            tso,
+            buffers: vec![Vec::new(); n],
+        }
+    }
+
+    /// Records that `pid`'s body returned `v`.
+    pub(super) fn finish(&mut self, pid: Pid, v: u64) {
+        self.finished[pid] = true;
+        self.results[pid] = Some(v);
+        self.pending_op[pid] = None;
+    }
+
+    /// Records an adversary crash of `pid`.
+    pub(super) fn crash(&mut self, pid: Pid) {
+        self.crashed[pid] = true;
+        self.pending_op[pid] = None;
+    }
+
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.n
@@ -600,38 +658,19 @@ enum Resumed {
 }
 
 impl ModelWorld {
-    /// Builds a resume-mode world loaded with `snap`'s state.
+    /// Builds a resume-mode world loaded with a copy of `snap`.
     fn from_snapshot(snap: &Snapshot, ctl: ResumeCtl) -> ModelWorld {
-        let n = snap.n;
-        let st = State {
-            permits: vec![Permit::Idle; n],
-            op_done: false,
-            waiting: vec![false; n],
-            finished: snap.finished.clone(),
-            crashed: snap.crashed.clone(),
-            adversary_crash: snap.crashed.clone(),
-            results: snap.results.clone(),
-            failures: Vec::new(),
-            objects: snap.objects.clone(),
-            op_counts: snap.op_counts.clone(),
-            own_steps: snap.own_steps.clone(),
-            trace: Vec::new(),
-            obs_fp: snap.obs_fp.clone(),
-            mem_fp: snap.mem_fp,
-            track: snap.track,
-            viewsum: snap.viewsum,
-            free: false,
-            resume: Some(ctl),
-            tso: snap.tso,
-            buffers: snap.buffers.clone(),
-        };
-        ModelWorld {
-            inner: Arc::new(Inner {
-                st: Mutex::new(st),
-                proc_cvs: Vec::new(),
-                sched_cv: Condvar::new(),
-            }),
-        }
+        ModelWorld::with_state(snap.clone(), Mode::Resume(ctl))
+    }
+
+    /// Takes the stepped state and the resume driver back out of a
+    /// resume-mode world whose body has parked or returned.
+    fn into_resumed(self) -> (Snapshot, ResumeCtl) {
+        let inner = std::sync::Arc::try_unwrap(self.inner)
+            .unwrap_or_else(|_| panic!("a resumed process body kept its Env handle"));
+        let st = inner.st.into_inner();
+        let Mode::Resume(ctl) = st.mode else { unreachable!("resume mode") };
+        (st.snap, ctl)
     }
 
     /// Runs `body` as process `pid` against this resume-mode world until
@@ -676,44 +715,16 @@ impl ModelWorld {
     ) -> Snapshot {
         assert_eq!(bodies.len(), n, "one body per process required");
         install_crash_hook();
-        let mut snap = Snapshot {
-            n,
-            track,
-            viewsum,
-            objects: HashMap::new(),
-            mem_fp: 0,
-            obs_fp: vec![0; n],
-            logs: (0..n).map(|_| Arc::new(Vec::new())).collect(),
-            finished: vec![false; n],
-            crashed: vec![false; n],
-            results: vec![None; n],
-            pending_op: vec![None; n],
-            own_steps: vec![0; n],
-            op_counts: HashMap::new(),
-            steps: 0,
-            tso,
-            buffers: vec![Vec::new(); n],
-        };
+        let mut snap = Snapshot::new(n, track, viewsum, tso);
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
             // without touching shared state, recording the op's purity.
-            let ctl = ResumeCtl {
-                pid,
-                log: Arc::new(Vec::new()),
-                cursor: 0,
-                budget: 0,
-                fresh: Vec::new(),
-                next_op: None,
-            };
-            let world = ModelWorld::from_snapshot(&snap, ctl);
+            let world =
+                ModelWorld::from_snapshot(&snap, ResumeCtl::new(pid, Arc::new(Vec::new()), 0));
             match world.drive_resumed(pid, body) {
-                Resumed::Finished(v) => {
-                    snap.finished[pid] = true;
-                    snap.results[pid] = Some(v);
-                }
+                Resumed::Finished(v) => snap.finish(pid, v),
                 Resumed::Parked => {
-                    let st = world.inner.st.lock();
-                    let ctl = st.resume.as_ref().expect("resume mode");
+                    let (_, ctl) = world.into_resumed();
                     snap.pending_op[pid] = Some(ctl.next_op.expect("parked at a gate"));
                 }
             }
@@ -737,22 +748,10 @@ impl ModelWorld {
             "resume_from requires an alive process (pid {pid})"
         );
         install_crash_hook();
-        let ctl = ResumeCtl {
-            pid,
-            log: Arc::clone(&snap.logs[pid]),
-            cursor: 0,
-            budget: 1,
-            fresh: Vec::new(),
-            next_op: None,
-        };
+        let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 1);
         let world = ModelWorld::from_snapshot(snap, ctl);
         let resumed = world.drive_resumed(pid, body);
-        let mut st = world.inner.st.lock();
-        if let Resumed::Finished(v) = resumed {
-            st.finished[pid] = true;
-            st.results[pid] = Some(v);
-        }
-        let ctl = st.resume.take().expect("resume mode");
+        let (mut next, ctl) = world.into_resumed();
         assert_eq!(
             ctl.cursor,
             ctl.log.len(),
@@ -766,34 +765,17 @@ impl ModelWorld {
             "an alive process must complete exactly one granted step (completed {})",
             ctl.fresh.len()
         );
-        let mut logs = snap.logs.clone();
         let mut full = (*ctl.log).clone();
         full.extend(ctl.fresh);
-        logs[pid] = Arc::new(full);
-        let mut pending_op = snap.pending_op.clone();
-        pending_op[pid] = if st.finished[pid] {
-            None
-        } else {
-            Some(ctl.next_op.expect("a live body parks at its next gate"))
-        };
-        Snapshot {
-            n: snap.n,
-            track: snap.track,
-            viewsum: snap.viewsum,
-            objects: std::mem::take(&mut st.objects),
-            mem_fp: st.mem_fp,
-            obs_fp: std::mem::take(&mut st.obs_fp),
-            logs,
-            finished: std::mem::take(&mut st.finished),
-            crashed: std::mem::take(&mut st.crashed),
-            results: std::mem::take(&mut st.results),
-            pending_op,
-            own_steps: std::mem::take(&mut st.own_steps),
-            op_counts: std::mem::take(&mut st.op_counts),
-            steps: snap.steps + 1,
-            tso: snap.tso,
-            buffers: std::mem::take(&mut st.buffers),
+        next.logs[pid] = Arc::new(full);
+        match resumed {
+            Resumed::Finished(v) => next.finish(pid, v),
+            Resumed::Parked => {
+                next.pending_op[pid] =
+                    Some(ctl.next_op.expect("a live body parks at its next gate"));
+            }
         }
+        next
     }
 
     /// Delivers an adversary crash to alive `pid` *instead of* its next
@@ -810,8 +792,7 @@ impl ModelWorld {
             "resume_crash requires an alive process (pid {pid})"
         );
         let mut out = snap.clone();
-        out.crashed[pid] = true;
-        out.pending_op[pid] = None;
+        out.crash(pid);
         out
     }
 
