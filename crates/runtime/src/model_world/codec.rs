@@ -24,7 +24,7 @@
 //! of a small set of concrete types — see [`encode_stored`]. Encoding
 //! tries each supported downcast and tags the variant; decoding rebuilds
 //! the exact original dynamic type, which is what lets a decoded
-//! snapshot's log replay (`resume_gate`'s typed downcast) succeed
+//! snapshot's log replay (`ResumeCtl::gate`'s typed downcast) succeed
 //! bit-for-bit. A value outside the universe is a hard
 //! [`CodecError::UnsupportedValue`] — extending the universe means adding
 //! a tag here and bumping [`CODEC_VERSION`].

@@ -38,14 +38,13 @@ pub use snapshot::Snapshot;
 use snapshot::{LogEntry, ResumeCtl, ResumeGate};
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::fingerprint::{fold_state_fp, fp_of, mix, Fnv1a};
+use crate::fingerprint::{fp_of, mix, Fnv1a};
 use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
 use crate::world::{Env, MemVal, ObjKey, Pid, Stored, World};
 use std::hash::Hasher;
@@ -338,7 +337,7 @@ impl std::fmt::Debug for Symmetry {
 }
 
 /// A stored value together with its fingerprint (0 when fingerprint
-/// tracking is off — see [`State::track`]).
+/// tracking is off — see [`Snapshot::track`]).
 #[derive(Debug, Clone)]
 struct Cell {
     val: Stored,
@@ -362,7 +361,7 @@ enum Object {
 
 impl Object {
     /// Content fingerprint (independent of `HashMap` iteration order when
-    /// XOR-combined per key by [`State::fingerprint`]).
+    /// XOR-combined per key into [`Snapshot::mem_fp`]).
     fn fp(&self) -> u64 {
         let mut h = Fnv1a::default();
         match self {
@@ -428,9 +427,6 @@ struct State {
     /// traces — deterministic instead of racing with finish recording.
     waiting: Vec<bool>,
     op_done: bool,
-    /// Crashes caused by the adversary (as opposed to the end-of-run sweep
-    /// that unwinds blocked processes after a timeout).
-    adversary_crash: Vec<bool>,
     failures: Vec<(Pid, String)>,
     trace: Vec<Pid>,
 }
@@ -502,39 +498,6 @@ impl BufferedWrite {
     }
 }
 
-/// Applies one buffered write to an object map, maintaining the
-/// incremental memory fingerprint exactly as [`Snapshot::with_obj`] does —
-/// shared by the gated world's flush delivery and
-/// [`ModelWorld::resume_flush`], so both engines move memory word for
-/// word.
-fn apply_buffered_write(
-    objects: &mut HashMap<ObjKey, Object>,
-    mem_fp: &mut u64,
-    track: bool,
-    w: BufferedWrite,
-) {
-    let BufferedWrite { key, cell_idx, len, cell } = w;
-    let existed = !track || objects.contains_key(&key);
-    let obj = objects.entry(key).or_insert_with(|| match cell_idx {
-        None => Object::Register(None),
-        Some(_) => Object::Snapshot(vec![None; len]),
-    });
-    let before = if track && existed { key_obj_fp(key, obj) } else { 0 };
-    match (cell_idx, &mut *obj) {
-        (None, Object::Register(slot)) => *slot = Some(cell),
-        (Some(i), Object::Snapshot(cells)) => {
-            assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-            cells[i] = Some(cell);
-        }
-        (None, other) => panic!("object {key} is not a register: {other:?}"),
-        (Some(_), other) => panic!("object {key} is not a snapshot object: {other:?}"),
-    }
-    if track {
-        let after = key_obj_fp(key, obj);
-        *mem_fp ^= before ^ after;
-    }
-}
-
 /// Per-process store-buffer fingerprint: an order-sensitive fold of
 /// `(key, cell, value fp)` per entry — mixed into the owner's flags word
 /// by the state fingerprints whenever the buffer is non-empty, so
@@ -552,17 +515,6 @@ pub(super) fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
         acc = mix(acc, h.finish());
     }
     acc
-}
-
-/// The flags word of process `p` extended with its store-buffer contents
-/// when (and only when) the buffer is non-empty — the shared rule of
-/// the gated per-pick fingerprint and the snapshot fingerprints.
-pub(super) fn flags_with_buffer(flags: u64, buf: &[BufferedWrite]) -> u64 {
-    if buf.is_empty() {
-        flags
-    } else {
-        mix(flags, buffer_fp(buf))
-    }
 }
 
 /// The dependency footprint of one shared-memory operation: which object
@@ -678,20 +630,52 @@ impl Snapshot {
         out
     }
 
+    /// Applies one write to shared memory: a direct write under SC, or a
+    /// store-buffer entry reaching memory under TSO.
+    fn apply(&mut self, w: BufferedWrite) {
+        let BufferedWrite { key, cell_idx, len, cell } = w;
+        match cell_idx {
+            None => self.with_obj(
+                key,
+                || Object::Register(None),
+                |obj| match obj {
+                    Object::Register(slot) => *slot = Some(cell),
+                    other => panic!("object {key} is not a register: {other:?}"),
+                },
+            ),
+            Some(idx) => self.with_obj(
+                key,
+                || Object::Snapshot(vec![None; len]),
+                |obj| match obj {
+                    Object::Snapshot(cells) => {
+                        assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
+                        cells[idx] = Some(cell);
+                    }
+                    other => panic!("object {key} is not a snapshot object: {other:?}"),
+                },
+            ),
+        }
+    }
+
     /// Flushes the oldest entry of `pid`'s store buffer to shared memory
-    /// (TSO mode). Panics if the buffer is empty.
-    fn flush_head(&mut self, pid: Pid) {
+    /// (TSO mode) — one global step of the hardware, not of any process:
+    /// memory, the buffer and the total step count change; logs,
+    /// observation histories and own-step clocks do not. Panics if the
+    /// buffer is empty.
+    pub(super) fn flush(&mut self, pid: Pid) {
         assert!(!self.buffers[pid].is_empty(), "flush of an empty store buffer (pid {pid})");
         let w = self.buffers[pid].remove(0);
-        apply_buffered_write(&mut self.objects, &mut self.mem_fp, self.track, w);
+        self.apply(w);
+        self.steps += 1;
     }
 
     /// Drains `pid`'s store buffer to shared memory in FIFO order — the
     /// x86-TSO semantics of atomic read-modify-write operations and
-    /// fences, executed as part of the draining step.
-    fn drain_buffer(&mut self, pid: Pid) {
-        while !self.buffers[pid].is_empty() {
-            self.flush_head(pid);
+    /// fences, executed as part of the draining step (a no-op under SC,
+    /// where buffers are always empty).
+    fn drain(&mut self, pid: Pid) {
+        for w in std::mem::take(&mut self.buffers[pid]) {
+            self.apply(w);
         }
     }
 
@@ -708,43 +692,6 @@ impl Snapshot {
         self.own_steps[pid] += 1;
         self.steps += 1;
         *self.op_counts.entry(kind).or_insert(0) += 1;
-    }
-}
-
-impl State {
-    /// Fingerprint of the current global state: shared memory (the
-    /// incrementally maintained, iteration-order-independent
-    /// [`Snapshot::mem_fp`]), plus every process's observation history,
-    /// liveness flags, and result.
-    ///
-    /// Two equal fingerprints identify states with identical futures under
-    /// identical schedule suffixes — see [`crate::explore`] for the
-    /// pruning argument. Deliberately excluded: step counters, traces, and
-    /// `op_counts` (path statistics, not state).
-    fn fingerprint(&self) -> u64 {
-        let snap = &self.snap;
-        debug_assert!(snap.track, "fingerprints require tracking");
-        debug_assert_eq!(
-            snap.mem_fp,
-            snap.recompute_mem_fp(),
-            "incremental memory fingerprint drifted from the full-map walk"
-        );
-        fold_state_fp(
-            snap.mem_fp,
-            (0..snap.n).map(|p| {
-                (
-                    snap.obs_fp[p],
-                    flags_with_buffer(
-                        u64::from(snap.finished[p])
-                            | u64::from(snap.crashed[p]) << 1
-                            | u64::from(self.adversary_crash[p]) << 2
-                            | u64::from(snap.results[p].is_some()) << 3,
-                        &snap.buffers[p],
-                    ),
-                    snap.results[p].unwrap_or(0),
-                )
-            }),
-        )
     }
 }
 
@@ -785,7 +732,6 @@ impl ModelWorld {
             permits: vec![Permit::Idle; n],
             waiting: vec![false; n],
             op_done: false,
-            adversary_crash: vec![false; n],
             failures: Vec::new(),
             trace: Vec::new(),
         };
@@ -869,7 +815,12 @@ impl ModelWorld {
                 // The state reached by the previous pick, now that its
                 // effects are settled.
                 if cfg.record_state_hashes && picks > state_hashes.len() {
-                    state_hashes.push(st.fingerprint());
+                    debug_assert_eq!(
+                        st.snap.mem_fp,
+                        st.snap.recompute_mem_fp(),
+                        "incremental memory fingerprint drifted from the full-map walk"
+                    );
+                    state_hashes.push(st.snap.fingerprint());
                 }
                 (st.snap.alive(), st.snap.flushable(), st.snap.steps)
             };
@@ -881,19 +832,14 @@ impl ModelWorld {
             if steps >= cfg.max_steps {
                 timed_out = true;
                 for p in alive {
-                    world.deliver_crash(p);
+                    world.unwind(p);
                 }
                 break;
             }
             picks += 1;
             let (pid, crash_pick) = match sched.pick(&alive, &flushable) {
                 Pick::Flush(p) => {
-                    // A flush is one global step of the hardware, not of
-                    // any process: memory and the flushed buffer change,
-                    // logs and own-step clocks do not.
-                    let mut st = world.inner.st.lock();
-                    st.snap.flush_head(p);
-                    st.snap.steps += 1;
+                    world.inner.st.lock().snap.flush(p);
                     continue;
                 }
                 Pick::Crash(p) => (p, true),
@@ -906,8 +852,7 @@ impl ModelWorld {
             let crashes_now =
                 if crash_pick { crash.force_crash() } else { crash.should_crash(pid, own) };
             if crashes_now {
-                world.inner.st.lock().adversary_crash[pid] = true;
-                world.deliver_crash(pid);
+                world.crash(pid);
             } else {
                 world.grant(pid, cfg.record_trace);
             }
@@ -921,34 +866,15 @@ impl ModelWorld {
         if let Some((pid, msg)) = st.failures.first() {
             panic!("virtual process {pid} failed: {msg}");
         }
-        let outcomes = (0..n)
-            .map(|p| {
-                if let Some(v) = st.snap.results[p] {
-                    Outcome::Decided(v)
-                } else if st.adversary_crash[p] {
-                    Outcome::Crashed
-                } else {
-                    // Unwound by the timeout sweep: blocked or starved.
-                    Outcome::Undecided
-                }
-            })
-            .collect();
-        let mut ops_by_kind: Vec<(u32, u64)> =
-            st.snap.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        ops_by_kind.sort_unstable();
         debug_assert!(
             !cfg.record_state_hashes || timed_out || state_hashes.len() == picks,
             "one state fingerprint per pick ({} hashes, {picks} picks)",
             state_hashes.len()
         );
-        RunReport {
-            outcomes,
-            steps: st.snap.steps,
-            timed_out,
-            trace: cfg.record_trace.then(|| std::mem::take(&mut st.trace)),
-            state_hashes: cfg.record_state_hashes.then_some(state_hashes),
-            ops_by_kind,
-        }
+        let mut report = st.snap.report(timed_out);
+        report.trace = cfg.record_trace.then(|| std::mem::take(&mut st.trace));
+        report.state_hashes = cfg.record_state_hashes.then_some(state_hashes);
+        report
     }
 
     /// Thread body for one virtual process.
@@ -958,11 +884,13 @@ impl ModelWorld {
         let mut st = self.inner.st.lock();
         match result {
             Ok(v) => st.snap.finish(pid, v),
+            // The scheduler recorded an adversary crash when it delivered
+            // it; the timeout sweep's unwinds stay unrecorded, so those
+            // processes report `Undecided`.
+            Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => {}
             Err(payload) => {
-                if payload.downcast_ref::<CrashSignal>().is_none() {
-                    let msg = panic_message(payload.as_ref());
-                    st.failures.push((pid, msg));
-                }
+                st.failures.push((pid, panic_message(payload.as_ref())));
+                // Settled, so the run can end and report the failure.
                 st.snap.crashed[pid] = true;
             }
         }
@@ -993,18 +921,19 @@ impl ModelWorld {
         }
     }
 
-    /// Crashes `pid`: the process unwinds at its next (or pending) gate.
-    fn deliver_crash(&self, pid: Pid) {
-        let mut st = self.inner.st.lock();
-        st.permits[pid] = Permit::Crash;
+    /// Delivers an adversary crash to `pid` instead of its next step: the
+    /// state records it, as [`ModelWorld::resume_crash`] does, and the
+    /// process thread unwinds at its gate.
+    fn crash(&self, pid: Pid) {
+        self.inner.st.lock().snap.crash(pid);
+        self.unwind(pid);
+    }
+
+    /// Unwinds `pid`'s thread at its gate without recording a crash (the
+    /// timeout sweep); the run joins the thread before it reports.
+    fn unwind(&self, pid: Pid) {
+        self.inner.st.lock().permits[pid] = Permit::Crash;
         self.inner.proc_cvs[pid].notify_one();
-        while !st.snap.crashed[pid] && !st.snap.finished[pid] {
-            if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
-                panic!(
-                    "virtual process {pid} did not acknowledge crash within {STEP_GRANT_TIMEOUT:?}"
-                );
-            }
-        }
     }
 
     /// Performs one shared-memory step of `pid`.
@@ -1258,7 +1187,7 @@ impl World for ModelWorld {
         }
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
         self.step(pid, Footprint::new(OP_FENCE, key, None, false), |st| {
-            st.drain_buffer(pid);
+            st.drain(pid);
             if st.track {
                 st.observe(pid, OP_FENCE, key, 0);
             }
@@ -1267,11 +1196,9 @@ impl World for ModelWorld {
 
     fn tas(&self, pid: Pid, key: ObjKey) -> bool {
         self.step(pid, Footprint::new(OP_TAS, key, None, false), |st| {
-            if st.tso {
-                // x86-TSO: a LOCK'd RMW drains the issuing process's
-                // buffer as part of its atomic step.
-                st.drain_buffer(pid);
-            }
+            // x86-TSO: a LOCK'd RMW drains the issuing process's buffer as
+            // part of its atomic step.
+            st.drain(pid);
             let won = st.with_obj(
                 key,
                 || Object::Tas(false),
@@ -1297,10 +1224,8 @@ impl World for ModelWorld {
             "process {pid} is not a port of consensus object {key} (ports {ports:?})"
         );
         self.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
-            if st.tso {
-                // LOCK'd RMW under x86-TSO — see `tas`.
-                st.drain_buffer(pid);
-            }
+            // LOCK'd RMW under x86-TSO — see `tas`.
+            st.drain(pid);
             let track = st.track;
             let out = st.with_obj(
                 key,

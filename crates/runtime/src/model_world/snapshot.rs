@@ -38,8 +38,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use super::{
-    apply_buffered_write, codec, flags_with_buffer, install_crash_hook, panic_message, Body,
-    BufferedWrite, Footprint, Mode, ModelWorld, Outcome, RunReport, StopSignal,
+    buffer_fp, codec, install_crash_hook, panic_message, Body, BufferedWrite, Footprint, Mode,
+    ModelWorld, Outcome, RunReport, StopSignal,
 };
 use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
 use crate::world::{Env, ObjKey, Pid, Stored};
@@ -314,10 +314,18 @@ impl Snapshot {
         self.pending_op[pid]
     }
 
-    /// The global-state fingerprint of this snapshot — word-for-word the
-    /// value the gated world records per pick under
-    /// [`super::RunConfig::record_state_hashes`] after the same schedule
-    /// prefix (property-tested in `tests/proptests.rs`).
+    /// The global-state fingerprint of this snapshot: shared memory (the
+    /// incrementally maintained, iteration-order-independent
+    /// [`Snapshot::mem_fp`]), plus every process's observation history,
+    /// liveness flags, store buffer and result. The gated world records
+    /// it per pick under [`super::RunConfig::record_state_hashes`], so
+    /// both engines agree on it after the same schedule prefix
+    /// (property-tested in `tests/proptests.rs`).
+    ///
+    /// Two equal fingerprints identify states with identical futures
+    /// under identical schedule suffixes — see [`crate::explore`] for the
+    /// pruning argument. Deliberately excluded: step counters, traces,
+    /// and `op_counts` (path statistics, not state).
     ///
     /// # Panics
     ///
@@ -361,6 +369,25 @@ impl Snapshot {
         (0..self.n).any(|p| (self.finished[p] || self.crashed[p]) && self.obs_fp[p] != 0)
     }
 
+    /// Process `p`'s liveness word as the state fingerprints fold it,
+    /// extended with its store-buffer contents when (and only when) the
+    /// buffer is non-empty, so SC states and drained TSO states hash
+    /// alike. Bit 2 repeats the crashed bit (every recorded crash is an
+    /// adversary crash); the word stays as it is because spilled sweeps
+    /// persist the fingerprints built from it.
+    fn flags(&self, p: Pid) -> u64 {
+        let flags = u64::from(self.finished[p])
+            | u64::from(self.crashed[p]) << 1
+            | u64::from(self.crashed[p]) << 2
+            | u64::from(self.results[p].is_some()) << 3;
+        let buf = &self.buffers[p];
+        if buf.is_empty() {
+            flags
+        } else {
+            mix(flags, buffer_fp(buf))
+        }
+    }
+
     fn fingerprint_with(&self, quotient_obs: bool) -> u64 {
         debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
         // The quotient folds the path's total step count in place of the
@@ -373,16 +400,7 @@ impl Snapshot {
                 let terminated = self.finished[p] || self.crashed[p];
                 (
                     if quotient_obs && terminated { 0 } else { self.obs_fp[p] },
-                    // Resume crashes are always adversary crashes, so the
-                    // crashed bit fills both flag positions the gated
-                    // fingerprint reserves for crashed/adversary_crash.
-                    flags_with_buffer(
-                        u64::from(self.finished[p])
-                            | u64::from(self.crashed[p]) << 1
-                            | u64::from(self.crashed[p]) << 2
-                            | u64::from(self.results[p].is_some()) << 3,
-                        &self.buffers[p],
-                    ),
+                    self.flags(p),
                     self.results[p].unwrap_or(0),
                 )
             }),
@@ -422,7 +440,7 @@ impl Snapshot {
     ///
     /// The description folds the **operation log itself** (op tag, key,
     /// relabeled result fingerprint per entry — the exact words
-    /// `State::observe` folds) rather than the precomputed `obs_fp`,
+    /// `Snapshot::observe` folds) rather than the precomputed `obs_fp`,
     /// which already hashed the unrelabeled results. Pending footprints
     /// and per-process step counts are deliberately **not** folded:
     /// bodies are deterministic, so both are functions of the log. Under
@@ -557,12 +575,8 @@ impl Snapshot {
             }
             acc
         };
-        let flags = u64::from(self.finished[p])
-            | u64::from(self.crashed[p]) << 1
-            | u64::from(self.crashed[p]) << 2
-            | u64::from(self.results[p].is_some()) << 3;
         let result = (spec.relabel_result)(self.results[p].unwrap_or(0), perm);
-        [obs, flags, result]
+        [obs, self.flags(p), result]
     }
 
     /// [`super::Object`] content fingerprint under the pid map: the same
@@ -616,14 +630,14 @@ impl Snapshot {
         h.finish()
     }
 
-    /// Synthesizes the [`RunReport`] of the path that reached this state,
-    /// equivalent to what a gated [`ModelWorld::run`] over the same
-    /// schedule prefix reports (no trace or state-hash records — those are
-    /// opt-in path recordings, not state).
+    /// The [`RunReport`] of the path that reached this state — what
+    /// [`ModelWorld::run`] returns, which builds its report here too (no
+    /// trace or state-hash records: those are opt-in path recordings,
+    /// not state).
     ///
     /// `timed_out` marks a run cut by the step budget (alive processes
-    /// report [`Outcome::Undecided`], as in the gated world's timeout
-    /// sweep).
+    /// report [`Outcome::Undecided`], as the gated world's timeout sweep
+    /// leaves them).
     pub fn report(&self, timed_out: bool) -> RunReport {
         let outcomes = (0..self.n)
             .map(|p| {
@@ -814,9 +828,7 @@ impl ModelWorld {
             "resume_flush requires a non-empty store buffer (pid {pid})"
         );
         let mut out = snap.clone();
-        let w = out.buffers[pid].remove(0);
-        apply_buffered_write(&mut out.objects, &mut out.mem_fp, out.track, w);
-        out.steps += 1;
+        out.flush(pid);
         out
     }
 }
