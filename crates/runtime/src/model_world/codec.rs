@@ -581,7 +581,7 @@ impl Snapshot {
                 encode_key(&mut w, bw.key);
                 put_opt_u64(&mut w, bw.cell_idx.map(|i| i as u64));
                 w.put_usize(bw.len);
-                encode_stored(&mut w, bw.stored().0, "a store buffer")?;
+                encode_stored(&mut w, &bw.cell.val, "a store buffer")?;
             }
         }
         let mut kinds: Vec<u32> = self.op_counts.keys().copied().collect();
@@ -670,7 +670,7 @@ impl Snapshot {
                     .map_err(|_| CodecError::Truncated)?;
                 let len = r.usize()?;
                 let (val, fp) = decode_stored(&mut r, track)?;
-                buf.push(BufferedWrite::from_parts(key, cell_idx, len, val, fp));
+                buf.push(BufferedWrite { key, cell_idx, len, cell: Cell { val, fp } });
             }
             buffers.push(buf);
         }

@@ -337,22 +337,36 @@ impl std::fmt::Debug for Symmetry {
 }
 
 /// A stored value together with its fingerprint (0 when fingerprint
-/// tracking is off — see [`Snapshot::track`]).
+/// tracking is off — see [`Snapshot::track`] — and always 0 in
+/// [`crate::thread_world::ThreadWorld`]).
 #[derive(Debug, Clone)]
-struct Cell {
+pub(crate) struct Cell {
     val: Stored,
     fp: u64,
 }
 
 impl Cell {
-    fn new<T: MemVal>(val: T, track: bool) -> Self {
+    pub(crate) fn new<T: MemVal>(val: T, track: bool) -> Self {
         let fp = if track { fp_of(&val) } else { 0 };
         Cell { val: Arc::new(val), fp }
     }
+
+    /// The stored value as a `T`; any other type is an algorithm bug.
+    fn get<T: MemVal>(&self, key: ObjKey, what: &str) -> T {
+        self.val
+            .downcast_ref::<T>()
+            .unwrap_or_else(|| panic!("type mismatch reading {what} {key}"))
+            .clone()
+    }
 }
 
+/// One shared object, with the operation semantics every world shares:
+/// the model world's engines run them on their [`Snapshot`], and
+/// [`crate::thread_world::ThreadWorld`] under its heap lock. Each
+/// operation panics on the algorithm bugs [`World`] lists: a kind,
+/// length, type or port mismatch.
 #[derive(Debug, Clone)]
-enum Object {
+pub(crate) enum Object {
     Register(Option<Cell>),
     Snapshot(Vec<Option<Cell>>),
     Tas(bool),
@@ -387,6 +401,78 @@ impl Object {
             }
         }
         h.finish()
+    }
+
+    /// Writes the register.
+    pub(crate) fn write_register(&mut self, key: ObjKey, cell: Cell) {
+        match self {
+            Object::Register(slot) => *slot = Some(cell),
+            other => panic!("object {key} is not a register: {other:?}"),
+        }
+    }
+
+    /// Reads the register (`None` if never written).
+    pub(crate) fn read_register<T: MemVal>(&self, key: ObjKey) -> Option<T> {
+        match self {
+            Object::Register(slot) => slot.as_ref().map(|c| c.get(key, "register")),
+            other => panic!("object {key} is not a register: {other:?}"),
+        }
+    }
+
+    /// Writes cell `idx` of the `len`-cell snapshot object.
+    pub(crate) fn write_cell(&mut self, key: ObjKey, len: usize, idx: usize, cell: Cell) {
+        match self {
+            Object::Snapshot(cells) => {
+                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
+                cells[idx] = Some(cell);
+            }
+            other => panic!("object {key} is not a snapshot object: {other:?}"),
+        }
+    }
+
+    /// Reads every cell of the `len`-cell snapshot object.
+    pub(crate) fn scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
+        match self {
+            Object::Snapshot(cells) => {
+                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
+                cells.iter().map(|c| c.as_ref().map(|c| c.get(key, "snapshot cell"))).collect()
+            }
+            other => panic!("object {key} is not a snapshot object: {other:?}"),
+        }
+    }
+
+    /// One-shot test&set: `true` to the first invocation only.
+    pub(crate) fn test_and_set(&mut self, key: ObjKey) -> bool {
+        match self {
+            Object::Tas(taken) => !std::mem::replace(taken, true),
+            other => panic!("object {key} is not a test&set object: {other:?}"),
+        }
+    }
+
+    /// Proposes `val` through port `pid` and returns the decided value —
+    /// the first proposal, stored with its fingerprint under `track`.
+    pub(crate) fn propose<T: MemVal>(
+        &mut self,
+        pid: Pid,
+        key: ObjKey,
+        ports: &[Pid],
+        val: T,
+        track: bool,
+    ) -> T {
+        assert!(
+            ports.contains(&pid),
+            "process {pid} is not a port of consensus object {key} (ports {ports:?})"
+        );
+        match self {
+            Object::XCons { ports: stored_ports, decided } => {
+                assert_eq!(
+                    stored_ports, ports,
+                    "consensus object {key} accessed with inconsistent port sets"
+                );
+                decided.get_or_insert_with(|| Cell::new(val, track)).get(key, "consensus object")
+            }
+            other => panic!("object {key} is not a consensus object: {other:?}"),
+        }
     }
 }
 
@@ -451,44 +537,20 @@ pub(crate) const OP_FLUSH: u64 = 8;
 /// family.
 const FENCE_KIND: u32 = u32::MAX;
 
-/// One write parked in a process's FIFO store buffer (TSO mode): the
-/// target object, the snapshot cell for `snap_write` (`None` for a
-/// register write), the snapshot length (to default-create the object on
-/// first flush, as the direct write would), and the value with its
-/// fingerprint.
+/// One write of a register or a snapshot cell: the target object, the
+/// snapshot cell for `snap_write` (`None` for a register write), the
+/// snapshot length (to default-create the object), and the value with
+/// its fingerprint. Under SC it reaches memory in its own step; under
+/// TSO it parks in the writer's FIFO store buffer until a flush.
 #[derive(Debug, Clone)]
 pub(crate) struct BufferedWrite {
     pub(super) key: ObjKey,
     pub(super) cell_idx: Option<usize>,
     pub(super) len: usize,
-    cell: Cell,
+    pub(super) cell: Cell,
 }
 
 impl BufferedWrite {
-    pub(super) fn new_register(key: ObjKey, val: Stored, fp: u64) -> Self {
-        BufferedWrite { key, cell_idx: None, len: 0, cell: Cell { val, fp } }
-    }
-
-    pub(super) fn new_snap_cell(key: ObjKey, idx: usize, len: usize, val: Stored, fp: u64) -> Self {
-        BufferedWrite { key, cell_idx: Some(idx), len, cell: Cell { val, fp } }
-    }
-
-    /// Rebuilds an entry from its decoded parts (the codec's constructor).
-    pub(super) fn from_parts(
-        key: ObjKey,
-        cell_idx: Option<usize>,
-        len: usize,
-        val: Stored,
-        fp: u64,
-    ) -> Self {
-        BufferedWrite { key, cell_idx, len, cell: Cell { val, fp } }
-    }
-
-    /// The value (and fingerprint) this entry will write.
-    pub(super) fn stored(&self) -> (&Stored, u64) {
-        (&self.cell.val, self.cell.fp)
-    }
-
     /// The dependency footprint of flushing this entry: a write to the
     /// target object (cell-granular for snapshot cells), so
     /// [`Footprint::commutes`] gives flush/flush independence on distinct
@@ -630,31 +692,66 @@ impl Snapshot {
         out
     }
 
+    /// `pid`'s write step: under SC the write reaches shared memory at
+    /// once; under TSO it parks in `pid`'s store buffer and shared memory
+    /// changes only at the flush step.
+    fn write(&mut self, pid: Pid, w: BufferedWrite) {
+        if self.track {
+            let (op, result_fp) = match w.cell_idx {
+                None => (OP_REG_WRITE, w.cell.fp),
+                Some(idx) => (OP_SNAP_WRITE, mix(idx as u64, w.cell.fp)),
+            };
+            self.observe(pid, op, w.key, result_fp);
+        }
+        if self.tso {
+            self.buffers[pid].push(w);
+        } else {
+            self.apply(w);
+        }
+    }
+
     /// Applies one write to shared memory: a direct write under SC, or a
     /// store-buffer entry reaching memory under TSO.
     fn apply(&mut self, w: BufferedWrite) {
         let BufferedWrite { key, cell_idx, len, cell } = w;
         match cell_idx {
-            None => self.with_obj(
-                key,
-                || Object::Register(None),
-                |obj| match obj {
-                    Object::Register(slot) => *slot = Some(cell),
-                    other => panic!("object {key} is not a register: {other:?}"),
-                },
-            ),
+            None => {
+                self.with_obj(key, || Object::Register(None), |obj| obj.write_register(key, cell))
+            }
             Some(idx) => self.with_obj(
                 key,
                 || Object::Snapshot(vec![None; len]),
-                |obj| match obj {
-                    Object::Snapshot(cells) => {
-                        assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                        cells[idx] = Some(cell);
-                    }
-                    other => panic!("object {key} is not a snapshot object: {other:?}"),
-                },
+                |obj| obj.write_cell(key, len, idx, cell),
             ),
         }
+    }
+
+    /// `pid`'s read of register `key`. Under TSO a read sees the newest
+    /// entry for the register in the *issuing process's own* buffer,
+    /// ahead of shared memory (store-to-load forwarding); other
+    /// processes' buffers are invisible — that is exactly the SB
+    /// reordering.
+    fn read<T: MemVal>(&mut self, pid: Pid, key: ObjKey) -> Option<T> {
+        let out = self.with_obj(key, || Object::Register(None), |obj| obj.read_register(key));
+        match self.buffers[pid].iter().rev().find(|w| w.key == key && w.cell_idx.is_none()) {
+            Some(w) => Some(w.cell.get(key, "buffered register write")),
+            None => out,
+        }
+    }
+
+    /// `pid`'s scan of the `len`-cell snapshot object `key`. Under TSO
+    /// `pid`'s own buffered cells of `key` overlay the view in FIFO order
+    /// (newest entry per cell wins).
+    fn scan<T: MemVal>(&mut self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
+        let mut view =
+            self.with_obj(key, || Object::Snapshot(vec![None; len]), |obj| obj.scan(key, len));
+        for w in self.buffers[pid].iter().filter(|w| w.key == key) {
+            let i = w.cell_idx.unwrap_or_else(|| {
+                panic!("object {key} is not a register: buffered kind mismatch")
+            });
+            view[i] = Some(w.cell.get(key, "buffered snapshot cell"));
+        }
+        view
     }
 
     /// Flushes the oldest entry of `pid`'s store buffer to shared memory
@@ -1013,95 +1110,17 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-fn downcast<T: MemVal>(stored: &Stored, key: ObjKey, what: &str) -> T {
-    stored
-        .downcast_ref::<T>()
-        .unwrap_or_else(|| panic!("type mismatch reading {what} {key}"))
-        .clone()
-}
-
-/// The locked scan body shared by [`World::snap_scan`] and
-/// [`World::snap_scan_via`]: reads every cell of the `len`-cell snapshot
-/// object `key` (created on first access), with the usual
-/// algorithm-bug panics (kind mismatch, length mismatch, cell type
-/// mismatch).
-fn scan_cells<T: MemVal>(st: &mut Snapshot, key: ObjKey, len: usize) -> Vec<Option<T>> {
-    st.with_obj(
-        key,
-        || Object::Snapshot(vec![None; len]),
-        |obj| match obj {
-            Object::Snapshot(cells) => {
-                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                cells
-                    .iter()
-                    .map(|c| c.as_ref().map(|c| downcast(&c.val, key, "snapshot cell")))
-                    .collect()
-            }
-            other => panic!("object {key} is not a snapshot object: {other:?}"),
-        },
-    )
-}
-
-/// TSO store-to-load forwarding for scans: overlays `pid`'s own buffered
-/// cells of snapshot object `key` onto a freshly scanned view, in FIFO
-/// order (newest entry per cell wins). No-op under SC (buffers are empty).
-fn overlay_own_buffer<T: MemVal>(st: &Snapshot, pid: Pid, key: ObjKey, view: &mut [Option<T>]) {
-    for w in st.buffers[pid].iter().filter(|w| w.key == key) {
-        let i = w
-            .cell_idx
-            .unwrap_or_else(|| panic!("object {key} is not a register: buffered kind mismatch"));
-        view[i] = Some(downcast(w.stored().0, key, "buffered snapshot cell"));
-    }
-}
-
 impl World for ModelWorld {
     fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) {
         self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |st| {
             let cell = Cell::new(val, st.track);
-            let fp = cell.fp;
-            if st.tso {
-                // TSO: the write parks in the issuing process's FIFO store
-                // buffer; shared memory changes only at the flush step.
-                st.buffers[pid].push(BufferedWrite::new_register(key, cell.val, fp));
-            } else {
-                st.with_obj(
-                    key,
-                    || Object::Register(None),
-                    |obj| match obj {
-                        Object::Register(slot) => *slot = Some(cell),
-                        other => panic!("object {key} is not a register: {other:?}"),
-                    },
-                );
-            }
-            if st.track {
-                st.observe(pid, OP_REG_WRITE, key, fp);
-            }
+            st.write(pid, BufferedWrite { key, cell_idx: None, len: 0, cell });
         });
     }
 
     fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> Option<T> {
         self.step(pid, Footprint::new(OP_REG_READ, key, None, true), |st| {
-            let mut out = st.with_obj(
-                key,
-                || Object::Register(None),
-                |obj| match obj {
-                    Object::Register(slot) => {
-                        slot.as_ref().map(|c| downcast(&c.val, key, "register"))
-                    }
-                    other => panic!("object {key} is not a register: {other:?}"),
-                },
-            );
-            if st.tso {
-                // TSO store-to-load forwarding: a read sees the newest
-                // entry for its object in the *issuing process's own*
-                // buffer, ahead of shared memory. Other processes' buffers
-                // are invisible — that is exactly the SB reordering.
-                if let Some(w) =
-                    st.buffers[pid].iter().rev().find(|w| w.key == key && w.cell_idx.is_none())
-                {
-                    out = Some(downcast(w.stored().0, key, "buffered register write"));
-                }
-            }
+            let out = st.read(pid, key);
             if st.track {
                 st.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
             }
@@ -1113,32 +1132,13 @@ impl World for ModelWorld {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
         self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |st| {
             let cell = Cell::new(val, st.track);
-            let fp = cell.fp;
-            if st.tso {
-                st.buffers[pid].push(BufferedWrite::new_snap_cell(key, idx, len, cell.val, fp));
-            } else {
-                st.with_obj(
-                    key,
-                    || Object::Snapshot(vec![None; len]),
-                    |obj| match obj {
-                        Object::Snapshot(cells) => {
-                            assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                            cells[idx] = Some(cell);
-                        }
-                        other => panic!("object {key} is not a snapshot object: {other:?}"),
-                    },
-                );
-            }
-            if st.track {
-                st.observe(pid, OP_SNAP_WRITE, key, mix(idx as u64, fp));
-            }
+            st.write(pid, BufferedWrite { key, cell_idx: Some(idx), len, cell });
         });
     }
 
     fn snap_scan<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
         self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
-            let mut out: Vec<Option<T>> = scan_cells(st, key, len);
-            overlay_own_buffer(st, pid, key, &mut out);
+            let out: Vec<Option<T>> = st.scan(pid, key, len);
             if st.track {
                 st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
             }
@@ -1165,8 +1165,7 @@ impl World for ModelWorld {
         summarize: fn(&[Option<T>]) -> S,
     ) -> S {
         self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
-            let mut raw: Vec<Option<T>> = scan_cells(st, key, len);
-            overlay_own_buffer(st, pid, key, &mut raw);
+            let raw: Vec<Option<T>> = st.scan(pid, key, len);
             let out = summarize(&raw);
             if st.track {
                 let result_fp = if st.viewsum { fp_of(&out) } else { fp_of(&raw) };
@@ -1199,18 +1198,7 @@ impl World for ModelWorld {
             // x86-TSO: a LOCK'd RMW drains the issuing process's buffer as
             // part of its atomic step.
             st.drain(pid);
-            let won = st.with_obj(
-                key,
-                || Object::Tas(false),
-                |obj| match obj {
-                    Object::Tas(taken) => {
-                        let won = !*taken;
-                        *taken = true;
-                        won
-                    }
-                    other => panic!("object {key} is not a test&set object: {other:?}"),
-                },
-            );
+            let won = st.with_obj(key, || Object::Tas(false), |obj| obj.test_and_set(key));
             if st.track {
                 st.observe(pid, OP_TAS, key, u64::from(won));
             }
@@ -1219,10 +1207,6 @@ impl World for ModelWorld {
     }
 
     fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
-        assert!(
-            ports.contains(&pid),
-            "process {pid} is not a port of consensus object {key} (ports {ports:?})"
-        );
         self.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
             // LOCK'd RMW under x86-TSO — see `tas`.
             st.drain(pid);
@@ -1230,17 +1214,7 @@ impl World for ModelWorld {
             let out = st.with_obj(
                 key,
                 || Object::XCons { ports: ports.to_vec(), decided: None },
-                |obj| match obj {
-                    Object::XCons { ports: stored_ports, decided } => {
-                        assert_eq!(
-                            stored_ports, ports,
-                            "consensus object {key} accessed with inconsistent port sets"
-                        );
-                        let d = decided.get_or_insert_with(|| Cell::new(val, track));
-                        downcast::<T>(&d.val, key, "consensus object")
-                    }
-                    other => panic!("object {key} is not a consensus object: {other:?}"),
-                },
+                |obj| obj.propose(pid, key, ports, val, track),
             );
             if st.track {
                 st.observe(pid, OP_XCONS, key, fp_of(&out));

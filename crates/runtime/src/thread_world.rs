@@ -7,22 +7,17 @@
 //! are whatever the OS scheduler produces — suitable for measuring protocol
 //! costs (benches E1–E6) and for stress tests, not for deterministic
 //! replay or crash injection (use [`crate::model_world::ModelWorld`] for
-//! those).
+//! those). The objects and their semantics are the model world's own
+//! `Object`s (cell fingerprints left at 0), so both worlds create objects,
+//! read, write and panic on algorithm bugs identically.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::world::{MemVal, ObjKey, Pid, Stored, World};
-
-#[derive(Debug)]
-enum Object {
-    Register(Option<Stored>),
-    Snapshot(Vec<Option<Stored>>),
-    Tas(bool),
-    XCons { ports: Vec<Pid>, decided: Option<Stored> },
-}
+use crate::model_world::{Cell, Object};
+use crate::world::{MemVal, ObjKey, Pid, World};
 
 /// Lock-based shared-object heap for real threads. Cheap to clone.
 #[derive(Clone, Default)]
@@ -41,90 +36,53 @@ impl ThreadWorld {
     pub fn new() -> Self {
         ThreadWorld::default()
     }
-}
 
-fn downcast<T: MemVal>(stored: &Stored, key: ObjKey, what: &str) -> T {
-    stored
-        .downcast_ref::<T>()
-        .unwrap_or_else(|| panic!("type mismatch reading {what} {key}"))
-        .clone()
+    /// Runs `f` under the heap lock on the object at `key`, created by
+    /// `default` on first access.
+    fn with_obj<R>(
+        &self,
+        key: ObjKey,
+        default: impl FnOnce() -> Object,
+        f: impl FnOnce(&mut Object) -> R,
+    ) -> R {
+        f(self.objects.lock().entry(key).or_insert_with(default))
+    }
 }
 
 impl World for ThreadWorld {
     fn reg_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, val: T) {
-        let mut objs = self.objects.lock();
-        match objs.entry(key).or_insert(Object::Register(None)) {
-            Object::Register(slot) => *slot = Some(Arc::new(val)),
-            other => panic!("object {key} is not a register: {other:?}"),
-        }
+        let cell = Cell::new(val, false);
+        self.with_obj(key, || Object::Register(None), |obj| obj.write_register(key, cell));
     }
 
     fn reg_read<T: MemVal>(&self, _pid: Pid, key: ObjKey) -> Option<T> {
-        let mut objs = self.objects.lock();
-        match objs.entry(key).or_insert(Object::Register(None)) {
-            Object::Register(slot) => slot.as_ref().map(|s| downcast(s, key, "register")),
-            other => panic!("object {key} is not a register: {other:?}"),
-        }
+        self.with_obj(key, || Object::Register(None), |obj| obj.read_register(key))
     }
 
     fn snap_write<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
-        let mut objs = self.objects.lock();
-        match objs.entry(key).or_insert_with(|| Object::Snapshot(vec![None; len])) {
-            Object::Snapshot(cells) => {
-                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                cells[idx] = Some(Arc::new(val));
-            }
-            other => panic!("object {key} is not a snapshot object: {other:?}"),
-        }
+        let cell = Cell::new(val, false);
+        self.with_obj(
+            key,
+            || Object::Snapshot(vec![None; len]),
+            |obj| obj.write_cell(key, len, idx, cell),
+        );
     }
 
     fn snap_scan<T: MemVal>(&self, _pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
-        let mut objs = self.objects.lock();
-        match objs.entry(key).or_insert_with(|| Object::Snapshot(vec![None; len])) {
-            Object::Snapshot(cells) => {
-                assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
-                cells
-                    .iter()
-                    .map(|c| c.as_ref().map(|s| downcast(s, key, "snapshot cell")))
-                    .collect()
-            }
-            other => panic!("object {key} is not a snapshot object: {other:?}"),
-        }
+        self.with_obj(key, || Object::Snapshot(vec![None; len]), |obj| obj.scan(key, len))
     }
 
     fn tas(&self, _pid: Pid, key: ObjKey) -> bool {
-        let mut objs = self.objects.lock();
-        match objs.entry(key).or_insert(Object::Tas(false)) {
-            Object::Tas(taken) => {
-                let won = !*taken;
-                *taken = true;
-                won
-            }
-            other => panic!("object {key} is not a test&set object: {other:?}"),
-        }
+        self.with_obj(key, || Object::Tas(false), |obj| obj.test_and_set(key))
     }
 
     fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
-        assert!(
-            ports.contains(&pid),
-            "process {pid} is not a port of consensus object {key} (ports {ports:?})"
-        );
-        let mut objs = self.objects.lock();
-        match objs
-            .entry(key)
-            .or_insert_with(|| Object::XCons { ports: ports.to_vec(), decided: None })
-        {
-            Object::XCons { ports: stored_ports, decided } => {
-                assert_eq!(
-                    stored_ports, ports,
-                    "consensus object {key} accessed with inconsistent port sets"
-                );
-                let d = decided.get_or_insert_with(|| Arc::new(val));
-                downcast(d, key, "consensus object")
-            }
-            other => panic!("object {key} is not a consensus object: {other:?}"),
-        }
+        self.with_obj(
+            key,
+            || Object::XCons { ports: ports.to_vec(), decided: None },
+            |obj| obj.propose(pid, key, ports, val, false),
+        )
     }
 }
 
