@@ -13,9 +13,10 @@
 //!    fingerprints the child. Jobs are claimed work-stealing style from a
 //!    shared atomic cursor by up to [`super::Explorer::threads`] workers;
 //!    each worker also pre-checks the child's fingerprint against the
-//!    **committed** visited set (sharded `fingerprint mod 64` behind
-//!    striped locks), which is frozen during the phase — so the check's
-//!    outcome is independent of worker interleaving.
+//!    **committed** visited set, a plain `HashSet` the workers only
+//!    borrow: nothing inserts into it during the phase, so the check
+//!    needs no lock and its outcome is independent of worker
+//!    interleaving.
 //! 2. **Merge (canonical):** results are folded **in job order** —
 //!    visited-set insertion, within-layer duplicate resolution,
 //!    statistics, violation checks, and the next layer's job list. Every
@@ -118,37 +119,6 @@ use crate::world::Pid;
 use super::report::{ExploreReport, ExploreStats, Violation};
 use super::store::{MemStore, PendingSweep, SnapRef, SnapshotStore, SpillStore, SweepCheckpoint};
 use super::Explorer;
-
-/// Number of visited-set shards (fingerprint modulo; must be a power of
-/// two). 64 stripes keep lock contention negligible at the worker counts
-/// a desktop machine can field.
-const SHARD_COUNT: usize = 64;
-
-/// The visited-fingerprint set, sharded by `fingerprint mod 64` behind
-/// striped locks: workers of one expansion phase probe membership
-/// concurrently; insertion happens only in the canonical merge.
-struct VisitedShards {
-    shards: Vec<Mutex<HashSet<u64>>>,
-}
-
-impl VisitedShards {
-    fn new() -> Self {
-        VisitedShards { shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashSet::new())).collect() }
-    }
-
-    fn shard(&self, fp: u64) -> &Mutex<HashSet<u64>> {
-        &self.shards[(fp as usize) & (SHARD_COUNT - 1)]
-    }
-
-    fn contains(&self, fp: u64) -> bool {
-        self.shard(fp).lock().contains(&fp)
-    }
-
-    /// `true` if `fp` was new.
-    fn insert(&self, fp: u64) -> bool {
-        self.shard(fp).lock().insert(fp)
-    }
-}
 
 /// The scheduling decision that created a node, as an *action*: the
 /// dependency footprint of the completed operation, a crash delivery, or
@@ -353,7 +323,8 @@ struct Shared<'a, F> {
     n: usize,
     crashes: &'a Crashes,
     make_bodies: &'a F,
-    visited: &'a VisitedShards,
+    /// The committed visited set — read-only while workers expand.
+    visited: &'a HashSet<u64>,
     /// Visited-state pruning enabled — also the only reason to
     /// fingerprint child snapshots, so it doubles as the tracking flag.
     prune: bool,
@@ -387,7 +358,9 @@ pub(super) struct Engine<'a, F, C> {
     /// See [`Shared::symmetry`].
     symmetry: Option<Symmetry>,
     threads: usize,
-    visited: VisitedShards,
+    /// Fingerprints of every retained state. Only the engine thread
+    /// inserts ([`Engine::merge`], [`Engine::resume`]).
+    visited: HashSet<u64>,
     stats: ExploreStats,
     violations: Vec<Violation>,
     complete: bool,
@@ -441,12 +414,7 @@ where
         store: Box<dyn SnapshotStore>,
         spilling: bool,
     ) -> Self {
-        // Random crashes are a sampling policy whose RNG state is a
-        // function of the pick history, not of the reached state; no
-        // reduction's argument applies, so all are disabled.
-        let reducible = !matches!(ex.crashes, Crashes::Random { .. });
-        // The symmetry quotient additionally requires a pid-blind
-        // adversary: an [`Crashes::AtOwnStep`] plan names concrete pids,
+        // The symmetry quotient requires a pid-blind adversary: an [`Crashes::AtOwnStep`] plan names concrete pids,
         // so delivering it breaks the permutation-closure the canonical
         // fingerprint's soundness rests on. [`Crashes::None`] and the
         // crash-count adversary [`Crashes::UpTo`] qualify — the budget
@@ -476,13 +444,13 @@ where
             ex,
             make_bodies,
             check,
-            prune: ex.reduction.prune_visited && reducible,
-            dpor: ex.reduction.dpor && reducible,
-            quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs && reducible,
-            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries && reducible,
+            prune: ex.reduction.prune_visited,
+            dpor: ex.reduction.dpor,
+            quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
+            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
             threads: ex.threads.max(1),
-            visited: VisitedShards::new(),
+            visited: HashSet::new(),
             stats,
             violations: Vec::new(),
             complete: true,
@@ -537,9 +505,7 @@ where
             if engine.symmetry.is_some() { "enables" } else { "disables" },
             if pending.stats.symm_enabled { "enabled" } else { "disabled" },
         );
-        for fp in pending.visited {
-            engine.visited.insert(fp);
-        }
+        engine.visited.extend(pending.visited);
         engine.stats = pending.stats;
         engine.violations = pending.violations;
         engine.queued = pending.queued;
@@ -805,8 +771,8 @@ where
     }
 
     /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
-    /// step. [`Crashes::Random`] never reaches here — it disables the
-    /// reductions.
+    /// step. [`Crashes::Random`] never reaches here: [`Explorer::run`]
+    /// rejects it.
     fn crash_fires(&self, pid: Pid, own: u64) -> bool {
         match &self.ex.crashes {
             Crashes::None => false,
@@ -814,7 +780,7 @@ where
             // Crash-count crashes are explicit crash-band branches, never
             // a side effect of an op pick.
             Crashes::UpTo(_) => false,
-            Crashes::Random { .. } => unreachable!("reductions are disabled under random crashes"),
+            Crashes::Random { .. } => unreachable!("Explorer::run rejects random crashes"),
         }
     }
 
@@ -1102,7 +1068,7 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
     } else {
         (0, false, false)
     };
-    if shared.prune && shared.visited.contains(fp) {
+    if shared.prune && shared.visited.contains(&fp) {
         return Expanded {
             node: None,
             fp,

@@ -23,8 +23,8 @@
 //!
 //! The frontier is processed in depth layers by a work-deque of
 //! `(snapshot, pending choice)` jobs; [`Explorer::threads`] workers claim
-//! jobs from a shared cursor and probe a fingerprint-sharded visited set,
-//! while all state mutation happens in a canonical-order merge per layer
+//! jobs from a shared cursor and probe the read-only visited set, while
+//! all state mutation happens in a canonical-order merge per layer
 //! — so reports are **byte-identical for any thread count** (the golden
 //! catalogue test runs at `threads=2` against lines generated at
 //! `threads=1`). See the `frontier` module docs for the two-phase
@@ -75,8 +75,9 @@
 //! on the agreement fixtures, in the spirit of testing reductions
 //! against the unreduced semantics rather than assuming them.
 //!
-//! [`Crashes::Random`] disables every reduction: its RNG state is not a
-//! function of the reached state (that policy is for sampling, not
+//! [`Crashes::Random`] is rejected ([`Explorer::run`] panics): its RNG
+//! state is a function of the pick history, not of the reached state,
+//! so no reduction's argument applies (that policy is for sampling, not
 //! exhaustive exploration).
 //!
 //! # Observation quotient ([`Reduction::quotient_obs`])
@@ -385,12 +386,13 @@ impl Explorer {
         self
     }
 
-    /// Sets the crash adversary, exhausted alongside the schedules.
+    /// Sets the crash adversary, exhausted alongside the schedules:
+    /// [`Crashes::None`], [`Crashes::AtOwnStep`] or [`Crashes::UpTo`].
     ///
-    /// [`Crashes::Random`] disables every reduction: its RNG state is a
-    /// function of the pick history, not of the reached state, so no
-    /// pruning argument applies (and random crashes are a sampling
-    /// policy, not an exhaustive one).
+    /// [`Crashes::Random`] is a sampling policy, not an exhaustive one,
+    /// and [`Explorer::run`] rejects it: its RNG state is a function of
+    /// the pick history, not of the reached state, so no pruning
+    /// argument applies and no spilled sweep could restore it.
     pub fn crashes(mut self, c: Crashes) -> Self {
         self.crashes = c;
         self
@@ -523,14 +525,9 @@ impl Explorer {
     /// exempt from [`Explorer::resident_ceiling`] eviction (their
     /// anchors live on disk), so the ceiling genuinely bounds resident
     /// memory. The directory is created (or wiped) when the sweep
-    /// starts.
-    ///
-    /// # Panics (at [`Explorer::run`])
-    ///
-    /// [`Crashes::Random`] cannot be combined with spilling: its RNG
-    /// stream position is not serializable, so a resumed sweep could
-    /// not reconstruct the adversary. Use [`Crashes::None`] or
-    /// [`Crashes::AtOwnStep`] for spilled sweeps.
+    /// starts. Every crash adversary the explorer accepts spills:
+    /// [`Crashes::None`], [`Crashes::AtOwnStep`] and [`Crashes::UpTo`]
+    /// are all restored from the crash count a frontier record carries.
     pub fn spill_to(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -642,12 +639,15 @@ impl Explorer {
     /// run *outcomes* (decided values, crash/undecided status) for the
     /// violation set to be preserved — path statistics differ between a
     /// pruned schedule and its retained representative.
+    ///
     /// # Panics
     ///
     /// Panics if [`ExploreLimits::max_expansions`] is `0`: a zero work
     /// budget would silently explore nothing and report an empty,
     /// violation-free (but incomplete) sweep — an easy false green. Ask
-    /// for at least one expansion.
+    /// for at least one expansion. Panics under [`Crashes::Random`], a
+    /// sampling adversary the explorer cannot exhaust (see
+    /// [`Explorer::crashes`]).
     pub fn run<F, C>(&self, make_bodies: F, check: C) -> ExploreReport
     where
         F: Fn() -> Vec<Body> + Sync,
@@ -658,9 +658,10 @@ impl Explorer {
             "ExploreLimits::max_expansions = 0 explores nothing; set a positive work budget"
         );
         assert!(
-            self.spill_dir.is_none() || !matches!(self.crashes, Crashes::Random { .. }),
-            "Explorer::spill_to cannot persist Crashes::Random (its RNG stream position is not \
-             serializable); use Crashes::None or Crashes::AtOwnStep for spilled sweeps"
+            !matches!(self.crashes, Crashes::Random { .. }),
+            "Explorer::run cannot exhaust Crashes::Random (its RNG state is a function of the \
+             pick history, not of the reached state); use Crashes::None, Crashes::AtOwnStep or \
+             Crashes::UpTo"
         );
         frontier::Engine::new(self, &make_bodies, &check).run()
     }
@@ -1011,17 +1012,6 @@ mod tests {
         assert!(!out.complete, "violations make a run incomplete as a proof");
         assert_eq!(out.runs(), 2, "collect_all keeps enumerating");
         assert_eq!(out.violations.len(), 1);
-    }
-
-    #[test]
-    fn random_crashes_disable_reductions() {
-        let out = Explorer::new(2)
-            .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
-            .run(tas_bodies, one_winner);
-        assert!(out.complete);
-        assert_eq!(out.stats.states_pruned, 0);
-        assert_eq!(out.stats.dpor_skips, 0);
-        assert_eq!(out.runs(), 2, "behaves as plain enumeration");
     }
 
     /// The DPOR footprint rule skips transposed adjacent *writes to
@@ -1473,9 +1463,11 @@ mod tests {
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
 
+    /// Random crashes are a sampling policy: every sweep rejects them,
+    /// in memory or spilled, before any exploration or directory setup.
     #[test]
-    #[should_panic(expected = "cannot persist Crashes::Random")]
-    fn spilling_rejects_random_crashes() {
+    #[should_panic(expected = "cannot exhaust Crashes::Random")]
+    fn random_crashes_are_rejected() {
         let dir = sweep_dir("random-reject");
         Explorer::new(2)
             .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })

@@ -44,8 +44,8 @@
 //! ([`Crashes::None`] / [`Crashes::AtOwnStep`] / [`Crashes::UpTo`] —
 //! for the crash-count adversary the count *is* the whole state, so a
 //! resumed sweep re-branches with exactly the remaining budget).
-//! [`Crashes::Random`] carries RNG stream position and is rejected
-//! before any spill.
+//! [`Crashes::Random`] carries RNG stream position; the explorer
+//! rejects it before any sweep starts.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};

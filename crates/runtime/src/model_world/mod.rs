@@ -21,13 +21,22 @@
 //! is exhausted (remaining processes are reported [`Outcome::Undecided`] —
 //! used by the boundary experiments to detect forever-blocked simulations).
 //!
-//! Besides the gated [`ModelWorld::run`], the world supports **snapshot
-//! resumption** ([`Snapshot`], [`ModelWorld::resume_from`]): a checkpoint
-//! of shared memory, per-process operation logs (the continuation
-//! cursors), and observation histories, from which a single further step
-//! can be executed *on the caller thread* — no process threads, no
-//! scheduler handshakes. The exhaustive explorer ([`crate::explore`]) is
-//! built on it.
+//! **One state, two engines.** The model-world state is one struct,
+//! [`Snapshot`]: shared memory, per-process liveness, results,
+//! observation histories, store buffers and step counters. Two engines
+//! step it, one operation at a time, through the same code: the object
+//! semantics of `Object` (shared with
+//! [`crate::thread_world::ThreadWorld`]), the store-buffer flush and
+//! drain, the state fingerprint, and the run report.
+//!
+//! * The **gated** engine ([`ModelWorld::run`]) gives each process its
+//!   own thread and grants steps through a handshake; the threads hold
+//!   the continuations, so the state's operation logs stay empty.
+//! * The **resume** engine ([`ModelWorld::resume_from`]) treats a
+//!   [`Snapshot`] as a checkpoint: the per-process operation logs are
+//!   continuation cursors, and a single further step is executed *on
+//!   the caller thread* — no process threads, no scheduler handshakes.
+//!   The exhaustive explorer ([`crate::explore`]) is built on it.
 
 pub(crate) mod codec;
 mod snapshot;

@@ -315,8 +315,8 @@ impl Snapshot {
     }
 
     /// The global-state fingerprint of this snapshot: shared memory (the
-    /// incrementally maintained, iteration-order-independent
-    /// [`Snapshot::mem_fp`]), plus every process's observation history,
+    /// incrementally maintained, iteration-order-independent memory
+    /// fingerprint), plus every process's observation history,
     /// liveness flags, store buffer and result. The gated world records
     /// it per pick under [`super::RunConfig::record_state_hashes`], so
     /// both engines agree on it after the same schedule prefix

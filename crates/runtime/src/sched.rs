@@ -222,12 +222,13 @@ impl CrashState {
 
     /// Reconstructs the adversary state a fresh [`CrashState::new`] would
     /// reach after delivering `crashes_so_far` crashes — exact for the
-    /// replayable policies ([`Crashes::None`] / [`Crashes::AtOwnStep`]),
-    /// whose decisions depend only on the policy and the crash count. The
-    /// explorer's persisted sweeps use this to rehydrate adversary state
-    /// from a manifest; [`Crashes::Random`] is rejected *before* any
-    /// spill (its RNG stream position is not serializable), so this
-    /// constructor never sees it.
+    /// replayable policies ([`Crashes::None`] / [`Crashes::AtOwnStep`] /
+    /// [`Crashes::UpTo`]), whose decisions depend only on the policy and
+    /// the crash count (for `UpTo` the count is the remaining budget).
+    /// The explorer's persisted sweeps use this to rehydrate adversary
+    /// state from a manifest; the explorer rejects [`Crashes::Random`]
+    /// outright (its RNG stream position is not a function of the
+    /// count), so this constructor never sees it.
     pub(crate) fn restore(policy: Crashes, crashes_so_far: usize) -> Self {
         debug_assert!(
             !matches!(policy, Crashes::Random { .. }),

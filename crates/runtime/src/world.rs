@@ -11,7 +11,9 @@
 //! [`crate::model_world::ModelWorld`] (every operation is one scheduler
 //! step, so every operation is trivially linearizable and crashes land
 //! between operations), and the lock-based [`crate::thread_world::ThreadWorld`]
-//! for full-speed benchmarking on real threads.
+//! for full-speed benchmarking on real threads. Both run the same object
+//! semantics (the model world's `Object` operations), so they create,
+//! read and write objects, and panic on algorithm bugs, identically.
 
 use std::any::Any;
 use std::sync::Arc;
