@@ -1042,14 +1042,15 @@ impl ModelWorld {
         self.inner.proc_cvs[pid].notify_one();
     }
 
-    /// Performs one shared-memory step of `pid`.
+    /// Performs one shared-memory step of `pid`: runs `op` on the state
+    /// (object map + fingerprint bookkeeping) and counts the step — the
+    /// process's own-step clock, the total step count and the per-kind
+    /// op counter — in every mode. `footprint` describes the operation's
+    /// dependency surface (object, cell granularity, purity — published
+    /// while parked, for the explorer's reductions).
     ///
-    /// In the gated mode this waits for the scheduler's grant, runs `op`
-    /// on the state (object map + fingerprint bookkeeping), signals
-    /// completion, and accounts the operation to its object-kind
-    /// namespace. `footprint` describes the operation's dependency
-    /// surface (object, cell granularity, purity — published while
-    /// parked, for the explorer's reductions).
+    /// In the gated mode the step first waits for the scheduler's grant
+    /// and then signals completion.
     ///
     /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
     /// are answered from the recorded log without executing `op`; the

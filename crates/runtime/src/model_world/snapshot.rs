@@ -680,7 +680,7 @@ impl ModelWorld {
     /// Takes the stepped state and the resume driver back out of a
     /// resume-mode world whose body has parked or returned.
     fn into_resumed(self) -> (Snapshot, ResumeCtl) {
-        let inner = std::sync::Arc::try_unwrap(self.inner)
+        let inner = Arc::try_unwrap(self.inner)
             .unwrap_or_else(|_| panic!("a resumed process body kept its Env handle"));
         let st = inner.st.into_inner();
         let Mode::Resume(ctl) = st.mode else { unreachable!("resume mode") };
@@ -733,8 +733,10 @@ impl ModelWorld {
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
             // without touching shared state, recording the op's purity.
-            let world =
-                ModelWorld::from_snapshot(&snap, ResumeCtl::new(pid, Arc::new(Vec::new()), 0));
+            let world = ModelWorld::from_snapshot(
+                &snap,
+                ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 0),
+            );
             match world.drive_resumed(pid, body) {
                 Resumed::Finished(v) => snap.finish(pid, v),
                 Resumed::Parked => {
