@@ -414,9 +414,10 @@ where
         store: Box<dyn SnapshotStore>,
         spilling: bool,
     ) -> Self {
-        // The symmetry quotient requires a pid-blind adversary: an [`Crashes::AtOwnStep`] plan names concrete pids,
-        // so delivering it breaks the permutation-closure the canonical
-        // fingerprint's soundness rests on. [`Crashes::None`] and the
+        // The symmetry quotient requires a pid-blind adversary: an
+        // [`Crashes::AtOwnStep`] plan names concrete pids, so delivering
+        // it breaks the permutation-closure the canonical fingerprint's
+        // soundness rests on. [`Crashes::None`] and the
         // crash-count adversary [`Crashes::UpTo`] qualify — the budget
         // is a pure count (the number of crashed flags in the state,
         // which the erasure sort key already carries), so relabeling
