@@ -807,7 +807,9 @@ struct Inner {
     sched_cv: Condvar,
 }
 
-/// The deterministic gated world. Cheap to clone (shared handle).
+/// The deterministic model world, in one of three modes: free
+/// ([`ModelWorld::new_free`]), gated ([`ModelWorld::run`]) or resumed
+/// ([`ModelWorld::resume_from`]). Cheap to clone (shared handle).
 ///
 /// See the [module docs](self) for the execution model, and
 /// [`ModelWorld::run`] for the entry point.
