@@ -60,7 +60,7 @@ impl LogEntry {
     }
 }
 
-/// Driver state of one resumed process (the world's resume mode).
+/// Control state of one resumed process (the world's resume mode).
 pub(super) struct ResumeCtl {
     /// The process being driven — resume mode executes no other body.
     pid: Pid,
@@ -677,7 +677,7 @@ impl ModelWorld {
         ModelWorld::with_state(snap.clone(), Mode::Resume(ctl))
     }
 
-    /// Takes the stepped state and the resume driver back out of a
+    /// Takes the stepped state and the resume control back out of a
     /// resume-mode world whose body has parked or returned.
     fn into_resumed(self) -> (Snapshot, ResumeCtl) {
         let inner = Arc::try_unwrap(self.inner)
