@@ -1465,9 +1465,11 @@ mod tests {
 
     /// Random crashes are a sampling policy: every sweep rejects them,
     /// in memory or spilled, before any exploration or directory setup.
+    /// Spilling adds no check of its own: this sweep spills and still
+    /// hits the one in [`Explorer::run`].
     #[test]
     #[should_panic(expected = "cannot exhaust Crashes::Random")]
-    fn random_crashes_are_rejected() {
+    fn spilling_rejects_random_crashes() {
         let dir = sweep_dir("random-reject");
         Explorer::new(2)
             .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
