@@ -4,9 +4,10 @@
 //! * the **explorer catalogue** (`fixtures::catalogue`, also printed by
 //!   the `explore_sweep` bench): every sweep's summary line must equal
 //!   its line in `tests/golden/explore_catalogue.txt`, the one place
-//!   those lines are pinned — and a matrix switches each reduction off
-//!   in turn over the catalogue's small fixtures, demanding the full
-//!   set's verdicts;
+//!   those lines are pinned, both in memory at two workers and through a
+//!   disk-backed `SpillStore` at one — and a matrix switches each
+//!   reduction off in turn over the catalogue's small fixtures,
+//!   demanding the full set's verdicts;
 //! * Figure 1 safe agreement, `n = 3..7` — exhaustive, termination
 //!   checked too; `n = 6` pinned in tier-1, and `n = 6` without
 //!   symmetry plus `n = 7`, both through a disk-backed `SpillStore`,
@@ -14,8 +15,7 @@
 //! * Figure 5 `x_compete`, `n = 3..5` — exhaustive at `n = 3, 4`,
 //!   bounded-depth at `n = 5`;
 //! * Figure 6 x-safe agreement, `n = 3..5` — exhaustive at `n = 3, 4`
-//!   (the `n = 4` sweep additionally pins that `threads = 1` and
-//!   `threads = 2` produce identical reports, that an artificially tiny
+//!   (the `n = 4` sweep additionally pins that an artificially tiny
 //!   snapshot ceiling is invisible, and that a disk-spilled sweep
 //!   reproduces the in-memory line byte for byte), bounded-depth at
 //!   `n = 5`;
@@ -37,9 +37,7 @@ use mpcn_agreement::fixtures::{
     catalogue, check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies,
     CatalogueSweep, FIG1_SYMMETRY,
 };
-use mpcn_runtime::explore::{
-    explore, replay_tso, threads_from_env, ExploreLimits, Explorer, Reduction,
-};
+use mpcn_runtime::explore::{explore, replay_tso, ExploreLimits, Explorer, Reduction};
 use mpcn_runtime::model_world::RunReport;
 use mpcn_runtime::sched::Crashes;
 
@@ -76,34 +74,27 @@ fn fig1_n3_pruned_sweep_beats_unpruned_reference() {
     );
 }
 
-/// The one place the catalogue's summary lines are pinned: every sweep
-/// of `fixtures::catalogue`, run at `MPCN_EXPLORE_THREADS` workers
-/// (default 2), must print exactly its line of
-/// `tests/golden/explore_catalogue.txt` — which is generated at one
-/// worker, so this also pins that the thread count is invisible. After
-/// an intentional search-shape change, regenerate the file with
-/// `MPCN_EXPLORE_THREADS=1 cargo bench --bench explore_sweep -- --quick
-/// 2>&1 >/dev/null | grep -E '^explore:' > tests/golden/explore_catalogue.txt`.
-#[test]
-fn catalogue_matches_golden_file() {
+/// Runs one catalogued sweep under `explorer` (its own, or a variant of
+/// it), checks its verdict, and returns its summary line.
+fn catalogue_line(sweep: &CatalogueSweep, explorer: &Explorer) -> String {
+    let report = sweep.run_with(explorer);
+    assert_eq!(
+        !report.violations.is_empty(),
+        sweep.expect_violation,
+        "{}: unexpected verdict",
+        sweep.label
+    );
+    report.summary_line(sweep.label)
+}
+
+/// Diffs the catalogue's `lines` against
+/// `tests/golden/explore_catalogue.txt` and names every drifted line.
+fn assert_matches_golden_catalogue(lines: &[String]) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/golden/explore_catalogue.txt");
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let golden: Vec<&str> = golden.lines().collect();
-    let lines: Vec<String> = catalogue(threads_from_env(2))
-        .iter()
-        .map(|sweep| {
-            let report = sweep.run();
-            assert_eq!(
-                !report.violations.is_empty(),
-                sweep.expect_violation,
-                "{}: unexpected verdict",
-                sweep.label
-            );
-            report.summary_line(sweep.label)
-        })
-        .collect();
     let drift: Vec<String> = (0..lines.len().max(golden.len()))
         .filter(|&i| lines.get(i).map(String::as_str) != golden.get(i).copied())
         .map(|i| {
@@ -117,6 +108,48 @@ fn catalogue_matches_golden_file() {
         path.display(),
         drift.join("\n")
     );
+}
+
+/// The one place the catalogue's summary lines are pinned: every sweep
+/// of `fixtures::catalogue`, run at two workers, must print exactly its
+/// line of `tests/golden/explore_catalogue.txt`. After an intentional
+/// search-shape change, regenerate the file with `cargo bench --bench
+/// explore_sweep -- --quick 2>&1 >/dev/null | grep -E '^explore:' >
+/// tests/golden/explore_catalogue.txt`.
+#[test]
+fn catalogue_matches_golden_file() {
+    let lines: Vec<String> =
+        catalogue(2).iter().map(|sweep| catalogue_line(sweep, &sweep.explorer)).collect();
+    assert_matches_golden_catalogue(&lines);
+}
+
+/// Storage is policy, never search shape: every catalogued sweep, run at
+/// one worker through a disk-backed `SpillStore` in its own temporary
+/// directory, must print the same golden line as in memory. With the
+/// two-worker test above, this also pins that the worker count is
+/// invisible.
+#[test]
+fn spilled_catalogue_matches_golden_file() {
+    let lines: Vec<String> = catalogue(1)
+        .iter()
+        .map(|sweep| {
+            let slug: String = sweep
+                .label
+                .chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+                .collect();
+            let dir = std::env::temp_dir()
+                .join(format!("mpcn-catalogue-spill-{}-{slug}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let line = catalogue_line(
+                sweep,
+                &sweep.explorer.clone().spill_to(&dir).fixture_id(sweep.label),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            line
+        })
+        .collect();
+    assert_matches_golden_catalogue(&lines);
 }
 
 /// Switching off any one reduction — DPOR, the observation quotient,
@@ -138,10 +171,8 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
         "fig5 n=4 x=2 tso pruned",
         "fig6 n=3 x=2 tso pruned",
     ];
-    let mut sweeps: Vec<CatalogueSweep> = catalogue(threads_from_env(2))
-        .into_iter()
-        .filter(|sweep| LABELS.contains(&sweep.label))
-        .collect();
+    let mut sweeps: Vec<CatalogueSweep> =
+        catalogue(2).into_iter().filter(|sweep| LABELS.contains(&sweep.label)).collect();
     assert_eq!(sweeps.len(), LABELS.len(), "matrix labels drifted from the catalogue");
     // The catalogue's crash-count sweeps start at n = 4; one counted
     // crash at n = 3 keeps the matrix small.
@@ -183,7 +214,7 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
 #[test]
 fn fig1_n4_exhaustive_baseline() {
     let out = Explorer::new(4)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
         .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
@@ -201,7 +232,7 @@ fn fig1_n4_exhaustive_baseline() {
 #[test]
 fn fig1_n5_exhaustive_symm_baseline() {
     let out = Explorer::new(5)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -228,7 +259,7 @@ fn fig1_n5_exhaustive_symm_baseline() {
 #[test]
 fn fig1_n6_exhaustive_symm_baseline() {
     let out = Explorer::new(6)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -265,7 +296,7 @@ fn fig1_n6_exhaustive_viewsum_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n6-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(6)
-        .threads(threads_from_env(2))
+        .threads(2)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
             max_steps: 5_000,
@@ -306,7 +337,7 @@ fn fig1_n7_exhaustive_symm_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n7-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(7)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -354,7 +385,7 @@ fn fig5_x_compete_sweeps_n3_to_n5() {
 }
 
 /// Figure 6 sweeps: exhaustive at `n = 3`; depth bounded at `n = 5`
-/// (`n = 4` is exhausted by the parallel sweep below).
+/// (`n = 4` is exhausted by the bounded-frontier sweep below).
 #[test]
 fn fig6_x_safe_agreement_sweeps_n3_and_n5() {
     let out = Explorer::new(3)
@@ -368,31 +399,6 @@ fn fig6_x_safe_agreement_sweeps_n3_and_n5() {
         .run(|| fig6_bodies(5, 2, 1), |r| check_agreement(r, 5, true));
     out.assert_no_violation();
     assert!(out.stats.depth_limited_runs > 0, "the bound must bind (n = 5)");
-}
-
-/// The Figure 6 scale-up milestone: `n = 4, x = 2` exhausted — and the
-/// parallel frontier is invisible: `threads = 1` and `threads = 2`
-/// produce byte-identical statistics (visited/pruned counts included)
-/// and the same verdict.
-#[test]
-fn fig6_n4_exhaustive_is_thread_count_invariant() {
-    let sweep = |threads: usize| {
-        Explorer::new(4)
-            .threads(threads)
-            .limits(ExploreLimits {
-                max_expansions: 2_000_000,
-                max_steps: 2_000,
-                ..Default::default()
-            })
-            .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true))
-    };
-    let sequential = sweep(1);
-    sequential.assert_no_violation();
-    assert!(sequential.complete, "n = 4 x = 2 must exhaust ({} runs)", sequential.runs());
-    let parallel = sweep(2);
-    assert_eq!(sequential.stats, parallel.stats, "thread count must be invisible");
-    assert_eq!(sequential.complete, parallel.complete);
-    assert_eq!(sequential.violations.len(), parallel.violations.len());
 }
 
 /// The crash-schedule matrix: `fig1 n = 3` with a crash injected at
@@ -513,7 +519,7 @@ fn fig1_n3_crash_count_matches_single_victim_union() {
 #[test]
 fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
     let out = Explorer::new(3)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .tso(true)
         .limits(ExploreLimits {
@@ -541,7 +547,7 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
 #[test]
 fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     let out = Explorer::new(4)
-        .threads(threads_from_env(2))
+        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .tso(true)
         .limits(ExploreLimits {
@@ -574,7 +580,7 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
 fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     for n in [3usize, 4] {
         let out = Explorer::new(n)
-            .threads(threads_from_env(2))
+            .threads(2)
             .tso(true)
             .limits(ExploreLimits {
                 max_expansions: 10_000_000,
@@ -601,8 +607,8 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
 /// the widest layer holds thousands) forces mass eviction and
 /// rehydration-from-log-cursors, and the report — every statistic of the
 /// summary line, completeness, violations — is byte-identical to the
-/// unbounded run's. Worker count comes from `MPCN_EXPLORE_THREADS`, so
-/// the CI env sweep also crosses thread counts here.
+/// unbounded run's. The unbounded run uses one worker and the bounded
+/// run two, so the pair also pins that the worker count is invisible.
 #[test]
 fn fig6_n4_bounded_frontier_report_is_byte_identical() {
     let sweep = |ceiling: usize, threads: usize| {
@@ -617,7 +623,8 @@ fn fig6_n4_bounded_frontier_report_is_byte_identical() {
             .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true))
     };
     let unbounded = sweep(usize::MAX, 1);
-    let bounded = sweep(64, threads_from_env(2));
+    let bounded = sweep(64, 2);
+    assert!(unbounded.complete, "n = 4 x = 2 must exhaust ({} runs)", unbounded.runs());
     assert_eq!(unbounded.stats.evicted, 0, "the unbounded run must not evict");
     assert!(bounded.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
     assert_eq!(
@@ -642,15 +649,9 @@ fn fig6_n4_spilled_sweep_report_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sweep = |spill: bool| {
-        let ex = Explorer::new(4)
-            .threads(threads_from_env(2))
-            .resident_ceiling(64)
-            .checkpoint_every(8)
-            .limits(ExploreLimits {
-                max_expansions: 2_000_000,
-                max_steps: 2_000,
-                ..Default::default()
-            });
+        let ex = Explorer::new(4).threads(2).resident_ceiling(64).checkpoint_every(8).limits(
+            ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() },
+        );
         let ex = if spill { ex.spill_to(&dir).fixture_id("fig6 n=4 x=2") } else { ex };
         ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true))
     };

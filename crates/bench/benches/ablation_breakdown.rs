@@ -3,8 +3,9 @@
 //! DESIGN.md calls out the design choices of the general simulator — the
 //! input-agreement stage, the per-snapshot agreement objects, and the
 //! consensus-object agreements. Using the model world's per-kind operation
-//! accounting this bench prints the exact step breakdown (deterministic,
-//! seed 1) and times the runs; shapes to expect:
+//! accounting this bench prints the exact step breakdown of each case
+//! (`mpcn_bench::ablation`, deterministic, seed 1) and times the runs;
+//! shapes to expect:
 //!
 //! * input agreement is a fixed `n`-proportional prologue;
 //! * snapshot agreements dominate for snapshot-heavy algorithms
@@ -14,65 +15,21 @@
 //!   from the snapshot-object kinds into test&set + consensus kinds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpcn_core::simulator::{kinds, run_colorless, SimRun, SimulationSpec};
-use mpcn_model::ModelParams;
-use mpcn_tasks::algorithms;
+use mpcn_core::simulator::{run_colorless, SimRun};
 use std::hint::black_box;
 use std::time::Duration;
-
-fn breakdown(label: &str, spec: &SimulationSpec, inputs: &[u64]) {
-    let report = run_colorless(spec, inputs, &SimRun::seeded(1));
-    assert!(report.all_correct_decided());
-    let on = |base: u32| -> u64 { (0..4).map(|d| report.ops_on_kind(base + d)).sum() };
-    eprintln!(
-        "ablation[{label}]: total={} MEM={} input_ag={} snap_ag={} xcons_ag={}",
-        report.steps,
-        report.ops_on_kind(kinds::MEM),
-        on(kinds::INPUT_AG_BASE),
-        on(kinds::SNAP_AG_BASE),
-        on(kinds::XCONS_AG_BASE),
-    );
-}
 
 fn step_breakdown(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation/step_breakdown");
     g.warm_up_time(Duration::from_millis(400));
     g.measurement_time(Duration::from_secs(2));
     g.sample_size(10);
-
-    let cases: Vec<(&str, SimulationSpec, Vec<u64>)> = vec![
-        (
-            "rw_source_rw_target",
-            SimulationSpec::new(
-                algorithms::kset_read_write(5, 2).expect("valid"),
-                ModelParams::new(5, 2, 1).expect("valid"),
-            )
-            .expect("valid"),
-            vec![1, 2, 3, 4, 5],
-        ),
-        (
-            "rw_source_x2_target",
-            SimulationSpec::new(
-                algorithms::kset_read_write(5, 2).expect("valid"),
-                ModelParams::new(5, 4, 2).expect("valid"),
-            )
-            .expect("valid"),
-            vec![1, 2, 3, 4, 5],
-        ),
-        (
-            "xcons_source_rw_target",
-            SimulationSpec::new(
-                algorithms::group_xcons_then_min(6, 4, 2).expect("valid"),
-                ModelParams::new(6, 2, 1).expect("valid"),
-            )
-            .expect("valid"),
-            vec![1, 2, 3, 4, 5, 6],
-        ),
-    ];
-
-    for (label, spec, inputs) in cases {
-        breakdown(label, &spec, &inputs);
-        g.bench_function(label, |b| {
+    let section = mpcn_bench::ablation();
+    for line in &section.lines {
+        eprintln!("{line}");
+    }
+    for (id, (spec, inputs)) in section.cases {
+        g.bench_function(id, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;

@@ -11,17 +11,13 @@
 //! (wait-freedom: ≤ n+2 collects, usually borrowing an embedded view
 //! early); TAS and CAS are single-instruction flat.
 //!
-//! The `atomics storm …` stderr lines are wall-clock rates and are
-//! deliberately **not** matched by the CI determinism-gate filter. With
-//! `MPCN_BENCH_JSON=<path>` set, one JSON record per storm configuration
-//! is **appended** to `<path>` — CI collects them (together with
-//! `thread_world_sweep`'s records) into the `BENCH_atomics.json`
-//! artifact. After all benchmark bodies finish, `main` runs the epoch
-//! leak gate: every record retired through `crossbeam::epoch` during the
-//! run must have been reclaimed by a final quiescent drain.
+//! The `atomics storm …` stderr lines are wall-clock rates, so no golden
+//! file pins them. After all benchmark bodies finish, `main` runs the
+//! epoch leak gate: every record retired through `crossbeam::epoch`
+//! during the run must have been reclaimed by a final quiescent drain.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use mpcn_bench::{assert_epoch_drained, bench_json_appender, bench_json_record};
+use mpcn_bench::assert_epoch_drained;
 use mpcn_runtime::atomics::{CasConsensus, DoubleCollectSnapshot, TestAndSet, WaitFreeSnapshot};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -148,11 +144,9 @@ fn writer_storm(writers: usize, window: Duration) -> StormStats {
     }
 }
 
-/// Runs the storm matrix, printing one stderr line and appending one JSON
-/// record per writer count.
+/// Runs the storm matrix, printing one stderr line per writer count.
 fn storm_matrix() {
     let window = if quick() { Duration::from_millis(30) } else { Duration::from_millis(300) };
-    let mut json = bench_json_appender();
     for writers in [1usize, 2, 4, 8] {
         let s = writer_storm(writers, window);
         let (sp50, sp99) = (percentile(&s.scan_lat_ns, 50), percentile(&s.scan_lat_ns, 99));
@@ -163,21 +157,6 @@ fn storm_matrix() {
             writers + 1,
             s.scan_rate(),
             s.update_rate(),
-        );
-        bench_json_record(
-            &mut json,
-            &format!(
-                "{{\"label\":\"atomics_storm\",\"writers\":{writers},\
-                 \"scanners\":{STORM_SCANNERS},\"cells\":{},\
-                 \"scan_ops_per_sec\":{:.0},\"update_ops_per_sec\":{:.0},\
-                 \"scan_p50_ns\":{sp50},\"scan_p99_ns\":{sp99},\
-                 \"update_p50_ns\":{up50},\"update_p99_ns\":{up99},\
-                 \"window_ms\":{}}}",
-                writers + 1,
-                s.scan_rate(),
-                s.update_rate(),
-                s.elapsed.as_millis()
-            ),
         );
     }
 }

@@ -3,8 +3,8 @@
 //! Runs the classic BG configuration — a read/write `(t+1)`-set algorithm
 //! for `ASM(n, t, 1)` executed by `t + 1` wait-free simulators — and the
 //! same-`n` configuration, for growing `n`. Reports wall time; the
-//! deterministic step counts (the model-level cost) are printed once per
-//! size so EXPERIMENTS.md can record them.
+//! classic configuration's deterministic step counts (the model-level
+//! cost) are printed once per size (`mpcn_bench::fig2_3`).
 //!
 //! Expected shape: cost grows with both the number of simulated processes
 //! (more write/snapshot agreements) and the number of simulators (each
@@ -23,12 +23,12 @@ fn bg_classic(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(400));
     g.measurement_time(Duration::from_secs(2));
     g.sample_size(10);
-    for (n, t) in [(3u32, 1u32), (5, 2), (7, 3)] {
-        let alg = algorithms::kset_read_write(n, t).expect("valid params");
-        let target = ModelParams::new(t + 1, t, 1).expect("valid params");
-        let (steps, decided) = run_and_count(&alg, target, 1);
-        eprintln!("fig2_3: n={n} t={t} -> {steps} steps, {decided} simulator decisions");
-        g.bench_with_input(BenchmarkId::from_parameter(format!("n{n}_t{t}")), &n, |b, _| {
+    let section = mpcn_bench::fig2_3();
+    for line in &section.lines {
+        eprintln!("{line}");
+    }
+    for (id, (alg, target)) in section.cases {
+        g.bench_function(id, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;

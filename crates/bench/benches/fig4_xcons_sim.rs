@@ -6,12 +6,11 @@
 //! `x` means fewer simulated consensus objects (⌈n/x⌉ groups) but each
 //! object's agreement is shared by more simulated ports; total cost stays
 //! in the same band — the interesting output is that *all* of these
-//! succeed with `t = ⌊t'/x⌋` read/write simulators.
+//! succeed with `t = ⌊t'/x⌋` read/write simulators. The step count of
+//! each case is printed once (`mpcn_bench::fig4`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use mpcn_bench::run_and_count;
-use mpcn_model::ModelParams;
-use mpcn_tasks::algorithms;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -20,14 +19,12 @@ fn xcons_simulation(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(400));
     g.measurement_time(Duration::from_secs(2));
     g.sample_size(10);
-    let n = 6u32;
-    let t_prime = 4u32;
-    for x in [1u32, 2, 4] {
-        let alg = algorithms::group_xcons_then_min(n, t_prime, x).expect("valid params");
-        let target = ModelParams::new(n, t_prime / x, 1).expect("valid params");
-        let (steps, _) = run_and_count(&alg, target, 1);
-        eprintln!("fig4: n={n} t'={t_prime} x={x} -> {steps} steps in {target}");
-        g.bench_with_input(BenchmarkId::from_parameter(x), &x, |b, _| {
+    let section = mpcn_bench::fig4();
+    for line in &section.lines {
+        eprintln!("{line}");
+    }
+    for (id, (alg, target)) in section.cases {
+        g.bench_function(id, |b| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;

@@ -5,24 +5,24 @@
 //! it — `C(n−1, x−1)` shared steps out of `m = C(n, x)` scanned subsets.
 //! Expected shape: combinatorial growth in `x` at fixed `n` (peaking near
 //! `x = n/2`), visibly super-linear — the price the Section 4 construction
-//! pays for electing owners dynamically.
+//! pays for electing owners dynamically. The list length and owner
+//! touches per `x` are printed once (`mpcn_bench::fig6`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpcn_agreement::xsafe::XSafeAgreement;
 use mpcn_bench::free_envs;
-use mpcn_model::combinatorics::binomial;
 use std::hint::black_box;
 
 const KIND: u32 = 600;
 
 fn propose_walk(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig6/x_sa_propose_owner_walk");
-    let n = 10usize;
-    for x in [1u32, 2, 3, 5, 7] {
-        let m = binomial(n as u64, x as u64);
-        let touched = binomial(n as u64 - 1, x as u64 - 1);
-        eprintln!("fig6: n={n} x={x}: SET_LIST length m={m}, owner touches {touched} objects");
-        g.bench_with_input(BenchmarkId::from_parameter(x), &x, |b, &x| {
+    let section = mpcn_bench::fig6();
+    for line in &section.lines {
+        eprintln!("{line}");
+    }
+    for (id, (n, x)) in section.cases {
+        g.bench_function(id, |b| {
             let envs = free_envs(n);
             let mut inst = 0u64;
             b.iter(|| {

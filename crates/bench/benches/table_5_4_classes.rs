@@ -4,8 +4,8 @@
 //! general class grid, and an **empirical solvability probe**: for a grid
 //! of `(t', x)`, run `(⌊t'/x⌋+1)`-set agreement through the simulation and
 //! confirm it succeeds — the executable content of "`T_k` solvable in
-//! `ASM(n, t, x)` iff `k > ⌊t/x⌋`". The table itself is printed so
-//! EXPERIMENTS.md can quote it.
+//! `ASM(n, t, x)` iff `k > ⌊t/x⌋`". The partition itself is printed
+//! (`mpcn_bench::section_5_4`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpcn_bench::inputs;
@@ -17,19 +17,15 @@ use std::time::Duration;
 
 fn algebra(c: &mut Criterion) {
     let mut g = c.benchmark_group("table_5_4/algebra");
-
-    // Print the paper's worked example once.
-    eprintln!("Section 5.4 partition for t' = 8, x in 1..=12:");
-    for row in class_partition(8, 12) {
-        eprintln!(
-            "  ASM(n, 8, x) for x in [{}, {}]  ~  ASM(n, {}, 1)",
-            row.x_min, row.x_max, row.class
-        );
+    let section = mpcn_bench::section_5_4();
+    for line in &section.lines {
+        eprintln!("{line}");
     }
-
-    g.bench_function("class_partition_t8", |b| {
-        b.iter(|| black_box(class_partition(black_box(8), black_box(12))))
-    });
+    for (id, (t_prime, x_max)) in section.cases {
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(class_partition(black_box(t_prime), black_box(x_max))))
+        });
+    }
     g.bench_function("class_grid_32x16", |b| {
         b.iter(|| black_box(class_grid(black_box(32), black_box(16))))
     });

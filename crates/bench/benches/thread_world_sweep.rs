@@ -13,17 +13,13 @@
 //! the scheduler-handshake overhead (small `n`) and of substrate
 //! contention behavior (large `n`).
 //!
-//! The `thread_world …` stderr lines contain wall-clock rates and are
-//! deliberately **not** matched by the CI determinism-gate filter. With
-//! `MPCN_BENCH_JSON=<path>` set, one JSON record per size is **appended**
-//! to `<path>` (CI bundles them with `atomics_primitives`' storm records
-//! into the `BENCH_atomics.json` artifact). After all bodies finish,
-//! `main` runs the epoch leak gate (quiescent drain of deferred
-//! reclamation).
+//! The `thread_world …` stderr lines contain wall-clock rates, so no
+//! golden file pins them. After all bodies finish, `main` runs the epoch
+//! leak gate (quiescent drain of deferred reclamation).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use mpcn_agreement::safe::SafeAgreement;
-use mpcn_bench::{assert_epoch_drained, bench_json_appender, bench_json_record};
+use mpcn_bench::assert_epoch_drained;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
 use mpcn_runtime::sched::Schedule;
 use mpcn_runtime::thread_world::ThreadWorld;
@@ -121,7 +117,6 @@ fn rate(rounds: u32, mut round: impl FnMut() -> u64) -> f64 {
 }
 
 fn sweep(c: &mut Criterion) {
-    let mut json = bench_json_appender();
     for n in COMPARE_SIZES {
         let model_steps = model_world_round(n);
         assert_eq!(model_steps, ops_per_round(n), "every op is one gated step");
@@ -136,15 +131,6 @@ fn sweep(c: &mut Criterion) {
              {thread_rate:.0} steps/s (x{:.1} gate overhead)",
             thread_rate / model_rate.max(f64::MIN_POSITIVE)
         );
-        bench_json_record(
-            &mut json,
-            &format!(
-                "{{\"label\":\"thread_world_round\",\"n\":{n},\
-                 \"ops_per_round\":{},\"thread_steps_per_sec\":{thread_rate:.0},\
-                 \"model_steps_per_sec\":{model_rate:.0}}}",
-                ops_per_round(n)
-            ),
-        );
     }
     for n in LARGE_SIZES {
         let thread_rate = rate(rate_rounds(n), || {
@@ -152,14 +138,6 @@ fn sweep(c: &mut Criterion) {
             ops_per_round(n)
         });
         eprintln!("thread_world n={n}: ThreadWorld {thread_rate:.0} steps/s (high-concurrency)");
-        bench_json_record(
-            &mut json,
-            &format!(
-                "{{\"label\":\"thread_world_round\",\"n\":{n},\
-                 \"ops_per_round\":{},\"thread_steps_per_sec\":{thread_rate:.0}}}",
-                ops_per_round(n)
-            ),
-        );
     }
 
     let mut g = c.benchmark_group("thread_world");

@@ -26,9 +26,9 @@
 //! jobs from a shared cursor and probe the read-only visited set, while
 //! all state mutation happens in a canonical-order merge per layer
 //! — so reports are **byte-identical for any thread count** (the golden
-//! catalogue test runs at `threads=2` against lines generated at
-//! `threads=1`). See the `frontier` module docs for the two-phase
-//! argument.
+//! catalogue tests diff one file at `threads=2` in memory and at
+//! `threads=1` spilled). See the `frontier` module docs for the
+//! two-phase argument.
 //!
 //! # Prefix pruning ([`Reduction::prune_visited`])
 //!
@@ -372,7 +372,7 @@ impl Explorer {
     /// identities is an automorphism of its transition system (bodies
     /// identical up to the values `spec` relabels, checker closed under
     /// pid permutation and value relabeling — the full contract is
-    /// `docs/EXPLORER.md` §8). With the declaration in place and
+    /// `docs/EXPLORER.md` §7). With the declaration in place and
     /// [`Reduction::symmetry`] on (the default), the explorer prunes on
     /// the **symmetry-canonical** state fingerprint
     /// ([`crate::model_world::Snapshot::fingerprint_symmetric`]),
@@ -665,29 +665,6 @@ impl Explorer {
         );
         frontier::Engine::new(self, &make_bodies, &check).run()
     }
-}
-
-/// Worker count for sweeps driven by benches and the catalogue tests:
-/// the value of the `MPCN_EXPLORE_THREADS` environment variable, or
-/// `default` when unset or unparsable. Reports are byte-identical for
-/// every worker count, which the golden catalogue test checks by running
-/// at `2` against lines generated at `1`.
-pub fn threads_from_env(default: usize) -> usize {
-    std::env::var("MPCN_EXPLORE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k >= 1)
-        .unwrap_or(default)
-}
-
-/// Whether sweeps driven by benches and CI should spill to disk: `true`
-/// iff the `MPCN_EXPLORE_SPILL` environment variable is `1`. The CI
-/// spill gate runs the explore bench catalogue in this mode (each sweep
-/// in its own temporary directory) and diffs the summary lines against
-/// the golden catalogue — spilling is a storage policy and must be
-/// invisible in the report.
-pub fn spill_from_env() -> bool {
-    std::env::var("MPCN_EXPLORE_SPILL").as_deref() == Ok("1")
 }
 
 /// Exhaustively explores every schedule with **no reductions** — the

@@ -3,8 +3,7 @@
 //! Everything in this module is **deterministic**: the same program,
 //! limits, and reduction settings produce byte-identical
 //! [`ExploreStats::summary`] strings on every run, machine, and
-//! optimization level — the property the golden catalogue test and the
-//! CI determinism gate diff.
+//! optimization level — the property the golden catalogue tests diff.
 
 use crate::sched::Schedule;
 
@@ -135,7 +134,7 @@ impl ExploreStats {
     }
 
     /// One deterministic `key=value` line (no timing, no pointers), fit
-    /// for golden files and the determinism gates. Every sweep prints
+    /// for golden files. Every sweep prints
     /// every field in one fixed order; `symm=` reads `off` whenever the
     /// symmetry quotient was inactive ([`ExploreStats::symm_enabled`]),
     /// so "quotient inactive" stays distinguishable from "zero hits".
@@ -225,8 +224,8 @@ impl ExploreReport {
     }
 
     /// One deterministic summary line: `label: <stats> complete=<..>
-    /// violations=<count>` — the format the step-count benches print to
-    /// stderr and CI diffs across two runs.
+    /// violations=<count>` — the format the `explore_sweep` bench prints
+    /// to stderr and `tests/golden/explore_catalogue.txt` pins.
     pub fn summary_line(&self, label: &str) -> String {
         format!(
             "explore: {label} {} complete={} violations={}",

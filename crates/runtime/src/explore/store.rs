@@ -100,8 +100,18 @@ pub(super) struct DiskRef {
 }
 
 impl DiskRef {
-    /// Reads back and decodes the checkpoint snapshot.
+    /// Reads back and decodes the checkpoint snapshot. A locator that
+    /// reaches past the end of the segment file (a corrupt frontier
+    /// record) is an `InvalidData` error before it sizes any buffer.
     pub(super) fn read(&self) -> io::Result<Snapshot> {
+        let file_len = self.file.metadata()?.len();
+        if !matches!(self.offset.checked_add(self.len), Some(end) if end <= file_len) {
+            return Err(bad_data(format!(
+                "checkpoint record at offset {} of length {} overruns the {file_len}-byte \
+                 segment file",
+                self.offset, self.len
+            )));
+        }
         let mut buf = vec![0u8; usize::try_from(self.len).map_err(bad_data)?];
         read_exact_at(&self.file, &mut buf, self.offset)?;
         Snapshot::decode(&buf).map_err(bad_data)
@@ -838,4 +848,26 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         layer: m.u64("layer")?,
         symm_spec: m.bool("symm_spec")?,
     })))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frontier record's locator comes from disk, so a corrupt one must
+    /// end in an `InvalidData` error before it sizes a read buffer: a
+    /// record reaching past the end of the segment file, a record that
+    /// starts inside it but runs over, and an offset that overflows.
+    #[test]
+    fn over_long_disk_ref_is_an_error() {
+        let path = std::env::temp_dir().join(format!("mpcn-over-long-ref-{}", std::process::id()));
+        fs::write(&path, [0u8; 64]).expect("write segment file");
+        let file = Arc::new(File::open(&path).expect("open segment file"));
+        let _ = fs::remove_file(&path);
+        for (offset, len) in [(0, 1u64 << 36), (60, 8), (u64::MAX, 2)] {
+            let disk = DiskRef { file: Arc::clone(&file), offset, len };
+            let Err(e) = disk.read() else { panic!("offset {offset} len {len} must not decode") };
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "offset {offset} len {len}: {e}");
+        }
+    }
 }

@@ -8,7 +8,7 @@
 //! useless here. [`Fnv1a`] is a plain FNV-1a 64-bit [`std::hash::Hasher`]
 //! with fixed parameters: the same value always hashes to the same word, so
 //! explorer statistics (states visited/pruned) are exactly reproducible —
-//! the property the CI determinism gate checks.
+//! the property the golden catalogue tests check.
 //!
 //! Collisions merge distinct states and could in principle hide a
 //! violating schedule; with a 64-bit digest and state spaces in the

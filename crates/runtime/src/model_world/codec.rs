@@ -222,6 +222,14 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Capacity to reserve for a length read from the bytes. Lengths come
+/// from untrusted input, and an allocation failure aborts the process
+/// instead of returning an error, so at most `1 << 16` elements are
+/// reserved up front; longer collections grow as they decode.
+fn capped(len: usize) -> usize {
+    len.min(1 << 16)
+}
+
 // --- the closed value universe -------------------------------------------
 
 const VAL_UNIT: u8 = 0;
@@ -330,7 +338,7 @@ fn decode_stored(r: &mut ByteReader<'_>, track: bool) -> Result<(Stored, u64), C
         VAL_OPT_U64 => Ok(pack(get_opt_u64(r)?, track)),
         VAL_VEC_OPT_U64 => {
             let len = r.usize()?;
-            let mut xs = Vec::with_capacity(len.min(1 << 16));
+            let mut xs = Vec::with_capacity(capped(len));
             for _ in 0..len {
                 xs.push(get_opt_u64(r)?);
             }
@@ -346,7 +354,7 @@ fn decode_stored(r: &mut ByteReader<'_>, track: bool) -> Result<(Stored, u64), C
         }
         VAL_VEC_OPT_PAIR => {
             let len = r.usize()?;
-            let mut xs = Vec::with_capacity(len.min(1 << 16));
+            let mut xs = Vec::with_capacity(capped(len));
             for _ in 0..len {
                 xs.push(match r.u8()? {
                     0 => None,
@@ -376,7 +384,7 @@ fn decode_stored(r: &mut ByteReader<'_>, track: bool) -> Result<(Stored, u64), C
 /// views, never an unsoundness — the map stays injective per `perm`).
 /// Returns `None` for values outside the universe; the caller decides
 /// whether a sound fallback exists (memory cells: yes, the cell's own
-/// fingerprint; log entries: no — see the §8 contract in
+/// fingerprint; log entries: no — see the §7 contract in
 /// `docs/EXPLORER.md`).
 pub(crate) fn stored_symm_fp(
     v: &Stored,
@@ -505,7 +513,7 @@ fn decode_object(r: &mut ByteReader<'_>, track: bool) -> Result<Object, CodecErr
         OBJ_REGISTER => Ok(Object::Register(decode_cell_opt(r, track)?)),
         OBJ_SNAPSHOT => {
             let len = r.usize()?;
-            let mut cells = Vec::with_capacity(len.min(1 << 16));
+            let mut cells = Vec::with_capacity(capped(len));
             for _ in 0..len {
                 cells.push(decode_cell_opt(r, track)?);
             }
@@ -514,7 +522,7 @@ fn decode_object(r: &mut ByteReader<'_>, track: bool) -> Result<Object, CodecErr
         OBJ_TAS => Ok(Object::Tas(r.bool()?)),
         OBJ_XCONS => {
             let len = r.usize()?;
-            let mut ports = Vec::with_capacity(len.min(1 << 16));
+            let mut ports = Vec::with_capacity(capped(len));
             for _ in 0..len {
                 ports.push(r.usize()?);
             }
@@ -620,20 +628,20 @@ impl Snapshot {
         let viewsum = r.bool()?;
         let tso = r.bool()?;
         let obj_count = r.usize()?;
-        let mut objects = std::collections::HashMap::with_capacity(obj_count.min(1 << 16));
+        let mut objects = std::collections::HashMap::with_capacity(capped(obj_count));
         for _ in 0..obj_count {
             let key = decode_key(&mut r)?;
             objects.insert(key, decode_object(&mut r, track)?);
         }
         let mem_fp = r.u64()?;
-        let mut obs_fp = Vec::with_capacity(n);
+        let mut obs_fp = Vec::with_capacity(capped(n));
         for _ in 0..n {
             obs_fp.push(r.u64()?);
         }
-        let mut logs = Vec::with_capacity(n);
+        let mut logs = Vec::with_capacity(capped(n));
         for _ in 0..n {
             let len = r.usize()?;
-            let mut log = Vec::with_capacity(len.min(1 << 16));
+            let mut log = Vec::with_capacity(capped(len));
             for _ in 0..len {
                 let op = r.u64()?;
                 let key = decode_key(&mut r)?;
@@ -642,11 +650,11 @@ impl Snapshot {
             }
             logs.push(Arc::new(log));
         }
-        let mut finished = Vec::with_capacity(n);
-        let mut crashed = Vec::with_capacity(n);
-        let mut results = Vec::with_capacity(n);
-        let mut pending_op = Vec::with_capacity(n);
-        let mut own_steps = Vec::with_capacity(n);
+        let mut finished = Vec::with_capacity(capped(n));
+        let mut crashed = Vec::with_capacity(capped(n));
+        let mut results = Vec::with_capacity(capped(n));
+        let mut pending_op = Vec::with_capacity(capped(n));
+        let mut own_steps = Vec::with_capacity(capped(n));
         for _ in 0..n {
             finished.push(r.bool()?);
             crashed.push(r.bool()?);
@@ -658,10 +666,10 @@ impl Snapshot {
             });
             own_steps.push(r.u64()?);
         }
-        let mut buffers = Vec::with_capacity(n);
+        let mut buffers = Vec::with_capacity(capped(n));
         for _ in 0..n {
             let blen = r.usize()?;
-            let mut buf = Vec::with_capacity(blen.min(1 << 16));
+            let mut buf = Vec::with_capacity(capped(blen));
             for _ in 0..blen {
                 let key = decode_key(&mut r)?;
                 let cell_idx = get_opt_u64(&mut r)?
@@ -675,7 +683,7 @@ impl Snapshot {
             buffers.push(buf);
         }
         let kind_count = r.usize()?;
-        let mut op_counts = std::collections::HashMap::with_capacity(kind_count.min(1 << 16));
+        let mut op_counts = std::collections::HashMap::with_capacity(capped(kind_count));
         for _ in 0..kind_count {
             let kind = r.u32()?;
             op_counts.insert(kind, r.u64()?);
@@ -791,6 +799,30 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(Snapshot::decode(&trailing), Err(CodecError::TrailingBytes(1))));
+    }
+
+    /// Corrupt bytes end in a typed error, never a panic or an abort:
+    /// every single-bit flip and every truncation of the tiny snapshot's
+    /// encoding decodes to `Ok` or `Err`. Each case runs under
+    /// `catch_unwind`, so a panic names its case; a decoded length must
+    /// never size an allocation, because an allocation failure aborts
+    /// the whole process.
+    #[test]
+    fn corrupt_bytes_decode_without_panicking() {
+        let bytes = tiny_snapshot().encode().unwrap();
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            (format!("bit {bit} flipped"), flipped)
+        });
+        let truncations =
+            (0..bytes.len()).map(|len| (format!("cut to {len} bytes"), bytes[..len].to_vec()));
+        let panicked: Vec<String> = flips
+            .chain(truncations)
+            .filter(|(_, corrupt)| std::panic::catch_unwind(|| Snapshot::decode(corrupt)).is_err())
+            .map(|(case, _)| case)
+            .collect();
+        assert!(panicked.is_empty(), "decode panicked on: {panicked:?}");
     }
 
     #[test]

@@ -330,7 +330,7 @@ pub type Body = Box<dyn FnOnce(Env<ModelWorld>) -> u64 + Send>;
 /// bodies must be identical up to `relabel_value` of the pid-dependent
 /// constants, and its checker must be permutation-closed (accept a run
 /// iff it accepts every pid-permuted run). `docs/EXPLORER.md` §3 carries
-/// the full soundness argument and §8 the program-side contract.
+/// the full soundness argument and §7 the program-side contract.
 #[derive(Clone, Copy)]
 pub struct Symmetry {
     /// Relabels a stored/observed `u64` leaf under a pid permutation.

@@ -463,7 +463,7 @@ impl Snapshot {
     /// observation that cannot be relabeled (a constant would merge
     /// distinct observations). Pid-symmetric programs must keep their
     /// operation results in the universe — the same requirement
-    /// spilling already imposes (`docs/EXPLORER.md` §8). Memory cells
+    /// spilling already imposes (`docs/EXPLORER.md` §7). Memory cells
     /// outside the universe merely fall back to their unrelabeled
     /// fingerprint (sound: π-related states then simply stop merging).
     /// Panics in debug builds if the snapshot was built without
@@ -562,7 +562,7 @@ impl Snapshot {
                         panic!(
                             "symmetry quotient: process {p} logged an operation result outside \
                              the codec value universe — pid-symmetric programs must keep results \
-                             in the closed universe (docs/EXPLORER.md §8)"
+                             in the closed universe (docs/EXPLORER.md §7)"
                         )
                     });
                 let mut h = Fnv1a::default();

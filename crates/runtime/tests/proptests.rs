@@ -436,7 +436,7 @@ proptest! {
     /// every reported schedule, replayed through the gated reference
     /// engine, must still trip the checker — under one and two
     /// expansion workers alike. The checker sorts decided values, so it
-    /// is closed under pid permutation of outcomes (the §8 contract);
+    /// is closed under pid permutation of outcomes (the §7 contract);
     /// quotienting orbits never adds work.
     #[test]
     fn symmetry_preserves_violation_sets_and_replay_verdicts(

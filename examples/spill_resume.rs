@@ -1,8 +1,8 @@
 //! Scripted interrupt-then-resume check for disk-spilled sweeps — the
 //! executable form of the storage layer's crash-recovery contract
-//! (`docs/EXPLORER.md` §5). The CI spill gate runs this binary; it
+//! (`docs/EXPLORER.md` §5). CI's resume gate runs this binary; it
 //! exits nonzero (panics) if any resumed report differs from the
-//! uninterrupted in-memory run.
+//! uninterrupted in-memory run. Every sweep runs at two workers.
 //!
 //! The script, on the exhaustive Figure 1 `n = 4` sweep:
 //!
@@ -20,7 +20,6 @@
 //! Run with: `cargo run --release --example spill_resume`
 
 use mpcn::agreement::fixtures::{check_agreement, fig1_bodies};
-use mpcn::runtime::explore::threads_from_env;
 use mpcn::{ExploreLimits, Explorer};
 use std::io::Write as _;
 
@@ -29,12 +28,11 @@ fn limits() -> ExploreLimits {
 }
 
 fn main() {
-    let threads = threads_from_env(2);
     let bodies = || fig1_bodies(4, 1);
     let check = |r: &mpcn::runtime::model_world::RunReport| check_agreement(r, 4, false);
 
     let reference = Explorer::new(4)
-        .threads(threads)
+        .threads(2)
         .resident_ceiling(256)
         .checkpoint_every(4)
         .limits(limits())
@@ -49,7 +47,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
 
         let halted = Explorer::new(4)
-            .threads(threads)
+            .threads(2)
             .resident_ceiling(256)
             .checkpoint_every(4)
             .limits(limits())
