@@ -236,7 +236,7 @@ pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
         explorer,
         expect_violation: false,
     };
-    let bounded = |explorer: Explorer| explorer.resident_ceiling(2_048).checkpoint_every(8);
+    let bounded = |explorer: Explorer| explorer.resident_ceiling(64).checkpoint_every(8);
     let unbounded = usize::MAX;
     vec![
         sweep(
@@ -281,10 +281,11 @@ pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
             Fixture::Fig1 { n: 4 },
             fig1(4).limits(limits(2_000_000, unbounded)),
         ),
-        // A deliberately binding resident ceiling with 8-layer
-        // checkpoints, so eviction and anchored rehydration run on every
-        // catalogue pass; eviction is memory policy, invisible in the
-        // line.
+        // A resident ceiling of 64 nodes per layer with 8-layer
+        // checkpoints binds on this sweep and the two fault-tolerance
+        // sweeps below, so eviction and anchored rehydration (from disk,
+        // when spilled) run on every catalogue pass; eviction is memory
+        // policy, invisible in the line.
         sweep(
             "fig1 n=5 pruned",
             Fixture::Fig1 { n: 5 },

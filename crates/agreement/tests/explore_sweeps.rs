@@ -225,10 +225,10 @@ fn fig1_n4_exhaustive_baseline() {
 /// The Figure 1 scale-up milestone: safe agreement at `n = 5` — 5
 /// proposers, schedule depth 20 — is **exhausted** under the full
 /// reduction set with the pid-symmetry quotient, termination checked,
-/// under the catalogue's 2 048-node resident ceiling and 8-layer
-/// checkpoint stride, with anchored rehydration replaying at most one
-/// stride (the catalogue's `fig1 n=5 pruned` line pins its state
-/// counts).
+/// under the catalogue's 64-node resident ceiling and 8-layer
+/// checkpoint stride. The ceiling binds, and anchored rehydration
+/// replays at least one decision and at most one stride (the
+/// catalogue's `fig1 n=5 pruned` line pins its state counts).
 #[test]
 fn fig1_n5_exhaustive_symm_baseline() {
     let out = Explorer::new(5)
@@ -239,14 +239,15 @@ fn fig1_n5_exhaustive_symm_baseline() {
             max_steps: 2_000,
             ..Default::default()
         })
-        .resident_ceiling(2_048)
+        .resident_ceiling(64)
         .checkpoint_every(8)
         .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
     out.assert_no_violation();
     assert!(out.complete, "fig1 n = 5 must exhaust ({} runs)", out.runs());
+    assert!(out.stats.evicted > 0, "a 64-node ceiling must evict");
     assert!(
-        out.stats.max_rehydration_replay <= 8,
-        "anchored rehydration must replay at most checkpoint_every decisions ({})",
+        (1..=8).contains(&out.stats.max_rehydration_replay),
+        "evicted nodes rehydrate by replaying at most checkpoint_every decisions ({})",
         out.stats.max_rehydration_replay
     );
 }

@@ -3,9 +3,12 @@
 //!
 //! # Shape
 //!
-//! The engine maintains a **frontier** of tree nodes — each a
-//! [`Snapshot`] plus its choice path, alive set, and per-path adversary
-//! state — and processes the tree in layers (all nodes at one depth):
+//! The engine maintains a **frontier** of tree nodes — each a choice
+//! path plus its [`Snapshot`] or, once evicted, the [`Anchor`] it is
+//! rebuilt from — and processes the tree in layers (all nodes at one
+//! depth). Everything else a node's scheduling needs (alive set,
+//! pending footprints, clocks, and the adversary state: which
+//! processes have crashed) is read from the snapshot:
 //!
 //! 1. **Expand (parallel):** every `(node, choice)` job of the layer
 //!    resumes one scheduling decision from the node's snapshot
@@ -40,13 +43,14 @@
 //!
 //! Under the symmetric crash-count adversary, crash delivery is not a
 //! policy decision but a **schedule branch**: at every interior node
-//! whose crash budget is not exhausted, [`Engine::admit`] queues — next
-//! to each alive process's op expansion — a crash sibling encoded as
-//! choice `alive.len() + i` (the same crash index band
-//! `Schedule::Indexed` decodes, so counterexample vectors replay their
-//! crash placements through the gated engine verbatim). One sweep thus
-//! exhausts *all* crash placements against *all* alive processes for
-//! every budget `≤ f`. Because the policy names no pid, the schedule
+//! whose crash budget is not exhausted — the budget spent is the number
+//! of crashed flags in the node's snapshot ([`Snapshot::crashes`]) —
+//! [`Engine::admit`] queues, next to each alive process's op expansion,
+//! a crash sibling encoded as choice `alive.len() + i` (the crash band
+//! of [`Pick::decode`], which `Schedule::Indexed` shares, so
+//! counterexample vectors replay their crash placements through the
+//! gated engine verbatim). One sweep thus exhausts *all* crash
+//! placements against *all* alive processes for every budget `≤ f`. Because the policy names no pid, the schedule
 //! space stays permutation-closed and the symmetry quotient remains
 //! live — the one crash adversary it accepts. Depth-bounded tails
 //! still complete along the canonical choice-0 (op) suffix: a
@@ -68,20 +72,22 @@
 //! Each retained frontier node normally holds its [`Snapshot`] (object
 //! map + operation logs — the heavy part). Under a resident ceiling, only
 //! the first `ceiling` nodes admitted per layer stay resident; colder
-//! nodes are **evicted** down to their scheduling metadata (choice path,
-//! alive set, pending footprints, own-step counters), and a worker that
-//! expands one first **rehydrates** it by replaying its choice path
-//! through the snapshot engine — the operation-log cursors make every
-//! replayed decision a deterministic `O(own log)` resume, so the rebuilt
-//! snapshot (and hence the whole report) is byte-identical to the
-//! never-evicted run.
+//! nodes are **evicted** down to their choice path and anchor, and a
+//! worker that expands one first **rehydrates** it by replaying its
+//! choice path through the snapshot engine — the operation-log cursors
+//! make every replayed decision a deterministic `O(own log)` resume, so
+//! the rebuilt snapshot (and hence the whole report) is byte-identical
+//! to the never-evicted run. [`Engine::admit`] makes every decision that
+//! reads a node's state (terminality, tail, choices, skips) from the
+//! freshly expanded node's snapshot, so an evicted node is rebuilt only
+//! to be expanded.
 //!
 //! Rehydration does not start at the root: every node carries an
 //! [`Anchor`] — a reference to its nearest checkpoint-depth ancestor's
 //! **stored** snapshot (depth a multiple of
-//! [`super::Explorer::checkpoint_every`]`= k`) plus that ancestor's
-//! adversary state. An evicted expansion therefore replays at most `k`
-//! decisions (`anchor.depth ..` of the node's path), turning the old
+//! [`super::Explorer::checkpoint_every`]`= k`; depth 0 is one, so no
+//! node lacks an anchor). An evicted expansion therefore replays at most
+//! `k` decisions (`anchor.depth ..` of the node's path), turning the old
 //! `O(depth)` root replay into `O(k)`; the longest suffix actually
 //! replayed is reported as
 //! [`super::ExploreStats::max_rehydration_replay`].
@@ -113,7 +119,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
-use crate::sched::{CrashState, Crashes};
+use crate::sched::{Crashes, Pick};
 use crate::world::Pid;
 
 use super::report::{ExploreReport, ExploreStats, Violation};
@@ -169,27 +175,6 @@ impl Action {
     }
 }
 
-/// A node's state payload: resident nodes carry their snapshot (shared —
-/// descendants anchor to checkpoint-layer snapshots); evicted nodes keep
-/// only what the merge-phase reductions need and are rehydrated by the
-/// worker that expands them.
-pub(super) enum Store {
-    Resident(Arc<Snapshot>),
-    Evicted {
-        /// Pending footprint per pid (what [`Engine::skips`] reads).
-        pending: Vec<Option<Footprint>>,
-        /// Store-buffer head (next-to-flush) footprint per pid — `None`
-        /// for empty buffers and everywhere under SC (what the
-        /// flush-band arm of [`Engine::skips`] reads).
-        flush_heads: Vec<Option<Footprint>>,
-        /// Per-process own-step clocks (what the crash plan reads).
-        own_steps: Vec<u64>,
-        /// Completed steps along the path (what the timeout guard of
-        /// [`Engine::skips`] reads).
-        steps: u64,
-    },
-}
-
 /// A node's rehydration base: the nearest ancestor at a
 /// checkpoint-stride depth ([`super::Explorer::checkpoint_every`]),
 /// held as wherever the [`SnapshotStore`] put it — a shared in-memory
@@ -201,71 +186,33 @@ pub(super) struct Anchor {
     pub(super) depth: usize,
     /// The ancestor's stored snapshot.
     pub(super) snap: SnapRef,
-    /// The ancestor's post-path adversary state (so the replayed picks
-    /// make exactly the `should_crash` calls the original expansion
-    /// made).
-    pub(super) crash: CrashState,
 }
 
-/// One frontier node: a reachable state plus everything path-dependent
-/// the engine needs to continue from it.
+/// One frontier node: a choice path plus either its snapshot or, once
+/// evicted, the anchor it is rebuilt from. Everything else the engine
+/// reads — the alive set, footprints, clocks and crash count — comes
+/// from the snapshot.
 pub(super) struct Node {
-    pub(super) store: Store,
+    /// The node's state while resident; `None` once evicted
+    /// ([`Engine::maybe_evict`]), when the expanding worker rehydrates it.
+    pub(super) snap: Option<Arc<Snapshot>>,
     /// Choice vector from the root (the replayable schedule prefix).
     pub(super) path: Vec<usize>,
-    /// Cached alive set of the node's state.
-    pub(super) alive: Vec<Pid>,
-    /// The decision that created this node. `None` at the root.
-    pub(super) incoming: Option<(Pid, Action)>,
-    /// Adversary state after this node's path (one `should_crash` call
-    /// per pick, as in a gated run).
-    pub(super) crash: CrashState,
     /// Nearest checkpointed ancestor, installed by [`Engine::admit`]
     /// when the node itself sits on a checkpoint-depth layer and
     /// inherited from the parent otherwise. `None` throughout any
     /// exploration where nothing can be evicted ([`Engine::evictable`])
     /// — anchors exist only to serve rehydration, so keeping them alive
     /// then would pin a whole checkpoint layer's snapshots past their
-    /// layer's lifetime for no benefit.
+    /// layer's lifetime for no benefit. In an evictable one every node
+    /// has an anchor: depth 0 is a checkpoint layer.
     pub(super) anchor: Option<Anchor>,
 }
 
-impl Node {
-    fn pending_footprint(&self, pid: Pid) -> Option<Footprint> {
-        match &self.store {
-            Store::Resident(snap) => snap.pending_footprint(pid),
-            Store::Evicted { pending, .. } => pending[pid],
-        }
-    }
-
-    fn flush_head(&self, pid: Pid) -> Option<Footprint> {
-        match &self.store {
-            Store::Resident(snap) => snap.flush_footprint(pid),
-            Store::Evicted { flush_heads, .. } => flush_heads[pid],
-        }
-    }
-
-    fn own_steps(&self, pid: Pid) -> u64 {
-        match &self.store {
-            Store::Resident(snap) => snap.own_steps(pid),
-            Store::Evicted { own_steps, .. } => own_steps[pid],
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        match &self.store {
-            Store::Resident(snap) => snap.steps(),
-            Store::Evicted { steps, .. } => *steps,
-        }
-    }
-}
-
 pub(super) enum Job {
-    /// Execute one scheduling decision at `node`: pick `alive[choice]`,
-    /// or — for a crash-band choice `alive.len() + i` under
-    /// [`Crashes::UpTo`] — deliver a crash to `alive[i]`, or — for a
-    /// TSO flush-band choice `2 * alive.len() + pid` — flush the head
-    /// of raw process `pid`'s store buffer.
+    /// Execute one scheduling decision at `node`: the choice decodes by
+    /// band ([`Pick::decode`]) to a step, a [`Crashes::UpTo`] crash
+    /// delivery, or a TSO store-buffer flush.
     Expand { node: Arc<Node>, choice: usize },
     /// Resume `node` to completion along the canonical choice-0 suffix
     /// (sibling enumeration was cut by the depth bound).
@@ -281,6 +228,12 @@ struct Expanded {
     /// `None` when the committed visited set already contained `fp` (the
     /// snapshot is dropped in the worker, saving merge-phase memory).
     node: Option<Node>,
+    /// The executed decision, decoded — feeds the `crashes=` counter (a
+    /// [`Crashes::UpTo`] crash-band branch) and the `flushes=` counter.
+    pick: Pick,
+    /// The executed decision as an action — what the child's skip rule
+    /// ([`Engine::skips`]) commutes its own picks against.
+    action: Action,
     fp: u64,
     /// The observation quotient coarsened this child's identity (its raw
     /// fingerprint differs from `fp`) — feeds the `qhits` counter when
@@ -291,13 +244,6 @@ struct Expanded {
     /// relabeling) — feeds the `symm=` counter when the child is
     /// pruned.
     symm_coarsened: bool,
-    pre_pruned: bool,
-    /// The executed decision was a crash-band branch of
-    /// [`Crashes::UpTo`] — feeds the `crashes=` counter.
-    crash_branch: bool,
-    /// The executed decision flushed a store-buffer head (a TSO
-    /// flush-band branch) — feeds the `flushes=` counter.
-    flushed: bool,
     /// Choice-path suffix length a rehydration replayed (0 if the parent
     /// was resident) — feeds `max_rehydration_replay`.
     rehydration_replay: u64,
@@ -320,7 +266,6 @@ struct TailRun {
 
 /// The read-only context expansion workers share.
 struct Shared<'a, F> {
-    n: usize,
     crashes: &'a Crashes,
     make_bodies: &'a F,
     /// The committed visited set — read-only while workers expand.
@@ -330,17 +275,11 @@ struct Shared<'a, F> {
     prune: bool,
     /// Fingerprint children by the observation quotient.
     quotient: bool,
-    /// Fold declared view summaries into live observation histories
-    /// (fixed at the root snapshot; kept here for rehydration roots).
-    viewsum: bool,
     /// Fingerprint children by the pid-symmetry canonical form (`Some`
     /// only when the reduction is on, the program declared a spec, and
     /// the adversary is pid-blind — [`Crashes::None`] or
     /// [`Crashes::UpTo`]; see [`Engine::with_store`]).
     symmetry: Option<Symmetry>,
-    /// Explore under the TSO memory model (fixed at the root snapshot;
-    /// kept here for rehydration roots).
-    tso: bool,
     max_steps: u64,
 }
 
@@ -473,16 +412,9 @@ where
             self.ex.tso,
             (self.make_bodies)(),
         );
-        let root = Node {
-            alive: snap.alive(),
-            store: Store::Resident(Arc::new(snap)),
-            path: Vec::new(),
-            incoming: None,
-            crash: CrashState::new(self.ex.crashes.clone()),
-            anchor: None,
-        };
+        let root = Node { snap: Some(Arc::new(snap)), path: Vec::new(), anchor: None };
         let mut jobs = Vec::new();
-        self.admit(root, &mut jobs);
+        self.admit(root, None, &mut jobs);
         self.drive(jobs)
     }
 
@@ -570,48 +502,47 @@ where
         self.ex.resident_ceiling != usize::MAX || self.spilling
     }
 
-    /// Classifies a freshly retained node: terminal and timed-out nodes
-    /// are checked now; depth-bounded nodes queue a tail job; everything
-    /// else queues one expansion job per non-redundant choice. A
-    /// non-terminal node beyond the layer's resident ceiling is evicted
-    /// to scheduling metadata before queueing.
-    fn admit(&mut self, mut node: Node, jobs: &mut Vec<Job>) {
-        let Store::Resident(snap) = &node.store else {
-            unreachable!("children are admitted resident");
-        };
+    /// Classifies a freshly retained node, created by `incoming` (`None`
+    /// at the root): terminal and timed-out nodes are checked now;
+    /// depth-bounded nodes queue a tail job; everything else queues one
+    /// expansion job per non-redundant choice. Every decision reads the
+    /// node's own snapshot, which `admit` holds on to even when the
+    /// resident ceiling evicts the node itself.
+    fn admit(&mut self, mut node: Node, incoming: Option<(Pid, Action)>, jobs: &mut Vec<Job>) {
+        let snap = node.snap.clone().expect("children are admitted resident");
         let depth = node.path.len();
+        let alive = snap.alive();
         // Under TSO a state with everyone finished/crashed but writes
         // still parked in store buffers is *not* terminal: the pending
         // flushes are hardware actions that still mutate shared memory
         // (and future readers), so such nodes branch on flushes below.
         // Under SC every buffer is empty and this is the classic check.
         let flushable = snap.flushable();
-        if node.alive.is_empty() && flushable.is_empty() {
-            let report = snap.report(false);
-            self.finish_run(report, node.path, depth);
+        if alive.is_empty() && flushable.is_empty() {
+            self.finish_run(snap.report(false), node.path, depth);
             return;
         }
         if snap.steps() >= self.ex.limits.max_steps {
-            let report = snap.report(true);
-            self.finish_run(report, node.path, depth);
+            self.finish_run(snap.report(true), node.path, depth);
             return;
         }
         // Checkpoint-depth nodes anchor to themselves: their snapshot
         // goes to the store, and every descendant down to the next
         // checkpoint layer inherits the returned reference.
         if self.evictable() && depth % self.ex.checkpoint_every == 0 {
-            let snap_ref = match self.store.put(snap, &mut self.stats) {
+            let snap_ref = match self.store.put(&snap, &mut self.stats) {
                 Ok(snap_ref) => snap_ref,
                 Err(e) => panic!("explore spill: cannot store a checkpoint snapshot: {e}"),
             };
-            node.anchor = Some(Anchor { depth, snap: snap_ref, crash: node.crash.clone() });
+            node.anchor = Some(Anchor { depth, snap: snap_ref });
         }
-        let node = self.maybe_evict(node);
+        self.maybe_evict(&mut node);
+        let node = Arc::new(node);
         if depth >= self.ex.limits.max_depth {
             // The bound binds: this is no longer a full proof.
             self.complete = false;
             if self.take_work() {
-                jobs.push(Job::Tail { node: Arc::new(node) });
+                jobs.push(Job::Tail { node });
             }
             return;
         }
@@ -620,28 +551,23 @@ where
         // the degree past `n` (up to `2n`), so the histogram grows on
         // demand; SC sweeps never index past the preallocated `n + 1`
         // slots and their summary lines are untouched.
-        let degree = node.alive.len() + flushable.len();
+        let degree = alive.len() + flushable.len();
         if degree >= self.stats.branching_histogram.len() {
             self.stats.branching_histogram.resize(degree + 1, 0);
         }
         self.stats.branching_histogram[degree] += 1;
-        let node = Arc::new(node);
         // Op expansions (`choice < alive.len()`), then — while the
         // crash-count adversary's budget lasts — one crash sibling per
-        // alive process in the crash index band (`alive.len() + i`
-        // delivers a crash to `alive[i]`; other adversaries never have
-        // budget, so the band stays empty for them), then one flush
-        // sibling per non-empty store buffer in the TSO flush band
-        // (`2 * alive.len() + pid` flushes raw process `pid`'s head —
-        // raw pids, because buffers outlive their owner's finish or
-        // crash and the owner may have left the alive set). The band
-        // offsets match `ScheduleState::pick` exactly, so counterexample
-        // vectors replay their crash and flush placements through the
-        // gated engine verbatim.
-        let a = node.alive.len();
-        let choices = if node.crash.budget_left() { 0..2 * a } else { 0..a };
-        for choice in choices.chain(flushable.iter().map(|&p| 2 * a + p)) {
-            if self.skips(&node, choice) {
+        // alive process in the crash band, then one flush sibling per
+        // non-empty store buffer in the TSO flush band (raw pids,
+        // because buffers outlive their owner's finish or crash). The
+        // bands are [`Pick::decode`]'s, which `ScheduleState::pick`
+        // shares, so counterexample vectors replay their crash and flush
+        // placements through the gated engine verbatim.
+        let a = alive.len();
+        let picks = if self.ex.crashes.budget_left(snap.crashes()) { 0..2 * a } else { 0..a };
+        for choice in picks.chain(flushable.iter().map(|&p| 2 * a + p)) {
+            if self.skips(&snap, &alive, incoming, choice) {
                 self.stats.dpor_skips += 1;
                 continue;
             }
@@ -654,32 +580,24 @@ where
 
     /// Applies the resident ceiling: the first
     /// [`super::Explorer::resident_ceiling`] nodes admitted per layer
-    /// keep their snapshot; colder ones are stripped down to scheduling
-    /// metadata and rehydrated on demand by the expanding worker.
+    /// keep their snapshot; colder ones drop it, keeping their path and
+    /// anchor, and are rehydrated on demand by the expanding worker.
     /// Under the in-memory store, checkpoint layers (depth a multiple
     /// of [`super::Explorer::checkpoint_every`]) are exempt: their
     /// resident snapshots *are* the anchors every descendant rehydrates
-    /// from, so evicting one would silently reintroduce the `O(depth)`
-    /// root replay this policy exists to avoid. The disk store keeps
+    /// from, so evicting one would save nothing. The disk store keeps
     /// its anchors in the segment file and waives the exemption —
     /// checkpoint nodes count against the ceiling like any other.
-    fn maybe_evict(&mut self, node: Node) -> Node {
+    fn maybe_evict(&mut self, node: &mut Node) {
         if self.store.exempts_checkpoints() && node.path.len() % self.ex.checkpoint_every == 0 {
-            return node;
+            return;
         }
         if self.resident < self.ex.resident_ceiling {
             self.resident += 1;
-            return node;
+            return;
         }
-        let Store::Resident(snap) = &node.store else {
-            return node;
-        };
         self.stats.evicted += 1;
-        let pending = (0..self.ex.n).map(|p| snap.pending_footprint(p)).collect();
-        let flush_heads = (0..self.ex.n).map(|p| snap.flush_footprint(p)).collect();
-        let own_steps = (0..self.ex.n).map(|p| snap.own_steps(p)).collect();
-        let steps = snap.steps();
-        Node { store: Store::Evicted { pending, flush_heads, own_steps, steps }, ..node }
+        node.snap = None;
     }
 
     /// Accounts one unit of expansion work against the budget; on
@@ -694,32 +612,39 @@ where
         true
     }
 
-    /// The partial-order skip rule ([`super::Reduction::dpor`]). Picking
-    /// `p = alive[choice]` right after the action that created `node`
-    /// (performed by `q`) is redundant when `p < q` and the two actions
+    /// The partial-order skip rule ([`super::Reduction::dpor`]), read
+    /// off the node's snapshot `snap` (alive set `alive`). Picking `p`
+    /// right after the action that created the node (`incoming`,
+    /// performed by `q`) is redundant when `p < q` and the two actions
     /// *commute* ([`Action::commutes`]: footprint independence — pure
     /// reads included — and crash commutation): the transposed pair
     /// reaches the canonical (pid-ascending) pair's state, whose subtree
-    /// is covered from its canonical representative. `p`'s action is a
-    /// crash delivery when the (stateless) crash plan fires at its
-    /// current own-step clock, and the completed operation's footprint
-    /// otherwise.
-    fn skips(&self, node: &Node, choice: usize) -> bool {
+    /// is covered from its canonical representative. An op-band pick of
+    /// `p` is a crash delivery when the (stateless) crash plan fires at
+    /// its current own-step clock, and the completed operation's
+    /// footprint otherwise.
+    fn skips(
+        &self,
+        snap: &Snapshot,
+        alive: &[Pid],
+        incoming: Option<(Pid, Action)>,
+        choice: usize,
+    ) -> bool {
         if !self.dpor {
             return false;
         }
-        let Some((q, act_q)) = &node.incoming else { return false };
-        let a = node.alive.len();
-        let (p, act_p) = if let Some(pid) = choice.checked_sub(2 * a) {
+        let Some((q, act_q)) = incoming else { return false };
+        let (p, act_p) = match Pick::decode(choice, alive) {
             // A TSO flush-band sibling: the action is the buffered
             // head's memory write, attributed to the buffer's owner
             // (raw pid). Always available at the parent too: no other
             // process's action touches `pid`'s buffer (only `pid`'s own
             // ops enqueue to it, and same-pid pairs never skip), so the
             // covering transposed path flushes the identical entry.
-            let Some(head) = node.flush_head(pid) else { return false };
-            (pid, Action::Flush(head))
-        } else if let Some(i) = choice.checked_sub(a) {
+            Pick::Flush(pid) => {
+                let Some(head) = snap.flush_footprint(pid) else { return false };
+                (pid, Action::Flush(head))
+            }
             // A crash-band sibling ([`Crashes::UpTo`] budget branch):
             // the action is the crash delivery itself. Transposing it
             // before `q`'s incoming action is always budget-sound: ops
@@ -727,18 +652,16 @@ where
             // parent is (crash incoming) one more than, or (op
             // incoming) equal to, the budget here — either way enough
             // for the covering path to deliver this crash first.
-            (node.alive[i], Action::Crash)
-        } else {
-            let p = node.alive[choice];
-            let act = if self.crash_fires(p, node.own_steps(p)) {
-                Action::Crash
-            } else {
-                let Some(footprint) = node.pending_footprint(p) else { return false };
-                Action::Op(footprint)
-            };
-            (p, act)
+            Pick::Crash(pid) => (pid, Action::Crash),
+            Pick::Op(pid) if self.ex.crashes.fires_at(pid, snap.own_steps(pid)) => {
+                (pid, Action::Crash)
+            }
+            Pick::Op(pid) => {
+                let Some(footprint) = snap.pending_footprint(pid) else { return false };
+                (pid, Action::Op(footprint))
+            }
         };
-        if p >= *q {
+        if p >= q {
             return false;
         }
         // The TSO fence rule: an operation that drains the caller's
@@ -748,7 +671,7 @@ where
         // it. SC is untouched (buffers are empty, the drain is a
         // no-op, and the single-key footprint is exact).
         if self.ex.tso
-            && [&act_p, act_q].iter().any(|act| act.footprint().is_some_and(Footprint::fences))
+            && [&act_p, &act_q].iter().any(|act| act.footprint().is_some_and(Footprint::fences))
         {
             return false;
         }
@@ -764,25 +687,11 @@ where
         // case needs the guard.)
         if matches!(act_q, Action::Crash)
             && act_p.consumes_step()
-            && node.steps() + 1 >= self.ex.limits.max_steps
+            && snap.steps() + 1 >= self.ex.limits.max_steps
         {
             return false;
         }
-        act_p.commutes(act_q)
-    }
-
-    /// Whether the (stateless) crash plan crashes `pid` at its `own`-th
-    /// step. [`Crashes::Random`] never reaches here: [`Explorer::run`]
-    /// rejects it.
-    fn crash_fires(&self, pid: Pid, own: u64) -> bool {
-        match &self.ex.crashes {
-            Crashes::None => false,
-            Crashes::AtOwnStep(plan) => plan.iter().any(|&(p, s)| p == pid && s == own),
-            // Crash-count crashes are explicit crash-band branches, never
-            // a side effect of an op pick.
-            Crashes::UpTo(_) => false,
-            Crashes::Random { .. } => unreachable!("Explorer::run rejects random crashes"),
-        }
+        act_p.commutes(&act_q)
     }
 
     /// Phase 1: runs the layer's jobs, on this thread or on a scoped
@@ -790,15 +699,12 @@ where
     /// state; all results are folded canonically by [`Engine::merge`].
     fn execute(&self, jobs: &[Job]) -> Vec<JobResult> {
         let shared = Shared {
-            n: self.ex.n,
             crashes: &self.ex.crashes,
             make_bodies: self.make_bodies,
             visited: &self.visited,
             prune: self.prune,
             quotient: self.quotient,
-            viewsum: self.viewsum,
             symmetry: self.symmetry,
-            tso: self.ex.tso,
             max_steps: self.ex.limits.max_steps,
         };
         let workers = self.threads.min(jobs.len());
@@ -846,13 +752,12 @@ where
                     self.stats.max_rehydration_replay =
                         self.stats.max_rehydration_replay.max(child.rehydration_replay);
                     self.stats.store_reads += child.store_reads;
-                    if child.crash_branch {
-                        self.stats.crash_branches += 1;
+                    match child.pick {
+                        Pick::Crash(_) => self.stats.crash_branches += 1,
+                        Pick::Flush(_) => self.stats.flush_branches += 1,
+                        Pick::Op(_) => {}
                     }
-                    if child.flushed {
-                        self.stats.flush_branches += 1;
-                    }
-                    if self.prune && (child.pre_pruned || !self.visited.insert(child.fp)) {
+                    if self.prune && (child.node.is_none() || !self.visited.insert(child.fp)) {
                         self.stats.states_pruned += 1;
                         if child.coarsened {
                             self.stats.quotient_hits += 1;
@@ -867,7 +772,7 @@ where
                     }
                     self.stats.states_visited += 1;
                     let node = child.node.expect("retained children carry their node");
-                    self.admit(node, &mut jobs);
+                    self.admit(node, Some((child.pick.pid(), child.action)), &mut jobs);
                 }
             }
         }
@@ -918,105 +823,79 @@ fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: &Job) -> JobResult
     }
 }
 
-/// One scheduling decision from `snap`, advancing `crash` by its
-/// `should_crash` call: a firing crash replaces the step, exactly as in
-/// the gated scheduler loop. Returns the successor and whether the pick
-/// delivered a crash.
+/// Executes one choice-vector entry from `snap`, decoded by band
+/// ([`Pick::decode`]) exactly as the gated engine decodes the same
+/// vector through `Schedule::Indexed`: an op pick is a scheduling
+/// decision — a crash instead of the step when the (stateless) crash
+/// plan fires at the process's own-step clock — a crash-band pick
+/// delivers one of the crash-count adversary's budgeted crashes,
+/// consuming no step, and a flush-band pick flushes the head of a raw
+/// pid's store buffer, consuming one step but no adversary decision.
+/// Returns the successor, the decoded pick, and the executed action
+/// (its footprint read from `snap`: the flushed head is gone from the
+/// successor's buffer).
 ///
-/// Under the `Fn() -> Vec<Body>` contract a non-crash step must
-/// materialize all `n` bodies to use the picked one — `O(n)` small boxed
-/// allocations per step. Negligible for the catalogued sweeps; a
-/// per-pid body constructor in the public API would remove it if a
+/// Under the `Fn() -> Vec<Body>` contract a step must materialize all
+/// `n` bodies to use the picked one — `O(n)` small boxed allocations
+/// per step. Negligible for the catalogued sweeps; a per-pid body
+/// constructor in the public API would remove it if a
 /// multi-million-expansion sweep ever makes it measurable.
-fn step_snapshot<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    snap: &Snapshot,
-    crash: &mut CrashState,
-    pid: Pid,
-) -> (Snapshot, bool) {
-    if crash.should_crash(pid, snap.own_steps(pid)) {
-        (ModelWorld::resume_crash(snap, pid), true)
-    } else {
-        let body = (shared.make_bodies)().into_iter().nth(pid).expect("one body per process");
-        (ModelWorld::resume_from(snap, pid, body), false)
-    }
-}
-
-/// Executes one choice-vector entry from `snap`: a pick in the op band
-/// (`choice < alive.len()`) is a [`step_snapshot`] scheduling decision,
-/// a pick in the crash index band (`alive.len() + i`) delivers one
-/// of the crash-count adversary's budgeted crashes to `alive[i]` —
-/// consuming no step — and a pick in the TSO flush band
-/// (`2 * alive.len() + pid`, raw pids) flushes the head of `pid`'s
-/// store buffer, consuming one step but no adversary decision — each
-/// exactly as the gated engine decodes the same vector through
-/// `Schedule::Indexed`. Returns the successor, the chosen pid, and
-/// whether the pick delivered a crash / flushed a buffer.
 fn apply_choice<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     snap: &Snapshot,
-    alive: &[Pid],
-    crash: &mut CrashState,
     choice: usize,
-) -> (Snapshot, Pid, bool, bool) {
-    if let Some(pid) = choice.checked_sub(2 * alive.len()) {
-        (ModelWorld::resume_flush(snap, pid), pid, false, true)
-    } else if let Some(i) = choice.checked_sub(alive.len()) {
-        let pid = alive[i];
-        let fired = crash.force_crash();
-        debug_assert!(fired, "crash-band choices are queued only while budget remains");
-        (ModelWorld::resume_crash(snap, pid), pid, true, false)
-    } else {
-        let pid = alive[choice];
-        let (next, crashed) = step_snapshot(shared, snap, crash, pid);
-        (next, pid, crashed, false)
+) -> (Snapshot, Pick, Action) {
+    let pick = Pick::decode(choice, &snap.alive());
+    match pick {
+        Pick::Flush(pid) => {
+            let head =
+                snap.flush_footprint(pid).expect("flush-band choices target non-empty buffers");
+            (ModelWorld::resume_flush(snap, pid), pick, Action::Flush(head))
+        }
+        Pick::Crash(pid) => {
+            debug_assert!(
+                shared.crashes.budget_left(snap.crashes()),
+                "crash-band choices are queued only while budget remains"
+            );
+            (ModelWorld::resume_crash(snap, pid), pick, Action::Crash)
+        }
+        Pick::Op(pid) if shared.crashes.fires_at(pid, snap.own_steps(pid)) => {
+            (ModelWorld::resume_crash(snap, pid), pick, Action::Crash)
+        }
+        Pick::Op(pid) => {
+            let executed = snap.pending_footprint(pid).expect("an alive process parks at a gate");
+            let body = (shared.make_bodies)().into_iter().nth(pid).expect("one body per process");
+            (ModelWorld::resume_from(snap, pid, body), pick, Action::Op(executed))
+        }
     }
 }
 
 /// Rebuilds an evicted node's snapshot by replaying its choice-path
 /// suffix from its [`Anchor`] — every replayed decision a deterministic
 /// resume from a copy of the anchor's snapshot (cloned from memory or
-/// read back and decoded from the segment file, counted in `reads`) and
-/// adversary state, so the result is identical to the snapshot that was
-/// evicted. At most [`super::Explorer::checkpoint_every`] decisions are
-/// replayed (the anchor is the nearest checkpoint-depth ancestor).
-/// Falls back to a fresh root for anchorless nodes — only the root
-/// itself, which is never evicted, so the fallback is defensive.
+/// read back and decoded from the segment file, counted in `reads`), so
+/// the result is identical to the snapshot that was evicted. At most
+/// [`super::Explorer::checkpoint_every`] decisions are replayed (the
+/// anchor is the nearest checkpoint-depth ancestor).
 fn rehydrate<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     node: &Node,
     reads: &mut u64,
 ) -> (Snapshot, u64) {
-    let (mut snap, mut crash, from) = match &node.anchor {
-        Some(anchor) => {
-            let base = match &anchor.snap {
-                SnapRef::Mem(snap) => (**snap).clone(),
-                SnapRef::Disk(disk) => {
-                    *reads += 1;
-                    disk.read().unwrap_or_else(|e| {
-                        panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
-                    })
-                }
-            };
-            (base, anchor.crash.clone(), anchor.depth)
+    let anchor =
+        node.anchor.as_ref().expect("an evictable sweep anchors every node (depth 0 checkpoints)");
+    let mut snap = match &anchor.snap {
+        SnapRef::Mem(snap) => (**snap).clone(),
+        SnapRef::Disk(disk) => {
+            *reads += 1;
+            disk.read().unwrap_or_else(|e| {
+                panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
+            })
         }
-        None => (
-            ModelWorld::snapshot_root_tso(
-                shared.n,
-                shared.prune,
-                shared.viewsum,
-                shared.tso,
-                (shared.make_bodies)(),
-            ),
-            CrashState::new(shared.crashes.clone()),
-            0,
-        ),
     };
-    let suffix = &node.path[from..];
+    let suffix = &node.path[anchor.depth..];
     for &choice in suffix {
-        let alive = snap.alive();
-        let (next, _, _, _) = apply_choice(shared, &snap, &alive, &mut crash, choice);
-        snap = next;
+        snap = apply_choice(shared, &snap, choice).0;
     }
     (snap, suffix.len() as u64)
 }
@@ -1031,9 +910,9 @@ fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
     replayed: &mut u64,
     reads: &mut u64,
 ) -> &'s Snapshot {
-    match &node.store {
-        Store::Resident(snap) => snap,
-        Store::Evicted { .. } => {
+    match &node.snap {
+        Some(snap) => snap,
+        None => {
             let (snap, suffix) = rehydrate(shared, node, reads);
             *replayed = suffix;
             &*slot.insert(snap)
@@ -1043,19 +922,11 @@ fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
 
 /// Executes one scheduling decision from `node`.
 fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usize) -> Expanded {
-    let mut crash = node.crash.clone();
     let mut rebuilt = None;
     let mut rehydration_replay = 0;
     let mut store_reads = 0;
     let parent = snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads);
-    // The flushed head's footprint must be read from the *parent* (the
-    // child's buffer no longer holds it).
-    let flushed_head = choice.checked_sub(2 * node.alive.len()).map(|pid| {
-        parent.flush_footprint(pid).expect("flush-band choices target non-empty buffers")
-    });
-    let (snap, pid, crashed_now, flushed_now) =
-        apply_choice(shared, parent, &node.alive, &mut crash, choice);
-    let crash_branch = (node.alive.len()..2 * node.alive.len()).contains(&choice);
+    let (snap, pick, action) = apply_choice(shared, parent, choice);
     let (fp, coarsened, symm_coarsened) = if shared.prune {
         let coarsened = shared.quotient && snap.quotient_coarsens();
         match &shared.symmetry {
@@ -1069,48 +940,21 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
     } else {
         (0, false, false)
     };
-    if shared.prune && shared.visited.contains(&fp) {
-        return Expanded {
-            node: None,
-            fp,
-            coarsened,
-            symm_coarsened,
-            pre_pruned: true,
-            crash_branch,
-            flushed: flushed_now,
-            rehydration_replay,
-            store_reads,
-        };
-    }
-    let incoming = if let Some(head) = flushed_head {
-        Some((pid, Action::Flush(head)))
-    } else if crashed_now {
-        Some((pid, Action::Crash))
-    } else {
-        let executed = node.pending_footprint(pid).expect("an alive process parks at a gate");
-        Some((pid, Action::Op(executed)))
-    };
-    let mut path = node.path.clone();
-    path.push(choice);
-    let alive = snap.alive();
-    let child = Node {
-        store: Store::Resident(Arc::new(snap)),
-        path,
-        alive,
-        incoming,
-        crash,
-        // The admit pass overwrites this with a self-anchor on
+    let pre_pruned = shared.prune && shared.visited.contains(&fp);
+    let child = (!pre_pruned).then(|| {
+        let mut path = node.path.clone();
+        path.push(choice);
+        // The admit pass overwrites the anchor with a self-anchor on
         // checkpoint-depth layers.
-        anchor: node.anchor.clone(),
-    };
+        Node { snap: Some(Arc::new(snap)), path, anchor: node.anchor.clone() }
+    });
     Expanded {
-        node: Some(child),
+        node: child,
+        pick,
+        action,
         fp,
         coarsened,
         symm_coarsened,
-        pre_pruned: false,
-        crash_branch,
-        flushed: flushed_now,
         rehydration_replay,
         store_reads,
     }
@@ -1124,30 +968,22 @@ fn run_tail<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> TailRu
     let mut store_reads = 0;
     let mut snap =
         snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads).clone();
-    let mut crash = node.crash.clone();
     let mut choices = node.path.clone();
     let report = loop {
-        let alive = snap.alive();
-        if alive.is_empty() && snap.is_terminal() {
+        if snap.is_terminal() {
             break snap.report(false);
         }
         if snap.steps() >= shared.max_steps {
             break snap.report(true);
         }
-        if let Some(&pid) = alive.first() {
-            choices.push(0);
-            let (next, _) = step_snapshot(shared, &snap, &mut crash, pid);
-            snap = next;
-        } else {
-            // Everyone finished or crashed but store buffers still hold
-            // writes (TSO only): drain them in raw-pid order, recording
-            // each flush as its properly band-encoded choice
-            // (`2 * alive.len() + pid` — here `alive` is empty, so just
-            // `pid`) so the vector replays through the gated engine.
-            let pid = *snap.flushable().first().expect("non-terminal with no alive process");
-            choices.push(2 * alive.len() + pid);
-            snap = ModelWorld::resume_flush(&snap, pid);
-        }
+        // Step the lowest alive process; once everyone finished or
+        // crashed but store buffers still hold writes (TSO only), drain
+        // them in raw-pid order — with no alive process the flush band
+        // starts at 0, so the choice is the pid itself and the vector
+        // replays through the gated engine.
+        let choice = if snap.alive().is_empty() { snap.flushable()[0] } else { 0 };
+        choices.push(choice);
+        snap = apply_choice(shared, &snap, choice).0;
     };
     TailRun { report, depth: choices.len(), choices, rehydration_replay, store_reads }
 }

@@ -135,8 +135,8 @@
 //! Wide layers at `n ≥ 4` can hold hundreds of thousands of live
 //! snapshots. Under a resident ceiling only the first `ceiling` nodes
 //! admitted per layer keep their snapshot; colder nodes are evicted down
-//! to scheduling metadata and deterministically rehydrated when a worker
-//! expands them — reports are byte-identical to the unbounded run
+//! to their choice path and anchor and deterministically rehydrated when
+//! a worker expands them — reports are byte-identical to the unbounded run
 //! (tested in `crates/agreement/tests/explore_sweeps.rs`). Rehydration
 //! replays the evicted node's choice path through the snapshot engine,
 //! starting not at the root but at the node's **anchor**: every node
@@ -455,10 +455,10 @@ impl Explorer {
 
     /// Bounds the frontier's memory: at most `ceiling` nodes admitted per
     /// layer keep their [`crate::model_world::Snapshot`] resident
-    /// (clamped to at least 1); colder nodes are evicted to scheduling
-    /// metadata and rehydrated by replaying their choice path from their
-    /// nearest checkpointed ancestor ([`Explorer::checkpoint_every`])
-    /// when expanded. Reports are byte-identical to the unbounded run;
+    /// (clamped to at least 1); colder nodes keep only their choice path
+    /// and are rehydrated by replaying it from their nearest
+    /// checkpointed ancestor ([`Explorer::checkpoint_every`]) when
+    /// expanded. Reports are byte-identical to the unbounded run;
     /// evicted expansions cost at most `checkpoint_every` extra resumes
     /// each. The default is `usize::MAX` (never evict).
     pub fn resident_ceiling(mut self, ceiling: usize) -> Self {
@@ -526,8 +526,9 @@ impl Explorer {
     /// anchors live on disk), so the ceiling genuinely bounds resident
     /// memory. The directory is created (or wiped) when the sweep
     /// starts. Every crash adversary the explorer accepts spills:
-    /// [`Crashes::None`], [`Crashes::AtOwnStep`] and [`Crashes::UpTo`]
-    /// are all restored from the crash count a frontier record carries.
+    /// under [`Crashes::None`], [`Crashes::AtOwnStep`] and
+    /// [`Crashes::UpTo`] the adversary state is the crashed flags of
+    /// the snapshots a resumed sweep rehydrates.
     pub fn spill_to(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -1362,11 +1363,11 @@ mod tests {
     }
 
     /// A TSO sweep's spill manifest round-trips the weak-memory state:
-    /// evicted nodes carry their flush-head footprints, resident
     /// checkpoints serialize store-buffer contents through the snapshot
-    /// codec, and the manifest records the `tso` flag plus the flush
-    /// counter — so a sweep killed mid-flight resumes to the byte-
-    /// identical report of the uninterrupted run.
+    /// codec, evicted and resumed nodes read their flush heads from the
+    /// snapshot they rehydrate, and the manifest records the `tso` flag
+    /// plus the flush counter — so a sweep killed mid-flight resumes to
+    /// the byte-identical report of the uninterrupted run.
     #[test]
     fn tso_sweep_resumes_to_identical_report() {
         let dir = sweep_dir("tso-resume");
@@ -1389,9 +1390,10 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v4 manifest counts read-read skips apart from `dpor_skips` and
-    /// records a separate read-read reduction flag, and a v3 one (pre-TSO
-    /// key set) cannot describe a TSO sweep at all.
+    /// v5 state file records each frontier node's alive set, incoming
+    /// action, footprints, clocks and crash counts, which the v6
+    /// path-plus-anchor record drops, and a v3 manifest (pre-TSO key
+    /// set) cannot describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1399,16 +1401,77 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=5"), "current manifests are v5");
+        assert!(text.contains("manifest_version=6"), "current manifests are v6");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=5", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=6", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(4);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v4 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 4"), "{e}");
+        downgrade(5);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v5 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 5"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+    }
+
+    /// The value of `key=` in a sweep directory's manifest.
+    fn manifest_field(dir: &std::path::Path, key: &str) -> String {
+        let text = std::fs::read_to_string(dir.join("MANIFEST")).expect("manifest exists");
+        let prefix = format!("{key}=");
+        let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+        line.unwrap_or_else(|| panic!("manifest records {key}")).to_string()
+    }
+
+    /// A manifest whose checkpoint stride is 0 is corrupt: opening it
+    /// is an `InvalidData` error, not a division by zero at the first
+    /// admitted node.
+    #[test]
+    fn resume_rejects_a_zero_checkpoint_stride() {
+        let dir = sweep_dir("zero-stride");
+        Explorer::new(3)
+            .resident_ceiling(1)
+            .checkpoint_every(2)
+            .spill_to(&dir)
+            .halt_after_layers(2)
+            .run(spill_bodies, |_r| Ok(()));
+        assert_eq!(manifest_field(&dir, "checkpoint_every"), "2");
+        let manifest = dir.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        std::fs::write(&manifest, text.replace("checkpoint_every=2", "checkpoint_every=0"))
+            .expect("rewrite manifest");
+        let Err(e) = store::open_sweep(&dir) else { panic!("a zero stride must be rejected") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A frontier record whose anchor lies deeper than its own choice
+    /// path is corrupt: opening it is an `InvalidData` error, not an
+    /// out-of-range slice when the node is rehydrated.
+    #[test]
+    fn resume_rejects_an_anchor_beyond_its_path() {
+        let dir = sweep_dir("deep-anchor");
+        Explorer::new(3)
+            .resident_ceiling(1)
+            .checkpoint_every(4)
+            .spill_to(&dir)
+            .halt_after_layers(2)
+            .run(spill_bodies, |_r| Ok(()));
+        // The state file (`store::encode_state`): magic, codec version,
+        // violation count (none here), group count, then the first
+        // node record — path length, path, anchor depth.
+        let state = dir.join(manifest_field(&dir, "state_file"));
+        let mut bytes = std::fs::read(&state).expect("state file exists");
+        let word = |bytes: &[u8], at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+        };
+        let path_len_at = 4 + 2 + 8 + 8;
+        let path_len = word(&bytes, path_len_at);
+        let depth_at = path_len_at + 8 + 8 * path_len as usize;
+        assert!(word(&bytes, depth_at) <= path_len, "the recorded anchor sits on the path");
+        bytes[depth_at..depth_at + 8].copy_from_slice(&(path_len + 1).to_le_bytes());
+        std::fs::write(&state, bytes).expect("rewrite state file");
+        let Err(e) = store::open_sweep(&dir) else { panic!("a too-deep anchor must be rejected") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A manifest whose `visited_len` is not a multiple of the 8-byte

@@ -68,7 +68,7 @@ pub struct ExploreStats {
     /// store-buffer head to shared memory (one per explored flush-band
     /// branch). Always `0` under sequential consistency.
     pub flush_branches: u64,
-    /// Frontier nodes evicted down to scheduling metadata by
+    /// Frontier nodes evicted down to their choice path and anchor by
     /// [`super::Explorer::resident_ceiling`] and rehydrated on demand.
     /// Deliberately **not** part of [`ExploreStats::summary`]: the
     /// ceiling is a memory policy, not a search-shape parameter, and

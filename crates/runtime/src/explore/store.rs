@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `segments.bin` | checkpoint records: `[payload_len: u64 LE][payload]`, where `payload` is [`Snapshot::encode`] bytes |
 //! | `visited.bin` | visited fingerprints, 8 bytes LE each, appended per layer barrier |
-//! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs (binary, see `encode_state`) |
+//! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs, each node as its choice path and disk anchor (binary, see `encode_state`) |
 //! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths, status |
 //!
 //! # Resume soundness
@@ -38,14 +38,16 @@
 //! merge effect (visited insertions, statistics, violations) was only
 //! committed at the *next* barrier.
 //!
-//! Adversary state is reconstructed, not serialized: frontier records
-//! carry each node's crash **count**, and [`CrashState::restore`]
-//! rebuilds the exact state for the replayable policies
-//! ([`Crashes::None`] / [`Crashes::AtOwnStep`] / [`Crashes::UpTo`] —
-//! for the crash-count adversary the count *is* the whole state, so a
-//! resumed sweep re-branches with exactly the remaining budget).
-//! [`Crashes::Random`] carries RNG stream position; the explorer
-//! rejects it before any sweep starts.
+//! A frontier record is a node's choice path plus its disk anchor, and
+//! nothing else: the expanding worker rehydrates the node's snapshot
+//! from the anchor, and the snapshot holds everything the engine reads
+//! — the alive set, footprints, clocks, and the adversary state. Under
+//! every policy the explorer accepts ([`Crashes::None`] /
+//! [`Crashes::AtOwnStep`] / [`Crashes::UpTo`]) that state is which
+//! processes have crashed, so a resumed crash-count sweep re-branches
+//! with exactly the budget its crashed flags leave. [`Crashes::Random`]
+//! carries RNG stream position; the explorer rejects it before any
+//! sweep starts.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -53,13 +55,11 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::model_world::codec::{
-    decode_footprint, encode_footprint, ByteReader, ByteWriter, CodecError, CODEC_VERSION,
-};
+use crate::model_world::codec::{ByteReader, ByteWriter, CodecError, CODEC_VERSION};
 use crate::model_world::Snapshot;
-use crate::sched::{CrashState, Crashes};
+use crate::sched::Crashes;
 
-use super::frontier::{Action, Anchor, Job, Node, Store};
+use super::frontier::{Anchor, Job, Node};
 use super::report::{ExploreReport, ExploreStats, Violation};
 use super::{ExploreLimits, Explorer, Reduction};
 
@@ -73,10 +73,13 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// plus the `Flush` incoming-action tag). v5 folded the commuting-reads
 /// rule into DPOR: `dpor_skips` now counts every skip made before
 /// execution, and the separate read-read reduction flag, its counter and
-/// the per-mode summary flags are gone. An older manifest would resume
-/// with a different reduction set or misread counters, so older
+/// the per-mode summary flags are gone. v6 shrank the frontier record to
+/// the choice path plus the disk anchor: alive sets, incoming actions,
+/// footprints, clocks and crash counts are read from the rehydrated
+/// snapshot instead. An older manifest would resume with a different
+/// reduction set, misread counters or misparse its state file, so older
 /// manifests are rejected whole rather than partially decoded.
-const MANIFEST_VERSION: u64 = 5;
+const MANIFEST_VERSION: u64 = 6;
 
 /// Where a stored checkpoint snapshot lives — what [`SnapshotStore::put`]
 /// returns and a frontier anchor carries.
@@ -313,7 +316,7 @@ fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
     let groups = group_jobs(ck.jobs);
     w.put_usize(groups.len());
     for (node, kind) in groups {
-        encode_node(&mut w, node, ck.ex.n)?;
+        encode_node(&mut w, node)?;
         match kind {
             GroupKind::Tail => w.put_u8(0),
             GroupKind::Expand(choices) => {
@@ -352,147 +355,35 @@ fn group_jobs(jobs: &[Job]) -> Vec<(&Node, GroupKind)> {
     out.into_iter().map(|(node, kind)| (&**node, kind)).collect()
 }
 
-/// One frontier node, in rehydratable (evicted) form: resident nodes are
-/// flattened to the same scheduling metadata eviction keeps, since a
-/// resumed node rebuilds its snapshot from its disk anchor anyway.
-fn encode_node(w: &mut ByteWriter, node: &Node, n: usize) -> Result<(), CodecError> {
+/// One frontier node as its choice path and disk anchor — the evicted
+/// form, since a resumed node rebuilds its snapshot from the anchor
+/// anyway.
+fn encode_node(w: &mut ByteWriter, node: &Node) -> Result<(), CodecError> {
+    // Under the spill store every node is anchored (depth 0 is a
+    // checkpoint layer) and every `put` returns a disk ref, so anything
+    // else here is an engine bug.
+    let Some(Anchor { depth, snap: SnapRef::Disk(disk) }) = &node.anchor else {
+        return Err(CodecError::UnsupportedValue { context: "frontier node anchor" });
+    };
     w.put_usize(node.path.len());
     for &c in &node.path {
         w.put_usize(c);
     }
-    w.put_usize(node.alive.len());
-    for &p in &node.alive {
-        w.put_usize(p);
-    }
-    match &node.incoming {
-        None => w.put_u8(0),
-        Some((pid, Action::Op(f))) => {
-            w.put_u8(1);
-            w.put_usize(*pid);
-            encode_footprint(w, f);
-        }
-        Some((pid, Action::Crash)) => {
-            w.put_u8(2);
-            w.put_usize(*pid);
-        }
-        Some((pid, Action::Flush(f))) => {
-            w.put_u8(3);
-            w.put_usize(*pid);
-            encode_footprint(w, f);
-        }
-    }
-    w.put_usize(node.crash.crashes_so_far());
-    let (pending, flush_heads, own_steps, steps) = match &node.store {
-        Store::Resident(snap) => (
-            (0..n).map(|p| snap.pending_footprint(p)).collect::<Vec<_>>(),
-            (0..n).map(|p| snap.flush_footprint(p)).collect::<Vec<_>>(),
-            (0..n).map(|p| snap.own_steps(p)).collect::<Vec<_>>(),
-            snap.steps(),
-        ),
-        Store::Evicted { pending, flush_heads, own_steps, steps } => {
-            (pending.clone(), flush_heads.clone(), own_steps.clone(), *steps)
-        }
-    };
-    for footprints in [&pending, &flush_heads] {
-        w.put_usize(footprints.len());
-        for f in footprints {
-            match f {
-                None => w.put_u8(0),
-                Some(f) => {
-                    w.put_u8(1);
-                    encode_footprint(w, f);
-                }
-            }
-        }
-    }
-    w.put_usize(own_steps.len());
-    for &s in &own_steps {
-        w.put_u64(s);
-    }
-    w.put_u64(steps);
-    match &node.anchor {
-        None => w.put_u8(0),
-        Some(anchor) => {
-            let SnapRef::Disk(disk) = &anchor.snap else {
-                // Under the spill store every `put` returns a disk ref,
-                // so a memory anchor here is an engine bug.
-                return Err(CodecError::UnsupportedValue { context: "in-memory anchor" });
-            };
-            w.put_u8(1);
-            w.put_usize(anchor.depth);
-            w.put_u64(disk.offset);
-            w.put_u64(disk.len);
-            w.put_usize(anchor.crash.crashes_so_far());
-        }
-    }
+    w.put_usize(*depth);
+    w.put_u64(disk.offset);
+    w.put_u64(disk.len);
     Ok(())
 }
 
-fn decode_node(
-    r: &mut ByteReader<'_>,
-    policy: &Crashes,
-    segments: &Arc<File>,
-) -> Result<Node, CodecError> {
+fn decode_node(r: &mut ByteReader<'_>, segments: &Arc<File>) -> Result<Node, CodecError> {
     let path = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
-    let alive = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
-    let incoming = match r.u8()? {
-        0 => None,
-        1 => {
-            let pid = r.usize()?;
-            Some((pid, Action::Op(decode_footprint(r)?)))
-        }
-        2 => Some((r.usize()?, Action::Crash)),
-        3 => {
-            let pid = r.usize()?;
-            Some((pid, Action::Flush(decode_footprint(r)?)))
-        }
-        tag => return Err(CodecError::BadTag { what: "incoming action", tag: u64::from(tag) }),
-    };
-    let crash = CrashState::restore(policy.clone(), r.usize()?);
-    let pending = (0..r.usize()?)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => decode_footprint(r).map(Some),
-            tag => Err(CodecError::BadTag { what: "pending footprint", tag: u64::from(tag) }),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let flush_heads = (0..r.usize()?)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => decode_footprint(r).map(Some),
-            tag => Err(CodecError::BadTag { what: "flush-head footprint", tag: u64::from(tag) }),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let own_steps = (0..r.usize()?).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-    let steps = r.u64()?;
-    let anchor = match r.u8()? {
-        0 => None,
-        1 => {
-            let depth = r.usize()?;
-            let offset = r.u64()?;
-            let len = r.u64()?;
-            let crashes = r.usize()?;
-            Some(Anchor {
-                depth,
-                snap: SnapRef::Disk(DiskRef { file: Arc::clone(segments), offset, len }),
-                crash: CrashState::restore(policy.clone(), crashes),
-            })
-        }
-        tag => return Err(CodecError::BadTag { what: "anchor", tag: u64::from(tag) }),
-    };
-    Ok(Node {
-        store: Store::Evicted { pending, flush_heads, own_steps, steps },
-        path,
-        alive,
-        incoming,
-        crash,
-        anchor,
-    })
+    let depth = r.usize()?;
+    let disk = DiskRef { file: Arc::clone(segments), offset: r.u64()?, len: r.u64()? };
+    Ok(Node { snap: None, path, anchor: Some(Anchor { depth, snap: SnapRef::Disk(disk) }) })
 }
 
 fn decode_state(
     bytes: &[u8],
-    policy: &Crashes,
     segments: &Arc<File>,
 ) -> Result<(Vec<Violation>, Vec<Job>), CodecError> {
     let mut r = ByteReader::new(bytes);
@@ -513,7 +404,7 @@ fn decode_state(
     }
     let mut jobs = Vec::new();
     for _ in 0..r.usize()? {
-        let node = Arc::new(decode_node(&mut r, policy, segments)?);
+        let node = Arc::new(decode_node(&mut r, segments)?);
         match r.u8()? {
             0 => jobs.push(Job::Tail { node }),
             1 => {
@@ -726,10 +617,14 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         v if v == u64::from(CODEC_VERSION) => {}
         v => return Err(bad_data(format!("unsupported snapshot codec version {v}"))),
     }
-    let crashes = decode_crashes(m.field("crashes")?)?;
+    // A zero stride would divide by zero at the first admitted node.
+    let checkpoint_every = match m.usize("checkpoint_every")? {
+        0 => return Err(bad_data("manifest checkpoint_every is 0; the stride is at least 1")),
+        k => k,
+    };
     let ex = Explorer {
         n: m.usize("n")?,
-        crashes: crashes.clone(),
+        crashes: decode_crashes(m.field("crashes")?)?,
         tso: m.bool("tso")?,
         limits: ExploreLimits {
             max_expansions: m.u64("max_expansions")?,
@@ -746,7 +641,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         collect_all: m.bool("collect_all")?,
         threads: m.usize("threads")?,
         resident_ceiling: m.usize("resident_ceiling")?,
-        checkpoint_every: m.usize("checkpoint_every")?,
+        checkpoint_every,
         spill_dir: Some(dir.to_path_buf()),
         halt_after_layers: None,
         fixture: m.field("fixture")?.to_string(),
@@ -795,7 +690,19 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     let state_bytes = fs::read(dir.join(state_name))?;
     let segments =
         Arc::new(OpenOptions::new().read(true).append(true).open(dir.join("segments.bin"))?);
-    let (violations, jobs) = decode_state(&state_bytes, &crashes, &segments).map_err(bad_data)?;
+    let (violations, jobs) = decode_state(&state_bytes, &segments).map_err(bad_data)?;
+    // Rehydration replays `path[depth..]`, so an anchor deeper than its
+    // own node's path is corrupt.
+    for job in &jobs {
+        let (Job::Expand { node, .. } | Job::Tail { node }) = job;
+        if let Some(anchor) = node.anchor.as_ref().filter(|a| a.depth > node.path.len()) {
+            return Err(bad_data(format!(
+                "frontier record anchored at depth {} beyond its {}-choice path",
+                anchor.depth,
+                node.path.len()
+            )));
+        }
+    }
     if m.field("status")? == "done" {
         return Ok(OpenedSweep::Done(ExploreReport {
             complete: complete && violations.is_empty(),

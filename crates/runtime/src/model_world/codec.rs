@@ -428,16 +428,15 @@ pub(crate) fn decode_key(r: &mut ByteReader<'_>) -> Result<ObjKey, CodecError> {
 }
 
 /// Encodes a dependency [`Footprint`] (op tag, key, optional cell,
-/// purity) — used both inside snapshots (pending operations) and by the
-/// explorer's persisted frontier metadata.
-pub(crate) fn encode_footprint(w: &mut ByteWriter, f: &Footprint) {
+/// purity) — a snapshot's pending operations.
+fn encode_footprint(w: &mut ByteWriter, f: &Footprint) {
     w.put_u64(f.op);
     encode_key(w, f.key);
     put_opt_u64(w, f.cell);
     w.put_bool(f.pure_read);
 }
 
-pub(crate) fn decode_footprint(r: &mut ByteReader<'_>) -> Result<Footprint, CodecError> {
+fn decode_footprint(r: &mut ByteReader<'_>) -> Result<Footprint, CodecError> {
     let op = r.u64()?;
     let key = decode_key(r)?;
     let cell = get_opt_u64(r)?;

@@ -82,7 +82,8 @@ fn install_crash_hook() {
     });
 }
 
-/// How long the scheduler waits for a granted process to complete one step
+/// How long the scheduler waits for the processes to settle — a granted
+/// process to take its step and run on to its next gate, return or fail —
 /// before declaring the harness wedged (indicates a bug in a process body,
 /// e.g. an infinite local loop that never touches shared memory).
 const STEP_GRANT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -520,8 +521,9 @@ struct State {
     /// scheduler only picks among *settled* processes (waiting, finished or
     /// crashed), which makes the alive set — and hence branch degrees and
     /// traces — deterministic instead of racing with finish recording.
+    /// [`ModelWorld::grant`] clears the flag, so the next settle wait
+    /// covers the granted step.
     waiting: Vec<bool>,
-    op_done: bool,
     failures: Vec<(Pid, String)>,
     trace: Vec<Pid>,
 }
@@ -839,7 +841,6 @@ impl ModelWorld {
             mode,
             permits: vec![Permit::Idle; n],
             waiting: vec![false; n],
-            op_done: false,
             failures: Vec::new(),
             trace: Vec::new(),
         };
@@ -1005,28 +1006,19 @@ impl ModelWorld {
         self.inner.sched_cv.notify_one();
     }
 
-    /// Grants one step to `pid` and waits until it completes (or the
-    /// process finishes or crashes while granted).
+    /// Grants one step to `pid` and records it in the trace. `pid` is no
+    /// longer settled, so the run loop's next settle wait covers the step
+    /// and the body's run to its next gate. A granted process always
+    /// completes its operation; if the operation panics instead, the run
+    /// panics with that failure, so the trace is never observed.
     fn grant(&self, pid: Pid, record_trace: bool) {
         let mut st = self.inner.st.lock();
         st.permits[pid] = Permit::Granted;
-        self.inner.proc_cvs[pid].notify_one();
-        loop {
-            if st.op_done {
-                st.op_done = false;
-                if record_trace {
-                    st.trace.push(pid);
-                }
-                return;
-            }
-            if st.snap.finished[pid] || st.snap.crashed[pid] {
-                st.permits[pid] = Permit::Idle;
-                return;
-            }
-            if self.inner.sched_cv.wait_for(&mut st, STEP_GRANT_TIMEOUT).timed_out() {
-                panic!("virtual process {pid} did not take its granted step within {STEP_GRANT_TIMEOUT:?} (runaway local loop?)");
-            }
+        st.waiting[pid] = false;
+        if record_trace {
+            st.trace.push(pid);
         }
+        self.inner.proc_cvs[pid].notify_one();
     }
 
     /// Delivers an adversary crash to `pid` instead of its next step: the
@@ -1051,8 +1043,9 @@ impl ModelWorld {
     /// dependency surface (object, cell granularity, purity — published
     /// while parked, for the explorer's reductions).
     ///
-    /// In the gated mode the step first waits for the scheduler's grant
-    /// and then signals completion.
+    /// In the gated mode the step first waits for the scheduler's grant;
+    /// the scheduler sees the step done once the body settles again (at
+    /// its next gate, or finished).
     ///
     /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
     /// are answered from the recorded log without executing `op`; the
@@ -1083,7 +1076,6 @@ impl ModelWorld {
                     match st.permits[pid] {
                         Permit::Granted => {
                             st.permits[pid] = Permit::Idle;
-                            st.waiting[pid] = false;
                             break;
                         }
                         Permit::Crash => {
@@ -1098,15 +1090,8 @@ impl ModelWorld {
         }
         let out = op(&mut st.snap);
         st.snap.count_op(pid, key.kind);
-        match &mut st.mode {
-            Mode::Free => {}
-            Mode::Resume(ctl) => {
-                ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())))
-            }
-            Mode::Gated => {
-                st.op_done = true;
-                self.inner.sched_cv.notify_one();
-            }
+        if let Mode::Resume(ctl) = &mut st.mode {
+            ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())));
         }
         out
     }

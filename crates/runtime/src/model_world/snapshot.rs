@@ -271,6 +271,14 @@ impl Snapshot {
         (0..self.n).filter(|&p| !self.finished[p] && !self.crashed[p]).collect()
     }
 
+    /// Adversary crashes delivered along the path to this state: the
+    /// number of crashed flags. Every delivery sets exactly one new flag
+    /// ([`ModelWorld::resume_crash`]), so this is the crash count the
+    /// explorer's [`crate::sched::Crashes::UpTo`] budget reads.
+    pub(crate) fn crashes(&self) -> usize {
+        self.crashed.iter().filter(|&&c| c).count()
+    }
+
     /// `true` once every process has decided or crashed — and, under TSO,
     /// every store buffer has drained: undelivered writes still change
     /// shared memory, so a state with a non-empty buffer has futures.

@@ -73,6 +73,33 @@ pub(crate) enum Pick {
     Flush(Pid),
 }
 
+impl Pick {
+    /// Decodes an indexed choice by band, with no degradation: `choice
+    /// < alive.len()` grants `alive[choice]` a step, `alive.len() ..
+    /// 2 * alive.len()` delivers a crash to `alive[choice - alive.len()]`,
+    /// and `2 * alive.len() + pid` flushes the store buffer of **raw
+    /// pid** `pid` (raw, not alive-indexed: finished and crashed
+    /// processes keep draining — hardware owns the buffer, not the
+    /// process). Explorer-generated choices decode exactly this way.
+    pub(crate) fn decode(choice: usize, alive: &[Pid]) -> Pick {
+        let a = alive.len();
+        if choice < a {
+            Pick::Op(alive[choice])
+        } else if choice < 2 * a {
+            Pick::Crash(alive[choice - a])
+        } else {
+            Pick::Flush(choice - 2 * a)
+        }
+    }
+
+    /// The process the decision is about.
+    pub(crate) fn pid(self) -> Pid {
+        match self {
+            Pick::Op(pid) | Pick::Crash(pid) | Pick::Flush(pid) => pid,
+        }
+    }
+}
+
 pub(crate) struct ScheduleState {
     policy: Schedule,
     rng: StdRng,
@@ -98,14 +125,7 @@ impl ScheduleState {
     /// Only [`Schedule::Indexed`] returns [`Pick::Crash`] or
     /// [`Pick::Flush`]; every other policy grants a step to one of
     /// `alive` (non-empty) and leaves crashing to the crash policy. An
-    /// indexed choice `idx` decodes by band:
-    ///
-    /// * `idx < alive.len()` grants `alive[idx]` a step;
-    /// * `alive.len() .. 2 * alive.len()` delivers a crash to
-    ///   `alive[idx - alive.len()]`;
-    /// * `2 * alive.len() + pid` flushes the store buffer of **raw pid**
-    ///   `pid` (raw, not alive-indexed: finished and crashed processes
-    ///   keep draining — hardware owns the buffer, not the process).
+    /// indexed choice decodes by band ([`Pick::decode`]).
     ///
     /// Degradations keep foreign vectors total and deterministic: a
     /// flush pick of a pid whose buffer is empty — and any index beyond
@@ -145,21 +165,14 @@ impl ScheduleState {
                 Pick::Op(alive[self.rng.gen_range(0..alive.len())])
             }
             Schedule::Indexed { choices } => {
-                let a = alive.len();
                 let idx = choices.get(self.cursor).copied().unwrap_or(0);
                 self.cursor += 1;
-                if (a..2 * a).contains(&idx) {
-                    return Pick::Crash(alive[idx - a]);
-                }
-                if let Some(pid) = idx.checked_sub(2 * a) {
-                    if flushable.contains(&pid) {
-                        return Pick::Flush(pid);
-                    }
-                }
-                if alive.is_empty() {
-                    Pick::Flush(flushable[0])
-                } else {
-                    Pick::Op(alive[idx % a])
+                match Pick::decode(idx, alive) {
+                    Pick::Flush(pid) if !flushable.contains(&pid) => match alive.len() {
+                        0 => Pick::Flush(flushable[0]),
+                        a => Pick::Op(alive[idx % a]),
+                    },
+                    pick => pick,
                 }
             }
         }
@@ -200,11 +213,32 @@ pub enum Crashes {
     },
 }
 
-/// Cloneable so the exhaustive explorer can carry the adversary's
-/// per-path state on each frontier node ([`crate::explore`]): advancing a
-/// clone per child replays exactly the `should_crash` call sequence a
-/// gated run over the same schedule prefix would make.
-#[derive(Clone)]
+impl Crashes {
+    /// Whether the policy's plan crashes `pid` right before its
+    /// `own_step`-th step: the [`Crashes::AtOwnStep`] rule, a pure
+    /// function of the pid and its own-step clock. `false` for every
+    /// other policy ([`Crashes::UpTo`] crashes are explicit schedule
+    /// branches, and [`Crashes::Random`] decisions live in the gated
+    /// engine's [`CrashState`]).
+    pub(crate) fn fires_at(&self, pid: Pid, own_step: u64) -> bool {
+        matches!(self, Crashes::AtOwnStep(plan) if plan.contains(&(pid, own_step)))
+    }
+
+    /// Whether a path that has delivered `crashed` crashes may deliver
+    /// another scheduled one — `false` for every policy but
+    /// [`Crashes::UpTo`], the only one whose crashes are scheduled rather
+    /// than decided. The explorer reads this, with the crashed flags of a
+    /// node's snapshot, to know whether to enumerate crash branches there.
+    pub(crate) fn budget_left(&self, crashed: usize) -> bool {
+        matches!(self, Crashes::UpTo(f) if crashed < *f)
+    }
+}
+
+/// The gated engine's adversary: the policy plus what a run must carry
+/// to apply it — the crashes delivered so far (the [`Crashes::UpTo`]
+/// budget and the [`Crashes::Random`] cap) and the [`Crashes::Random`]
+/// RNG. The explorer needs none of it: under every policy it accepts,
+/// a node's adversary state is the crashed flags of its snapshot.
 pub(crate) struct CrashState {
     policy: Crashes,
     rng: StdRng,
@@ -220,38 +254,13 @@ impl CrashState {
         CrashState { policy, rng: StdRng::seed_from_u64(seed), crashes_so_far: 0 }
     }
 
-    /// Reconstructs the adversary state a fresh [`CrashState::new`] would
-    /// reach after delivering `crashes_so_far` crashes — exact for the
-    /// replayable policies ([`Crashes::None`] / [`Crashes::AtOwnStep`] /
-    /// [`Crashes::UpTo`]), whose decisions depend only on the policy and
-    /// the crash count (for `UpTo` the count is the remaining budget).
-    /// The explorer's persisted sweeps use this to rehydrate adversary
-    /// state from a manifest; the explorer rejects [`Crashes::Random`]
-    /// outright (its RNG stream position is not a function of the
-    /// count), so this constructor never sees it.
-    pub(crate) fn restore(policy: Crashes, crashes_so_far: usize) -> Self {
-        debug_assert!(
-            !matches!(policy, Crashes::Random { .. }),
-            "Crashes::Random carries RNG state and cannot be restored from a count"
-        );
-        let mut st = CrashState::new(policy);
-        st.crashes_so_far = crashes_so_far;
-        st
-    }
-
-    /// Crashes delivered so far along this path.
-    pub(crate) fn crashes_so_far(&self) -> usize {
-        self.crashes_so_far
-    }
-
     /// Decides whether `pid`, about to take its `own_step`-th step, crashes
     /// now instead. [`Crashes::UpTo`] never fires here: its crashes are
     /// explicit schedule branches, delivered via [`CrashState::force_crash`].
     pub(crate) fn should_crash(&mut self, pid: Pid, own_step: u64) -> bool {
         let crash = match &self.policy {
-            Crashes::None | Crashes::UpTo(_) => false,
-            Crashes::AtOwnStep(plan) => plan.iter().any(|&(p, s)| p == pid && s == own_step),
             Crashes::Random { p, max, .. } => self.crashes_so_far < *max && self.rng.gen_bool(*p),
+            policy => policy.fires_at(pid, own_step),
         };
         if crash {
             self.crashes_so_far += 1;
@@ -266,21 +275,11 @@ impl CrashState {
     /// choice vectors cannot smuggle crashes past a non-branching
     /// adversary.
     pub(crate) fn force_crash(&mut self) -> bool {
-        match &self.policy {
-            Crashes::UpTo(f) if self.crashes_so_far < *f => {
-                self.crashes_so_far += 1;
-                true
-            }
-            _ => false,
+        let fired = self.policy.budget_left(self.crashes_so_far);
+        if fired {
+            self.crashes_so_far += 1;
         }
-    }
-
-    /// Whether the policy's crash budget still admits another delivery —
-    /// `false` for every policy but [`Crashes::UpTo`], which is the only
-    /// one whose crashes are scheduled rather than decided. The explorer
-    /// reads this to know whether to enumerate crash branches at a node.
-    pub(crate) fn budget_left(&self) -> bool {
-        matches!(&self.policy, Crashes::UpTo(f) if self.crashes_so_far < *f)
+        fired
     }
 }
 
@@ -381,33 +380,24 @@ mod tests {
         for s in 0..10 {
             assert!(!cs.should_crash(s % 3, s as u64));
         }
-        assert_eq!(cs.crashes_so_far(), 0);
+        assert_eq!(cs.crashes_so_far, 0);
         // ...but delivers exactly `f` scheduled ones.
-        assert!(cs.budget_left());
+        assert!(Crashes::UpTo(2).budget_left(1));
         assert!(cs.force_crash());
         assert!(cs.force_crash());
-        assert!(!cs.budget_left());
+        assert!(!Crashes::UpTo(2).budget_left(2));
         assert!(!cs.force_crash(), "budget exhausted");
-        assert_eq!(cs.crashes_so_far(), 2);
+        assert_eq!(cs.crashes_so_far, 2);
     }
 
     #[test]
     fn forced_crashes_are_inert_off_up_to() {
         for policy in [Crashes::None, Crashes::AtOwnStep(vec![(0, 3)])] {
+            assert!(!policy.budget_left(0));
             let mut cs = CrashState::new(policy);
-            assert!(!cs.budget_left());
             assert!(!cs.force_crash(), "crash-flagged picks degrade to step grants");
-            assert_eq!(cs.crashes_so_far(), 0);
+            assert_eq!(cs.crashes_so_far, 0);
         }
-    }
-
-    #[test]
-    fn up_to_restores_from_count() {
-        let cs = CrashState::restore(Crashes::UpTo(2), 1);
-        assert_eq!(cs.crashes_so_far(), 1);
-        assert!(cs.budget_left());
-        let spent = CrashState::restore(Crashes::UpTo(2), 2);
-        assert!(!spent.budget_left());
     }
 
     #[test]

@@ -877,15 +877,24 @@ proptest! {
     /// resumed from its manifest reaches the byte-identical summary,
     /// verdict, and violation list of the uninterrupted in-memory run —
     /// including the degenerate case where the sweep finishes before the
-    /// halt (resume then just reloads the done manifest).
+    /// halt (resume then just reloads the done manifest). The adversary
+    /// is an input too — none, a one-entry crash plan, or one counted
+    /// crash — since resumed nodes read their crash state back from the
+    /// crashed flags of the snapshot they rehydrate.
     #[test]
     fn killed_sweeps_resume_to_identical_reports(
         seed in 0u64..1_000_000,
         n in 2usize..4,
         ops in 1usize..3,
         halt in 1u64..5,
+        adversary in 0usize..3,
     ) {
         let make = move || small_program(seed, n, ops);
+        let crashes = match adversary {
+            0 => Crashes::None,
+            1 => Crashes::AtOwnStep(vec![(seed as usize % n, seed % ops as u64)]),
+            _ => Crashes::UpTo(1),
+        };
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
             vals.sort_unstable();
@@ -907,9 +916,9 @@ proptest! {
                 out.violations.iter().map(|v| (v.choices.clone(), v.message.clone())).collect();
             (out.stats.summary(), out.complete, violations)
         };
-        let baseline = sweep(Explorer::new(n));
+        let baseline = sweep(Explorer::new(n).crashes(crashes.clone()));
         let dir = sweep_dir("prop-resume");
-        let _ = sweep(Explorer::new(n).spill_to(&dir).halt_after_layers(halt));
+        let _ = sweep(Explorer::new(n).crashes(crashes).spill_to(&dir).halt_after_layers(halt));
         let out = Explorer::resume_sweep(&dir, make, check);
         let resumed: (String, bool, Vec<(Vec<usize>, String)>) = (
             out.stats.summary(),
@@ -919,7 +928,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(
             baseline, resumed,
-            "resume must be invisible (seed {}, halt {})", seed, halt
+            "resume must be invisible (seed {}, halt {}, adversary {})", seed, halt, adversary
         );
     }
 

@@ -4,7 +4,10 @@
 //! exits nonzero (panics) if any resumed report differs from the
 //! uninterrupted in-memory run. Every sweep runs at two workers.
 //!
-//! The script, on the exhaustive Figure 1 `n = 4` sweep:
+//! The script, on the exhaustive Figure 1 `n = 4` sweep, crash-free and
+//! again under the crash-count adversary `Crashes::UpTo(1)` (whose
+//! resumed nodes read their remaining budget from the crashed flags of
+//! the snapshots they rehydrate):
 //!
 //! 1. run in memory — the reference report;
 //! 2. run spilled to a sweep directory but **halted** at a layer
@@ -20,43 +23,43 @@
 //! Run with: `cargo run --release --example spill_resume`
 
 use mpcn::agreement::fixtures::{check_agreement, fig1_bodies};
+use mpcn::runtime::sched::Crashes;
 use mpcn::{ExploreLimits, Explorer};
 use std::io::Write as _;
 
-fn limits() -> ExploreLimits {
-    ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() }
+fn explorer(crashes: &Crashes) -> Explorer {
+    Explorer::new(4)
+        .threads(2)
+        .crashes(crashes.clone())
+        .resident_ceiling(256)
+        .checkpoint_every(4)
+        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
 }
 
-fn main() {
+/// Runs the script above for one adversary.
+fn resume_gate(label: &str, crashes: Crashes) {
     let bodies = || fig1_bodies(4, 1);
     let check = |r: &mpcn::runtime::model_world::RunReport| check_agreement(r, 4, false);
 
-    let reference = Explorer::new(4)
-        .threads(2)
-        .resident_ceiling(256)
-        .checkpoint_every(4)
-        .limits(limits())
-        .run(bodies, check);
+    let reference = explorer(&crashes).run(bodies, check);
     reference.assert_no_violation();
-    assert!(reference.complete, "the fig1 n=4 sweep must exhaust");
-    println!("reference   {}", reference.summary_line("fig1 n=4"));
+    assert!(reference.complete, "the {label} sweep must exhaust");
+    println!("reference   {}", reference.summary_line(label));
 
     for halt_after in [1u64, 4, 9] {
+        let slug: String =
+            label.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect();
         let dir = std::env::temp_dir()
-            .join(format!("mpcn-spill-resume-{}-{halt_after}", std::process::id()));
+            .join(format!("mpcn-spill-resume-{}-{slug}-{halt_after}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let halted = Explorer::new(4)
-            .threads(2)
-            .resident_ceiling(256)
-            .checkpoint_every(4)
-            .limits(limits())
+        let halted = explorer(&crashes)
             .spill_to(&dir)
-            .fixture_id("fig1 n=4")
+            .fixture_id(label)
             .halt_after_layers(halt_after)
             .run(bodies, check);
         assert!(!halted.complete, "a sweep halted at layer {halt_after} is not a proof");
-        println!("halted@{halt_after}    {}", halted.summary_line("fig1 n=4"));
+        println!("halted@{halt_after}    {}", halted.summary_line(label));
 
         // A real kill can land mid-write: leave torn tails past the last
         // barrier. Resume must truncate them back to the manifest state.
@@ -69,11 +72,11 @@ fn main() {
         }
 
         let resumed = Explorer::resume_sweep(&dir, bodies, check);
-        println!("resumed@{halt_after}   {}", resumed.summary_line("fig1 n=4"));
+        println!("resumed@{halt_after}   {}", resumed.summary_line(label));
         assert_eq!(
             reference.stats.summary(),
             resumed.stats.summary(),
-            "resume after halt at layer {halt_after} must be invisible"
+            "{label}: resume after halt at layer {halt_after} must be invisible"
         );
         assert_eq!(reference.complete, resumed.complete);
         assert_eq!(reference.violations, resumed.violations);
@@ -86,5 +89,10 @@ fn main() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+fn main() {
+    resume_gate("fig1 n=4", Crashes::None);
+    resume_gate("fig1 n=4 f=1", Crashes::UpTo(1));
     println!("spill_resume: all resumed sweeps byte-identical to the reference");
 }
