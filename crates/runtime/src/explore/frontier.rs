@@ -10,24 +10,26 @@
 //! pending footprints, clocks, and the adversary state: which
 //! processes have crashed) is read from the snapshot:
 //!
-//! 1. **Expand (parallel):** every `(node, choice)` job of the layer
-//!    resumes one scheduling decision from the node's snapshot
-//!    ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`]) and
-//!    fingerprints the child. Jobs are claimed work-stealing style from a
-//!    shared atomic cursor by up to [`super::Explorer::threads`] workers;
-//!    each worker also pre-checks the child's fingerprint against the
-//!    **committed** visited set, a plain `HashSet` the workers only
-//!    borrow: nothing inserts into it during the phase, so the check
-//!    needs no lock and its outcome is independent of worker
-//!    interleaving.
-//! 2. **Merge (canonical):** results are folded **in job order** —
-//!    visited-set insertion, within-layer duplicate resolution,
-//!    statistics, violation checks, and the next layer's job list. Every
-//!    nondeterministic effect of phase 1 is invisible to phase 2, so the
-//!    whole exploration — counts, violations, report — is byte-identical
-//!    for `threads = 1` and `threads = k` (property-tested in
-//!    `tests/proptests.rs`, and pinned by the golden catalogue test,
-//!    which runs at two workers against lines generated at one).
+//! 1. **Expand (parallel):** a layer is a list of node jobs, each one
+//!    node plus the choices queued on it. A worker reads the node's
+//!    snapshot (or rebuilds it once, if evicted), resumes every queued
+//!    scheduling decision from it ([`ModelWorld::resume_from`] /
+//!    [`ModelWorld::resume_crash`]) and fingerprints each child. Jobs are
+//!    claimed work-stealing style from a shared atomic cursor by up to
+//!    [`super::Explorer::threads`] workers; each worker also pre-checks
+//!    its children's fingerprints against the **committed** visited set,
+//!    a plain `HashSet` the workers only borrow: nothing inserts into it
+//!    during the phase, so the check needs no lock and its outcome is
+//!    independent of worker interleaving.
+//! 2. **Merge (canonical):** results are folded **in job order**, and
+//!    each job's children in choice order — visited-set insertion,
+//!    within-layer duplicate resolution, statistics, violation checks,
+//!    and the next layer's job list. Every nondeterministic effect of
+//!    phase 1 is invisible to phase 2, so the whole exploration — counts,
+//!    violations, report — is byte-identical for `threads = 1` and
+//!    `threads = k` (property-tested in `tests/proptests.rs`, and pinned
+//!    by the golden catalogue test, which runs at two workers against
+//!    lines generated at one).
 //!
 //! Terminal nodes (everyone decided/crashed, or the per-path step budget
 //! exhausted) synthesize their [`RunReport`] from the snapshot and are
@@ -72,15 +74,15 @@
 //! Each retained frontier node normally holds its [`Snapshot`] (object
 //! map + operation logs — the heavy part). Under a resident ceiling, only
 //! the first `ceiling` nodes admitted per layer stay resident; colder
-//! nodes are **evicted** down to their choice path and anchor, and a
-//! worker that expands one first **rehydrates** it by replaying its
-//! choice path through the snapshot engine — the operation-log cursors
-//! make every replayed decision a deterministic `O(own log)` resume, so
-//! the rebuilt snapshot (and hence the whole report) is byte-identical
-//! to the never-evicted run. [`Engine::admit`] makes every decision that
-//! reads a node's state (terminality, tail, choices, skips) from the
-//! freshly expanded node's snapshot, so an evicted node is rebuilt only
-//! to be expanded.
+//! nodes are **evicted** down to their choice path and anchor, and the
+//! worker that takes an evicted node's job first **rehydrates** it, once
+//! per job, by replaying its choice path through the snapshot engine —
+//! the operation-log cursors make every replayed decision a
+//! deterministic `O(own log)` resume, so the rebuilt snapshot (and hence
+//! the whole report) is byte-identical to the never-evicted run.
+//! [`Engine::admit`] makes every decision that reads a node's state
+//! (terminality, tail, choices, skips) from the freshly expanded node's
+//! snapshot, so an evicted node is rebuilt only to be expanded.
 //!
 //! Rehydration does not start at the root: every node carries an
 //! [`Anchor`] — a reference to its nearest checkpoint-depth ancestor's
@@ -92,26 +94,22 @@
 //! replayed is reported as
 //! [`super::ExploreStats::max_rehydration_replay`].
 //!
-//! # Storage seam (see [`super::store`])
+//! # Storage ([`super::store`])
 //!
-//! *Where* a checkpoint snapshot lives is the [`SnapshotStore`]'s
-//! business, not the engine's: when a node is admitted on a
-//! checkpoint-depth layer (and eviction is possible at all), the engine
-//! hands its snapshot to [`SnapshotStore::put`] and anchors the node to
-//! the returned [`SnapRef`]; children inherit the parent's anchor. The
-//! in-memory store returns a shared `Arc` (and exempts checkpoint
-//! layers from eviction, since those `Arc`s *are* the anchors) —
-//! byte-for-byte the classic engine. The disk-spilling store appends
-//! the encoded snapshot to a segment file and returns a record locator,
-//! so checkpoint layers need no exemption: the resident ceiling really
-//! bounds RAM, and rehydration reads the anchor back from disk
-//! ([`super::ExploreStats::store_reads`]). The store also persists
-//! every layer boundary ([`SnapshotStore::barrier`], called by
-//! [`Engine::drive`] right after each merge — the point where the
-//! engine's state is exactly {committed stats, visited set, next job
-//! list}), which is what makes a killed sweep resumable
-//! ([`Engine::resume`]).
+//! [`Engine::store`] is `None` for an in-memory sweep: a checkpoint-depth
+//! node anchors to its own `Arc`, and checkpoint layers stay resident,
+//! since their snapshots *are* the anchors. Under
+//! [`super::Explorer::spill_to`] it is a [`SpillStore`]:
+//! [`SpillStore::put`] appends each checkpoint snapshot to the segment
+//! file and the node anchors to the returned record, checkpoint layers
+//! count against the resident ceiling like any other, and rehydration
+//! reads the anchor back from disk ([`super::ExploreStats::store_reads`]).
+//! [`SpillStore::barrier`] persists every layer boundary — called by
+//! [`Engine::drive`] right after each merge, where the engine's state is
+//! exactly {committed stats, visited set, next job list} — which is what
+//! makes a killed sweep resumable ([`Engine::resume`]).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -123,7 +121,7 @@ use crate::sched::{Crashes, Pick};
 use crate::world::Pid;
 
 use super::report::{ExploreReport, ExploreStats, Violation};
-use super::store::{MemStore, PendingSweep, SnapRef, SnapshotStore, SpillStore, SweepCheckpoint};
+use super::store::{PendingSweep, SnapRef, SpillStore, SweepCheckpoint};
 use super::Explorer;
 
 /// The scheduling decision that created a node, as an *action*: the
@@ -177,9 +175,9 @@ impl Action {
 
 /// A node's rehydration base: the nearest ancestor at a
 /// checkpoint-stride depth ([`super::Explorer::checkpoint_every`]),
-/// held as wherever the [`SnapshotStore`] put it — a shared in-memory
-/// `Arc`, kept alive exactly as long as some frontier descendant still
-/// rehydrates through it, or a disk record locator.
+/// held as a shared in-memory `Arc`, kept alive exactly as long as some
+/// frontier descendant still rehydrates through it, or, when spilling,
+/// as a segment-file record locator.
 #[derive(Clone)]
 pub(super) struct Anchor {
     /// The ancestor's depth — rehydration replays `path[depth..]`.
@@ -209,18 +207,32 @@ pub(super) struct Node {
     pub(super) anchor: Option<Anchor>,
 }
 
+/// One node of a frontier layer and the work queued on it; the worker
+/// that takes the job reads or rebuilds the node's snapshot once.
 pub(super) enum Job {
-    /// Execute one scheduling decision at `node`: the choice decodes by
-    /// band ([`Pick::decode`]) to a step, a [`Crashes::UpTo`] crash
-    /// delivery, or a TSO store-buffer flush.
-    Expand { node: Arc<Node>, choice: usize },
+    /// Execute each of `choices` — never empty, strictly ascending — at
+    /// `node`: a choice decodes by band ([`Pick::decode`]) to a step, a
+    /// [`Crashes::UpTo`] crash delivery, or a TSO store-buffer flush.
+    Expand { node: Node, choices: Vec<usize> },
     /// Resume `node` to completion along the canonical choice-0 suffix
     /// (sibling enumeration was cut by the depth bound).
-    Tail { node: Arc<Node> },
+    Tail { node: Node },
 }
 
-enum JobResult {
-    Expanded(Box<Expanded>),
+/// What one job produced, and what rebuilding its node cost.
+struct JobResult {
+    output: JobOutput,
+    /// Choice-path suffix length the node's rehydration replayed (0 if
+    /// it was resident) — feeds `max_rehydration_replay`.
+    rehydration_replay: u64,
+    /// Checkpoint records read back from disk to rebuild the node (0 or
+    /// 1) — feeds `store_reads`.
+    store_reads: u64,
+}
+
+enum JobOutput {
+    /// One child per queued choice, in choice order.
+    Children(Vec<Expanded>),
     Tail(TailRun),
 }
 
@@ -244,12 +256,6 @@ struct Expanded {
     /// relabeling) — feeds the `symm=` counter when the child is
     /// pruned.
     symm_coarsened: bool,
-    /// Choice-path suffix length a rehydration replayed (0 if the parent
-    /// was resident) — feeds `max_rehydration_replay`.
-    rehydration_replay: u64,
-    /// Checkpoint records this job read back from disk storage (0 under
-    /// the in-memory store) — feeds `store_reads`.
-    store_reads: u64,
 }
 
 struct TailRun {
@@ -258,10 +264,6 @@ struct TailRun {
     choices: Vec<usize>,
     /// Total picks from the root (the run's schedule depth).
     depth: usize,
-    /// See [`Expanded::rehydration_replay`].
-    rehydration_replay: u64,
-    /// See [`Expanded::store_reads`].
-    store_reads: u64,
 }
 
 /// The read-only context expansion workers share.
@@ -313,11 +315,10 @@ pub(super) struct Engine<'a, F, C> {
     /// (reset per merge pass; compared against
     /// [`super::Explorer::resident_ceiling`]).
     resident: usize,
-    /// Where checkpoint snapshots live ([`super::store`]).
-    store: Box<dyn SnapshotStore>,
-    /// The store is the disk-spilling one — gates barrier bookkeeping
-    /// (visited-delta collection) that would be waste under [`MemStore`].
-    spilling: bool,
+    /// Where checkpoint snapshots live: `None` keeps them in memory,
+    /// `Some` spills them and persists every layer barrier
+    /// ([`super::store`]).
+    store: Option<SpillStore>,
     /// Completed layer barriers (the root admission is layer 0's).
     layer: u64,
     /// Fingerprints committed to the visited set since the last barrier,
@@ -331,27 +332,19 @@ where
     C: Fn(&RunReport) -> Result<(), String>,
 {
     pub(super) fn new(ex: &'a Explorer, make_bodies: &'a F, check: &'a C) -> Self {
-        let (store, spilling): (Box<dyn SnapshotStore>, bool) = match &ex.spill_dir {
-            Some(dir) => {
-                let store = SpillStore::create(dir).unwrap_or_else(|e| {
-                    panic!(
-                        "explore spill: cannot initialize sweep directory {}: {e}",
-                        dir.display()
-                    )
-                });
-                (Box::new(store), true)
-            }
-            None => (Box::new(MemStore), false),
-        };
-        Engine::with_store(ex, make_bodies, check, store, spilling)
+        let store = ex.spill_dir.as_ref().map(|dir| {
+            SpillStore::create(dir).unwrap_or_else(|e| {
+                panic!("explore spill: cannot initialize sweep directory {}: {e}", dir.display())
+            })
+        });
+        Engine::with_store(ex, make_bodies, check, store)
     }
 
     fn with_store(
         ex: &'a Explorer,
         make_bodies: &'a F,
         check: &'a C,
-        store: Box<dyn SnapshotStore>,
-        spilling: bool,
+        store: Option<SpillStore>,
     ) -> Self {
         // The symmetry quotient requires a pid-blind adversary: an
         // [`Crashes::AtOwnStep`] plan names concrete pids, so delivering
@@ -398,7 +391,6 @@ where
             queued: 0,
             resident: 0,
             store,
-            spilling,
             layer: 0,
             visited_delta: Vec::new(),
         }
@@ -428,7 +420,7 @@ where
         check: &'a C,
         pending: PendingSweep,
     ) -> ExploreReport {
-        let mut engine = Engine::with_store(ex, make_bodies, check, Box::new(pending.store), true);
+        let mut engine = Engine::with_store(ex, make_bodies, check, Some(pending.store));
         assert_eq!(
             engine.symmetry.is_some(),
             pending.stats.symm_enabled,
@@ -475,10 +467,10 @@ where
         }
     }
 
-    /// Persists one layer boundary through the store (a no-op in
-    /// memory). The engine's own state never depends on it — only a
-    /// future [`Engine::resume`] does.
+    /// Persists one layer boundary when spilling. The engine's own state
+    /// never depends on it — only a future [`Engine::resume`] does.
     fn barrier(&mut self, jobs: &[Job], done: bool) {
+        let Some(store) = &mut self.store else { return };
         let ck = SweepCheckpoint {
             ex: self.ex,
             layer: self.layer,
@@ -490,7 +482,7 @@ where
             complete: self.complete,
             done,
         };
-        if let Err(e) = self.store.barrier(&ck) {
+        if let Err(e) = store.barrier(&ck) {
             panic!("explore spill: cannot persist the layer-{} barrier: {e}", self.layer);
         }
         self.visited_delta.clear();
@@ -499,15 +491,15 @@ where
     /// Whether eviction (and hence rehydration) can happen at all — the
     /// only situation node anchors are worth installing.
     fn evictable(&self) -> bool {
-        self.ex.resident_ceiling != usize::MAX || self.spilling
+        self.ex.resident_ceiling != usize::MAX || self.store.is_some()
     }
 
     /// Classifies a freshly retained node, created by `incoming` (`None`
     /// at the root): terminal and timed-out nodes are checked now;
     /// depth-bounded nodes queue a tail job; everything else queues one
-    /// expansion job per non-redundant choice. Every decision reads the
-    /// node's own snapshot, which `admit` holds on to even when the
-    /// resident ceiling evicts the node itself.
+    /// expansion job holding its non-redundant choices. Every decision
+    /// reads the node's own snapshot, which `admit` holds on to even when
+    /// the resident ceiling evicts the node itself.
     fn admit(&mut self, mut node: Node, incoming: Option<(Pid, Action)>, jobs: &mut Vec<Job>) {
         let snap = node.snap.clone().expect("children are admitted resident");
         let depth = node.path.len();
@@ -526,18 +518,21 @@ where
             self.finish_run(snap.report(true), node.path, depth);
             return;
         }
-        // Checkpoint-depth nodes anchor to themselves: their snapshot
-        // goes to the store, and every descendant down to the next
-        // checkpoint layer inherits the returned reference.
+        // Checkpoint-depth nodes anchor to themselves — to their own
+        // `Arc`, or to the record the spill store appends — and every
+        // descendant down to the next checkpoint layer inherits that.
         if self.evictable() && depth % self.ex.checkpoint_every == 0 {
-            let snap_ref = match self.store.put(&snap, &mut self.stats) {
-                Ok(snap_ref) => snap_ref,
-                Err(e) => panic!("explore spill: cannot store a checkpoint snapshot: {e}"),
+            let snap_ref = match &mut self.store {
+                None => SnapRef::Mem(Arc::clone(&snap)),
+                Some(store) => {
+                    SnapRef::Disk(store.put(&snap, &mut self.stats).unwrap_or_else(|e| {
+                        panic!("explore spill: cannot store a checkpoint snapshot: {e}")
+                    }))
+                }
             };
             node.anchor = Some(Anchor { depth, snap: snap_ref });
         }
         self.maybe_evict(&mut node);
-        let node = Arc::new(node);
         if depth >= self.ex.limits.max_depth {
             // The bound binds: this is no longer a full proof.
             self.complete = false;
@@ -566,15 +561,19 @@ where
         // placements through the gated engine verbatim.
         let a = alive.len();
         let picks = if self.ex.crashes.budget_left(snap.crashes()) { 0..2 * a } else { 0..a };
+        let mut choices = Vec::new();
         for choice in picks.chain(flushable.iter().map(|&p| 2 * a + p)) {
             if self.skips(&snap, &alive, incoming, choice) {
                 self.stats.dpor_skips += 1;
                 continue;
             }
             if !self.take_work() {
-                return;
+                break;
             }
-            jobs.push(Job::Expand { node: Arc::clone(&node), choice });
+            choices.push(choice);
+        }
+        if !choices.is_empty() {
+            jobs.push(Job::Expand { node, choices });
         }
     }
 
@@ -582,14 +581,14 @@ where
     /// [`super::Explorer::resident_ceiling`] nodes admitted per layer
     /// keep their snapshot; colder ones drop it, keeping their path and
     /// anchor, and are rehydrated on demand by the expanding worker.
-    /// Under the in-memory store, checkpoint layers (depth a multiple
-    /// of [`super::Explorer::checkpoint_every`]) are exempt: their
-    /// resident snapshots *are* the anchors every descendant rehydrates
-    /// from, so evicting one would save nothing. The disk store keeps
-    /// its anchors in the segment file and waives the exemption —
-    /// checkpoint nodes count against the ceiling like any other.
+    /// In memory, checkpoint layers (depth a multiple of
+    /// [`super::Explorer::checkpoint_every`]) are exempt: their resident
+    /// snapshots *are* the anchors every descendant rehydrates from, so
+    /// evicting one would save nothing. A spilling sweep keeps its
+    /// anchors in the segment file, so checkpoint nodes count against
+    /// the ceiling like any other.
     fn maybe_evict(&mut self, node: &mut Node) {
-        if self.store.exempts_checkpoints() && node.path.len() % self.ex.checkpoint_every == 0 {
+        if self.store.is_none() && node.path.len() % self.ex.checkpoint_every == 0 {
             return;
         }
         if self.resident < self.ex.resident_ceiling {
@@ -728,52 +727,61 @@ where
         slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
     }
 
-    /// Phase 2: folds the layer's results in job order — deterministic
-    /// regardless of which worker produced what when.
+    /// Phase 2: folds the layer's results in job order, and each job's
+    /// children in choice order — deterministic regardless of which
+    /// worker produced what when.
     fn merge(&mut self, results: Vec<JobResult>) -> Vec<Job> {
-        // Every result in hand was executed, even those a mid-merge stop
-        // discards below — `expansions` reports performed work.
-        self.stats.expansions += results.len() as u64;
+        // Every child and tail in hand was executed, even those a
+        // mid-merge stop discards below — `expansions` reports performed
+        // work.
+        for result in &results {
+            self.stats.expansions += match &result.output {
+                JobOutput::Children(children) => children.len() as u64,
+                JobOutput::Tail(_) => 1,
+            };
+        }
         self.resident = 0;
         let mut jobs = Vec::new();
         for result in results {
             if self.stopped {
                 break;
             }
-            match result {
-                JobResult::Tail(tail) => {
+            self.stats.max_rehydration_replay =
+                self.stats.max_rehydration_replay.max(result.rehydration_replay);
+            self.stats.store_reads += result.store_reads;
+            let children = match result.output {
+                JobOutput::Tail(tail) => {
                     self.stats.depth_limited_runs += 1;
-                    self.stats.max_rehydration_replay =
-                        self.stats.max_rehydration_replay.max(tail.rehydration_replay);
-                    self.stats.store_reads += tail.store_reads;
                     self.finish_run(tail.report, tail.choices, tail.depth);
+                    continue;
                 }
-                JobResult::Expanded(child) => {
-                    self.stats.max_rehydration_replay =
-                        self.stats.max_rehydration_replay.max(child.rehydration_replay);
-                    self.stats.store_reads += child.store_reads;
-                    match child.pick {
-                        Pick::Crash(_) => self.stats.crash_branches += 1,
-                        Pick::Flush(_) => self.stats.flush_branches += 1,
-                        Pick::Op(_) => {}
-                    }
-                    if self.prune && (child.node.is_none() || !self.visited.insert(child.fp)) {
-                        self.stats.states_pruned += 1;
-                        if child.coarsened {
-                            self.stats.quotient_hits += 1;
-                        }
-                        if child.symm_coarsened {
-                            self.stats.symm_hits += 1;
-                        }
-                        continue;
-                    }
-                    if self.prune && self.spilling {
-                        self.visited_delta.push(child.fp);
-                    }
-                    self.stats.states_visited += 1;
-                    let node = child.node.expect("retained children carry their node");
-                    self.admit(node, Some((child.pick.pid(), child.action)), &mut jobs);
+                JobOutput::Children(children) => children,
+            };
+            for child in children {
+                if self.stopped {
+                    break;
                 }
+                match child.pick {
+                    Pick::Crash(_) => self.stats.crash_branches += 1,
+                    Pick::Flush(_) => self.stats.flush_branches += 1,
+                    Pick::Op(_) => {}
+                }
+                if self.prune && (child.node.is_none() || !self.visited.insert(child.fp)) {
+                    self.stats.states_pruned += 1;
+                    if child.coarsened {
+                        self.stats.quotient_hits += 1;
+                    }
+                    if child.symm_coarsened {
+                        self.stats.symm_hits += 1;
+                    }
+                    continue;
+                }
+                if self.prune && self.store.is_some() {
+                    self.visited_delta.push(child.fp);
+                }
+                self.stats.states_visited += 1;
+                let node = child.node.expect("retained children carry their node");
+                self.admit(node, Some((child.pick.pid(), child.action)), &mut jobs);
             }
         }
         jobs
@@ -814,13 +822,24 @@ where
     }
 }
 
+/// Runs one job: reads the node's snapshot, or rebuilds it once if the
+/// node was evicted, then expands every queued choice or runs the tail.
 fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: &Job) -> JobResult {
-    match job {
-        Job::Expand { node, choice } => {
-            JobResult::Expanded(Box::new(expand(shared, node, *choice)))
+    let (Job::Expand { node, .. } | Job::Tail { node }) = job;
+    let (snap, rehydration_replay, store_reads) = match &node.snap {
+        Some(snap) => (Cow::Borrowed(&**snap), 0, 0),
+        None => {
+            let (snap, replayed, reads) = rehydrate(shared, node);
+            (Cow::Owned(snap), replayed, reads)
         }
-        Job::Tail { node } => JobResult::Tail(run_tail(shared, node)),
-    }
+    };
+    let output = match job {
+        Job::Expand { choices, .. } => JobOutput::Children(
+            choices.iter().map(|&choice| expand(shared, node, &snap, choice)).collect(),
+        ),
+        Job::Tail { .. } => JobOutput::Tail(run_tail(shared, &node.path, snap.into_owned())),
+    };
+    JobResult { output, rehydration_replay, store_reads }
 }
 
 /// Executes one choice-vector entry from `snap`, decoded by band
@@ -873,59 +892,37 @@ fn apply_choice<F: Fn() -> Vec<Body>>(
 /// Rebuilds an evicted node's snapshot by replaying its choice-path
 /// suffix from its [`Anchor`] — every replayed decision a deterministic
 /// resume from a copy of the anchor's snapshot (cloned from memory or
-/// read back and decoded from the segment file, counted in `reads`), so
-/// the result is identical to the snapshot that was evicted. At most
+/// read back and decoded from the segment file), so the result is
+/// identical to the snapshot that was evicted. At most
 /// [`super::Explorer::checkpoint_every`] decisions are replayed (the
-/// anchor is the nearest checkpoint-depth ancestor).
-fn rehydrate<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    node: &Node,
-    reads: &mut u64,
-) -> (Snapshot, u64) {
+/// anchor is the nearest checkpoint-depth ancestor). Returns the
+/// snapshot, the replayed suffix length and the disk reads (0 or 1).
+fn rehydrate<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> (Snapshot, u64, u64) {
     let anchor =
         node.anchor.as_ref().expect("an evictable sweep anchors every node (depth 0 checkpoints)");
-    let mut snap = match &anchor.snap {
-        SnapRef::Mem(snap) => (**snap).clone(),
+    let (mut snap, reads) = match &anchor.snap {
+        SnapRef::Mem(snap) => ((**snap).clone(), 0),
         SnapRef::Disk(disk) => {
-            *reads += 1;
-            disk.read().unwrap_or_else(|e| {
+            let snap = disk.read().unwrap_or_else(|e| {
                 panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
-            })
+            });
+            (snap, 1)
         }
     };
     let suffix = &node.path[anchor.depth..];
     for &choice in suffix {
         snap = apply_choice(shared, &snap, choice).0;
     }
-    (snap, suffix.len() as u64)
+    (snap, suffix.len() as u64, reads)
 }
 
-/// The node's snapshot: borrowed if resident, rebuilt into `slot` if
-/// evicted (also reporting the replayed suffix length and any disk
-/// reads).
-fn snapshot_of<'s, F: Fn() -> Vec<Body>>(
+/// Executes one queued choice at `node`, whose snapshot is `parent`.
+fn expand<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
-    node: &'s Node,
-    slot: &'s mut Option<Snapshot>,
-    replayed: &mut u64,
-    reads: &mut u64,
-) -> &'s Snapshot {
-    match &node.snap {
-        Some(snap) => snap,
-        None => {
-            let (snap, suffix) = rehydrate(shared, node, reads);
-            *replayed = suffix;
-            &*slot.insert(snap)
-        }
-    }
-}
-
-/// Executes one scheduling decision from `node`.
-fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usize) -> Expanded {
-    let mut rebuilt = None;
-    let mut rehydration_replay = 0;
-    let mut store_reads = 0;
-    let parent = snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads);
+    node: &Node,
+    parent: &Snapshot,
+    choice: usize,
+) -> Expanded {
     let (snap, pick, action) = apply_choice(shared, parent, choice);
     let (fp, coarsened, symm_coarsened) = if shared.prune {
         let coarsened = shared.quotient && snap.quotient_coarsens();
@@ -948,27 +945,18 @@ fn expand<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node, choice: usi
         // checkpoint-depth layers.
         Node { snap: Some(Arc::new(snap)), path, anchor: node.anchor.clone() }
     });
-    Expanded {
-        node: child,
-        pick,
-        action,
-        fp,
-        coarsened,
-        symm_coarsened,
-        rehydration_replay,
-        store_reads,
-    }
+    Expanded { node: child, pick, action, fp, coarsened, symm_coarsened }
 }
 
-/// Resumes `node` to completion along the canonical choice-0 suffix —
-/// the depth-bounded sweep's "runs still execute to completion" path.
-fn run_tail<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> TailRun {
-    let mut rebuilt = None;
-    let mut rehydration_replay = 0;
-    let mut store_reads = 0;
-    let mut snap =
-        snapshot_of(shared, node, &mut rebuilt, &mut rehydration_replay, &mut store_reads).clone();
-    let mut choices = node.path.clone();
+/// Resumes `snap`, the state at the end of `path`, to completion along
+/// the canonical choice-0 suffix — the depth-bounded sweep's "runs still
+/// execute to completion" path.
+fn run_tail<F: Fn() -> Vec<Body>>(
+    shared: &Shared<'_, F>,
+    path: &[usize],
+    mut snap: Snapshot,
+) -> TailRun {
+    let mut choices = path.to_vec();
     let report = loop {
         if snap.is_terminal() {
             break snap.report(false);
@@ -985,5 +973,5 @@ fn run_tail<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> TailRu
         choices.push(choice);
         snap = apply_choice(shared, &snap, choice).0;
     };
-    TailRun { report, depth: choices.len(), choices, rehydration_replay, store_reads }
+    TailRun { report, depth: choices.len(), choices }
 }

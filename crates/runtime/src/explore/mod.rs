@@ -21,9 +21,9 @@
 //! ([`ModelWorld::resume_from`]). Completed runs are checked from the
 //! terminal snapshot's synthesized [`RunReport`].
 //!
-//! The frontier is processed in depth layers by a work-deque of
-//! `(snapshot, pending choice)` jobs; [`Explorer::threads`] workers claim
-//! jobs from a shared cursor and probe the read-only visited set, while
+//! The frontier is processed in depth layers, each a list of node jobs
+//! (a node plus the choices queued on it); [`Explorer::threads`] workers
+//! claim jobs from a shared cursor and probe the read-only visited set, while
 //! all state mutation happens in a canonical-order merge per layer
 //! — so reports are **byte-identical for any thread count** (the golden
 //! catalogue tests diff one file at `threads=2` in memory and at
@@ -521,7 +521,7 @@ impl Explorer {
     /// [`ExploreStats::spill_bytes`], [`ExploreStats::store_reads`] —
     /// stay off the summary line, like [`ExploreStats::evicted`]).
     ///
-    /// Unlike the in-memory store, spilled checkpoint layers are **not**
+    /// Unlike an in-memory sweep's, spilled checkpoint layers are **not**
     /// exempt from [`Explorer::resident_ceiling`] eviction (their
     /// anchors live on disk), so the ceiling genuinely bounds resident
     /// memory. The directory is created (or wiped) when the sweep

@@ -1,18 +1,15 @@
-//! Pluggable snapshot storage for the frontier engine: where checkpoint
-//! snapshots live, and how a sweep survives its own process.
+//! Disk storage for the frontier engine: where a spilled sweep's
+//! checkpoint snapshots live, and how a sweep survives its own process.
 //!
-//! The engine talks to storage through exactly one seam,
-//! [`SnapshotStore`]:
-//!
-//! * [`MemStore`] (the default) keeps checkpoint snapshots as shared
-//!   `Arc`s — byte-for-byte the classic in-memory engine.
-//! * [`SpillStore`] serializes every checkpoint snapshot (via the
-//!   versioned codec in [`crate::model_world::codec`]) into an
-//!   append-only **segment file** inside a sweep directory, hands the
-//!   engine a [`SnapRef::Disk`] record locator, and — at every layer
-//!   barrier — persists the frontier, the visited-set delta, the
-//!   violations, and an atomically renamed `MANIFEST`, making the sweep
-//!   **crash-resumable** ([`open_sweep`]).
+//! An in-memory sweep has no store: its checkpoint nodes anchor to their
+//! own `Arc` ([`SnapRef::Mem`]). A sweep run with
+//! [`super::Explorer::spill_to`] owns one [`SpillStore`], which
+//! serializes every checkpoint snapshot (via the versioned codec in
+//! [`crate::model_world::codec`]) into an append-only **segment file**
+//! inside a sweep directory, hands the engine a [`SnapRef::Disk`] record
+//! locator, and — at every layer barrier — persists the frontier, the
+//! visited-set delta, the violations, and an atomically renamed
+//! `MANIFEST`, making the sweep **crash-resumable** ([`open_sweep`]).
 //!
 //! # Sweep directory layout
 //!
@@ -20,7 +17,7 @@
 //! |---|---|
 //! | `segments.bin` | checkpoint records: `[payload_len: u64 LE][payload]`, where `payload` is [`Snapshot::encode`] bytes |
 //! | `visited.bin` | visited fingerprints, 8 bytes LE each, appended per layer barrier |
-//! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs, each node as its choice path and disk anchor (binary, see `encode_state`) |
+//! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs, each a node (its choice path and disk anchor) plus its queued choices or a tail tag (binary, see `encode_state`) |
 //! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths, status |
 //!
 //! # Resume soundness
@@ -81,11 +78,10 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// manifests are rejected whole rather than partially decoded.
 const MANIFEST_VERSION: u64 = 6;
 
-/// Where a stored checkpoint snapshot lives — what [`SnapshotStore::put`]
-/// returns and a frontier anchor carries.
+/// Where a checkpoint snapshot lives — what a frontier anchor carries.
 #[derive(Clone)]
 pub(super) enum SnapRef {
-    /// Resident in memory, shared by `Arc` (the in-memory store).
+    /// Resident in memory, shared by `Arc` (an in-memory sweep).
     Mem(Arc<Snapshot>),
     /// A record in the sweep directory's segment file.
     Disk(DiskRef),
@@ -142,26 +138,6 @@ where
     io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
-/// The engine's storage seam. `put` stores one checkpoint snapshot and
-/// returns its locator; `barrier` is called at every layer boundary (and
-/// once more, with `done = true`, when the sweep ends) with everything a
-/// resumption needs.
-pub(super) trait SnapshotStore {
-    /// Stores one checkpoint snapshot, charging any storage-side
-    /// statistics, and returns where it now lives.
-    fn put(&mut self, snap: &Arc<Snapshot>, stats: &mut ExploreStats) -> io::Result<SnapRef>;
-
-    /// Whether checkpoint-depth nodes must stay resident (the in-memory
-    /// store's anchors *are* the resident snapshots). The disk store
-    /// answers `false`: its anchors live in the segment file, so
-    /// checkpoint layers count against the resident ceiling like any
-    /// other — the RAM bound really is the ceiling.
-    fn exempts_checkpoints(&self) -> bool;
-
-    /// Persists one layer barrier (a no-op for the in-memory store).
-    fn barrier(&mut self, ck: &SweepCheckpoint<'_>) -> io::Result<()>;
-}
-
 /// Everything one layer barrier persists, borrowed from the engine.
 pub(super) struct SweepCheckpoint<'a> {
     pub(super) ex: &'a Explorer,
@@ -176,24 +152,6 @@ pub(super) struct SweepCheckpoint<'a> {
     pub(super) complete: bool,
     /// `true` for the final barrier of a finished sweep.
     pub(super) done: bool,
-}
-
-/// The default store: checkpoint snapshots stay in memory as shared
-/// `Arc`s. Byte-for-byte the pre-storage-seam engine.
-pub(super) struct MemStore;
-
-impl SnapshotStore for MemStore {
-    fn put(&mut self, snap: &Arc<Snapshot>, _stats: &mut ExploreStats) -> io::Result<SnapRef> {
-        Ok(SnapRef::Mem(Arc::clone(snap)))
-    }
-
-    fn exempts_checkpoints(&self) -> bool {
-        true
-    }
-
-    fn barrier(&mut self, _ck: &SweepCheckpoint<'_>) -> io::Result<()> {
-        Ok(())
-    }
 }
 
 /// The disk-spilling store: checkpoint snapshots go to the sweep
@@ -240,10 +198,10 @@ impl SpillStore {
             last_state: None,
         })
     }
-}
 
-impl SnapshotStore for SpillStore {
-    fn put(&mut self, snap: &Arc<Snapshot>, stats: &mut ExploreStats) -> io::Result<SnapRef> {
+    /// Appends one checkpoint snapshot to the segment file, charging
+    /// the spill counters, and returns its record locator.
+    pub(super) fn put(&mut self, snap: &Snapshot, stats: &mut ExploreStats) -> io::Result<DiskRef> {
         let payload = snap.encode().map_err(bad_data)?;
         let len = payload.len() as u64;
         let mut record = Vec::with_capacity(8 + payload.len());
@@ -254,14 +212,13 @@ impl SnapshotStore for SpillStore {
         self.segments_len += record.len() as u64;
         stats.spilled += 1;
         stats.spill_bytes += len;
-        Ok(SnapRef::Disk(DiskRef { file: Arc::clone(&self.segments), offset, len }))
+        Ok(DiskRef { file: Arc::clone(&self.segments), offset, len })
     }
 
-    fn exempts_checkpoints(&self) -> bool {
-        false
-    }
-
-    fn barrier(&mut self, ck: &SweepCheckpoint<'_>) -> io::Result<()> {
+    /// Persists one layer barrier — called at every layer boundary, and
+    /// once more with `done = true` when the sweep ends — with
+    /// everything a resumption needs.
+    pub(super) fn barrier(&mut self, ck: &SweepCheckpoint<'_>) -> io::Result<()> {
         if !ck.visited_delta.is_empty() {
             let mut buf = Vec::with_capacity(ck.visited_delta.len() * 8);
             for &fp in ck.visited_delta {
@@ -297,9 +254,8 @@ fn write_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 // --- frontier state file ---------------------------------------------------
 
-/// Serializes violations + the layer's job list. Jobs sharing one node
-/// (the per-choice expansions [`super::frontier::Engine`] queues
-/// back-to-back) are grouped so the node record is written once.
+/// Serializes violations + the layer's job list: each job as its node
+/// record, then a tail tag or its queued choices.
 fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
     let mut w = ByteWriter::new();
     w.put_bytes(STATE_MAGIC.as_slice());
@@ -313,16 +269,18 @@ fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
         w.put_usize(v.message.len());
         w.put_bytes(v.message.as_bytes());
     }
-    let groups = group_jobs(ck.jobs);
-    w.put_usize(groups.len());
-    for (node, kind) in groups {
-        encode_node(&mut w, node)?;
-        match kind {
-            GroupKind::Tail => w.put_u8(0),
-            GroupKind::Expand(choices) => {
+    w.put_usize(ck.jobs.len());
+    for job in ck.jobs {
+        match job {
+            Job::Tail { node } => {
+                encode_node(&mut w, node)?;
+                w.put_u8(0);
+            }
+            Job::Expand { node, choices } => {
+                encode_node(&mut w, node)?;
                 w.put_u8(1);
                 w.put_usize(choices.len());
-                for c in choices {
+                for &c in choices {
                     w.put_usize(c);
                 }
             }
@@ -331,37 +289,12 @@ fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
     Ok(w.into_vec())
 }
 
-enum GroupKind {
-    Tail,
-    Expand(Vec<usize>),
-}
-
-fn group_jobs(jobs: &[Job]) -> Vec<(&Node, GroupKind)> {
-    let mut out: Vec<(&Arc<Node>, GroupKind)> = Vec::new();
-    for job in jobs {
-        match job {
-            Job::Tail { node } => out.push((node, GroupKind::Tail)),
-            Job::Expand { node, choice } => {
-                if let Some((last, GroupKind::Expand(choices))) = out.last_mut() {
-                    if Arc::ptr_eq(last, node) {
-                        choices.push(*choice);
-                        continue;
-                    }
-                }
-                out.push((node, GroupKind::Expand(vec![*choice])));
-            }
-        }
-    }
-    out.into_iter().map(|(node, kind)| (&**node, kind)).collect()
-}
-
 /// One frontier node as its choice path and disk anchor — the evicted
 /// form, since a resumed node rebuilds its snapshot from the anchor
 /// anyway.
 fn encode_node(w: &mut ByteWriter, node: &Node) -> Result<(), CodecError> {
-    // Under the spill store every node is anchored (depth 0 is a
-    // checkpoint layer) and every `put` returns a disk ref, so anything
-    // else here is an engine bug.
+    // A spilling sweep anchors every node (depth 0 is a checkpoint
+    // layer) to a disk record, so anything else here is an engine bug.
     let Some(Anchor { depth, snap: SnapRef::Disk(disk) }) = &node.anchor else {
         return Err(CodecError::UnsupportedValue { context: "frontier node anchor" });
     };
@@ -404,13 +337,12 @@ fn decode_state(
     }
     let mut jobs = Vec::new();
     for _ in 0..r.usize()? {
-        let node = Arc::new(decode_node(&mut r, segments)?);
+        let node = decode_node(&mut r, segments)?;
         match r.u8()? {
             0 => jobs.push(Job::Tail { node }),
             1 => {
-                for _ in 0..r.usize()? {
-                    jobs.push(Job::Expand { node: Arc::clone(&node), choice: r.usize()? });
-                }
+                let choices = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
+                jobs.push(Job::Expand { node, choices });
             }
             tag => return Err(CodecError::BadTag { what: "job kind", tag: u64::from(tag) }),
         }
