@@ -644,7 +644,8 @@ fn fig6_n4_bounded_frontier_report_is_byte_identical() {
 /// is served from the segment file). The report — every statistic of
 /// the summary line, completeness, violations — must be byte-identical
 /// to the in-memory run's; only the off-summary storage counters see
-/// the disk.
+/// the disk, and each evicted node is read back at most once, however
+/// many choices are queued on it.
 #[test]
 fn fig6_n4_spilled_sweep_report_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
@@ -667,6 +668,12 @@ fn fig6_n4_spilled_sweep_report_is_byte_identical() {
     assert_eq!(in_memory.violations, spilled.violations);
     assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
     assert!(spilled.stats.store_reads > 0, "the 64-node ceiling must rehydrate from disk");
+    assert!(
+        spilled.stats.store_reads <= spilled.stats.evicted,
+        "one disk read per evicted node: {} reads for {} evictions",
+        spilled.stats.store_reads,
+        spilled.stats.evicted
+    );
     assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
     in_memory.assert_no_violation();
     let _ = std::fs::remove_dir_all(&dir);

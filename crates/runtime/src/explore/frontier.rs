@@ -859,34 +859,45 @@ fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: &Job) -> JobResult
 /// per step. Negligible for the catalogued sweeps; a per-pid body
 /// constructor in the public API would remove it if a
 /// multi-million-expansion sweep ever makes it measurable.
+///
+/// # Panics
+///
+/// Panics, naming the choice, if the decoded pick is not enabled at
+/// `snap`: a crash-band pick with no crash budget left, or a flush-band
+/// pick for a pid whose store buffer is empty or that does not exist.
+/// The engine never queues one, so such a choice comes from a corrupt
+/// sweep state file; executing it would silently change the report.
 fn apply_choice<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     snap: &Snapshot,
     choice: usize,
 ) -> (Snapshot, Pick, Action) {
     let pick = Pick::decode(choice, &snap.alive());
-    match pick {
-        Pick::Flush(pid) => {
-            let head =
-                snap.flush_footprint(pid).expect("flush-band choices target non-empty buffers");
-            (ModelWorld::resume_flush(snap, pid), pick, Action::Flush(head))
-        }
-        Pick::Crash(pid) => {
-            debug_assert!(
-                shared.crashes.budget_left(snap.crashes()),
-                "crash-band choices are queued only while budget remains"
-            );
-            (ModelWorld::resume_crash(snap, pid), pick, Action::Crash)
-        }
-        Pick::Op(pid) if shared.crashes.fires_at(pid, snap.own_steps(pid)) => {
-            (ModelWorld::resume_crash(snap, pid), pick, Action::Crash)
-        }
+    let action = match pick {
+        Pick::Op(pid) if shared.crashes.fires_at(pid, snap.own_steps(pid)) => Some(Action::Crash),
         Pick::Op(pid) => {
-            let executed = snap.pending_footprint(pid).expect("an alive process parks at a gate");
-            let body = (shared.make_bodies)().into_iter().nth(pid).expect("one body per process");
-            (ModelWorld::resume_from(snap, pid, body), pick, Action::Op(executed))
+            Some(Action::Op(snap.pending_footprint(pid).expect("an alive process parks at a gate")))
         }
-    }
+        Pick::Crash(_) => shared.crashes.budget_left(snap.crashes()).then_some(Action::Crash),
+        Pick::Flush(pid) if pid < snap.n() => snap.flush_footprint(pid).map(Action::Flush),
+        Pick::Flush(_) => None,
+    };
+    let Some(action) = action else {
+        panic!(
+            "explore: choice {choice} ({pick:?}) is not enabled at its node: a corrupt sweep \
+             state file, or an engine bug"
+        )
+    };
+    let pid = pick.pid();
+    let successor = match action {
+        Action::Op(_) => {
+            let body = (shared.make_bodies)().into_iter().nth(pid).expect("one body per process");
+            ModelWorld::resume_from(snap, pid, body)
+        }
+        Action::Crash => ModelWorld::resume_crash(snap, pid),
+        Action::Flush(_) => ModelWorld::resume_flush(snap, pid),
+    };
+    (successor, pick, action)
 }
 
 /// Rebuilds an evicted node's snapshot by replaying its choice-path

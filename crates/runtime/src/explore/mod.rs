@@ -1474,6 +1474,45 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A queued choice must be enabled at its node. The state file of a
+    /// halted sweep without crashes is rewritten twice: a job whose
+    /// choices are no longer strictly increasing is an `InvalidData`
+    /// error, and an ascending list whose last choice moved into the
+    /// crash band fails loudly when the choice is applied, instead of
+    /// delivering a crash the adversary cannot make.
+    #[test]
+    #[should_panic(expected = "choice 5 (Crash(2)) is not enabled at its node")]
+    fn resume_rejects_a_crash_choice_without_budget() {
+        let dir = sweep_dir("crash-choice");
+        Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
+        // The state file (`store::encode_state`): magic, codec version,
+        // violation count (none here), job count, then the first job —
+        // path length, path, anchor depth, offset and length, the expand
+        // tag, the choice count and the choices.
+        let state = dir.join(manifest_field(&dir, "state_file"));
+        let bytes = std::fs::read(&state).expect("state file exists");
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let path_len_at = 4 + 2 + 8 + 8;
+        let tag_at = path_len_at + 8 + 8 * word(path_len_at) as usize + 3 * 8;
+        assert_eq!(bytes[tag_at], 1, "the first job expands");
+        let choices_at = tag_at + 1 + 8;
+        let last_at = choices_at + 8 * (word(tag_at + 1) as usize - 1);
+        // Three processes are alive at depth 2, so the node's choices
+        // are op-band picks 0, 1 and 2.
+        assert_eq!((word(choices_at), word(last_at)), (0, 2), "the first job queues picks 0..=2");
+        let rewrite = |at: usize, choice: u64| {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 8].copy_from_slice(&choice.to_le_bytes());
+            std::fs::write(&state, corrupt).expect("rewrite state file");
+        };
+        rewrite(choices_at, 2);
+        let Err(e) = store::open_sweep(&dir) else { panic!("unordered choices must be rejected") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        // Choice 3 + 2 is the crash band's pick of alive[2].
+        rewrite(last_at, 5);
+        Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
+    }
+
     /// A manifest whose `visited_len` is not a multiple of the 8-byte
     /// fingerprint size is corrupt — resume must refuse it instead of
     /// silently dropping the trailing bytes (which would resurrect

@@ -45,6 +45,12 @@
 //! with exactly the budget its crashed flags leave. [`Crashes::Random`]
 //! carries RNG stream position; the explorer rejects it before any
 //! sweep starts.
+//!
+//! The state file has no checksum, so [`open_sweep`] checks what it can:
+//! an anchor deeper than its node's path, and a job whose queued choices
+//! are empty or not strictly increasing, are `InvalidData`. A queued
+//! choice that is not enabled at its node panics when a worker applies
+//! it; a corrupt choice that stays enabled goes undetected.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -342,6 +348,11 @@ fn decode_state(
             0 => jobs.push(Job::Tail { node }),
             1 => {
                 let choices = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
+                // The engine queues each node's choices once, ascending.
+                if choices.is_empty() || choices.windows(2).any(|w| w[0] >= w[1]) {
+                    let what = "job choice list (empty or not strictly increasing)";
+                    return Err(CodecError::BadTag { what, tag: choices.len() as u64 });
+                }
                 jobs.push(Job::Expand { node, choices });
             }
             tag => return Err(CodecError::BadTag { what: "job kind", tag: u64::from(tag) }),

@@ -31,9 +31,13 @@
 //!
 //! Cell fingerprints are *recomputed* on decode (`fp_of` is a pure
 //! function of the concrete value, see [`crate::fingerprint`]), so they
-//! cost no bytes and cannot drift from the values they describe; the
-//! incremental memory fingerprint is carried verbatim and re-validated by
-//! the debug assertion every subsequent operation performs.
+//! cost no bytes and cannot drift from the values they describe. The
+//! incremental memory fingerprint is carried verbatim, so decode checks
+//! a tracked snapshot's against the full-map walk over the decoded
+//! objects: nothing downstream would catch a wrong one, because only the
+//! gated engine's debug-build per-pick hashes compare the two. Decode
+//! also rejects a process that is neither alive, decided with a result,
+//! nor crashed without one — states no engine reaches.
 
 use std::sync::Arc;
 
@@ -612,7 +616,10 @@ impl Snapshot {
     /// # Errors
     ///
     /// Any [`CodecError`] decode variant on malformed, truncated, or
-    /// version-mismatched bytes.
+    /// version-mismatched bytes, and [`CodecError::BadTag`] on a state no
+    /// engine reaches: a tracked snapshot whose memory fingerprint
+    /// disagrees with its objects, or a process that is neither alive,
+    /// decided with a result, nor crashed without one.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC.as_slice() {
@@ -655,9 +662,18 @@ impl Snapshot {
         let mut pending_op = Vec::with_capacity(capped(n));
         let mut own_steps = Vec::with_capacity(capped(n));
         for _ in 0..n {
-            finished.push(r.bool()?);
-            crashed.push(r.bool()?);
-            results.push(get_opt_u64(&mut r)?);
+            let (done, crash, result) = (r.bool()?, r.bool()?, get_opt_u64(&mut r)?);
+            match (done, crash, result.is_some()) {
+                (false, false, false) | (true, false, true) | (false, true, false) => {}
+                _ => {
+                    let tag =
+                        u64::from(done) | u64::from(crash) << 1 | u64::from(result.is_some()) << 2;
+                    return Err(CodecError::BadTag { what: "process liveness", tag });
+                }
+            }
+            finished.push(done);
+            crashed.push(crash);
+            results.push(result);
             pending_op.push(match r.u8()? {
                 0 => None,
                 1 => Some(decode_footprint(&mut r)?),
@@ -689,7 +705,7 @@ impl Snapshot {
         }
         let steps = r.u64()?;
         r.finish()?;
-        Ok(Snapshot {
+        let snap = Snapshot {
             n,
             track,
             viewsum,
@@ -706,7 +722,11 @@ impl Snapshot {
             steps,
             tso,
             buffers,
-        })
+        };
+        if track && snap.recompute_mem_fp() != mem_fp {
+            return Err(CodecError::BadTag { what: "memory fingerprint", tag: mem_fp });
+        }
+        Ok(snap)
     }
 }
 
@@ -822,6 +842,30 @@ mod tests {
             .map(|(case, _)| case)
             .collect();
         assert!(panicked.is_empty(), "decode panicked on: {panicked:?}");
+    }
+
+    /// A tracked snapshot whose stored memory fingerprint disagrees with
+    /// its objects is rejected: a sweep would otherwise carry the wrong
+    /// word into every fingerprint it derives from the snapshot.
+    #[test]
+    fn mismatched_memory_fingerprint_is_rejected() {
+        let mut snap = tiny_snapshot();
+        snap.mem_fp ^= 1;
+        let err = Snapshot::decode(&snap.encode().unwrap()).unwrap_err();
+        assert!(matches!(err, CodecError::BadTag { what: "memory fingerprint", .. }), "{err}");
+    }
+
+    /// Every engine leaves a process alive, decided with a result, or
+    /// crashed without one. A process marked finished without a result
+    /// would report `Undecided` and never be scheduled, so it is
+    /// rejected.
+    #[test]
+    fn finished_process_without_a_result_is_rejected() {
+        let mut snap = tiny_snapshot();
+        assert_eq!(snap.alive(), vec![1], "pid 1 is still running");
+        snap.finished[1] = true;
+        let err = Snapshot::decode(&snap.encode().unwrap()).unwrap_err();
+        assert!(matches!(err, CodecError::BadTag { what: "process liveness", tag: 1 }), "{err}");
     }
 
     #[test]

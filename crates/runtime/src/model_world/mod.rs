@@ -787,8 +787,9 @@ impl Snapshot {
         }
     }
 
-    /// The full-map recomputation of [`Snapshot::mem_fp`] — only used to
-    /// cross-check the incremental accumulator in debug builds.
+    /// The full-map recomputation of [`Snapshot::mem_fp`] — the gated
+    /// engine's debug-build cross-check of the incremental accumulator,
+    /// and the codec's check of a decoded one.
     fn recompute_mem_fp(&self) -> u64 {
         self.objects.iter().fold(0u64, |acc, (key, obj)| acc ^ key_obj_fp(*key, obj))
     }
