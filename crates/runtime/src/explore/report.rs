@@ -82,8 +82,8 @@ pub struct ExploreStats {
     /// from [`ExploreStats::summary`].
     pub max_rehydration_replay: u64,
     /// Checkpoint snapshots serialized to the sweep directory's segment
-    /// file by the disk-spilling store ([`super::Explorer::spill_to`]);
-    /// `0` under the in-memory store. A storage-policy observable
+    /// file by a spilled sweep ([`super::Explorer::spill_to`]); `0` for
+    /// an in-memory sweep. A storage-policy observable
     /// excluded from [`ExploreStats::summary`], like
     /// [`ExploreStats::evicted`]: spilled and in-memory sweeps must
     /// print byte-identical lines.
@@ -93,8 +93,11 @@ pub struct ExploreStats {
     /// [`ExploreStats::summary`].
     pub spill_bytes: u64,
     /// Checkpoint records read back and decoded from the segment file
-    /// to rehydrate evicted nodes (one per disk-anchored rehydration).
-    /// Excluded from [`ExploreStats::summary`].
+    /// to rehydrate evicted nodes: one per disk-anchored rehydration,
+    /// and a worker rehydrates a node once per job, whatever the number
+    /// of choices queued on it. So a sweep that is not resumed reads at
+    /// most [`ExploreStats::evicted`] records. Excluded from
+    /// [`ExploreStats::summary`].
     pub store_reads: u64,
     /// Deepest completed run (in picks) seen.
     pub max_depth: usize,
