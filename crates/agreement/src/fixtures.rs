@@ -236,7 +236,6 @@ pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
         explorer,
         expect_violation: false,
     };
-    let bounded = |explorer: Explorer| explorer.resident_ceiling(64).checkpoint_every(8);
     let unbounded = usize::MAX;
     vec![
         sweep(
@@ -281,15 +280,10 @@ pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
             Fixture::Fig1 { n: 4 },
             fig1(4).limits(limits(2_000_000, unbounded)),
         ),
-        // A resident ceiling of 64 nodes per layer with 8-layer
-        // checkpoints binds on this sweep and the two fault-tolerance
-        // sweeps below, so eviction and anchored rehydration (from disk,
-        // when spilled) run on every catalogue pass; eviction is memory
-        // policy, invisible in the line.
         sweep(
             "fig1 n=5 pruned",
             Fixture::Fig1 { n: 5 },
-            bounded(fig1(5).limits(limits(60_000_000, unbounded))),
+            fig1(5).limits(limits(60_000_000, unbounded)),
         ),
         // The fault-tolerance sweeps: every placement of up to `f`
         // crashes as explicit frontier branches, the symmetry quotient
@@ -297,12 +291,12 @@ pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
         sweep(
             "fig1 n=5 f=1 pruned",
             Fixture::Fig1 { n: 5 },
-            bounded(fig1(5).crashes(Crashes::UpTo(1)).limits(limits(60_000_000, unbounded))),
+            fig1(5).crashes(Crashes::UpTo(1)).limits(limits(60_000_000, unbounded)),
         ),
         sweep(
             "fig1 n=4 f=2 pruned",
             Fixture::Fig1 { n: 4 },
-            bounded(fig1(4).crashes(Crashes::UpTo(2)).limits(limits(60_000_000, unbounded))),
+            fig1(4).crashes(Crashes::UpTo(2)).limits(limits(60_000_000, unbounded)),
         ),
         // The weak-memory sweeps (x86-TSO store buffers; the symmetry
         // quotient gates itself off). Unfenced safe agreement breaks, so

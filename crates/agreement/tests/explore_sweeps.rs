@@ -15,10 +15,9 @@
 //! * Figure 5 `x_compete`, `n = 3..5` — exhaustive at `n = 3, 4`,
 //!   bounded-depth at `n = 5`;
 //! * Figure 6 x-safe agreement, `n = 3..5` — exhaustive at `n = 3, 4`
-//!   (the `n = 4` sweep additionally pins that an artificially tiny
-//!   snapshot ceiling is invisible, and that a disk-spilled sweep
-//!   reproduces the in-memory line byte for byte), bounded-depth at
-//!   `n = 5`;
+//!   (the `n = 4` sweep additionally pins that a disk-spilled sweep under
+//!   an artificially tiny snapshot ceiling reproduces the in-memory line
+//!   byte for byte), bounded-depth at `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
 //!   `(process, step)` pair, DPOR-on vs pruning-only, verdicts
 //!   cross-checked against the gated-replay oracle — plus a crash-count
@@ -125,9 +124,11 @@ fn catalogue_matches_golden_file() {
 
 /// Storage is policy, never search shape: every catalogued sweep, run at
 /// one worker through a disk-backed `SpillStore` in its own temporary
-/// directory, must print the same golden line as in memory. With the
-/// two-worker test above, this also pins that the worker count is
-/// invisible.
+/// directory under a 64-node resident ceiling with 8-layer checkpoints,
+/// must print the same golden line as in memory. The ceiling binds on
+/// the `fig1 n=5` and fault-tolerance sweeps, so eviction and anchored
+/// rehydration from disk run on every pass. With the two-worker test
+/// above, this also pins that the worker count is invisible.
 #[test]
 fn spilled_catalogue_matches_golden_file() {
     let lines: Vec<String> = catalogue(1)
@@ -143,7 +144,13 @@ fn spilled_catalogue_matches_golden_file() {
             let _ = std::fs::remove_dir_all(&dir);
             let line = catalogue_line(
                 sweep,
-                &sweep.explorer.clone().spill_to(&dir).fixture_id(sweep.label),
+                &sweep
+                    .explorer
+                    .clone()
+                    .resident_ceiling(64)
+                    .checkpoint_every(8)
+                    .spill_to(&dir)
+                    .fixture_id(sweep.label),
             );
             let _ = std::fs::remove_dir_all(&dir);
             line
@@ -225,12 +232,14 @@ fn fig1_n4_exhaustive_baseline() {
 /// The Figure 1 scale-up milestone: safe agreement at `n = 5` — 5
 /// proposers, schedule depth 20 — is **exhausted** under the full
 /// reduction set with the pid-symmetry quotient, termination checked,
-/// under the catalogue's 64-node resident ceiling and 8-layer
-/// checkpoint stride. The ceiling binds, and anchored rehydration
-/// replays at least one decision and at most one stride (the
-/// catalogue's `fig1 n=5 pruned` line pins its state counts).
+/// spilled under a 64-node resident ceiling and 8-layer checkpoint
+/// stride. The ceiling binds, and anchored rehydration replays at least
+/// one decision and at most one stride (the catalogue's `fig1 n=5
+/// pruned` line pins its state counts).
 #[test]
 fn fig1_n5_exhaustive_symm_baseline() {
+    let dir = std::env::temp_dir().join(format!("mpcn-fig1-n5-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(5)
         .threads(2)
         .symmetry(FIG1_SYMMETRY)
@@ -241,7 +250,9 @@ fn fig1_n5_exhaustive_symm_baseline() {
         })
         .resident_ceiling(64)
         .checkpoint_every(8)
+        .spill_to(&dir)
         .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
+    let _ = std::fs::remove_dir_all(&dir);
     out.assert_no_violation();
     assert!(out.complete, "fig1 n = 5 must exhaust ({} runs)", out.runs());
     assert!(out.stats.evicted > 0, "a 64-node ceiling must evict");
@@ -284,10 +295,9 @@ fn fig1_n6_exhaustive_symm_baseline() {
 /// release — but too heavy for the debug-mode tier-1 suite, so the
 /// exact baseline is pinned behind `#[ignore]`. The sweep runs through
 /// a disk-backed `SpillStore` with a resident ceiling far below the
-/// widest layer: checkpoint snapshots live in the segment file (a
-/// spilling store drops the in-memory engine's checkpoint eviction
-/// exemption), so this is the storage layer at its design scale — and
-/// the pinned line proves the disk is invisible in the report.
+/// widest layer: checkpoint snapshots live in the segment file, so this
+/// is the storage layer at its design scale — and the pinned line
+/// proves the disk is invisible in the report.
 /// Reproduce with
 /// `cargo test --release -p mpcn-agreement --test explore_sweeps -- \
 /// --ignored fig1_n6`.
@@ -386,7 +396,7 @@ fn fig5_x_compete_sweeps_n3_to_n5() {
 }
 
 /// Figure 6 sweeps: exhaustive at `n = 3`; depth bounded at `n = 5`
-/// (`n = 4` is exhausted by the bounded-frontier sweep below).
+/// (`n = 4` is exhausted by the spilled-sweep test below).
 #[test]
 fn fig6_x_safe_agreement_sweeps_n3_and_n5() {
     let out = Explorer::new(3)
@@ -603,69 +613,43 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     }
 }
 
-/// The bounded-memory frontier on the Figure 6 scale-up sweep: an
-/// artificially tiny snapshot ceiling (64 resident nodes per layer where
-/// the widest layer holds thousands) forces mass eviction and
-/// rehydration-from-log-cursors, and the report — every statistic of the
-/// summary line, completeness, violations — is byte-identical to the
-/// unbounded run's. The unbounded run uses one worker and the bounded
-/// run two, so the pair also pins that the worker count is invisible.
-#[test]
-fn fig6_n4_bounded_frontier_report_is_byte_identical() {
-    let sweep = |ceiling: usize, threads: usize| {
-        Explorer::new(4)
-            .threads(threads)
-            .resident_ceiling(ceiling)
-            .limits(ExploreLimits {
-                max_expansions: 2_000_000,
-                max_steps: 2_000,
-                ..Default::default()
-            })
-            .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true))
-    };
-    let unbounded = sweep(usize::MAX, 1);
-    let bounded = sweep(64, 2);
-    assert!(unbounded.complete, "n = 4 x = 2 must exhaust ({} runs)", unbounded.runs());
-    assert_eq!(unbounded.stats.evicted, 0, "the unbounded run must not evict");
-    assert!(bounded.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
-    assert_eq!(
-        unbounded.stats.summary(),
-        bounded.stats.summary(),
-        "eviction must be invisible in the report"
-    );
-    assert_eq!(unbounded.complete, bounded.complete);
-    assert_eq!(unbounded.violations, bounded.violations);
-    unbounded.assert_no_violation();
-}
-
-/// The storage layer on the Figure 6 scale-up sweep: the same 64-node
-/// ceiling, but with checkpoints spilled to a disk-backed `SpillStore`
-/// (which also drops the checkpoint eviction exemption, so rehydration
-/// is served from the segment file). The report — every statistic of
-/// the summary line, completeness, violations — must be byte-identical
-/// to the in-memory run's; only the off-summary storage counters see
-/// the disk, and each evicted node is read back at most once, however
-/// many choices are queued on it.
+/// The bounded-memory frontier and the storage layer on the Figure 6
+/// scale-up sweep: an artificially tiny snapshot ceiling (64 resident
+/// nodes per layer where the widest layer holds thousands) over a
+/// disk-backed `SpillStore` forces mass eviction and rehydration from
+/// the segment file, and the report — every statistic of the summary
+/// line, completeness, violations — is byte-identical to the in-memory
+/// run's. Only the off-summary storage counters see the disk, and each
+/// evicted node is read back at most once, however many choices are
+/// queued on it. The in-memory run uses one worker and the spilled run
+/// two, so the pair also pins that the worker count is invisible.
 #[test]
 fn fig6_n4_spilled_sweep_report_is_byte_identical() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let sweep = |spill: bool| {
-        let ex = Explorer::new(4).threads(2).resident_ceiling(64).checkpoint_every(8).limits(
-            ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() },
-        );
-        let ex = if spill { ex.spill_to(&dir).fixture_id("fig6 n=4 x=2") } else { ex };
-        ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true))
-    };
-    let in_memory = sweep(false);
-    let spilled = sweep(true);
+    let ex = Explorer::new(4).limits(ExploreLimits {
+        max_expansions: 2_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    });
+    let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
+    let in_memory = run(ex.clone().threads(1));
+    let spilled = run(ex
+        .threads(2)
+        .resident_ceiling(64)
+        .checkpoint_every(8)
+        .spill_to(&dir)
+        .fixture_id("fig6 n=4 x=2"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(in_memory.complete, "n = 4 x = 2 must exhaust ({} runs)", in_memory.runs());
     assert_eq!(
         in_memory.stats.summary(),
         spilled.stats.summary(),
-        "the storage layer must be invisible in the report"
+        "eviction and the storage layer must be invisible in the report"
     );
     assert_eq!(in_memory.complete, spilled.complete);
     assert_eq!(in_memory.violations, spilled.violations);
+    assert!(spilled.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
     assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
     assert!(spilled.stats.store_reads > 0, "the 64-node ceiling must rehydrate from disk");
     assert!(
@@ -674,9 +658,9 @@ fn fig6_n4_spilled_sweep_report_is_byte_identical() {
         spilled.stats.store_reads,
         spilled.stats.evicted
     );
+    assert_eq!(in_memory.stats.evicted, 0, "the in-memory run must not evict");
     assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
     in_memory.assert_no_violation();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A broken invariant on the real Figure 1 object produces a violation

@@ -11,16 +11,18 @@
 //! processes have crashed) is read from the snapshot:
 //!
 //! 1. **Expand (parallel):** a layer is a list of node jobs, each one
-//!    node plus the choices queued on it. A worker reads the node's
-//!    snapshot (or rebuilds it once, if evicted), resumes every queued
-//!    scheduling decision from it ([`ModelWorld::resume_from`] /
-//!    [`ModelWorld::resume_crash`]) and fingerprints each child. Jobs are
-//!    claimed work-stealing style from a shared atomic cursor by up to
-//!    [`super::Explorer::threads`] workers; each worker also pre-checks
-//!    its children's fingerprints against the **committed** visited set,
-//!    a plain `HashSet` the workers only borrow: nothing inserts into it
-//!    during the phase, so the check needs no lock and its outcome is
-//!    independent of worker interleaving.
+//!    node plus the choices queued on it, which [`Engine::execute`]
+//!    consumes. A worker takes the node's snapshot (or rebuilds it once,
+//!    if evicted), resumes every queued scheduling decision from it
+//!    ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`]),
+//!    fingerprints each child, and drops the job — and with it the
+//!    parent snapshot — as soon as it has run. With `k` =
+//!    [`super::Explorer::threads`] workers, worker `w` owns jobs `w`,
+//!    `w + k`, …; each also pre-checks its children's fingerprints
+//!    against the **committed** visited set, a plain `HashSet` the
+//!    workers only borrow: nothing inserts into it during the phase, so
+//!    the check needs no lock and its outcome is independent of worker
+//!    interleaving.
 //! 2. **Merge (canonical):** results are folded **in job order**, and
 //!    each job's children in choice order — visited-set insertion,
 //!    within-layer duplicate resolution, statistics, violation checks,
@@ -71,57 +73,50 @@
 //!
 //! # Bounded-memory frontier ([`super::Explorer::resident_ceiling`])
 //!
-//! Each retained frontier node normally holds its [`Snapshot`] (object
-//! map + operation logs — the heavy part). Under a resident ceiling, only
-//! the first `ceiling` nodes admitted per layer stay resident; colder
-//! nodes are **evicted** down to their choice path and anchor, and the
-//! worker that takes an evicted node's job first **rehydrates** it, once
-//! per job, by replaying its choice path through the snapshot engine —
-//! the operation-log cursors make every replayed decision a
+//! Every frontier snapshot has exactly one owner: the [`Node`] that
+//! holds it or, once evicted, the spill store's segment file. Eviction
+//! happens only in a spilled sweep ([`super::Explorer::spill_to`]): only
+//! the first `ceiling` nodes admitted per layer keep their snapshot;
+//! colder nodes are **evicted** down to their choice path and anchor,
+//! and the worker that takes an evicted node's job **rehydrates** it,
+//! once per job, by replaying its choice path through the snapshot
+//! engine — the operation-log cursors make every replayed decision a
 //! deterministic `O(own log)` resume, so the rebuilt snapshot (and hence
 //! the whole report) is byte-identical to the never-evicted run.
 //! [`Engine::admit`] makes every decision that reads a node's state
 //! (terminality, tail, choices, skips) from the freshly expanded node's
 //! snapshot, so an evicted node is rebuilt only to be expanded.
 //!
-//! Rehydration does not start at the root: every node carries an
-//! [`Anchor`] — a reference to its nearest checkpoint-depth ancestor's
-//! **stored** snapshot (depth a multiple of
+//! Rehydration does not start at the root: every node of a spilled sweep
+//! carries an [`Anchor`] — the segment-file record of its nearest
+//! checkpoint-depth ancestor (depth a multiple of
 //! [`super::Explorer::checkpoint_every`]`= k`; depth 0 is one, so no
 //! node lacks an anchor). An evicted expansion therefore replays at most
-//! `k` decisions (`anchor.depth ..` of the node's path), turning the old
-//! `O(depth)` root replay into `O(k)`; the longest suffix actually
-//! replayed is reported as
+//! `k` decisions (`anchor.depth ..` of the node's path); the longest
+//! suffix actually replayed is reported as
 //! [`super::ExploreStats::max_rehydration_replay`].
 //!
 //! # Storage ([`super::store`])
 //!
-//! [`Engine::store`] is `None` for an in-memory sweep: a checkpoint-depth
-//! node anchors to its own `Arc`, and checkpoint layers stay resident,
-//! since their snapshots *are* the anchors. Under
-//! [`super::Explorer::spill_to`] it is a [`SpillStore`]:
-//! [`SpillStore::put`] appends each checkpoint snapshot to the segment
-//! file and the node anchors to the returned record, checkpoint layers
-//! count against the resident ceiling like any other, and rehydration
-//! reads the anchor back from disk ([`super::ExploreStats::store_reads`]).
-//! [`SpillStore::barrier`] persists every layer boundary — called by
-//! [`Engine::drive`] right after each merge, where the engine's state is
-//! exactly {committed stats, visited set, next job list} — which is what
-//! makes a killed sweep resumable ([`Engine::resume`]).
+//! [`Engine::store`] is `None` for an in-memory sweep, which installs no
+//! anchors and evicts nothing. Under [`super::Explorer::spill_to`] it is
+//! a [`SpillStore`]: [`SpillStore::put`] appends each checkpoint
+//! snapshot to the segment file and the node anchors to the returned
+//! record, and rehydration reads the anchor back from disk
+//! ([`super::ExploreStats::store_reads`]). [`SpillStore::barrier`]
+//! persists every layer boundary — called by [`Engine::drive`] right
+//! after each merge, where the engine's state is exactly {committed
+//! stats, visited set, next job list} — which is what makes a killed
+//! sweep resumable ([`Engine::resume`]).
 
-use std::borrow::Cow;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
 use crate::sched::{Crashes, Pick};
 use crate::world::Pid;
 
 use super::report::{ExploreReport, ExploreStats, Violation};
-use super::store::{PendingSweep, SnapRef, SpillStore, SweepCheckpoint};
+use super::store::{DiskRef, PendingSweep, SpillStore, SweepCheckpoint};
 use super::Explorer;
 
 /// The scheduling decision that created a node, as an *action*: the
@@ -173,17 +168,15 @@ impl Action {
     }
 }
 
-/// A node's rehydration base: the nearest ancestor at a
-/// checkpoint-stride depth ([`super::Explorer::checkpoint_every`]),
-/// held as a shared in-memory `Arc`, kept alive exactly as long as some
-/// frontier descendant still rehydrates through it, or, when spilling,
-/// as a segment-file record locator.
+/// A node's rehydration base in a spilled sweep: the segment-file record
+/// of its nearest ancestor at a checkpoint-stride depth
+/// ([`super::Explorer::checkpoint_every`]).
 #[derive(Clone)]
 pub(super) struct Anchor {
     /// The ancestor's depth — rehydration replays `path[depth..]`.
     pub(super) depth: usize,
     /// The ancestor's stored snapshot.
-    pub(super) snap: SnapRef,
+    pub(super) disk: DiskRef,
 }
 
 /// One frontier node: a choice path plus either its snapshot or, once
@@ -191,19 +184,17 @@ pub(super) struct Anchor {
 /// reads — the alive set, footprints, clocks and crash count — comes
 /// from the snapshot.
 pub(super) struct Node {
-    /// The node's state while resident; `None` once evicted
-    /// ([`Engine::maybe_evict`]), when the expanding worker rehydrates it.
-    pub(super) snap: Option<Arc<Snapshot>>,
+    /// The node's state while resident — its only owner; `None` once
+    /// evicted ([`Engine::stays_resident`]), when the expanding worker
+    /// rehydrates it.
+    pub(super) snap: Option<Box<Snapshot>>,
     /// Choice vector from the root (the replayable schedule prefix).
     pub(super) path: Vec<usize>,
     /// Nearest checkpointed ancestor, installed by [`Engine::admit`]
     /// when the node itself sits on a checkpoint-depth layer and
-    /// inherited from the parent otherwise. `None` throughout any
-    /// exploration where nothing can be evicted ([`Engine::evictable`])
-    /// — anchors exist only to serve rehydration, so keeping them alive
-    /// then would pin a whole checkpoint layer's snapshots past their
-    /// layer's lifetime for no benefit. In an evictable one every node
-    /// has an anchor: depth 0 is a checkpoint layer.
+    /// inherited from the parent otherwise. `None` throughout an
+    /// in-memory sweep, which evicts nothing; in a spilled one every
+    /// node has an anchor, since depth 0 is a checkpoint layer.
     pub(super) anchor: Option<Anchor>,
 }
 
@@ -222,12 +213,11 @@ pub(super) enum Job {
 /// What one job produced, and what rebuilding its node cost.
 struct JobResult {
     output: JobOutput,
-    /// Choice-path suffix length the node's rehydration replayed (0 if
-    /// it was resident) — feeds `max_rehydration_replay`.
-    rehydration_replay: u64,
-    /// Checkpoint records read back from disk to rebuild the node (0 or
-    /// 1) — feeds `store_reads`.
-    store_reads: u64,
+    /// `Some` with the choice-path suffix length replayed when the node
+    /// was rebuilt from its disk anchor — one record read, feeding
+    /// `store_reads` and `max_rehydration_replay`; `None` if it was
+    /// resident.
+    rehydrated: Option<u64>,
 }
 
 enum JobOutput {
@@ -404,7 +394,7 @@ where
             self.ex.tso,
             (self.make_bodies)(),
         );
-        let root = Node { snap: Some(Arc::new(snap)), path: Vec::new(), anchor: None };
+        let root = Node { snap: Some(Box::new(snap)), path: Vec::new(), anchor: None };
         let mut jobs = Vec::new();
         self.admit(root, None, &mut jobs);
         self.drive(jobs)
@@ -452,7 +442,7 @@ where
                 halted = true;
                 break;
             }
-            let results = self.execute(&jobs);
+            let results = self.execute(jobs);
             jobs = self.merge(results);
             self.layer += 1;
             self.barrier(&jobs, false);
@@ -488,20 +478,14 @@ where
         self.visited_delta.clear();
     }
 
-    /// Whether eviction (and hence rehydration) can happen at all — the
-    /// only situation node anchors are worth installing.
-    fn evictable(&self) -> bool {
-        self.ex.resident_ceiling != usize::MAX || self.store.is_some()
-    }
-
     /// Classifies a freshly retained node, created by `incoming` (`None`
     /// at the root): terminal and timed-out nodes are checked now;
     /// depth-bounded nodes queue a tail job; everything else queues one
     /// expansion job holding its non-redundant choices. Every decision
-    /// reads the node's own snapshot, which `admit` holds on to even when
-    /// the resident ceiling evicts the node itself.
+    /// reads the node's own snapshot, which `admit` holds on to until
+    /// the node is queued, resident or evicted.
     fn admit(&mut self, mut node: Node, incoming: Option<(Pid, Action)>, jobs: &mut Vec<Job>) {
-        let snap = node.snap.clone().expect("children are admitted resident");
+        let snap = node.snap.take().expect("children are admitted resident");
         let depth = node.path.len();
         let alive = snap.alive();
         // Under TSO a state with everyone finished/crashed but writes
@@ -518,25 +502,21 @@ where
             self.finish_run(snap.report(true), node.path, depth);
             return;
         }
-        // Checkpoint-depth nodes anchor to themselves — to their own
-        // `Arc`, or to the record the spill store appends — and every
-        // descendant down to the next checkpoint layer inherits that.
-        if self.evictable() && depth % self.ex.checkpoint_every == 0 {
-            let snap_ref = match &mut self.store {
-                None => SnapRef::Mem(Arc::clone(&snap)),
-                Some(store) => {
-                    SnapRef::Disk(store.put(&snap, &mut self.stats).unwrap_or_else(|e| {
-                        panic!("explore spill: cannot store a checkpoint snapshot: {e}")
-                    }))
-                }
-            };
-            node.anchor = Some(Anchor { depth, snap: snap_ref });
+        // Checkpoint-depth nodes of a spilled sweep anchor to the record
+        // the store appends, and every descendant down to the next
+        // checkpoint layer inherits that.
+        if let Some(store) = self.store.as_mut().filter(|_| depth % self.ex.checkpoint_every == 0) {
+            let disk = store.put(&snap, &mut self.stats).unwrap_or_else(|e| {
+                panic!("explore spill: cannot store a checkpoint snapshot: {e}")
+            });
+            node.anchor = Some(Anchor { depth, disk });
         }
-        self.maybe_evict(&mut node);
+        let resident = self.stays_resident();
         if depth >= self.ex.limits.max_depth {
             // The bound binds: this is no longer a full proof.
             self.complete = false;
             if self.take_work() {
+                node.snap = resident.then_some(snap);
                 jobs.push(Job::Tail { node });
             }
             return;
@@ -573,30 +553,24 @@ where
             choices.push(choice);
         }
         if !choices.is_empty() {
+            node.snap = resident.then_some(snap);
             jobs.push(Job::Expand { node, choices });
         }
     }
 
-    /// Applies the resident ceiling: the first
+    /// Applies the resident ceiling to one admitted node: the first
     /// [`super::Explorer::resident_ceiling`] nodes admitted per layer
-    /// keep their snapshot; colder ones drop it, keeping their path and
-    /// anchor, and are rehydrated on demand by the expanding worker.
-    /// In memory, checkpoint layers (depth a multiple of
-    /// [`super::Explorer::checkpoint_every`]) are exempt: their resident
-    /// snapshots *are* the anchors every descendant rehydrates from, so
-    /// evicting one would save nothing. A spilling sweep keeps its
-    /// anchors in the segment file, so checkpoint nodes count against
-    /// the ceiling like any other.
-    fn maybe_evict(&mut self, node: &mut Node) {
-        if self.store.is_none() && node.path.len() % self.ex.checkpoint_every == 0 {
-            return;
-        }
+    /// keep their snapshot; colder ones are evicted down to their path
+    /// and anchor, and rehydrated by the expanding worker. Only a
+    /// spilled sweep sets a ceiling ([`super::Explorer::run`] checks),
+    /// so every evicted node has a disk anchor.
+    fn stays_resident(&mut self) -> bool {
         if self.resident < self.ex.resident_ceiling {
             self.resident += 1;
-            return;
+            return true;
         }
         self.stats.evicted += 1;
-        node.snap = None;
+        false
     }
 
     /// Accounts one unit of expansion work against the budget; on
@@ -693,10 +667,13 @@ where
         act_p.commutes(&act_q)
     }
 
-    /// Phase 1: runs the layer's jobs, on this thread or on a scoped
-    /// worker pool claiming jobs from an atomic cursor. Only reads shared
-    /// state; all results are folded canonically by [`Engine::merge`].
-    fn execute(&self, jobs: &[Job]) -> Vec<JobResult> {
+    /// Phase 1: runs the layer's jobs, consuming them, on this thread or
+    /// on `k` scoped workers, worker `w` owning jobs `w`, `w + k`, ….
+    /// Each job — and with it its node's snapshot — is dropped as soon as
+    /// it has run. Only reads shared state; the results come back in job
+    /// order and are folded canonically by [`Engine::merge`]. A worker's
+    /// panic is re-raised here with its own payload.
+    fn execute(&self, jobs: Vec<Job>) -> Vec<JobResult> {
         let shared = Shared {
             crashes: &self.ex.crashes,
             make_bodies: self.make_bodies,
@@ -706,25 +683,32 @@ where
             symmetry: self.symmetry,
             max_steps: self.ex.limits.max_steps,
         };
-        let workers = self.threads.min(jobs.len());
+        let len = jobs.len();
+        let workers = self.threads.min(len);
         if workers <= 1 {
-            return jobs.iter().map(|job| run_job(&shared, job)).collect();
+            return jobs.into_iter().map(|job| run_job(&shared, job)).collect();
         }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let out = run_job(&shared, &jobs[i]);
-                    *slots[i].lock() = Some(out);
-                });
-            }
+        let mut owned: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, job) in jobs.into_iter().enumerate() {
+            owned[i % workers].push(job);
+        }
+        let mut ran: Vec<_> = std::thread::scope(|scope| {
+            let shared = &shared;
+            let handles: Vec<_> = owned
+                .into_iter()
+                .map(|mine| {
+                    scope.spawn(move || {
+                        mine.into_iter().map(|job| run_job(shared, job)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .map(Vec::into_iter)
+                .collect()
         });
-        slots.into_iter().map(|slot| slot.into_inner().expect("every job ran")).collect()
+        (0..len).map(|i| ran[i % workers].next().expect("every job ran")).collect()
     }
 
     /// Phase 2: folds the layer's results in job order, and each job's
@@ -746,9 +730,10 @@ where
             if self.stopped {
                 break;
             }
-            self.stats.max_rehydration_replay =
-                self.stats.max_rehydration_replay.max(result.rehydration_replay);
-            self.stats.store_reads += result.store_reads;
+            if let Some(replayed) = result.rehydrated {
+                self.stats.max_rehydration_replay = self.stats.max_rehydration_replay.max(replayed);
+                self.stats.store_reads += 1;
+            }
             let children = match result.output {
                 JobOutput::Tail(tail) => {
                     self.stats.depth_limited_runs += 1;
@@ -822,24 +807,28 @@ where
     }
 }
 
-/// Runs one job: reads the node's snapshot, or rebuilds it once if the
-/// node was evicted, then expands every queued choice or runs the tail.
-fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: &Job) -> JobResult {
-    let (Job::Expand { node, .. } | Job::Tail { node }) = job;
-    let (snap, rehydration_replay, store_reads) = match &node.snap {
-        Some(snap) => (Cow::Borrowed(&**snap), 0, 0),
+/// Runs one job, consuming it: takes the node's snapshot, or rebuilds it
+/// once if the node was evicted, then expands every queued choice or
+/// runs the tail.
+fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: Job) -> JobResult {
+    let (mut node, choices) = match job {
+        Job::Expand { node, choices } => (node, Some(choices)),
+        Job::Tail { node } => (node, None),
+    };
+    let (snap, rehydrated) = match node.snap.take() {
+        Some(snap) => (*snap, None),
         None => {
-            let (snap, replayed, reads) = rehydrate(shared, node);
-            (Cow::Owned(snap), replayed, reads)
+            let (snap, replayed) = rehydrate(shared, &node);
+            (snap, Some(replayed))
         }
     };
-    let output = match job {
-        Job::Expand { choices, .. } => JobOutput::Children(
-            choices.iter().map(|&choice| expand(shared, node, &snap, choice)).collect(),
+    let output = match choices {
+        Some(choices) => JobOutput::Children(
+            choices.into_iter().map(|choice| expand(shared, &node, &snap, choice)).collect(),
         ),
-        Job::Tail { .. } => JobOutput::Tail(run_tail(shared, &node.path, snap.into_owned())),
+        None => JobOutput::Tail(run_tail(shared, node.path, snap)),
     };
-    JobResult { output, rehydration_replay, store_reads }
+    JobResult { output, rehydrated }
 }
 
 /// Executes one choice-vector entry from `snap`, decoded by band
@@ -902,29 +891,23 @@ fn apply_choice<F: Fn() -> Vec<Body>>(
 
 /// Rebuilds an evicted node's snapshot by replaying its choice-path
 /// suffix from its [`Anchor`] — every replayed decision a deterministic
-/// resume from a copy of the anchor's snapshot (cloned from memory or
-/// read back and decoded from the segment file), so the result is
-/// identical to the snapshot that was evicted. At most
-/// [`super::Explorer::checkpoint_every`] decisions are replayed (the
-/// anchor is the nearest checkpoint-depth ancestor). Returns the
-/// snapshot, the replayed suffix length and the disk reads (0 or 1).
-fn rehydrate<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> (Snapshot, u64, u64) {
+/// resume from the anchor's snapshot, read back and decoded from the
+/// segment file, so the result is identical to the snapshot that was
+/// evicted. At most [`super::Explorer::checkpoint_every`] decisions are
+/// replayed (the anchor is the nearest checkpoint-depth ancestor).
+/// Returns the snapshot and the replayed suffix length.
+fn rehydrate<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> (Snapshot, u64) {
     let anchor =
-        node.anchor.as_ref().expect("an evictable sweep anchors every node (depth 0 checkpoints)");
-    let (mut snap, reads) = match &anchor.snap {
-        SnapRef::Mem(snap) => ((**snap).clone(), 0),
-        SnapRef::Disk(disk) => {
-            let snap = disk.read().unwrap_or_else(|e| {
-                panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
-            });
-            (snap, 1)
-        }
-    };
+        node.anchor.as_ref().expect("a spilled sweep anchors every node (depth 0 checkpoints)");
+    let mut snap = anchor
+        .disk
+        .read()
+        .unwrap_or_else(|e| panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}"));
     let suffix = &node.path[anchor.depth..];
     for &choice in suffix {
         snap = apply_choice(shared, &snap, choice).0;
     }
-    (snap, suffix.len() as u64, reads)
+    (snap, suffix.len() as u64)
 }
 
 /// Executes one queued choice at `node`, whose snapshot is `parent`.
@@ -954,7 +937,7 @@ fn expand<F: Fn() -> Vec<Body>>(
         path.push(choice);
         // The admit pass overwrites the anchor with a self-anchor on
         // checkpoint-depth layers.
-        Node { snap: Some(Arc::new(snap)), path, anchor: node.anchor.clone() }
+        Node { snap: Some(Box::new(snap)), path, anchor: node.anchor.clone() }
     });
     Expanded { node: child, pick, action, fp, coarsened, symm_coarsened }
 }
@@ -964,10 +947,9 @@ fn expand<F: Fn() -> Vec<Body>>(
 /// execute to completion" path.
 fn run_tail<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
-    path: &[usize],
+    mut choices: Vec<usize>,
     mut snap: Snapshot,
 ) -> TailRun {
-    let mut choices = path.to_vec();
     let report = loop {
         if snap.is_terminal() {
             break snap.report(false);

@@ -23,7 +23,7 @@
 //!
 //! The frontier is processed in depth layers, each a list of node jobs
 //! (a node plus the choices queued on it); [`Explorer::threads`] workers
-//! claim jobs from a shared cursor and probe the read-only visited set, while
+//! each own every `k`-th job and probe the read-only visited set, while
 //! all state mutation happens in a canonical-order merge per layer
 //! — so reports are **byte-identical for any thread count** (the golden
 //! catalogue tests diff one file at `threads=2` in memory and at
@@ -133,18 +133,18 @@
 //! # Bounded-memory frontier ([`Explorer::resident_ceiling`])
 //!
 //! Wide layers at `n ≥ 4` can hold hundreds of thousands of live
-//! snapshots. Under a resident ceiling only the first `ceiling` nodes
-//! admitted per layer keep their snapshot; colder nodes are evicted down
+//! snapshots. A spilled sweep ([`Explorer::spill_to`]) can cap the nodes
+//! that keep their snapshot after each merge: only the first `ceiling`
+//! nodes admitted per layer stay resident; colder nodes are evicted down
 //! to their choice path and anchor and deterministically rehydrated when
-//! a worker expands them — reports are byte-identical to the unbounded run
-//! (tested in `crates/agreement/tests/explore_sweeps.rs`). Rehydration
-//! replays the evicted node's choice path through the snapshot engine,
-//! starting not at the root but at the node's **anchor**: every node
-//! whose depth is a multiple of [`Explorer::checkpoint_every`]`= k` is
-//! exempt from eviction, and every descendant keeps an `Arc` to its
-//! nearest such ancestor's snapshot — so a rehydration replays at most
-//! `k` decisions instead of `O(depth)` (pinned by a unit test on
-//! [`ExploreStats::max_rehydration_replay`]).
+//! a worker expands them — reports are byte-identical to the unbounded
+//! run (tested in `crates/agreement/tests/explore_sweeps.rs`). The
+//! anchor is the segment-file record of the node's nearest ancestor
+//! whose depth is a multiple of [`Explorer::checkpoint_every`]`= k`, so
+//! a rehydration replays at most `k` decisions instead of `O(depth)`
+//! (pinned by a unit test on [`ExploreStats::max_rehydration_replay`]).
+//! An in-memory sweep evicts nothing: each snapshot has one owner, its
+//! node, and workers drop each node as soon as its job has run.
 //!
 //! # Crashes and bounds
 //!
@@ -184,10 +184,10 @@ use std::path::{Path, PathBuf};
 use crate::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use crate::sched::Crashes;
 
-/// Default ancestor-checkpoint stride of the bounded-memory frontier
-/// ([`Explorer::checkpoint_every`]): under a resident ceiling, every
-/// 16th layer stays fully resident and rehydration replays at most 16
-/// decisions. Irrelevant without a ceiling (nothing is ever evicted).
+/// Default ancestor-checkpoint stride of a spilled sweep
+/// ([`Explorer::checkpoint_every`]): every 16th layer's snapshots are
+/// written to the segment file, and rehydrating an evicted node replays
+/// at most 16 decisions. Irrelevant to an in-memory sweep.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
 
 /// Bounds for an exploration.
@@ -453,29 +453,33 @@ impl Explorer {
         self
     }
 
-    /// Bounds the frontier's memory: at most `ceiling` nodes admitted per
-    /// layer keep their [`crate::model_world::Snapshot`] resident
-    /// (clamped to at least 1); colder nodes keep only their choice path
-    /// and are rehydrated by replaying it from their nearest
-    /// checkpointed ancestor ([`Explorer::checkpoint_every`]) when
-    /// expanded. Reports are byte-identical to the unbounded run;
-    /// evicted expansions cost at most `checkpoint_every` extra resumes
-    /// each. The default is `usize::MAX` (never evict).
+    /// Bounds a spilled sweep's frontier: at most `ceiling` nodes
+    /// admitted per layer keep their [`crate::model_world::Snapshot`]
+    /// resident after the merge (clamped to at least 1); colder nodes
+    /// keep only their choice path and are rehydrated by replaying it
+    /// from their nearest checkpointed ancestor's segment-file record
+    /// ([`Explorer::checkpoint_every`]) when expanded. It bounds the nodes
+    /// that survive a merge, not a layer's children in flight. Reports
+    /// are byte-identical to the unbounded run; evicted expansions cost
+    /// one record read and at most `checkpoint_every` extra resumes
+    /// each. The default is `usize::MAX` (never evict); a ceiling needs
+    /// [`Explorer::spill_to`], since the segment file is where evicted
+    /// snapshots live ([`Explorer::run`] panics otherwise).
     pub fn resident_ceiling(mut self, ceiling: usize) -> Self {
         self.resident_ceiling = ceiling.max(1);
         self
     }
 
-    /// Sets the ancestor-checkpoint stride `k` of the bounded-memory
-    /// frontier (clamped to at least 1; default
-    /// [`DEFAULT_CHECKPOINT_EVERY`]): frontier layers whose depth is a
-    /// multiple of `k` are exempt from [`Explorer::resident_ceiling`]
-    /// eviction, and every node holds a shared reference to its nearest
-    /// such ancestor's snapshot — so rehydrating an evicted node replays
-    /// at most `k` scheduling decisions instead of its full choice path
-    /// from the root. Pure memory/time policy: reports are byte-identical
-    /// for every `k` (property-tested across `k ∈ {1, 4, 16}`). Smaller
-    /// `k` trades resident checkpoint memory for cheaper rehydration.
+    /// Sets the ancestor-checkpoint stride `k` of a spilled sweep
+    /// (clamped to at least 1; default [`DEFAULT_CHECKPOINT_EVERY`]):
+    /// the snapshots of frontier layers whose depth is a multiple of `k`
+    /// are appended to the segment file, and every node anchors to its
+    /// nearest such ancestor's record — so rehydrating a node evicted by
+    /// [`Explorer::resident_ceiling`] replays at most `k` scheduling
+    /// decisions instead of its full choice path from the root. Pure
+    /// storage/time policy: reports are byte-identical for every `k`
+    /// (property-tested across `k ∈ {1, 4, 16}`). Smaller `k` trades
+    /// segment-file bytes for cheaper rehydration.
     ///
     /// ```
     /// use mpcn_runtime::explore::Explorer;
@@ -494,12 +498,16 @@ impl Explorer {
     ///         .collect::<Vec<_>>()
     /// };
     /// let unbounded = Explorer::new(2).run(bodies, |_r| Ok(()));
-    /// // Evict aggressively, checkpointing every 2nd layer: identical
-    /// // report, and no rehydration replays more than 2 decisions.
+    /// // Spill and evict aggressively, checkpointing every 2nd layer:
+    /// // identical report, and no rehydration replays more than 2
+    /// // decisions.
+    /// let dir = std::env::temp_dir().join(format!("mpcn-doc-stride-{}", std::process::id()));
     /// let bounded = Explorer::new(2)
     ///     .resident_ceiling(1)
     ///     .checkpoint_every(2)
+    ///     .spill_to(&dir)
     ///     .run(bodies, |_r| Ok(()));
+    /// std::fs::remove_dir_all(&dir).unwrap();
     /// assert_eq!(unbounded.stats.summary(), bounded.stats.summary());
     /// assert!(bounded.stats.max_rehydration_replay <= 2);
     /// ```
@@ -521,11 +529,10 @@ impl Explorer {
     /// [`ExploreStats::spill_bytes`], [`ExploreStats::store_reads`] —
     /// stay off the summary line, like [`ExploreStats::evicted`]).
     ///
-    /// Unlike an in-memory sweep's, spilled checkpoint layers are **not**
-    /// exempt from [`Explorer::resident_ceiling`] eviction (their
-    /// anchors live on disk), so the ceiling genuinely bounds resident
-    /// memory. The directory is created (or wiped) when the sweep
-    /// starts. Every crash adversary the explorer accepts spills:
+    /// Only a spilled sweep evicts: with [`Explorer::resident_ceiling`],
+    /// nodes past the ceiling drop their snapshot and are rebuilt from
+    /// their checkpoint record. The directory is created (or wiped) when
+    /// the sweep starts. Every crash adversary the explorer accepts spills:
     /// under [`Crashes::None`], [`Crashes::AtOwnStep`] and
     /// [`Crashes::UpTo`] the adversary state is the crashed flags of
     /// the snapshots a resumed sweep rehydrates.
@@ -648,7 +655,9 @@ impl Explorer {
     /// violation-free (but incomplete) sweep — an easy false green. Ask
     /// for at least one expansion. Panics under [`Crashes::Random`], a
     /// sampling adversary the explorer cannot exhaust (see
-    /// [`Explorer::crashes`]).
+    /// [`Explorer::crashes`]), and when [`Explorer::resident_ceiling`]
+    /// is set without [`Explorer::spill_to`]: evicted snapshots live
+    /// only in the segment file.
     pub fn run<F, C>(&self, make_bodies: F, check: C) -> ExploreReport
     where
         F: Fn() -> Vec<Body> + Sync,
@@ -663,6 +672,10 @@ impl Explorer {
             "Explorer::run cannot exhaust Crashes::Random (its RNG state is a function of the \
              pick history, not of the reached state); use Crashes::None, Crashes::AtOwnStep or \
              Crashes::UpTo"
+        );
+        assert!(
+            self.resident_ceiling == usize::MAX || self.spill_dir.is_some(),
+            "Explorer::resident_ceiling evicts to the segment file only: set Explorer::spill_to too"
         );
         frontier::Engine::new(self, &make_bodies, &check).run()
     }
@@ -1064,8 +1077,9 @@ mod tests {
         assert!(quotiented.runs() <= raw.runs());
     }
 
-    /// A resident ceiling changes memory policy, not results: the report
-    /// is byte-identical to the unbounded run, with evictions recorded.
+    /// A resident ceiling changes memory policy, not results: the spilled
+    /// report is byte-identical to the unbounded in-memory run, with
+    /// evictions recorded.
     #[test]
     fn resident_ceiling_is_invisible_in_the_report() {
         let bodies = || {
@@ -1079,10 +1093,10 @@ mod tests {
                 })
                 .collect()
         };
-        let sweep =
-            |ceiling: usize| Explorer::new(3).resident_ceiling(ceiling).run(bodies, |_r| Ok(()));
-        let unbounded = sweep(usize::MAX);
-        let bounded = sweep(2);
+        let unbounded = Explorer::new(3).run(bodies, |_r| Ok(()));
+        let dir = sweep_dir("ceiling");
+        let bounded = Explorer::new(3).resident_ceiling(2).spill_to(&dir).run(bodies, |_r| Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(bounded.stats.evicted > 0, "a ceiling of 2 must evict");
         assert_eq!(unbounded.stats.summary(), bounded.stats.summary());
         assert_eq!(unbounded.complete, bounded.complete);
@@ -1090,10 +1104,10 @@ mod tests {
     }
 
     /// The checkpoint stride bounds rehydration work: with a ceiling of
-    /// 1 (evict everything evictable) and a stride of 4 over a depth-12
-    /// tree, evicted expansions replay at most 4 decisions from their
-    /// anchored ancestor — never the full path — and the report stays
-    /// byte-identical to the unbounded run.
+    /// 1 (evict all but one node per layer) and a stride of 4 over a
+    /// depth-12 tree, evicted expansions replay at most 4 decisions from
+    /// their anchored ancestor — never the full path — and the report
+    /// stays byte-identical to the unbounded in-memory run.
     #[test]
     fn checkpoint_stride_bounds_rehydration_replay() {
         let bodies = || {
@@ -1108,11 +1122,14 @@ mod tests {
                 })
                 .collect()
         };
-        let sweep = |ceiling: usize| {
-            Explorer::new(2).resident_ceiling(ceiling).checkpoint_every(4).run(bodies, |_r| Ok(()))
-        };
-        let unbounded = sweep(usize::MAX);
-        let bounded = sweep(1);
+        let unbounded = Explorer::new(2).run(bodies, |_r| Ok(()));
+        let dir = sweep_dir("stride");
+        let bounded = Explorer::new(2)
+            .resident_ceiling(1)
+            .checkpoint_every(4)
+            .spill_to(&dir)
+            .run(bodies, |_r| Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(unbounded.stats.max_rehydration_replay, 0);
         assert!(bounded.stats.evicted > 0, "a ceiling of 1 must evict");
         assert!(bounded.stats.max_rehydration_replay >= 1, "evicted expansions rehydrate");
@@ -1168,6 +1185,14 @@ mod tests {
         assert_eq!(summarized.violations, raw.violations);
     }
 
+    /// Evicted snapshots live only in the segment file, so a resident
+    /// ceiling without a spill directory is refused up front.
+    #[test]
+    #[should_panic(expected = "set Explorer::spill_to too")]
+    fn resident_ceiling_requires_spill_to() {
+        Explorer::new(2).resident_ceiling(1).run(tas_bodies, one_winner);
+    }
+
     #[test]
     #[should_panic(expected = "max_expansions = 0 explores nothing")]
     fn zero_expansion_budget_panics_instead_of_reporting_empty() {
@@ -1210,8 +1235,7 @@ mod tests {
     #[test]
     fn spilled_sweep_reproduces_the_in_memory_report() {
         let dir = sweep_dir("byte-identity");
-        let in_memory =
-            Explorer::new(3).resident_ceiling(1).checkpoint_every(4).run(spill_bodies, |_r| Ok(()));
+        let in_memory = Explorer::new(3).run(spill_bodies, |_r| Ok(()));
         let spilled = Explorer::new(3)
             .resident_ceiling(1)
             .checkpoint_every(4)
@@ -1240,8 +1264,7 @@ mod tests {
     #[test]
     fn halted_sweep_resumes_to_the_identical_report() {
         let dir = sweep_dir("halt-resume");
-        let baseline =
-            Explorer::new(3).resident_ceiling(2).checkpoint_every(2).run(spill_bodies, |_r| Ok(()));
+        let baseline = Explorer::new(3).run(spill_bodies, |_r| Ok(()));
         let halted = Explorer::new(3)
             .resident_ceiling(2)
             .checkpoint_every(2)
@@ -1310,8 +1333,7 @@ mod tests {
     #[test]
     fn resume_truncates_torn_file_tails() {
         use std::io::Write as _;
-        let baseline =
-            Explorer::new(3).resident_ceiling(1).checkpoint_every(2).run(spill_bodies, |_r| Ok(()));
+        let baseline = Explorer::new(3).run(spill_bodies, |_r| Ok(()));
         let dir = sweep_dir("torn-tail");
         Explorer::new(3)
             .resident_ceiling(1)
@@ -1341,11 +1363,7 @@ mod tests {
     #[test]
     fn crash_count_sweep_resumes_to_identical_report() {
         let dir = sweep_dir("crashcount-resume");
-        let baseline = Explorer::new(3)
-            .crashes(Crashes::UpTo(1))
-            .resident_ceiling(1)
-            .checkpoint_every(2)
-            .run(spill_bodies, |_r| Ok(()));
+        let baseline = Explorer::new(3).crashes(Crashes::UpTo(1)).run(spill_bodies, |_r| Ok(()));
         assert!(baseline.stats.crash_branches > 0, "budget 1 must branch on crash delivery");
         let halted = Explorer::new(3)
             .crashes(Crashes::UpTo(1))
@@ -1371,16 +1389,15 @@ mod tests {
     #[test]
     fn tso_sweep_resumes_to_identical_report() {
         let dir = sweep_dir("tso-resume");
-        let sweep = |spill: bool| {
-            let mut ex = Explorer::new(3).tso(true).resident_ceiling(1).checkpoint_every(2);
-            if spill {
-                ex = ex.spill_to(&dir).halt_after_layers(3);
-            }
-            ex.run(spill_bodies, |_r| Ok(()))
-        };
-        let baseline = sweep(false);
+        let baseline = Explorer::new(3).tso(true).run(spill_bodies, |_r| Ok(()));
         assert!(baseline.stats.flush_branches > 0, "buffered writes must branch on flushes");
-        let halted = sweep(true);
+        let halted = Explorer::new(3)
+            .tso(true)
+            .resident_ceiling(1)
+            .checkpoint_every(2)
+            .spill_to(&dir)
+            .halt_after_layers(3)
+            .run(spill_bodies, |_r| Ok(()));
         assert!(!halted.complete, "a halted sweep is not a proof");
         let resumed = Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
         assert_eq!(baseline.stats.summary(), resumed.stats.summary());
@@ -1484,7 +1501,13 @@ mod tests {
     #[should_panic(expected = "choice 5 (Crash(2)) is not enabled at its node")]
     fn resume_rejects_a_crash_choice_without_budget() {
         let dir = sweep_dir("crash-choice");
-        Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
+        // Two workers: the panic must reach the caller with its own
+        // message, not as "a scoped thread panicked".
+        Explorer::new(3)
+            .threads(2)
+            .spill_to(&dir)
+            .halt_after_layers(2)
+            .run(spill_bodies, |_r| Ok(()));
         // The state file (`store::encode_state`): magic, codec version,
         // violation count (none here), job count, then the first job —
         // path length, path, anchor depth, offset and length, the expand

@@ -1,15 +1,16 @@
 //! Disk storage for the frontier engine: where a spilled sweep's
 //! checkpoint snapshots live, and how a sweep survives its own process.
 //!
-//! An in-memory sweep has no store: its checkpoint nodes anchor to their
-//! own `Arc` ([`SnapRef::Mem`]). A sweep run with
+//! An in-memory sweep has no store, and evicts nothing. A sweep run with
 //! [`super::Explorer::spill_to`] owns one [`SpillStore`], which
 //! serializes every checkpoint snapshot (via the versioned codec in
 //! [`crate::model_world::codec`]) into an append-only **segment file**
-//! inside a sweep directory, hands the engine a [`SnapRef::Disk`] record
-//! locator, and — at every layer barrier — persists the frontier, the
-//! visited-set delta, the violations, and an atomically renamed
-//! `MANIFEST`, making the sweep **crash-resumable** ([`open_sweep`]).
+//! inside a sweep directory, hands the engine a [`DiskRef`] record
+//! locator — the anchor evicted nodes are rebuilt from, and then the
+//! only owner of their state — and at every layer barrier persists the
+//! frontier, the visited-set delta, the violations, and an atomically
+//! renamed `MANIFEST`, making the sweep **crash-resumable**
+//! ([`open_sweep`]).
 //!
 //! # Sweep directory layout
 //!
@@ -83,15 +84,6 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// reduction set, misread counters or misparse its state file, so older
 /// manifests are rejected whole rather than partially decoded.
 const MANIFEST_VERSION: u64 = 6;
-
-/// Where a checkpoint snapshot lives — what a frontier anchor carries.
-#[derive(Clone)]
-pub(super) enum SnapRef {
-    /// Resident in memory, shared by `Arc` (an in-memory sweep).
-    Mem(Arc<Snapshot>),
-    /// A record in the sweep directory's segment file.
-    Disk(DiskRef),
-}
 
 /// Locator of one checkpoint record in the segment file. Reads are
 /// positioned (`pread`-style), so any number of worker threads can
@@ -301,7 +293,7 @@ fn encode_state(ck: &SweepCheckpoint<'_>) -> Result<Vec<u8>, CodecError> {
 fn encode_node(w: &mut ByteWriter, node: &Node) -> Result<(), CodecError> {
     // A spilling sweep anchors every node (depth 0 is a checkpoint
     // layer) to a disk record, so anything else here is an engine bug.
-    let Some(Anchor { depth, snap: SnapRef::Disk(disk) }) = &node.anchor else {
+    let Some(Anchor { depth, disk }) = &node.anchor else {
         return Err(CodecError::UnsupportedValue { context: "frontier node anchor" });
     };
     w.put_usize(node.path.len());
@@ -318,7 +310,7 @@ fn decode_node(r: &mut ByteReader<'_>, segments: &Arc<File>) -> Result<Node, Cod
     let path = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
     let depth = r.usize()?;
     let disk = DiskRef { file: Arc::clone(segments), offset: r.u64()?, len: r.u64()? };
-    Ok(Node { snap: None, path, anchor: Some(Anchor { depth, snap: SnapRef::Disk(disk) }) })
+    Ok(Node { snap: None, path, anchor: Some(Anchor { depth, disk }) })
 }
 
 fn decode_state(

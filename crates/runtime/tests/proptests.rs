@@ -568,16 +568,19 @@ proptest! {
         );
     }
 
-    /// The bounded-memory frontier is invisible in results: a tiny
-    /// resident ceiling (evict nearly every snapshot, rehydrate from the
-    /// operation-log cursors on demand) yields byte-identical summaries
-    /// and violation lists on random small programs, under one and two
-    /// expansion workers alike.
+    /// The bounded-memory frontier is invisible in results: a spilled
+    /// sweep under a resident ceiling of 1 (evict all but one node per
+    /// layer, rehydrate from the segment file on demand) yields
+    /// byte-identical summaries, completeness and violation lists to the
+    /// unbounded in-memory run on random small programs, for every
+    /// `(threads, k)` in {(1, 1), (2, 4), (1, 16)} — and no rehydration
+    /// ever replays more than the checkpoint stride `k` decisions. At
+    /// `k = 1` every node anchors to its own record, so none replays.
     #[test]
     fn bounded_frontier_reports_are_byte_identical(
         seed in 0u64..1_000_000,
         n in 2usize..4,
-        ops in 1usize..3,
+        ops in 1usize..4,
     ) {
         let make = move || small_program(seed, n, ops);
         let check = move |r: &RunReport| {
@@ -588,68 +591,13 @@ proptest! {
             }
             Ok(())
         };
-        for threads in [1usize, 2] {
-            let sweep = |ceiling: usize| {
-                let out = Explorer::new(n)
-                    .limits(ExploreLimits {
-                        max_expansions: 100_000,
-                        max_steps: 1_000,
-                        ..Default::default()
-                    })
-                    .threads(threads)
-                    .resident_ceiling(ceiling)
-                    .collect_all(true)
-                    .run(make, check);
-                let violations: Vec<(Vec<usize>, String)> = out
-                    .violations
-                    .iter()
-                    .map(|v| (v.choices.clone(), v.message.clone()))
-                    .collect();
-                (out.stats.summary(), out.complete, violations, out.stats.evicted)
-            };
-            let unbounded = sweep(usize::MAX);
-            let bounded = sweep(1);
-            prop_assert_eq!(unbounded.3, 0u64, "unbounded run must not evict");
-            prop_assert_eq!(
-                (&unbounded.0, unbounded.1, &unbounded.2),
-                (&bounded.0, bounded.1, &bounded.2),
-                "the resident ceiling must be invisible (seed {}, threads {})", seed, threads
-            );
-        }
-    }
-
-    /// The checkpoint stride is pure memory/time policy: for every
-    /// `k ∈ {1, 4, 16}`, a ceiling-1 frontier (evict everything
-    /// evictable) produces byte-identical summaries, completeness, and
-    /// violation lists to the unbounded run on random small programs —
-    /// and no rehydration ever replays more than `k` decisions. `k = 1`
-    /// makes every layer a checkpoint layer, so nothing is evictable at
-    /// all (the stride-vs-ceiling interaction the eviction exemption
-    /// defines).
-    #[test]
-    fn checkpoint_stride_is_byte_identical_across_k(
-        seed in 0u64..1_000_000,
-        n in 2usize..4,
-        ops in 2usize..4,
-    ) {
-        let make = move || small_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 5 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
-        };
-        let sweep = |ceiling: usize, k: usize| {
-            let out = Explorer::new(n)
+        let sweep = |ex: Explorer| {
+            let out = ex
                 .limits(ExploreLimits {
                     max_expansions: 100_000,
                     max_steps: 1_000,
                     ..Default::default()
                 })
-                .resident_ceiling(ceiling)
-                .checkpoint_every(k)
                 .collect_all(true)
                 .run(make, check);
             let violations: Vec<(Vec<usize>, String)> = out
@@ -659,15 +607,19 @@ proptest! {
                 .collect();
             (out.stats.summary(), out.complete, violations, out.stats)
         };
-        let unbounded = sweep(usize::MAX, 16);
+        let unbounded = sweep(Explorer::new(n));
         prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
         prop_assert_eq!(unbounded.3.max_rehydration_replay, 0u64);
-        for k in [1usize, 4, 16] {
-            let bounded = sweep(1, k);
+        for (threads, k) in [(1usize, 1usize), (2, 4), (1, 16)] {
+            let dir = sweep_dir("bounded");
+            let bounded = sweep(
+                Explorer::new(n).threads(threads).resident_ceiling(1).checkpoint_every(k).spill_to(&dir),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(
                 (&unbounded.0, unbounded.1, &unbounded.2),
                 (&bounded.0, bounded.1, &bounded.2),
-                "checkpoint stride k = {} must be invisible (seed {})", k, seed
+                "the resident ceiling must be invisible (seed {}, threads {}, k {})", seed, threads, k
             );
             prop_assert!(
                 bounded.3.max_rehydration_replay <= k as u64,
@@ -677,8 +629,8 @@ proptest! {
             );
             if k == 1 {
                 prop_assert_eq!(
-                    bounded.3.evicted, 0u64,
-                    "k = 1 checkpoints every layer — nothing is evictable"
+                    bounded.3.max_rehydration_replay, 0u64,
+                    "k = 1 anchors every node to its own record — nothing replays"
                 );
             }
         }
@@ -906,19 +858,21 @@ proptest! {
         let limits =
             ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
         let sweep = |ex: Explorer| {
-            let out = ex
-                .limits(limits)
-                .resident_ceiling(1)
-                .checkpoint_every(2)
-                .collect_all(true)
-                .run(make, check);
+            let out = ex.limits(limits).collect_all(true).run(make, check);
             let violations: Vec<(Vec<usize>, String)> =
                 out.violations.iter().map(|v| (v.choices.clone(), v.message.clone())).collect();
             (out.stats.summary(), out.complete, violations)
         };
         let baseline = sweep(Explorer::new(n).crashes(crashes.clone()));
         let dir = sweep_dir("prop-resume");
-        let _ = sweep(Explorer::new(n).crashes(crashes).spill_to(&dir).halt_after_layers(halt));
+        let _ = sweep(
+            Explorer::new(n)
+                .crashes(crashes)
+                .resident_ceiling(1)
+                .checkpoint_every(2)
+                .spill_to(&dir)
+                .halt_after_layers(halt),
+        );
         let out = Explorer::resume_sweep(&dir, make, check);
         let resumed: (String, bool, Vec<(Vec<usize>, String)>) = (
             out.stats.summary(),

@@ -10,7 +10,8 @@
 //! the snapshots they rehydrate):
 //!
 //! 1. run in memory — the reference report;
-//! 2. run spilled to a sweep directory but **halted** at a layer
+//! 2. run spilled to a sweep directory, under a 256-node resident
+//!    ceiling with 4-layer checkpoints, but **halted** at a layer
 //!    barrier (`Explorer::halt_after_layers`, a kill that keeps the
 //!    process alive), at several different halt points;
 //! 3. corrupt the sweep directory the way a real kill would — garbage
@@ -28,12 +29,11 @@ use mpcn::{ExploreLimits, Explorer};
 use std::io::Write as _;
 
 fn explorer(crashes: &Crashes) -> Explorer {
-    Explorer::new(4)
-        .threads(2)
-        .crashes(crashes.clone())
-        .resident_ceiling(256)
-        .checkpoint_every(4)
-        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
+    Explorer::new(4).threads(2).crashes(crashes.clone()).limits(ExploreLimits {
+        max_expansions: 2_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    })
 }
 
 /// Runs the script above for one adversary.
@@ -54,6 +54,8 @@ fn resume_gate(label: &str, crashes: Crashes) {
         let _ = std::fs::remove_dir_all(&dir);
 
         let halted = explorer(&crashes)
+            .resident_ceiling(256)
+            .checkpoint_every(4)
             .spill_to(&dir)
             .fixture_id(label)
             .halt_after_layers(halt_after)
