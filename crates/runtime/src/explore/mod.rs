@@ -1407,10 +1407,9 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v5 state file records each frontier node's alive set, incoming
-    /// action, footprints, clocks and crash counts, which the v6
-    /// path-plus-anchor record drops, and a v3 manifest (pre-TSO key
-    /// set) cannot describe a TSO sweep at all.
+    /// v6 manifest carries no checksums of the state file and visited
+    /// set, and a v3 manifest (pre-TSO key set) cannot describe a TSO
+    /// sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1418,14 +1417,14 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=6"), "current manifests are v6");
+        assert!(text.contains("manifest_version=7"), "current manifests are v7");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=6", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=7", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(5);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v5 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 5"), "{e}");
+        downgrade(6);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v6 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 6"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
@@ -1436,6 +1435,90 @@ mod tests {
         let prefix = format!("{key}=");
         let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
         line.unwrap_or_else(|| panic!("manifest records {key}")).to_string()
+    }
+
+    /// Sets the value of `key=` in a sweep directory's manifest.
+    fn set_manifest_field(dir: &std::path::Path, key: &str, value: impl std::fmt::Display) {
+        let manifest = dir.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        let prefix = format!("{key}=");
+        let lines: Vec<String> = text
+            .lines()
+            .map(
+                |l| if l.starts_with(&prefix) { format!("{prefix}{value}") } else { l.to_string() },
+            )
+            .collect();
+        std::fs::write(&manifest, lines.join("\n") + "\n").expect("rewrite manifest");
+    }
+
+    /// Replaces a sweep directory's state file with `bytes` and re-stamps
+    /// the manifest's `state_fnv`, so that a later check is still reached.
+    fn rewrite_state(dir: &std::path::Path, bytes: &[u8]) {
+        use std::hash::Hasher as _;
+        let state = dir.join(manifest_field(dir, "state_file"));
+        std::fs::write(state, bytes).expect("rewrite state file");
+        let mut fnv = crate::fingerprint::Fnv1a::default();
+        fnv.write(bytes);
+        set_manifest_field(dir, "state_fnv", fnv.finish());
+    }
+
+    /// A fresh three-process sweep directory halted after three layers.
+    fn halted_sweep(tag: &str) -> std::path::PathBuf {
+        let dir = sweep_dir(tag);
+        Explorer::new(3).spill_to(&dir).halt_after_layers(3).run(spill_bodies, |_r| Ok(()));
+        dir
+    }
+
+    /// Opening `dir` must fail as corrupt (`InvalidData`).
+    fn assert_corrupt(dir: &std::path::Path) {
+        let Err(e) = store::open_sweep(dir) else { panic!("a corrupt sweep directory opened") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The manifest commits to the state file: flipping the first job's
+    /// first path choice from pick 0 to pick 1, which is enabled too,
+    /// would resume to a different report.
+    #[test]
+    fn resume_rejects_a_flipped_path_choice() {
+        let dir = halted_sweep("flipped-path");
+        let state = dir.join(manifest_field(&dir, "state_file"));
+        let mut bytes = std::fs::read(&state).expect("state file exists");
+        // Magic, codec version, violation count, job count, the first
+        // job's path length, then its first choice.
+        let first_choice_at = 4 + 2 + 8 + 8 + 8;
+        assert_eq!(bytes[first_choice_at..first_choice_at + 8], 0u64.to_le_bytes());
+        bytes[first_choice_at] = 1;
+        std::fs::write(&state, bytes).expect("rewrite state file");
+        assert_corrupt(&dir);
+    }
+
+    /// The manifest commits to the visited set: a flipped byte in its
+    /// committed prefix would resurrect or prune the wrong subtrees.
+    #[test]
+    fn resume_rejects_a_flipped_visited_fingerprint() {
+        let dir = halted_sweep("flipped-visited");
+        let visited = dir.join("visited.bin");
+        let mut bytes = std::fs::read(&visited).expect("visited file exists");
+        assert!(bytes.len() >= 8, "the halted sweep committed visited fingerprints");
+        bytes[0] ^= 1;
+        std::fs::write(&visited, bytes).expect("rewrite visited file");
+        assert_corrupt(&dir);
+    }
+
+    /// A `segments_len` past the end of the segment file is corrupt, not
+    /// a reason to zero-extend the file.
+    #[test]
+    fn resume_rejects_segments_len_past_the_file_end() {
+        let dir = halted_sweep("long-segments");
+        let segments_len: u64 = manifest_field(&dir, "segments_len").parse().expect("a u64");
+        set_manifest_field(&dir, "segments_len", segments_len + 4096);
+        let on_disk = || std::fs::metadata(dir.join("segments.bin")).expect("segment file").len();
+        assert_eq!(on_disk(), segments_len);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a long segments_len opened") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        assert_eq!(on_disk(), segments_len, "the segment file must not grow");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A manifest whose checkpoint stride is 0 is corrupt: opening it
@@ -1485,10 +1568,8 @@ mod tests {
         let depth_at = path_len_at + 8 + 8 * path_len as usize;
         assert!(word(&bytes, depth_at) <= path_len, "the recorded anchor sits on the path");
         bytes[depth_at..depth_at + 8].copy_from_slice(&(path_len + 1).to_le_bytes());
-        std::fs::write(&state, bytes).expect("rewrite state file");
-        let Err(e) = store::open_sweep(&dir) else { panic!("a too-deep anchor must be rejected") };
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
-        let _ = std::fs::remove_dir_all(&dir);
+        rewrite_state(&dir, &bytes);
+        assert_corrupt(&dir);
     }
 
     /// A queued choice must be enabled at its node. The state file of a
@@ -1526,7 +1607,7 @@ mod tests {
         let rewrite = |at: usize, choice: u64| {
             let mut corrupt = bytes.clone();
             corrupt[at..at + 8].copy_from_slice(&choice.to_le_bytes());
-            std::fs::write(&state, corrupt).expect("rewrite state file");
+            rewrite_state(&dir, &corrupt);
         };
         rewrite(choices_at, 2);
         let Err(e) = store::open_sweep(&dir) else { panic!("unordered choices must be rejected") };

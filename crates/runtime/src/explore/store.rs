@@ -19,14 +19,17 @@
 //! | `segments.bin` | checkpoint records: `[payload_len: u64 LE][payload]`, where `payload` is [`Snapshot::encode`] bytes |
 //! | `visited.bin` | visited fingerprints, 8 bytes LE each, appended per layer barrier |
 //! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs, each a node (its choice path and disk anchor) plus its queued choices or a tail tag (binary, see `encode_state`) |
-//! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths, status |
+//! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths and checksums, status |
 //!
 //! # Resume soundness
 //!
 //! The manifest is written with a write-to-temporary + `rename` at each
 //! layer barrier, after `fsync`ing the data files it points into — so a
 //! kill at *any* instant leaves a manifest describing a consistent
-//! prefix of the sweep. Appends past the recorded `segments_len` /
+//! prefix of the sweep. The sweep directory itself is synced after the
+//! data files are created and after each rename, before the previous
+//! state file is removed, so an OS crash cannot leave a manifest naming
+//! a state file that is gone. Appends past the recorded `segments_len` /
 //! `visited_len` are torn-tail garbage from the interrupted layer;
 //! [`open_sweep`] truncates both files back to the manifest's lengths
 //! before continuing, which restores the exact byte state the barrier
@@ -47,18 +50,24 @@
 //! carries RNG stream position; the explorer rejects it before any
 //! sweep starts.
 //!
-//! The state file has no checksum, so [`open_sweep`] checks what it can:
-//! an anchor deeper than its node's path, and a job whose queued choices
-//! are empty or not strictly increasing, are `InvalidData`. A queued
-//! choice that is not enabled at its node panics when a worker applies
-//! it; a corrupt choice that stays enabled goes undetected.
+//! The manifest commits to the files it points at: `state_fnv` is the
+//! FNV-1a of the state file, and `visited_fnv` folds every committed
+//! visited fingerprint in file order, so [`open_sweep`] rejects a
+//! changed byte in either — a flipped choice that stays enabled
+//! included — as `InvalidData`, and likewise a `segments_len` past the
+//! end of the segment file. It also rejects an anchor deeper than its
+//! node's path, and a job whose queued choices are empty or not strictly
+//! increasing. Segment records are checked only by [`Snapshot::decode`],
+//! and the manifest itself by nothing but its parser.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
+use std::hash::Hasher;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::fingerprint::{mix, Fnv1a};
 use crate::model_world::codec::{ByteReader, ByteWriter, CodecError, CODEC_VERSION};
 use crate::model_world::Snapshot;
 use crate::sched::Crashes;
@@ -82,8 +91,10 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// footprints, clocks and crash counts are read from the rehydrated
 /// snapshot instead. An older manifest would resume with a different
 /// reduction set, misread counters or misparse its state file, so older
-/// manifests are rejected whole rather than partially decoded.
-const MANIFEST_VERSION: u64 = 6;
+/// manifests are rejected whole rather than partially decoded. v7 added
+/// `state_fnv` and `visited_fnv`, checksums of the state file and of the
+/// committed visited set.
+const MANIFEST_VERSION: u64 = 7;
 
 /// Locator of one checkpoint record in the segment file. Reads are
 /// positioned (`pread`-style), so any number of worker threads can
@@ -163,6 +174,8 @@ pub(super) struct SpillStore {
     segments_len: u64,
     visited: File,
     visited_len: u64,
+    /// [`visited_checksum`] of the committed visited set.
+    visited_fnv: u64,
     /// Previous barrier's state file, deleted after the manifest moves
     /// on to the next one.
     last_state: Option<String>,
@@ -187,12 +200,14 @@ impl SpillStore {
         segments.set_len(0)?;
         let visited = OpenOptions::new().append(true).create(true).open(dir.join("visited.bin"))?;
         visited.set_len(0)?;
+        sync_dir(dir)?;
         Ok(SpillStore {
             dir: dir.to_path_buf(),
             segments: Arc::new(segments),
             segments_len: 0,
             visited,
             visited_len: 0,
+            visited_fnv: Fnv1a::default().finish(),
             last_state: None,
         })
     }
@@ -224,6 +239,7 @@ impl SpillStore {
             }
             self.visited.write_all(&buf)?;
             self.visited_len += buf.len() as u64;
+            self.visited_fnv = visited_checksum(self.visited_fnv, ck.visited_delta);
         }
         // Data first, durably; only then the manifest that points into it.
         self.segments.sync_data()?;
@@ -232,9 +248,12 @@ impl SpillStore {
             if ck.done { "state-final.bin".to_string() } else { format!("state-{}.bin", ck.layer) };
         let state = encode_state(ck).map_err(bad_data)?;
         write_sync(&self.dir.join(&state_name), &state)?;
-        let manifest = render_manifest(ck, self.segments_len, self.visited_len, &state_name)?;
+        let manifest = render_manifest(ck, self, &state_name, state_checksum(&state))?;
         write_sync(&self.dir.join("MANIFEST.tmp"), manifest.as_bytes())?;
         fs::rename(self.dir.join("MANIFEST.tmp"), self.dir.join("MANIFEST"))?;
+        // The rename must be durable before the state file it replaces
+        // is unlinked: POSIX does not order the two across an OS crash.
+        sync_dir(&self.dir)?;
         if let Some(old) = self.last_state.replace(state_name.clone()) {
             if old != state_name {
                 let _ = fs::remove_file(self.dir.join(old));
@@ -248,6 +267,32 @@ fn write_sync(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = File::create(path)?;
     f.write_all(bytes)?;
     f.sync_all()
+}
+
+/// Makes the creates, renames and unlinks in `dir` durable: a directory
+/// entry survives an OS crash only once its parent directory is synced.
+#[cfg(unix)]
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_dir(_dir: &Path) -> io::Result<()> {
+    Ok(())
+}
+
+/// The manifest's `state_fnv`: FNV-1a of the state file's bytes.
+fn state_checksum(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// The manifest's `visited_fnv`: [`mix`] folded over the visited
+/// fingerprints in file order, from `Fnv1a::default().finish()` for the
+/// empty set; `acc` extended by `fps`.
+fn visited_checksum(acc: u64, fps: &[u64]) -> u64 {
+    fps.iter().fold(acc, |acc, &fp| mix(acc, fp))
 }
 
 // --- frontier state file ---------------------------------------------------
@@ -397,9 +442,9 @@ fn decode_crashes(s: &str) -> io::Result<Crashes> {
 
 fn render_manifest(
     ck: &SweepCheckpoint<'_>,
-    segments_len: u64,
-    visited_len: u64,
+    store: &SpillStore,
     state_file: &str,
+    state_fnv: u64,
 ) -> io::Result<String> {
     use std::fmt::Write as _;
     let ex = ck.ex;
@@ -433,9 +478,11 @@ fn render_manifest(
     kv("checkpoint_every", (ex.checkpoint_every as u64).to_string());
     kv("crashes", encode_crashes(&ex.crashes)?);
     kv("tso", ex.tso.to_string());
-    kv("segments_len", segments_len.to_string());
-    kv("visited_len", visited_len.to_string());
+    kv("segments_len", store.segments_len.to_string());
+    kv("visited_len", store.visited_len.to_string());
+    kv("visited_fnv", store.visited_fnv.to_string());
     kv("state_file", state_file.to_string());
+    kv("state_fnv", state_fnv.to_string());
     kv("queued", ck.queued.to_string());
     kv("complete", ck.complete.to_string());
     kv("runs", stats.runs.to_string());
@@ -623,6 +670,9 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         return Err(bad_data(format!("manifest state_file escapes the sweep dir: {state_name:?}")));
     }
     let state_bytes = fs::read(dir.join(state_name))?;
+    if state_checksum(&state_bytes) != m.u64("state_fnv")? {
+        return Err(bad_data(format!("{state_name} does not match the manifest's state_fnv")));
+    }
     let segments =
         Arc::new(OpenOptions::new().read(true).append(true).open(dir.join("segments.bin"))?);
     let (violations, jobs) = decode_state(&state_bytes, &segments).map_err(bad_data)?;
@@ -647,6 +697,9 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     }
     // Torn-tail discipline: drop whatever the interrupted layer appended
     // past the last barrier, restoring the exact byte state it saw.
+    if segments.metadata()?.len() < segments_len {
+        return Err(bad_data("segments.bin is shorter than the manifest records"));
+    }
     segments.set_len(segments_len)?;
     let visited_bytes = fs::read(dir.join("visited.bin"))?;
     let visited_len_usize = usize::try_from(visited_len).map_err(bad_data)?;
@@ -664,10 +717,14 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
              fingerprint size"
         )));
     }
-    let visited = visited_bytes[..visited_len_usize]
+    let visited: Vec<u64> = visited_bytes[..visited_len_usize]
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
+    let visited_fnv = m.u64("visited_fnv")?;
+    if visited_checksum(Fnv1a::default().finish(), &visited) != visited_fnv {
+        return Err(bad_data("visited.bin does not match the manifest's visited_fnv"));
+    }
     let visited_file = OpenOptions::new().append(true).open(dir.join("visited.bin"))?;
     visited_file.set_len(visited_len)?;
     let store = SpillStore {
@@ -676,6 +733,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         segments_len,
         visited: visited_file,
         visited_len,
+        visited_fnv,
         last_state: Some(state_name.to_string()),
     };
     Ok(OpenedSweep::Pending(Box::new(PendingSweep {
