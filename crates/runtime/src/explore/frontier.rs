@@ -942,9 +942,10 @@ fn expand<F: Fn() -> Vec<Body>>(
     Expanded { node: child, pick, action, fp, coarsened, symm_coarsened }
 }
 
-/// Resumes `snap`, the state at the end of `path`, to completion along
-/// the canonical choice-0 suffix — the depth-bounded sweep's "runs still
-/// execute to completion" path.
+/// Resumes `snap`, the state at the end of the path `choices`, to
+/// completion along the canonical choice-0 suffix, which it appends to
+/// `choices` — the depth-bounded sweep's "runs still execute to
+/// completion" path.
 fn run_tail<F: Fn() -> Vec<Body>>(
     shared: &Shared<'_, F>,
     mut choices: Vec<usize>,

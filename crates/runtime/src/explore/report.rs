@@ -68,16 +68,17 @@ pub struct ExploreStats {
     /// store-buffer head to shared memory (one per explored flush-band
     /// branch). Always `0` under sequential consistency.
     pub flush_branches: u64,
-    /// Frontier nodes evicted down to their choice path and anchor by
-    /// [`super::Explorer::resident_ceiling`] and rehydrated on demand.
-    /// Deliberately **not** part of [`ExploreStats::summary`]: the
-    /// ceiling is a memory policy, not a search-shape parameter, and
+    /// Frontier nodes of a spilled sweep evicted down to their choice
+    /// path and anchor by [`super::Explorer::resident_ceiling`] and
+    /// rehydrated on demand; always `0` in memory, where nothing is
+    /// evicted. Deliberately **not** part of [`ExploreStats::summary`]:
+    /// the ceiling is a memory policy, not a search-shape parameter, and
     /// bounded and unbounded runs must print byte-identical lines.
     pub evicted: u64,
     /// Longest choice-path suffix any single rehydration replayed —
     /// bounded by [`super::Explorer::checkpoint_every`] (every node
-    /// anchors to its nearest checkpointed ancestor's resident
-    /// snapshot), and `0` when nothing was evicted. Like
+    /// anchors to its nearest checkpointed ancestor's segment-file
+    /// record), and `0` when nothing was evicted. Like
     /// [`ExploreStats::evicted`], a memory-policy observable excluded
     /// from [`ExploreStats::summary`].
     pub max_rehydration_replay: u64,
