@@ -1534,13 +1534,8 @@ mod tests {
             .halt_after_layers(2)
             .run(spill_bodies, |_r| Ok(()));
         assert_eq!(manifest_field(&dir, "checkpoint_every"), "2");
-        let manifest = dir.join("MANIFEST");
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        std::fs::write(&manifest, text.replace("checkpoint_every=2", "checkpoint_every=0"))
-            .expect("rewrite manifest");
-        let Err(e) = store::open_sweep(&dir) else { panic!("a zero stride must be rejected") };
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
-        let _ = std::fs::remove_dir_all(&dir);
+        set_manifest_field(&dir, "checkpoint_every", 0);
+        assert_corrupt(&dir);
     }
 
     /// A frontier record whose anchor lies deeper than its own choice
@@ -1624,25 +1619,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a multiple of the 8-byte")]
     fn resume_rejects_misaligned_visited_len() {
-        let dir = sweep_dir("misaligned-visited");
-        Explorer::new(3).spill_to(&dir).halt_after_layers(3).run(spill_bodies, |_r| Ok(()));
-        let manifest = dir.join("MANIFEST");
-        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        let recorded: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("visited_len="))
-            .expect("manifest records visited_len")
-            .parse()
-            .expect("visited_len is a u64");
+        let dir = halted_sweep("misaligned-visited");
+        let recorded: u64 = manifest_field(&dir, "visited_len").parse().expect("a u64");
         assert!(recorded >= 8, "the halted sweep must have committed visited fingerprints");
-        std::fs::write(
-            &manifest,
-            text.replace(
-                &format!("visited_len={recorded}"),
-                &format!("visited_len={}", recorded - 3),
-            ),
-        )
-        .expect("rewrite manifest");
+        set_manifest_field(&dir, "visited_len", recorded - 3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
 
