@@ -36,7 +36,11 @@ use mpcn_agreement::fixtures::{
     catalogue, check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies,
     CatalogueSweep, FIG1_SYMMETRY,
 };
-use mpcn_runtime::explore::{explore, replay_tso, ExploreLimits, Explorer, Reduction};
+use std::sync::OnceLock;
+
+use mpcn_runtime::explore::{
+    explore, replay_tso, ExploreLimits, ExploreReport, Explorer, Reduction,
+};
 use mpcn_runtime::model_world::RunReport;
 use mpcn_runtime::sched::Crashes;
 
@@ -396,7 +400,7 @@ fn fig5_x_compete_sweeps_n3_to_n5() {
 }
 
 /// Figure 6 sweeps: exhaustive at `n = 3`; depth bounded at `n = 5`
-/// (`n = 4` is exhausted by the spilled-sweep test below).
+/// (`n = 4` is exhausted by the bounded-frontier sweep below).
 #[test]
 fn fig6_x_safe_agreement_sweeps_n3_and_n5() {
     let out = Explorer::new(3)
@@ -613,43 +617,61 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     }
 }
 
-/// The bounded-memory frontier and the storage layer on the Figure 6
-/// scale-up sweep: an artificially tiny snapshot ceiling (64 resident
-/// nodes per layer where the widest layer holds thousands) over a
-/// disk-backed `SpillStore` forces mass eviction and rehydration from
-/// the segment file, and the report — every statistic of the summary
-/// line, completeness, violations — is byte-identical to the in-memory
-/// run's. Only the off-summary storage counters see the disk, and each
-/// evicted node is read back at most once, however many choices are
-/// queued on it. The in-memory run uses one worker and the spilled run
-/// two, so the pair also pins that the worker count is invisible.
+/// The Figure 6 scale-up sweep in memory at one worker, and spilled to a
+/// disk-backed `SpillStore` at two workers under an artificially tiny
+/// snapshot ceiling (64 resident nodes per layer where the widest layer
+/// holds thousands). Run once and shared by the two tests below.
+fn fig6_n4_in_memory_and_spilled() -> &'static (ExploreReport, ExploreReport) {
+    static RUNS: OnceLock<(ExploreReport, ExploreReport)> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ex = Explorer::new(4).limits(ExploreLimits {
+            max_expansions: 2_000_000,
+            max_steps: 2_000,
+            ..Default::default()
+        });
+        let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
+        let in_memory = run(ex.clone().threads(1));
+        let spilled = run(ex
+            .threads(2)
+            .resident_ceiling(64)
+            .checkpoint_every(8)
+            .spill_to(&dir)
+            .fixture_id("fig6 n=4 x=2"));
+        let _ = std::fs::remove_dir_all(&dir);
+        (in_memory, spilled)
+    })
+}
+
+/// The bounded-memory frontier on the Figure 6 scale-up sweep: the
+/// 64-node ceiling forces mass eviction and rehydration from the segment
+/// file, and the report — every statistic of the summary line,
+/// completeness, violations — is byte-identical to the in-memory run's.
+/// The in-memory run uses one worker and the spilled run two, so the
+/// pair also pins that the worker count is invisible.
 #[test]
-fn fig6_n4_spilled_sweep_report_is_byte_identical() {
-    let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ex = Explorer::new(4).limits(ExploreLimits {
-        max_expansions: 2_000_000,
-        max_steps: 2_000,
-        ..Default::default()
-    });
-    let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
-    let in_memory = run(ex.clone().threads(1));
-    let spilled = run(ex
-        .threads(2)
-        .resident_ceiling(64)
-        .checkpoint_every(8)
-        .spill_to(&dir)
-        .fixture_id("fig6 n=4 x=2"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn fig6_n4_bounded_frontier_report_is_byte_identical() {
+    let (in_memory, bounded) = fig6_n4_in_memory_and_spilled();
     assert!(in_memory.complete, "n = 4 x = 2 must exhaust ({} runs)", in_memory.runs());
+    assert_eq!(in_memory.stats.evicted, 0, "the in-memory run must not evict");
+    assert!(bounded.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
     assert_eq!(
         in_memory.stats.summary(),
-        spilled.stats.summary(),
+        bounded.stats.summary(),
         "eviction and the storage layer must be invisible in the report"
     );
-    assert_eq!(in_memory.complete, spilled.complete);
-    assert_eq!(in_memory.violations, spilled.violations);
-    assert!(spilled.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
+    assert_eq!(in_memory.complete, bounded.complete);
+    assert_eq!(in_memory.violations, bounded.violations);
+    in_memory.assert_no_violation();
+}
+
+/// The storage layer on the same pair of runs: only the off-summary
+/// storage counters see the disk, and each evicted node is read back at
+/// most once, however many choices are queued on it.
+#[test]
+fn fig6_n4_spilled_sweep_report_is_byte_identical() {
+    let (in_memory, spilled) = fig6_n4_in_memory_and_spilled();
     assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
     assert!(spilled.stats.store_reads > 0, "the 64-node ceiling must rehydrate from disk");
     assert!(
@@ -658,9 +680,7 @@ fn fig6_n4_spilled_sweep_report_is_byte_identical() {
         spilled.stats.store_reads,
         spilled.stats.evicted
     );
-    assert_eq!(in_memory.stats.evicted, 0, "the in-memory run must not evict");
     assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
-    in_memory.assert_no_violation();
 }
 
 /// A broken invariant on the real Figure 1 object produces a violation

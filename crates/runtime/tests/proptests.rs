@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpcn_runtime::explore::{ExploreLimits, Explorer, Reduction};
+use mpcn_runtime::explore::{ExploreLimits, ExploreStats, Explorer, Reduction};
 use mpcn_runtime::fingerprint::fp_of;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use mpcn_runtime::sched::{Crashes, Schedule};
@@ -572,54 +572,61 @@ proptest! {
     /// sweep under a resident ceiling of 1 (evict all but one node per
     /// layer, rehydrate from the segment file on demand) yields
     /// byte-identical summaries, completeness and violation lists to the
-    /// unbounded in-memory run on random small programs, for every
-    /// `(threads, k)` in {(1, 1), (2, 4), (1, 16)} — and no rehydration
-    /// ever replays more than the checkpoint stride `k` decisions. At
-    /// `k = 1` every node anchors to its own record, so none replays.
+    /// unbounded in-memory run on random small programs, under one and
+    /// two expansion workers alike.
     #[test]
     fn bounded_frontier_reports_are_byte_identical(
         seed in 0u64..1_000_000,
         n in 2usize..4,
-        ops in 1usize..4,
+        ops in 1usize..3,
     ) {
-        let make = move || small_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 5 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
-        };
-        let sweep = |ex: Explorer| {
-            let out = ex
-                .limits(ExploreLimits {
-                    max_expansions: 100_000,
-                    max_steps: 1_000,
-                    ..Default::default()
-                })
-                .collect_all(true)
-                .run(make, check);
-            let violations: Vec<(Vec<usize>, String)> = out
-                .violations
-                .iter()
-                .map(|v| (v.choices.clone(), v.message.clone()))
-                .collect();
-            (out.stats.summary(), out.complete, violations, out.stats)
-        };
-        let unbounded = sweep(Explorer::new(n));
+        let unbounded = flagged_sweep(seed, n, ops, Explorer::new(n));
         prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
-        prop_assert_eq!(unbounded.3.max_rehydration_replay, 0u64);
-        for (threads, k) in [(1usize, 1usize), (2, 4), (1, 16)] {
+        for threads in [1usize, 2] {
             let dir = sweep_dir("bounded");
-            let bounded = sweep(
-                Explorer::new(n).threads(threads).resident_ceiling(1).checkpoint_every(k).spill_to(&dir),
+            let bounded = flagged_sweep(
+                seed,
+                n,
+                ops,
+                Explorer::new(n).threads(threads).resident_ceiling(1).spill_to(&dir),
             );
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(
                 (&unbounded.0, unbounded.1, &unbounded.2),
                 (&bounded.0, bounded.1, &bounded.2),
-                "the resident ceiling must be invisible (seed {}, threads {}, k {})", seed, threads, k
+                "the resident ceiling must be invisible (seed {}, threads {})", seed, threads
+            );
+        }
+    }
+
+    /// The checkpoint stride is pure memory/time policy: for every
+    /// `k ∈ {1, 4, 16}`, a spilled ceiling-1 frontier produces
+    /// byte-identical summaries, completeness, and violation lists to
+    /// the unbounded in-memory run on random small programs — and no
+    /// rehydration ever replays more than `k` decisions. At `k = 1`
+    /// every node anchors to its own record, so none replays.
+    #[test]
+    fn checkpoint_stride_is_byte_identical_across_k(
+        seed in 0u64..1_000_000,
+        n in 2usize..4,
+        ops in 2usize..4,
+    ) {
+        let unbounded = flagged_sweep(seed, n, ops, Explorer::new(n));
+        prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
+        prop_assert_eq!(unbounded.3.max_rehydration_replay, 0u64);
+        for k in [1usize, 4, 16] {
+            let dir = sweep_dir("stride");
+            let bounded = flagged_sweep(
+                seed,
+                n,
+                ops,
+                Explorer::new(n).resident_ceiling(1).checkpoint_every(k).spill_to(&dir),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert_eq!(
+                (&unbounded.0, unbounded.1, &unbounded.2),
+                (&bounded.0, bounded.1, &bounded.2),
+                "checkpoint stride k = {} must be invisible (seed {})", k, seed
             );
             prop_assert!(
                 bounded.3.max_rehydration_replay <= k as u64,
@@ -1047,6 +1054,34 @@ proptest! {
             );
         }
     }
+}
+
+/// One `collect_all` sweep of `small_program(seed, n, ops)` under `ex`,
+/// with a checker that flags about one outcome in five: its summary,
+/// completeness, violations (choices and message) and statistics.
+fn flagged_sweep(
+    seed: u64,
+    n: usize,
+    ops: usize,
+    ex: Explorer,
+) -> (String, bool, Vec<(Vec<usize>, String)>, ExploreStats) {
+    let out = ex
+        .limits(ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() })
+        .collect_all(true)
+        .run(
+            move || small_program(seed, n, ops),
+            move |r: &RunReport| {
+                let mut vals = r.decided_values();
+                vals.sort_unstable();
+                if fp_of(&vals).wrapping_add(seed) % 5 == 0 {
+                    return Err(format!("flagged outcome {vals:?}"));
+                }
+                Ok(())
+            },
+        );
+    let violations =
+        out.violations.iter().map(|v| (v.choices.clone(), v.message.clone())).collect();
+    (out.stats.summary(), out.complete, violations, out.stats)
 }
 
 /// A unique scratch sweep directory under the system temp dir.
