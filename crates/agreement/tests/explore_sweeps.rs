@@ -130,9 +130,11 @@ fn catalogue_matches_golden_file() {
 /// one worker through a disk-backed `SpillStore` in its own temporary
 /// directory under a 64-node resident ceiling with 8-layer checkpoints,
 /// must print the same golden line as in memory. The ceiling binds on
-/// the `fig1 n=5` and fault-tolerance sweeps, so eviction and anchored
-/// rehydration from disk run on every pass. With the two-worker test
-/// above, this also pins that the worker count is invisible.
+/// nine sweeps — `fig1 n=3 unpruned`, `fig1 n=4`, `fig1 n=5`, both
+/// fault-tolerance sweeps, `fig1 n=3 tso` and all three `fig6` sweeps —
+/// so eviction and anchored rehydration from disk run on every pass.
+/// With the two-worker test above, this also pins that the worker count
+/// is invisible.
 #[test]
 fn spilled_catalogue_matches_golden_file() {
     let lines: Vec<String> = catalogue(1)

@@ -16,9 +16,9 @@
 //!    if evicted), resumes every queued scheduling decision from it
 //!    ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`]),
 //!    fingerprints each child, and drops the job — and with it the
-//!    parent snapshot — as soon as it has run. With `k` =
-//!    [`super::Explorer::threads`] workers, worker `w` owns jobs `w`,
-//!    `w + k`, …; each also pre-checks its children's fingerprints
+//!    parent snapshot — as soon as it has run. The
+//!    [`super::Explorer::threads`] workers claim jobs one at a time from
+//!    a shared queue; each also pre-checks its children's fingerprints
 //!    against the **committed** visited set, a plain `HashSet` the
 //!    workers only borrow: nothing inserts into it during the phase, so
 //!    the check needs no lock and its outcome is independent of worker
@@ -110,6 +110,7 @@
 //! sweep resumable ([`Engine::resume`]).
 
 use std::collections::HashSet;
+use std::sync::Mutex;
 
 use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
 use crate::sched::{Crashes, Pick};
@@ -305,9 +306,9 @@ pub(super) struct Engine<'a, F, C> {
     /// (reset per merge pass; compared against
     /// [`super::Explorer::resident_ceiling`]).
     resident: usize,
-    /// Where checkpoint snapshots live: `None` keeps them in memory,
-    /// `Some` spills them and persists every layer barrier
-    /// ([`super::store`]).
+    /// `None`: an in-memory sweep (no checkpoints, nothing evicted);
+    /// `Some`: checkpoints go to the segment file and every layer
+    /// barrier is persisted ([`super::store`]).
     store: Option<SpillStore>,
     /// Completed layer barriers (the root admission is layer 0's).
     layer: u64,
@@ -668,11 +669,11 @@ where
     }
 
     /// Phase 1: runs the layer's jobs, consuming them, on this thread or
-    /// on `k` scoped workers, worker `w` owning jobs `w`, `w + k`, ….
-    /// Each job — and with it its node's snapshot — is dropped as soon as
-    /// it has run. Only reads shared state; the results come back in job
-    /// order and are folded canonically by [`Engine::merge`]. A worker's
-    /// panic is re-raised here with its own payload.
+    /// on `k` scoped workers that claim them one at a time from a shared
+    /// queue. Each job — and with it its node's snapshot — is dropped as
+    /// soon as it has run. Only reads shared state; the results are put
+    /// back into job order and folded canonically by [`Engine::merge`].
+    /// A worker's panic is re-raised here with its own payload.
     fn execute(&self, jobs: Vec<Job>) -> Vec<JobResult> {
         let shared = Shared {
             crashes: &self.ex.crashes,
@@ -683,32 +684,31 @@ where
             symmetry: self.symmetry,
             max_steps: self.ex.limits.max_steps,
         };
-        let len = jobs.len();
-        let workers = self.threads.min(len);
+        let workers = self.threads.min(jobs.len());
         if workers <= 1 {
             return jobs.into_iter().map(|job| run_job(&shared, job)).collect();
         }
-        let mut owned: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            owned[i % workers].push(job);
-        }
-        let mut ran: Vec<_> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = owned
-                .into_iter()
-                .map(|mine| {
+        let queue = Mutex::new(jobs.into_iter().enumerate());
+        let mut ran: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
+            let (shared, queue) = (&shared, &queue);
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    // The claim's guard drops when `from_fn`'s closure
+                    // returns, so no lock is held while a job runs.
                     scope.spawn(move || {
-                        mine.into_iter().map(|job| run_job(shared, job)).collect::<Vec<_>>()
+                        std::iter::from_fn(|| queue.lock().expect("claiming never panics").next())
+                            .map(|(i, job)| (i, run_job(shared, job)))
+                            .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .map(Vec::into_iter)
+                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
                 .collect()
         });
-        (0..len).map(|i| ran[i % workers].next().expect("every job ran")).collect()
+        ran.sort_unstable_by_key(|&(i, _)| i);
+        ran.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Phase 2: folds the layer's results in job order, and each job's

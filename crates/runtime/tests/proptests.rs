@@ -600,11 +600,12 @@ proptest! {
     }
 
     /// The checkpoint stride is pure memory/time policy: for every
-    /// `k ∈ {1, 4, 16}`, a spilled ceiling-1 frontier produces
-    /// byte-identical summaries, completeness, and violation lists to
-    /// the unbounded in-memory run on random small programs — and no
-    /// rehydration ever replays more than `k` decisions. At `k = 1`
-    /// every node anchors to its own record, so none replays.
+    /// `(threads, k) ∈ {(1, 1), (2, 4), (1, 16)}`, a spilled ceiling-1
+    /// frontier produces byte-identical summaries, completeness, and
+    /// violation lists to the unbounded in-memory run on random small
+    /// programs — and no rehydration ever replays more than `k`
+    /// decisions. At `k = 1` every node anchors to its own record, so
+    /// none replays.
     #[test]
     fn checkpoint_stride_is_byte_identical_across_k(
         seed in 0u64..1_000_000,
@@ -614,19 +615,23 @@ proptest! {
         let unbounded = flagged_sweep(seed, n, ops, Explorer::new(n));
         prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
         prop_assert_eq!(unbounded.3.max_rehydration_replay, 0u64);
-        for k in [1usize, 4, 16] {
+        for (threads, k) in [(1, 1), (2, 4), (1, 16)] {
             let dir = sweep_dir("stride");
             let bounded = flagged_sweep(
                 seed,
                 n,
                 ops,
-                Explorer::new(n).resident_ceiling(1).checkpoint_every(k).spill_to(&dir),
+                Explorer::new(n)
+                    .threads(threads)
+                    .resident_ceiling(1)
+                    .checkpoint_every(k)
+                    .spill_to(&dir),
             );
             let _ = std::fs::remove_dir_all(&dir);
             prop_assert_eq!(
                 (&unbounded.0, unbounded.1, &unbounded.2),
                 (&bounded.0, bounded.1, &bounded.2),
-                "checkpoint stride k = {} must be invisible (seed {})", k, seed
+                "checkpoint stride k = {} must be invisible (seed {}, threads {})", k, seed, threads
             );
             prop_assert!(
                 bounded.3.max_rehydration_replay <= k as u64,
