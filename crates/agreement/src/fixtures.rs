@@ -221,15 +221,14 @@ impl CatalogueSweep {
 }
 
 /// The explorer catalogue: every sweep the `explore_sweep` bench prints
-/// and `tests/golden/explore_catalogue.txt` pins, in golden-file order,
-/// at `threads` expansion workers (reports are byte-identical for every
-/// worker count). The Figure 1 sweeps declare [`FIG1_SYMMETRY`]; the
-/// `fig1 n=3 tso` sweep is the pinned weak-memory counterexample.
-pub fn catalogue(threads: usize) -> Vec<CatalogueSweep> {
+/// and `tests/golden/explore_catalogue.txt` pins, in golden-file order.
+/// The Figure 1 sweeps declare [`FIG1_SYMMETRY`]; the `fig1 n=3 tso`
+/// sweep is the pinned weak-memory counterexample.
+pub fn catalogue() -> Vec<CatalogueSweep> {
     let limits =
         |max_expansions, max_depth| ExploreLimits { max_expansions, max_steps: 2_000, max_depth };
-    let fig1 = |n| Explorer::new(n).threads(threads).symmetry(FIG1_SYMMETRY);
-    let plain = |n| Explorer::new(n).threads(threads);
+    let fig1 = |n| Explorer::new(n).symmetry(FIG1_SYMMETRY);
+    let plain = Explorer::new;
     let sweep = |label, fixture, explorer| CatalogueSweep {
         label,
         fixture,

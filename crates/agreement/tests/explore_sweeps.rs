@@ -4,10 +4,10 @@
 //! * the **explorer catalogue** (`fixtures::catalogue`, also printed by
 //!   the `explore_sweep` bench): every sweep's summary line must equal
 //!   its line in `tests/golden/explore_catalogue.txt`, the one place
-//!   those lines are pinned, both in memory at two workers and through a
-//!   disk-backed `SpillStore` at one — and a matrix switches each
-//!   reduction off in turn over the catalogue's small fixtures,
-//!   demanding the full set's verdicts;
+//!   those lines are pinned, both in memory and through a disk-backed
+//!   `SpillStore` — and a matrix switches each reduction off in turn
+//!   over the catalogue's small fixtures, demanding the full set's
+//!   verdicts;
 //! * Figure 1 safe agreement, `n = 3..7` — exhaustive, termination
 //!   checked too; `n = 6` pinned in tier-1, and `n = 6` without
 //!   symmetry plus `n = 7`, both through a disk-backed `SpillStore`,
@@ -114,30 +114,28 @@ fn assert_matches_golden_catalogue(lines: &[String]) {
 }
 
 /// The one place the catalogue's summary lines are pinned: every sweep
-/// of `fixtures::catalogue`, run at two workers, must print exactly its
-/// line of `tests/golden/explore_catalogue.txt`. After an intentional
+/// of `fixtures::catalogue`, run in memory, must print exactly its line
+/// of `tests/golden/explore_catalogue.txt`. After an intentional
 /// search-shape change, regenerate the file with `cargo bench --bench
 /// explore_sweep -- --quick 2>&1 >/dev/null | grep -E '^explore:' >
 /// tests/golden/explore_catalogue.txt`.
 #[test]
 fn catalogue_matches_golden_file() {
     let lines: Vec<String> =
-        catalogue(2).iter().map(|sweep| catalogue_line(sweep, &sweep.explorer)).collect();
+        catalogue().iter().map(|sweep| catalogue_line(sweep, &sweep.explorer)).collect();
     assert_matches_golden_catalogue(&lines);
 }
 
-/// Storage is policy, never search shape: every catalogued sweep, run at
-/// one worker through a disk-backed `SpillStore` in its own temporary
-/// directory under a 64-node resident ceiling with 8-layer checkpoints,
-/// must print the same golden line as in memory. The ceiling binds on
-/// nine sweeps — `fig1 n=3 unpruned`, `fig1 n=4`, `fig1 n=5`, both
-/// fault-tolerance sweeps, `fig1 n=3 tso` and all three `fig6` sweeps —
-/// so eviction and anchored rehydration from disk run on every pass.
-/// With the two-worker test above, this also pins that the worker count
-/// is invisible.
+/// Storage is policy, never search shape: every catalogued sweep, run
+/// through a disk-backed `SpillStore` in its own temporary directory
+/// under a 64-node resident ceiling with 8-layer checkpoints, must print
+/// the same golden line as in memory. The ceiling binds on nine sweeps —
+/// `fig1 n=3 unpruned`, `fig1 n=4`, `fig1 n=5`, both fault-tolerance
+/// sweeps, `fig1 n=3 tso` and all three `fig6` sweeps — so eviction and
+/// anchored rehydration from disk run on every pass.
 #[test]
 fn spilled_catalogue_matches_golden_file() {
-    let lines: Vec<String> = catalogue(1)
+    let lines: Vec<String> = catalogue()
         .iter()
         .map(|sweep| {
             let slug: String = sweep
@@ -185,7 +183,7 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
         "fig6 n=3 x=2 tso pruned",
     ];
     let mut sweeps: Vec<CatalogueSweep> =
-        catalogue(2).into_iter().filter(|sweep| LABELS.contains(&sweep.label)).collect();
+        catalogue().into_iter().filter(|sweep| LABELS.contains(&sweep.label)).collect();
     assert_eq!(sweeps.len(), LABELS.len(), "matrix labels drifted from the catalogue");
     // The catalogue's crash-count sweeps start at n = 4; one counted
     // crash at n = 3 keeps the matrix small.
@@ -227,7 +225,6 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
 #[test]
 fn fig1_n4_exhaustive_baseline() {
     let out = Explorer::new(4)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
         .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
@@ -247,7 +244,6 @@ fn fig1_n5_exhaustive_symm_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n5-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(5)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -277,7 +273,6 @@ fn fig1_n5_exhaustive_symm_baseline() {
 #[test]
 fn fig1_n6_exhaustive_symm_baseline() {
     let out = Explorer::new(6)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -313,7 +308,6 @@ fn fig1_n6_exhaustive_viewsum_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n6-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(6)
-        .threads(2)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
             max_steps: 5_000,
@@ -354,7 +348,6 @@ fn fig1_n7_exhaustive_symm_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n7-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(7)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
             max_expansions: 60_000_000,
@@ -536,7 +529,6 @@ fn fig1_n3_crash_count_matches_single_victim_union() {
 #[test]
 fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
     let out = Explorer::new(3)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .tso(true)
         .limits(ExploreLimits {
@@ -564,7 +556,6 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
 #[test]
 fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     let out = Explorer::new(4)
-        .threads(2)
         .symmetry(FIG1_SYMMETRY)
         .tso(true)
         .limits(ExploreLimits {
@@ -597,7 +588,6 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
 fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     for n in [3usize, 4] {
         let out = Explorer::new(n)
-            .threads(2)
             .tso(true)
             .limits(ExploreLimits {
                 max_expansions: 10_000_000,
@@ -619,10 +609,10 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     }
 }
 
-/// The Figure 6 scale-up sweep in memory at one worker, and spilled to a
-/// disk-backed `SpillStore` at two workers under an artificially tiny
-/// snapshot ceiling (64 resident nodes per layer where the widest layer
-/// holds thousands). Run once and shared by the two tests below.
+/// The Figure 6 scale-up sweep in memory, and spilled to a disk-backed
+/// `SpillStore` under an artificially tiny snapshot ceiling (64 resident
+/// nodes per layer where the widest layer holds thousands). Run once and
+/// shared by the two tests below.
 fn fig6_n4_in_memory_and_spilled() -> &'static (ExploreReport, ExploreReport) {
     static RUNS: OnceLock<(ExploreReport, ExploreReport)> = OnceLock::new();
     RUNS.get_or_init(|| {
@@ -634,9 +624,8 @@ fn fig6_n4_in_memory_and_spilled() -> &'static (ExploreReport, ExploreReport) {
             ..Default::default()
         });
         let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
-        let in_memory = run(ex.clone().threads(1));
+        let in_memory = run(ex.clone());
         let spilled = run(ex
-            .threads(2)
             .resident_ceiling(64)
             .checkpoint_every(8)
             .spill_to(&dir)
@@ -650,8 +639,6 @@ fn fig6_n4_in_memory_and_spilled() -> &'static (ExploreReport, ExploreReport) {
 /// 64-node ceiling forces mass eviction and rehydration from the segment
 /// file, and the report — every statistic of the summary line,
 /// completeness, violations — is byte-identical to the in-memory run's.
-/// The in-memory run uses one worker and the spilled run two, so the
-/// pair also pins that the worker count is invisible.
 #[test]
 fn fig6_n4_bounded_frontier_report_is_byte_identical() {
     let (in_memory, bounded) = fig6_n4_in_memory_and_spilled();

@@ -5,21 +5,16 @@
 //! * **Deterministic state-count lines on stderr** — one
 //!   `explore: <label> runs=… expansions=… visited=…` line per sweep of
 //!   the shared catalogue (`mpcn_agreement::fixtures::catalogue`),
-//!   identical across runs, machines, optimization levels, worker counts
-//!   and storage policies. `tests/golden/explore_catalogue.txt` pins
-//!   them: the tier-1 tests in `crates/agreement/tests/explore_sweeps.rs`
-//!   diff the catalogue against it in memory at two workers and through
-//!   a disk-backed `SpillStore` at one. `docs/EXPLORER.md` §6 explains
-//!   the counters. The `fig1 n=3 tso` sweep is an **expected
-//!   counterexample** (unfenced safe agreement is not safe under TSO),
-//!   so its line reports `violations=1` and the bench asserts the
-//!   violation *is* found.
-//! * **Wall time** of pruned sweeps under one worker and under
-//!   `k = available_parallelism()` workers — the parallel-speedup measure
-//!   (the vendored criterion shim reports mean/min/p50/p99, so tail
-//!   latency is visible). On a single-core runner the two tie.
-//!
-//! The catalogue runs at `k` workers too.
+//!   identical across runs, machines, optimization levels and storage
+//!   policies. `tests/golden/explore_catalogue.txt` pins them: the
+//!   tier-1 tests in `crates/agreement/tests/explore_sweeps.rs` diff the
+//!   catalogue against it in memory and through a disk-backed
+//!   `SpillStore`. `docs/EXPLORER.md` §6 explains the counters. The
+//!   `fig1 n=3 tso` sweep is an **expected counterexample** (unfenced
+//!   safe agreement is not safe under TSO), so its line reports
+//!   `violations=1` and the bench asserts the violation *is* found.
+//! * **Wall time** of pruned sweeps (the vendored criterion shim reports
+//!   mean/min/p50/p99, so tail latency is visible).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpcn_agreement::fixtures::{
@@ -33,8 +28,7 @@ fn limits(max_expansions: u64, max_depth: usize) -> ExploreLimits {
 }
 
 fn sweeps(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    for sweep in catalogue(threads) {
+    for sweep in catalogue() {
         let report = sweep.run();
         if sweep.expect_violation {
             assert!(
@@ -66,42 +60,32 @@ fn sweeps(c: &mut Criterion) {
             black_box(out.stats.states_visited)
         })
     });
-    // Parallel speedup: the same exhaustive fig6 n=4 sweep under 1 worker
-    // and under k. Both produce identical reports (the catalogue tests
-    // pin that); this pair measures what the extra workers buy in wall
-    // time. At this group's sample_size of 10 the printed p99 is just the
-    // maximum (nearest rank) — the real tail comes from the 100-sample
-    // n=3 pair below.
-    for (label, k) in [("fig6_n4_x2_sweep_t1", 1), ("fig6_n4_x2_sweep_tk", threads)] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let out = Explorer::new(4)
-                    .threads(k)
-                    .limits(limits(2_000_000, usize::MAX))
-                    .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, false));
-                black_box(out.stats.states_visited)
-            })
-        });
-    }
+    // The exhaustive fig6 n=4 sweep. At this group's sample_size of 10
+    // the printed p99 is just the maximum (nearest rank) — the real tail
+    // comes from the 100-sample n=3 sweep below.
+    g.bench_function("fig6_n4_x2_sweep", |b| {
+        b.iter(|| {
+            let out = Explorer::new(4)
+                .limits(limits(2_000_000, usize::MAX))
+                .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, false));
+            black_box(out.stats.states_visited)
+        })
+    });
     g.finish();
 
-    // Tail latency of the parallel frontier: the (fast) exhaustive fig6
-    // n=3 sweep at 100 samples, where the shim's nearest-rank p99 is a
-    // real 99th percentile — worker scheduling jitter shows up here
-    // first (vendor/README.md documents the line format).
+    // Tail latency: the (fast) exhaustive fig6 n=3 sweep at 100 samples,
+    // where the shim's nearest-rank p99 is a real 99th percentile
+    // (vendor/README.md documents the line format).
     let mut tail = c.benchmark_group("explore_tail");
     tail.sample_size(100);
-    for (label, k) in [("fig6_n3_x2_sweep_t1", 1), ("fig6_n3_x2_sweep_tk", threads)] {
-        tail.bench_function(label, |b| {
-            b.iter(|| {
-                let out = Explorer::new(3)
-                    .threads(k)
-                    .limits(limits(1_000_000, usize::MAX))
-                    .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, false));
-                black_box(out.stats.states_visited)
-            })
-        });
-    }
+    tail.bench_function("fig6_n3_x2_sweep", |b| {
+        b.iter(|| {
+            let out = Explorer::new(3)
+                .limits(limits(1_000_000, usize::MAX))
+                .run(|| fig6_bodies(3, 2, 1), |r| check_agreement(r, 3, false));
+            black_box(out.stats.states_visited)
+        })
+    });
     tail.finish();
 }
 

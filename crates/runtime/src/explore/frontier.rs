@@ -1,5 +1,5 @@
-//! The frontier engine: layered, snapshot-resuming, optionally parallel
-//! expansion of the schedule tree.
+//! The frontier engine: layered, snapshot-resuming expansion of the
+//! schedule tree.
 //!
 //! # Shape
 //!
@@ -8,34 +8,25 @@
 //! rebuilt from — and processes the tree in layers (all nodes at one
 //! depth). Everything else a node's scheduling needs (alive set,
 //! pending footprints, clocks, and the adversary state: which
-//! processes have crashed) is read from the snapshot:
+//! processes have crashed) is read from the snapshot.
 //!
-//! 1. **Expand (parallel):** a layer is a list of node jobs, each one
-//!    node plus the choices queued on it, which [`Engine::execute`]
-//!    consumes. A worker takes the node's snapshot (or rebuilds it once,
-//!    if evicted), resumes every queued scheduling decision from it
-//!    ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`]),
-//!    fingerprints each child, and drops the job — and with it the
-//!    parent snapshot — as soon as it has run. The
-//!    [`super::Explorer::threads`] workers claim jobs one at a time from
-//!    a shared queue; each also pre-checks its children's fingerprints
-//!    against the **committed** visited set, a plain `HashSet` the
-//!    workers only borrow: nothing inserts into it during the phase, so
-//!    the check needs no lock and its outcome is independent of worker
-//!    interleaving.
-//! 2. **Merge (canonical):** results are folded **in job order**, and
-//!    each job's children in choice order — visited-set insertion,
-//!    within-layer duplicate resolution, statistics, violation checks,
-//!    and the next layer's job list. Every nondeterministic effect of
-//!    phase 1 is invisible to phase 2, so the whole exploration — counts,
-//!    violations, report — is byte-identical for `threads = 1` and
-//!    `threads = k` (property-tested in `tests/proptests.rs`, and pinned
-//!    by the golden catalogue test, which runs at two workers against
-//!    lines generated at one).
+//! A layer is a list of node jobs, each one node plus the choices queued
+//! on it, which [`Engine::run_layer`] runs in one phase, in job order.
+//! A job takes its node's snapshot (or rebuilds it once, if evicted),
+//! resumes each queued scheduling decision from it
+//! ([`ModelWorld::resume_from`] / [`ModelWorld::resume_crash`] /
+//! [`ModelWorld::resume_flush`]), and fingerprints each child and prunes
+//! or admits it, in choice order, as soon as it has run — visited-set
+//! insertion, statistics, violation checks, and the next layer's job
+//! list. So the layer never holds more than one parent snapshot and one
+//! child in flight, and a job — with its parent snapshot — is dropped as
+//! soon as it has run. Jobs in order and children in choice order is the
+//! canonical order every report, state file and segment file is written
+//! in.
 //!
 //! Terminal nodes (everyone decided/crashed, or the per-path step budget
 //! exhausted) synthesize their [`RunReport`] from the snapshot and are
-//! checked at merge time. Nodes at the sibling-enumeration depth bound
+//! checked when admitted. Nodes at the sibling-enumeration depth bound
 //! run a **tail**: resumed to completion along the canonical choice-0
 //! suffix as one job, exactly like the gated explorer's depth-bounded
 //! runs. A violation's confirmation re-runs its choice vector through the
@@ -54,8 +45,9 @@
 //! of [`Pick::decode`], which `Schedule::Indexed` shares, so
 //! counterexample vectors replay their crash placements through the
 //! gated engine verbatim). One sweep thus exhausts *all* crash
-//! placements against *all* alive processes for every budget `≤ f`. Because the policy names no pid, the schedule
-//! space stays permutation-closed and the symmetry quotient remains
+//! placements against *all* alive processes for every budget `≤ f`.
+//! Because the policy names no pid, the schedule space stays
+//! permutation-closed and the symmetry quotient remains
 //! live — the one crash adversary it accepts. Depth-bounded tails
 //! still complete along the canonical choice-0 (op) suffix: a
 //! `max_depth` cut under `UpTo` is incomplete anyway, and tails never
@@ -78,8 +70,7 @@
 //! happens only in a spilled sweep ([`super::Explorer::spill_to`]): only
 //! the first `ceiling` nodes admitted per layer keep their snapshot;
 //! colder nodes are **evicted** down to their choice path and anchor,
-//! and the worker that takes an evicted node's job **rehydrates** it,
-//! once per job, by replaying its choice path through the snapshot
+//! and an evicted node's job **rehydrates** it, once, by replaying its choice path through the snapshot
 //! engine — the operation-log cursors make every replayed decision a
 //! deterministic `O(own log)` resume, so the rebuilt snapshot (and hence
 //! the whole report) is byte-identical to the never-evicted run.
@@ -102,15 +93,15 @@
 //! anchors and evicts nothing. Under [`super::Explorer::spill_to`] it is
 //! a [`SpillStore`]: [`SpillStore::put`] appends each checkpoint
 //! snapshot to the segment file and the node anchors to the returned
-//! record, and rehydration reads the anchor back from disk
-//! ([`super::ExploreStats::store_reads`]). [`SpillStore::barrier`]
+//! record, and rehydration reads the anchor back through the store
+//! ([`SpillStore::read`], counted in
+//! [`super::ExploreStats::store_reads`]). [`SpillStore::barrier`]
 //! persists every layer boundary — called by [`Engine::drive`] right
-//! after each merge, where the engine's state is exactly {committed
+//! after each layer, where the engine's state is exactly {committed
 //! stats, visited set, next job list} — which is what makes a killed
 //! sweep resumable ([`Engine::resume`]).
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
 use crate::sched::{Crashes, Pick};
@@ -172,7 +163,7 @@ impl Action {
 /// A node's rehydration base in a spilled sweep: the segment-file record
 /// of its nearest ancestor at a checkpoint-stride depth
 /// ([`super::Explorer::checkpoint_every`]).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub(super) struct Anchor {
     /// The ancestor's depth — rehydration replays `path[depth..]`.
     pub(super) depth: usize,
@@ -186,8 +177,7 @@ pub(super) struct Anchor {
 /// from the snapshot.
 pub(super) struct Node {
     /// The node's state while resident — its only owner; `None` once
-    /// evicted ([`Engine::stays_resident`]), when the expanding worker
-    /// rehydrates it.
+    /// evicted ([`Engine::stays_resident`]), when its job rehydrates it.
     pub(super) snap: Option<Box<Snapshot>>,
     /// Choice vector from the root (the replayable schedule prefix).
     pub(super) path: Vec<usize>,
@@ -199,8 +189,8 @@ pub(super) struct Node {
     pub(super) anchor: Option<Anchor>,
 }
 
-/// One node of a frontier layer and the work queued on it; the worker
-/// that takes the job reads or rebuilds the node's snapshot once.
+/// One node of a frontier layer and the work queued on it; running the
+/// job reads or rebuilds the node's snapshot once.
 pub(super) enum Job {
     /// Execute each of `choices` — never empty, strictly ascending — at
     /// `node`: a choice decodes by band ([`Pick::decode`]) to a step, a
@@ -211,69 +201,15 @@ pub(super) enum Job {
     Tail { node: Node },
 }
 
-/// What one job produced, and what rebuilding its node cost.
-struct JobResult {
-    output: JobOutput,
-    /// `Some` with the choice-path suffix length replayed when the node
-    /// was rebuilt from its disk anchor — one record read, feeding
-    /// `store_reads` and `max_rehydration_replay`; `None` if it was
-    /// resident.
-    rehydrated: Option<u64>,
-}
-
-enum JobOutput {
-    /// One child per queued choice, in choice order.
-    Children(Vec<Expanded>),
-    Tail(TailRun),
-}
-
-struct Expanded {
-    /// `None` when the committed visited set already contained `fp` (the
-    /// snapshot is dropped in the worker, saving merge-phase memory).
-    node: Option<Node>,
-    /// The executed decision, decoded — feeds the `crashes=` counter (a
-    /// [`Crashes::UpTo`] crash-band branch) and the `flushes=` counter.
-    pick: Pick,
-    /// The executed decision as an action — what the child's skip rule
-    /// ([`Engine::skips`]) commutes its own picks against.
-    action: Action,
-    fp: u64,
-    /// The observation quotient coarsened this child's identity (its raw
-    /// fingerprint differs from `fp`) — feeds the `qhits` counter when
-    /// the child is pruned.
-    coarsened: bool,
-    /// The symmetry quotient's canonical permutation moved a process
-    /// (the child's identity was folded under a nontrivial pid
-    /// relabeling) — feeds the `symm=` counter when the child is
-    /// pruned.
-    symm_coarsened: bool,
-}
-
-struct TailRun {
-    report: RunReport,
-    /// Full choice vector from the root, including the `0` tail.
-    choices: Vec<usize>,
-    /// Total picks from the root (the run's schedule depth).
-    depth: usize,
-}
-
-/// The read-only context expansion workers share.
-struct Shared<'a, F> {
-    crashes: &'a Crashes,
-    make_bodies: &'a F,
-    /// The committed visited set — read-only while workers expand.
-    visited: &'a HashSet<u64>,
-    /// Visited-state pruning enabled — also the only reason to
-    /// fingerprint child snapshots, so it doubles as the tracking flag.
-    prune: bool,
-    /// Fingerprint children by the observation quotient.
-    quotient: bool,
-    /// Fingerprint children by the pid-symmetry canonical form (`Some`
-    /// only when the reduction is on, the program declared a spec, and
-    /// the adversary is pid-blind — [`Crashes::None`] or
-    /// [`Crashes::UpTo`]; see [`Engine::with_store`]).
-    symmetry: Option<Symmetry>,
-    max_steps: u64,
+impl Job {
+    /// The expansions the job performs: one per queued choice, and one
+    /// for a tail.
+    fn work(&self) -> u64 {
+        match self {
+            Job::Expand { choices, .. } => choices.len() as u64,
+            Job::Tail { .. } => 1,
+        }
+    }
 }
 
 /// One exploration in progress. Construction wires the configuration;
@@ -282,28 +218,32 @@ pub(super) struct Engine<'a, F, C> {
     ex: &'a Explorer,
     make_bodies: &'a F,
     check: &'a C,
-    /// See [`Shared::prune`] — also the snapshot-tracking flag.
+    /// Visited-state pruning enabled — also the only reason to
+    /// fingerprint child snapshots, so it doubles as the tracking flag.
     prune: bool,
     dpor: bool,
+    /// Fingerprint children by the observation quotient.
     quotient: bool,
     viewsum: bool,
-    /// See [`Shared::symmetry`].
+    /// Fingerprint children by the pid-symmetry canonical form (`Some`
+    /// only when the reduction is on, the program declared a spec, and
+    /// the adversary is pid-blind — [`Crashes::None`] or
+    /// [`Crashes::UpTo`]; see [`Engine::with_store`]).
     symmetry: Option<Symmetry>,
-    threads: usize,
-    /// Fingerprints of every retained state. Only the engine thread
-    /// inserts ([`Engine::merge`], [`Engine::resume`]).
+    /// Fingerprints of every retained state.
     visited: HashSet<u64>,
     stats: ExploreStats,
     violations: Vec<Violation>,
     complete: bool,
     stopped: bool,
-    /// Jobs queued so far — the meter [`super::ExploreLimits::max_expansions`]
-    /// is charged against. `stats.expansions` counts *executed* jobs, so
-    /// on an early stop the final layer's still-queued jobs are charged
-    /// here but never reported as performed.
+    /// Choices (and tails) queued so far — the meter
+    /// [`super::ExploreLimits::max_expansions`] is charged against.
+    /// `stats.expansions` counts every queued choice of each layer the
+    /// sweep started, so the two differ only by the jobs queued for a
+    /// layer that an early stop never started.
     queued: u64,
     /// Snapshots kept resident in the layer currently being admitted
-    /// (reset per merge pass; compared against
+    /// (reset per layer; compared against
     /// [`super::Explorer::resident_ceiling`]).
     resident: usize,
     /// `None`: an in-memory sweep (no checkpoints, nothing evicted);
@@ -313,13 +253,13 @@ pub(super) struct Engine<'a, F, C> {
     /// Completed layer barriers (the root admission is layer 0's).
     layer: u64,
     /// Fingerprints committed to the visited set since the last barrier,
-    /// in canonical merge order (collected only when spilling).
+    /// in canonical order (collected only when spilling).
     visited_delta: Vec<u64>,
 }
 
 impl<'a, F, C> Engine<'a, F, C>
 where
-    F: Fn() -> Vec<Body> + Sync,
+    F: Fn() -> Vec<Body>,
     C: Fn(&RunReport) -> Result<(), String>,
 {
     pub(super) fn new(ex: &'a Explorer, make_bodies: &'a F, check: &'a C) -> Self {
@@ -373,7 +313,6 @@ where
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
-            threads: ex.threads.max(1),
             visited: HashSet::new(),
             stats,
             violations: Vec::new(),
@@ -403,8 +342,8 @@ where
 
     /// Continues an interrupted spilled sweep from its persisted state:
     /// the pending layer's jobs re-execute from the last barrier, which
-    /// is sound because the barrier committed *all* merge effects of
-    /// prior layers and *none* of the pending one.
+    /// is sound because the barrier committed *all* effects of prior
+    /// layers and *none* of the pending one.
     pub(super) fn resume(
         ex: &'a Explorer,
         make_bodies: &'a F,
@@ -432,7 +371,7 @@ where
 
     /// The layer loop, entered with layer `self.layer`'s job list (from
     /// the root admission or a resumed manifest). Persists a barrier
-    /// after every merge; a configured [`super::Explorer::halt_after_layers`]
+    /// after every layer; a configured [`super::Explorer::halt_after_layers`]
     /// exits *between* barriers — leaving the sweep directory exactly as
     /// a kill at that instant would — and reports incomplete.
     fn drive(mut self, mut jobs: Vec<Job>) -> ExploreReport {
@@ -443,8 +382,7 @@ where
                 halted = true;
                 break;
             }
-            let results = self.execute(jobs);
-            jobs = self.merge(results);
+            jobs = self.run_layer(jobs);
             self.layer += 1;
             self.barrier(&jobs, false);
         }
@@ -496,11 +434,11 @@ where
         // Under SC every buffer is empty and this is the classic check.
         let flushable = snap.flushable();
         if alive.is_empty() && flushable.is_empty() {
-            self.finish_run(snap.report(false), node.path, depth);
+            self.finish_run(snap.report(false), node.path);
             return;
         }
         if snap.steps() >= self.ex.limits.max_steps {
-            self.finish_run(snap.report(true), node.path, depth);
+            self.finish_run(snap.report(true), node.path);
             return;
         }
         // Checkpoint-depth nodes of a spilled sweep anchor to the record
@@ -562,7 +500,7 @@ where
     /// Applies the resident ceiling to one admitted node: the first
     /// [`super::Explorer::resident_ceiling`] nodes admitted per layer
     /// keep their snapshot; colder ones are evicted down to their path
-    /// and anchor, and rehydrated by the expanding worker. Only a
+    /// and anchor, and rehydrated when their job runs. Only a
     /// spilled sweep sets a ceiling ([`super::Explorer::run`] checks),
     /// so every evicted node has a disk anchor.
     fn stays_resident(&mut self) -> bool {
@@ -668,115 +606,95 @@ where
         act_p.commutes(&act_q)
     }
 
-    /// Phase 1: runs the layer's jobs, consuming them, on this thread or
-    /// on `k` scoped workers that claim them one at a time from a shared
-    /// queue. Each job — and with it its node's snapshot — is dropped as
-    /// soon as it has run. Only reads shared state; the results are put
-    /// back into job order and folded canonically by [`Engine::merge`].
-    /// A worker's panic is re-raised here with its own payload.
-    fn execute(&self, jobs: Vec<Job>) -> Vec<JobResult> {
-        let shared = Shared {
-            crashes: &self.ex.crashes,
-            make_bodies: self.make_bodies,
-            visited: &self.visited,
-            prune: self.prune,
-            quotient: self.quotient,
-            symmetry: self.symmetry,
-            max_steps: self.ex.limits.max_steps,
-        };
-        let workers = self.threads.min(jobs.len());
-        if workers <= 1 {
-            return jobs.into_iter().map(|job| run_job(&shared, job)).collect();
-        }
-        let queue = Mutex::new(jobs.into_iter().enumerate());
-        let mut ran: Vec<(usize, JobResult)> = std::thread::scope(|scope| {
-            let (shared, queue) = (&shared, &queue);
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    // The claim's guard drops when `from_fn`'s closure
-                    // returns, so no lock is held while a job runs.
-                    scope.spawn(move || {
-                        std::iter::from_fn(|| queue.lock().expect("claiming never panics").next())
-                            .map(|(i, job)| (i, run_job(shared, job)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        });
-        ran.sort_unstable_by_key(|&(i, _)| i);
-        ran.into_iter().map(|(_, result)| result).collect()
-    }
-
-    /// Phase 2: folds the layer's results in job order, and each job's
-    /// children in choice order — deterministic regardless of which
-    /// worker produced what when.
-    fn merge(&mut self, results: Vec<JobResult>) -> Vec<Job> {
-        // Every child and tail in hand was executed, even those a
-        // mid-merge stop discards below — `expansions` reports performed
-        // work.
-        for result in &results {
-            self.stats.expansions += match &result.output {
-                JobOutput::Children(children) => children.len() as u64,
-                JobOutput::Tail(_) => 1,
-            };
-        }
+    /// Runs one layer, consuming its jobs in order, and returns the next
+    /// layer's jobs.
+    fn run_layer(&mut self, jobs: Vec<Job>) -> Vec<Job> {
+        // The whole layer is charged up front: when a violation or the
+        // budget stops the sweep part-way through it, the jobs it leaves
+        // unrun still count their queued choices.
+        self.stats.expansions += jobs.iter().map(Job::work).sum::<u64>();
         self.resident = 0;
-        let mut jobs = Vec::new();
-        for result in results {
+        let mut next = Vec::new();
+        for job in jobs {
             if self.stopped {
                 break;
             }
-            if let Some(replayed) = result.rehydrated {
-                self.stats.max_rehydration_replay = self.stats.max_rehydration_replay.max(replayed);
-                self.stats.store_reads += 1;
+            self.run_job(job, &mut next);
+        }
+        next
+    }
+
+    /// Runs one job, consuming it: takes the node's snapshot, or rebuilds
+    /// it once if the node was evicted, then expands every queued choice
+    /// or runs the tail.
+    fn run_job(&mut self, job: Job, next: &mut Vec<Job>) {
+        let (mut node, choices) = match job {
+            Job::Expand { node, choices } => (node, Some(choices)),
+            Job::Tail { node } => (node, None),
+        };
+        let snap = match node.snap.take() {
+            Some(snap) => *snap,
+            None => self.rehydrate(&node),
+        };
+        let Some(choices) = choices else {
+            self.run_tail(node.path, snap);
+            return;
+        };
+        for choice in choices {
+            if self.stopped {
+                break;
             }
-            let children = match result.output {
-                JobOutput::Tail(tail) => {
-                    self.stats.depth_limited_runs += 1;
-                    self.finish_run(tail.report, tail.choices, tail.depth);
-                    continue;
-                }
-                JobOutput::Children(children) => children,
+            self.expand(&node, &snap, choice, next);
+        }
+    }
+
+    /// Executes one queued choice at `node`, whose snapshot is `parent`,
+    /// and prunes the child at once if its state was visited, or admits
+    /// it into the next layer.
+    fn expand(&mut self, node: &Node, parent: &Snapshot, choice: usize, next: &mut Vec<Job>) {
+        let (snap, pick, action) = self.apply_choice(parent, choice);
+        match pick {
+            Pick::Crash(_) => self.stats.crash_branches += 1,
+            Pick::Flush(_) => self.stats.flush_branches += 1,
+            Pick::Op(_) => {}
+        }
+        if self.prune {
+            let (fp, symm_coarsened) = match &self.symmetry {
+                Some(spec) => snap.fingerprint_symmetric(self.quotient, spec),
+                None if self.quotient => (snap.fingerprint_quotient(), false),
+                None => (snap.fingerprint(), false),
             };
-            for child in children {
-                if self.stopped {
-                    break;
+            if !self.visited.insert(fp) {
+                self.stats.states_pruned += 1;
+                // The observation quotient coarsened the child's identity
+                // (its raw fingerprint differs), or the symmetry
+                // quotient's canonical permutation moved a process.
+                if self.quotient && snap.quotient_coarsens() {
+                    self.stats.quotient_hits += 1;
                 }
-                match child.pick {
-                    Pick::Crash(_) => self.stats.crash_branches += 1,
-                    Pick::Flush(_) => self.stats.flush_branches += 1,
-                    Pick::Op(_) => {}
+                if symm_coarsened {
+                    self.stats.symm_hits += 1;
                 }
-                if self.prune && (child.node.is_none() || !self.visited.insert(child.fp)) {
-                    self.stats.states_pruned += 1;
-                    if child.coarsened {
-                        self.stats.quotient_hits += 1;
-                    }
-                    if child.symm_coarsened {
-                        self.stats.symm_hits += 1;
-                    }
-                    continue;
-                }
-                if self.prune && self.store.is_some() {
-                    self.visited_delta.push(child.fp);
-                }
-                self.stats.states_visited += 1;
-                let node = child.node.expect("retained children carry their node");
-                self.admit(node, Some((child.pick.pid(), child.action)), &mut jobs);
+                return;
+            }
+            if self.store.is_some() {
+                self.visited_delta.push(fp);
             }
         }
-        jobs
+        self.stats.states_visited += 1;
+        let mut path = node.path.clone();
+        path.push(choice);
+        // `admit` overwrites the anchor with a self-anchor on
+        // checkpoint-depth layers.
+        let child = Node { snap: Some(Box::new(snap)), path, anchor: node.anchor };
+        self.admit(child, Some((pick.pid(), action)), next);
     }
 
     /// Accounts one completed run and checks it; a violation is confirmed
     /// against the gated engine before being recorded.
-    fn finish_run(&mut self, report: RunReport, choices: Vec<usize>, depth: usize) {
+    fn finish_run(&mut self, report: RunReport, choices: Vec<usize>) {
         self.stats.runs += 1;
-        self.stats.max_depth = self.stats.max_depth.max(depth);
+        self.stats.max_depth = self.stats.max_depth.max(choices.len());
         if let Err(message) = (self.check)(&report) {
             self.confirm_against_gated_replay(&choices, &report);
             self.violations.push(Violation { choices, message });
@@ -805,167 +723,110 @@ where
              (choices {choices:?}) — model-world engine bug"
         );
     }
-}
 
-/// Runs one job, consuming it: takes the node's snapshot, or rebuilds it
-/// once if the node was evicted, then expands every queued choice or
-/// runs the tail.
-fn run_job<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, job: Job) -> JobResult {
-    let (mut node, choices) = match job {
-        Job::Expand { node, choices } => (node, Some(choices)),
-        Job::Tail { node } => (node, None),
-    };
-    let (snap, rehydrated) = match node.snap.take() {
-        Some(snap) => (*snap, None),
-        None => {
-            let (snap, replayed) = rehydrate(shared, &node);
-            (snap, Some(replayed))
-        }
-    };
-    let output = match choices {
-        Some(choices) => JobOutput::Children(
-            choices.into_iter().map(|choice| expand(shared, &node, &snap, choice)).collect(),
-        ),
-        None => JobOutput::Tail(run_tail(shared, node.path, snap)),
-    };
-    JobResult { output, rehydrated }
-}
-
-/// Executes one choice-vector entry from `snap`, decoded by band
-/// ([`Pick::decode`]) exactly as the gated engine decodes the same
-/// vector through `Schedule::Indexed`: an op pick is a scheduling
-/// decision — a crash instead of the step when the (stateless) crash
-/// plan fires at the process's own-step clock — a crash-band pick
-/// delivers one of the crash-count adversary's budgeted crashes,
-/// consuming no step, and a flush-band pick flushes the head of a raw
-/// pid's store buffer, consuming one step but no adversary decision.
-/// Returns the successor, the decoded pick, and the executed action
-/// (its footprint read from `snap`: the flushed head is gone from the
-/// successor's buffer).
-///
-/// Under the `Fn() -> Vec<Body>` contract a step must materialize all
-/// `n` bodies to use the picked one — `O(n)` small boxed allocations
-/// per step. Negligible for the catalogued sweeps; a per-pid body
-/// constructor in the public API would remove it if a
-/// multi-million-expansion sweep ever makes it measurable.
-///
-/// # Panics
-///
-/// Panics, naming the choice, if the decoded pick is not enabled at
-/// `snap`: a crash-band pick with no crash budget left, or a flush-band
-/// pick for a pid whose store buffer is empty or that does not exist.
-/// The engine never queues one, so such a choice comes from a corrupt
-/// sweep state file; executing it would silently change the report.
-fn apply_choice<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    snap: &Snapshot,
-    choice: usize,
-) -> (Snapshot, Pick, Action) {
-    let pick = Pick::decode(choice, &snap.alive());
-    let action = match pick {
-        Pick::Op(pid) if shared.crashes.fires_at(pid, snap.own_steps(pid)) => Some(Action::Crash),
-        Pick::Op(pid) => {
-            Some(Action::Op(snap.pending_footprint(pid).expect("an alive process parks at a gate")))
-        }
-        Pick::Crash(_) => shared.crashes.budget_left(snap.crashes()).then_some(Action::Crash),
-        Pick::Flush(pid) if pid < snap.n() => snap.flush_footprint(pid).map(Action::Flush),
-        Pick::Flush(_) => None,
-    };
-    let Some(action) = action else {
-        panic!(
-            "explore: choice {choice} ({pick:?}) is not enabled at its node: a corrupt sweep \
-             state file, or an engine bug"
-        )
-    };
-    let pid = pick.pid();
-    let successor = match action {
-        Action::Op(_) => {
-            let body = (shared.make_bodies)().into_iter().nth(pid).expect("one body per process");
-            ModelWorld::resume_from(snap, pid, body)
-        }
-        Action::Crash => ModelWorld::resume_crash(snap, pid),
-        Action::Flush(_) => ModelWorld::resume_flush(snap, pid),
-    };
-    (successor, pick, action)
-}
-
-/// Rebuilds an evicted node's snapshot by replaying its choice-path
-/// suffix from its [`Anchor`] — every replayed decision a deterministic
-/// resume from the anchor's snapshot, read back and decoded from the
-/// segment file, so the result is identical to the snapshot that was
-/// evicted. At most [`super::Explorer::checkpoint_every`] decisions are
-/// replayed (the anchor is the nearest checkpoint-depth ancestor).
-/// Returns the snapshot and the replayed suffix length.
-fn rehydrate<F: Fn() -> Vec<Body>>(shared: &Shared<'_, F>, node: &Node) -> (Snapshot, u64) {
-    let anchor =
-        node.anchor.as_ref().expect("a spilled sweep anchors every node (depth 0 checkpoints)");
-    let mut snap = anchor
-        .disk
-        .read()
-        .unwrap_or_else(|e| panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}"));
-    let suffix = &node.path[anchor.depth..];
-    for &choice in suffix {
-        snap = apply_choice(shared, &snap, choice).0;
-    }
-    (snap, suffix.len() as u64)
-}
-
-/// Executes one queued choice at `node`, whose snapshot is `parent`.
-fn expand<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    node: &Node,
-    parent: &Snapshot,
-    choice: usize,
-) -> Expanded {
-    let (snap, pick, action) = apply_choice(shared, parent, choice);
-    let (fp, coarsened, symm_coarsened) = if shared.prune {
-        let coarsened = shared.quotient && snap.quotient_coarsens();
-        match &shared.symmetry {
-            Some(spec) => {
-                let (fp, nontrivial) = snap.fingerprint_symmetric(shared.quotient, spec);
-                (fp, coarsened, nontrivial)
+    /// Executes one choice-vector entry from `snap`, decoded by band
+    /// ([`Pick::decode`]) exactly as the gated engine decodes the same
+    /// vector through `Schedule::Indexed`: an op pick is a scheduling
+    /// decision — a crash instead of the step when the (stateless) crash
+    /// plan fires at the process's own-step clock — a crash-band pick
+    /// delivers one of the crash-count adversary's budgeted crashes,
+    /// consuming no step, and a flush-band pick flushes the head of a raw
+    /// pid's store buffer, consuming one step but no adversary decision.
+    /// Returns the successor, the decoded pick, and the executed action
+    /// (its footprint read from `snap`: the flushed head is gone from the
+    /// successor's buffer).
+    ///
+    /// Under the `Fn() -> Vec<Body>` contract a step must materialize all
+    /// `n` bodies to use the picked one — `O(n)` small boxed allocations
+    /// per step. Negligible for the catalogued sweeps; a per-pid body
+    /// constructor in the public API would remove it if a
+    /// multi-million-expansion sweep ever makes it measurable.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the choice, if the decoded pick is not enabled at
+    /// `snap`: a crash-band pick with no crash budget left, or a flush-band
+    /// pick for a pid whose store buffer is empty or that does not exist.
+    /// The engine never queues one, so such a choice comes from a corrupt
+    /// sweep state file; executing it would silently change the report.
+    fn apply_choice(&self, snap: &Snapshot, choice: usize) -> (Snapshot, Pick, Action) {
+        let crashes = &self.ex.crashes;
+        let pick = Pick::decode(choice, &snap.alive());
+        let action = match pick {
+            Pick::Op(pid) if crashes.fires_at(pid, snap.own_steps(pid)) => Some(Action::Crash),
+            Pick::Op(pid) => Some(Action::Op(
+                snap.pending_footprint(pid).expect("an alive process parks at a gate"),
+            )),
+            Pick::Crash(_) => crashes.budget_left(snap.crashes()).then_some(Action::Crash),
+            Pick::Flush(pid) if pid < snap.n() => snap.flush_footprint(pid).map(Action::Flush),
+            Pick::Flush(_) => None,
+        };
+        let Some(action) = action else {
+            panic!(
+                "explore: choice {choice} ({pick:?}) is not enabled at its node: a corrupt sweep \
+                 state file, or an engine bug"
+            )
+        };
+        let pid = pick.pid();
+        let successor = match action {
+            Action::Op(_) => {
+                let body = (self.make_bodies)().into_iter().nth(pid).expect("one body per process");
+                ModelWorld::resume_from(snap, pid, body)
             }
-            None if shared.quotient => (snap.fingerprint_quotient(), coarsened, false),
-            None => (snap.fingerprint(), false, false),
-        }
-    } else {
-        (0, false, false)
-    };
-    let pre_pruned = shared.prune && shared.visited.contains(&fp);
-    let child = (!pre_pruned).then(|| {
-        let mut path = node.path.clone();
-        path.push(choice);
-        // The admit pass overwrites the anchor with a self-anchor on
-        // checkpoint-depth layers.
-        Node { snap: Some(Box::new(snap)), path, anchor: node.anchor.clone() }
-    });
-    Expanded { node: child, pick, action, fp, coarsened, symm_coarsened }
-}
+            Action::Crash => ModelWorld::resume_crash(snap, pid),
+            Action::Flush(_) => ModelWorld::resume_flush(snap, pid),
+        };
+        (successor, pick, action)
+    }
 
-/// Resumes `snap`, the state at the end of the path `choices`, to
-/// completion along the canonical choice-0 suffix, which it appends to
-/// `choices` — the depth-bounded sweep's "runs still execute to
-/// completion" path.
-fn run_tail<F: Fn() -> Vec<Body>>(
-    shared: &Shared<'_, F>,
-    mut choices: Vec<usize>,
-    mut snap: Snapshot,
-) -> TailRun {
-    let report = loop {
-        if snap.is_terminal() {
-            break snap.report(false);
+    /// Rebuilds an evicted node's snapshot by replaying its choice-path
+    /// suffix from its [`Anchor`] — every replayed decision a
+    /// deterministic resume from the anchor's snapshot, read back and
+    /// decoded from the segment file, so the result is identical to the
+    /// snapshot that was evicted. At most
+    /// [`super::Explorer::checkpoint_every`] decisions are replayed (the
+    /// anchor is the nearest checkpoint-depth ancestor); the read and the
+    /// replayed suffix length feed `store_reads` and
+    /// `max_rehydration_replay`.
+    fn rehydrate(&mut self, node: &Node) -> Snapshot {
+        let anchor =
+            node.anchor.as_ref().expect("a spilled sweep anchors every node (depth 0 checkpoints)");
+        let store = self.store.as_ref().expect("only a spilled sweep evicts");
+        let mut snap = store.read(&anchor.disk).unwrap_or_else(|e| {
+            panic!("explore spill: cannot rehydrate a checkpoint snapshot: {e}")
+        });
+        let suffix = &node.path[anchor.depth..];
+        for &choice in suffix {
+            snap = self.apply_choice(&snap, choice).0;
         }
-        if snap.steps() >= shared.max_steps {
-            break snap.report(true);
-        }
-        // Step the lowest alive process; once everyone finished or
-        // crashed but store buffers still hold writes (TSO only), drain
-        // them in raw-pid order — with no alive process the flush band
-        // starts at 0, so the choice is the pid itself and the vector
-        // replays through the gated engine.
-        let choice = if snap.alive().is_empty() { snap.flushable()[0] } else { 0 };
-        choices.push(choice);
-        snap = apply_choice(shared, &snap, choice).0;
-    };
-    TailRun { report, depth: choices.len(), choices }
+        self.stats.store_reads += 1;
+        self.stats.max_rehydration_replay =
+            self.stats.max_rehydration_replay.max(suffix.len() as u64);
+        snap
+    }
+
+    /// Resumes `snap`, the state at the end of the path `choices`, to
+    /// completion along the canonical choice-0 suffix, which it appends to
+    /// `choices`, and checks the run — the depth-bounded sweep's "runs
+    /// still execute to completion" path.
+    fn run_tail(&mut self, mut choices: Vec<usize>, mut snap: Snapshot) {
+        let report = loop {
+            if snap.is_terminal() {
+                break snap.report(false);
+            }
+            if snap.steps() >= self.ex.limits.max_steps {
+                break snap.report(true);
+            }
+            // Step the lowest alive process; once everyone finished or
+            // crashed but store buffers still hold writes (TSO only),
+            // drain them in raw-pid order — with no alive process the
+            // flush band starts at 0, so the choice is the pid itself and
+            // the vector replays through the gated engine.
+            let choice = if snap.alive().is_empty() { snap.flushable()[0] } else { 0 };
+            choices.push(choice);
+            snap = self.apply_choice(&snap, choice).0;
+        };
+        self.stats.depth_limited_runs += 1;
+        self.finish_run(report, choices);
+    }
 }

@@ -1,8 +1,7 @@
 //! Bounded model checking of model-world programs: exhaustive schedule
 //! enumeration with visited-state pruning, DPOR-style commutation,
-//! state quotients, snapshot-resume execution, and optional parallel
-//! frontier expansion — loom-style, but over the model world's virtual
-//! processes.
+//! state quotients, and snapshot-resume execution — loom-style, but over
+//! the model world's virtual processes.
 //!
 //! # Enumeration (snapshot-resuming frontier search)
 //!
@@ -22,13 +21,11 @@
 //! terminal snapshot's synthesized [`RunReport`].
 //!
 //! The frontier is processed in depth layers, each a list of node jobs
-//! (a node plus the choices queued on it); [`Explorer::threads`] workers
-//! each own every `k`-th job and probe the read-only visited set, while
-//! all state mutation happens in a canonical-order merge per layer
-//! — so reports are **byte-identical for any thread count** (the golden
-//! catalogue tests diff one file at `threads=2` in memory and at
-//! `threads=1` spilled). See the `frontier` module docs for the
-//! two-phase argument.
+//! (a node plus the choices queued on it), run in order on the caller's
+//! thread: each child is fingerprinted, pruned or admitted, in choice
+//! order, as soon as it has run, so a layer holds one job's parent and
+//! child in flight beside the frontier it builds. See the `frontier`
+//! module docs.
 //!
 //! # Prefix pruning ([`Reduction::prune_visited`])
 //!
@@ -134,17 +131,17 @@
 //!
 //! Wide layers at `n ≥ 4` can hold hundreds of thousands of live
 //! snapshots. A spilled sweep ([`Explorer::spill_to`]) can cap the nodes
-//! that keep their snapshot after each merge: only the first `ceiling`
-//! nodes admitted per layer stay resident; colder nodes are evicted down
-//! to their choice path and anchor and deterministically rehydrated when
-//! a worker expands them — reports are byte-identical to the unbounded
+//! that keep their snapshot: only the first `ceiling` nodes admitted per
+//! layer stay resident; colder nodes are evicted down to their choice
+//! path and anchor and deterministically rehydrated when their job runs
+//! — reports are byte-identical to the unbounded
 //! run (tested in `crates/agreement/tests/explore_sweeps.rs`). The
 //! anchor is the segment-file record of the node's nearest ancestor
 //! whose depth is a multiple of [`Explorer::checkpoint_every`]`= k`, so
 //! a rehydration replays at most `k` decisions instead of `O(depth)`
 //! (pinned by a unit test on [`ExploreStats::max_rehydration_replay`]).
 //! An in-memory sweep evicts nothing: each snapshot has one owner, its
-//! node, and workers drop each node as soon as its job has run.
+//! node, which is dropped as soon as its job has run.
 //!
 //! # Crashes and bounds
 //!
@@ -323,7 +320,6 @@ pub struct Explorer {
     limits: ExploreLimits,
     reduction: Reduction,
     collect_all: bool,
-    threads: usize,
     resident_ceiling: usize,
     checkpoint_every: usize,
     /// Spill checkpoint snapshots (and per-layer resume state) into this
@@ -348,8 +344,7 @@ pub struct Explorer {
 
 impl Explorer {
     /// An explorer for `n`-process programs with no crashes, default
-    /// limits, every reduction enabled ([`Reduction::full`]), and
-    /// single-threaded expansion.
+    /// limits, and every reduction enabled ([`Reduction::full`]).
     pub fn new(n: usize) -> Self {
         Explorer {
             n,
@@ -358,7 +353,6 @@ impl Explorer {
             limits: ExploreLimits::default(),
             reduction: Reduction::default(),
             collect_all: false,
-            threads: 1,
             resident_ceiling: usize::MAX,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
             spill_dir: None,
@@ -444,25 +438,17 @@ impl Explorer {
         self
     }
 
-    /// Expands each frontier layer on `k` worker threads (clamped to at
-    /// least 1). The report is byte-identical for every `k`: workers only
-    /// execute and probe; all bookkeeping happens in a canonical-order
-    /// merge (see the `frontier` module).
-    pub fn threads(mut self, k: usize) -> Self {
-        self.threads = k.max(1);
-        self
-    }
-
     /// Bounds a spilled sweep's frontier: at most `ceiling` nodes
     /// admitted per layer keep their [`crate::model_world::Snapshot`]
-    /// resident after the merge (clamped to at least 1); colder nodes
-    /// keep only their choice path and are rehydrated by replaying it
-    /// from their nearest checkpointed ancestor's segment-file record
-    /// ([`Explorer::checkpoint_every`]) when expanded. It bounds the nodes
-    /// that survive a merge, not a layer's children in flight. Reports
-    /// are byte-identical to the unbounded run; evicted expansions cost
-    /// one record read and at most `checkpoint_every` extra resumes
-    /// each. The default is `usize::MAX` (never evict); a ceiling needs
+    /// resident (clamped to at least 1); colder nodes keep only their
+    /// choice path and are rehydrated by replaying it from their nearest
+    /// checkpointed ancestor's segment-file record
+    /// ([`Explorer::checkpoint_every`]) when expanded. A layer runs one
+    /// job at a time, so the ceiling bounds the snapshots a sweep holds:
+    /// the two layers' resident nodes plus one job's parent and child.
+    /// Reports are byte-identical to the unbounded run; evicted
+    /// expansions cost one record read and at most `checkpoint_every`
+    /// extra resumes each. The default is `usize::MAX` (never evict); a ceiling needs
     /// [`Explorer::spill_to`], since the segment file is where evicted
     /// snapshots live ([`Explorer::run`] panics otherwise).
     pub fn resident_ceiling(mut self, ceiling: usize) -> Self {
@@ -573,8 +559,8 @@ impl Explorer {
     ///
     /// `make_bodies` and `check` must be the same fixture the original
     /// sweep ran — the manifest records configuration and progress, not
-    /// code. Limits, reductions, and thread count are restored from the
-    /// manifest, **not** taken from a builder.
+    /// code. Limits and reductions are restored from the manifest,
+    /// **not** taken from a builder.
     ///
     /// # Panics
     ///
@@ -584,7 +570,7 @@ impl Explorer {
     /// not).
     pub fn resume_sweep<F, C>(dir: impl AsRef<Path>, make_bodies: F, check: C) -> ExploreReport
     where
-        F: Fn() -> Vec<Body> + Sync,
+        F: Fn() -> Vec<Body>,
         C: Fn(&RunReport) -> Result<(), String>,
     {
         Explorer::resume_sweep_with_symmetry(dir, None, make_bodies, check)
@@ -611,7 +597,7 @@ impl Explorer {
         check: C,
     ) -> ExploreReport
     where
-        F: Fn() -> Vec<Body> + Sync,
+        F: Fn() -> Vec<Body>,
         C: Fn(&RunReport) -> Result<(), String>,
     {
         let dir = dir.as_ref();
@@ -660,7 +646,7 @@ impl Explorer {
     /// only in the segment file.
     pub fn run<F, C>(&self, make_bodies: F, check: C) -> ExploreReport
     where
-        F: Fn() -> Vec<Body> + Sync,
+        F: Fn() -> Vec<Body>,
         C: Fn(&RunReport) -> Result<(), String>,
     {
         assert!(
@@ -686,8 +672,8 @@ impl Explorer {
 /// `limits.max_expansions` is hit.
 ///
 /// Shorthand for [`Explorer::run`] with [`Reduction::none`]; use the
-/// builder for pruning, bounded-depth sweeps, parallel expansion, or
-/// violation collection.
+/// builder for pruning, bounded-depth sweeps, spilling, or violation
+/// collection.
 pub fn explore<F, C>(
     n: usize,
     crashes: Crashes,
@@ -696,7 +682,7 @@ pub fn explore<F, C>(
     check: C,
 ) -> ExploreReport
 where
-    F: Fn() -> Vec<Body> + Sync,
+    F: Fn() -> Vec<Body>,
     C: Fn(&RunReport) -> Result<(), String>,
 {
     Explorer::new(n)
@@ -1407,9 +1393,8 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v6 manifest carries no checksums of the state file and visited
-    /// set, and a v3 manifest (pre-TSO key set) cannot describe a TSO
-    /// sweep at all.
+    /// v7 manifest carries a worker count, and a v3 manifest (pre-TSO
+    /// key set) cannot describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1417,14 +1402,14 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=7"), "current manifests are v7");
+        assert!(text.contains("manifest_version=8"), "current manifests are v8");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=7", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=8", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(6);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v6 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 6"), "{e}");
+        downgrade(7);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v7 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 7"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
@@ -1577,13 +1562,7 @@ mod tests {
     #[should_panic(expected = "choice 5 (Crash(2)) is not enabled at its node")]
     fn resume_rejects_a_crash_choice_without_budget() {
         let dir = sweep_dir("crash-choice");
-        // Two workers: the panic must reach the caller with its own
-        // message, not as "a scoped thread panicked".
-        Explorer::new(3)
-            .threads(2)
-            .spill_to(&dir)
-            .halt_after_layers(2)
-            .run(spill_bodies, |_r| Ok(()));
+        Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         // The state file (`store::encode_state`): magic, codec version,
         // violation count (none here), job count, then the first job —
         // path length, path, anchor depth, offset and length, the expand
@@ -1638,34 +1617,5 @@ mod tests {
             .crashes(Crashes::Random { seed: 1, p: 0.0, max: 0 })
             .spill_to(&dir)
             .run(tas_bodies, one_winner);
-    }
-
-    /// Every thread count must produce the byte-identical report — the
-    /// parallel engine's core contract (random small-program coverage
-    /// lives in `tests/proptests.rs`).
-    #[test]
-    fn thread_counts_produce_identical_reports() {
-        let bodies = || {
-            (0..3u64)
-                .map(|i| {
-                    Box::new(move |env: Env<ModelWorld>| {
-                        env.snap_write(ObjKey::new(65, 0, 0), 3, i as usize, i + 1);
-                        let view = env.snap_scan::<u64>(ObjKey::new(65, 0, 0), 3);
-                        view.into_iter().flatten().sum()
-                    }) as Body
-                })
-                .collect()
-        };
-        let sweep = |k: usize| {
-            let out = Explorer::new(3).threads(k).run(bodies, |_r| Ok(()));
-            (out.stats, out.complete, out.violations)
-        };
-        let sequential = sweep(1);
-        assert_eq!(sequential, sweep(2));
-        assert_eq!(sequential, sweep(4));
-        assert!(
-            sequential.0.states_pruned + sequential.0.dpor_skips > 0,
-            "the sweep must exercise the reductions"
-        );
     }
 }

@@ -15,18 +15,20 @@ use crate::sched::Schedule;
 /// pruned/unpruned `states_visited` values are directly comparable:
 /// their difference is the work the reductions avoided.
 ///
-/// All fields are exact, deterministic, and — for any fixed
-/// configuration — independent of [`super::Explorer::threads`].
+/// All fields are exact and deterministic for any fixed configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Completed (terminal, timed-out, or depth-bounded) runs checked.
     pub runs: u64,
-    /// Scheduling expansions performed: one resumed decision or one
-    /// depth-bounded completion run each — the exploration's unit of
-    /// work. [`super::ExploreLimits::max_expansions`] is charged when a
-    /// job is *queued*, so an early stop (budget or first violation) can
-    /// leave this count short of the budget by the final layer's
-    /// unexecuted jobs; for completed sweeps queued == performed.
+    /// Scheduling expansions: one resumed decision or one depth-bounded
+    /// completion run each — the exploration's unit of work. Counts
+    /// every queued choice (and tail) of each layer the sweep started:
+    /// when a violation or the budget stops a sweep part-way through a
+    /// layer, the layer's remaining jobs are charged without running.
+    /// [`super::ExploreLimits::max_expansions`] is charged when a choice
+    /// is *queued*, so an early stop can leave this count short of the
+    /// budget by the next layer's jobs, which never start; for completed
+    /// sweeps queued == counted.
     pub expansions: u64,
     /// Distinct states visited (child snapshots retained on the
     /// frontier).
@@ -94,11 +96,10 @@ pub struct ExploreStats {
     /// [`ExploreStats::summary`].
     pub spill_bytes: u64,
     /// Checkpoint records read back and decoded from the segment file
-    /// to rehydrate evicted nodes: one per disk-anchored rehydration,
-    /// and a worker rehydrates a node once per job, whatever the number
-    /// of choices queued on it. So a sweep that is not resumed reads at
-    /// most [`ExploreStats::evicted`] records. Excluded from
-    /// [`ExploreStats::summary`].
+    /// to rehydrate evicted nodes: one per job that runs on an evicted
+    /// node, whatever the number of choices queued on it. So a sweep
+    /// that is not resumed reads at most [`ExploreStats::evicted`]
+    /// records. Excluded from [`ExploreStats::summary`].
     pub store_reads: u64,
     /// Deepest completed run (in picks) seen.
     pub max_depth: usize,

@@ -36,12 +36,12 @@
 //! saw (so even the segment file's future contents are reproduced).
 //! The interrupted layer is then re-executed from its persisted job
 //! list — idempotent, because expansion is deterministic and every
-//! merge effect (visited insertions, statistics, violations) was only
-//! committed at the *next* barrier.
+//! effect of a layer (visited insertions, statistics, violations) is
+//! only committed at the *next* barrier.
 //!
-//! A frontier record is a node's choice path plus its disk anchor, and
-//! nothing else: the expanding worker rehydrates the node's snapshot
-//! from the anchor, and the snapshot holds everything the engine reads
+//! A frontier record is a node's choice path plus its disk anchor — an
+//! offset and a length in the segment file — and nothing else: the
+//! node's job rehydrates its snapshot from the anchor, and the snapshot holds everything the engine reads
 //! — the alive set, footprints, clocks, and the adversary state. Under
 //! every policy the explorer accepts ([`Crashes::None`] /
 //! [`Crashes::AtOwnStep`] / [`Crashes::UpTo`]) that state is which
@@ -63,9 +63,8 @@
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::hash::Hasher;
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use crate::fingerprint::{mix, Fnv1a};
 use crate::model_world::codec::{ByteReader, ByteWriter, CodecError, CODEC_VERSION};
@@ -93,51 +92,16 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// reduction set, misread counters or misparse its state file, so older
 /// manifests are rejected whole rather than partially decoded. v7 added
 /// `state_fnv` and `visited_fnv`, checksums of the state file and of the
-/// committed visited set.
-const MANIFEST_VERSION: u64 = 7;
+/// committed visited set. v8 dropped the `threads` key: every sweep runs
+/// on the caller's thread.
+const MANIFEST_VERSION: u64 = 8;
 
-/// Locator of one checkpoint record in the segment file. Reads are
-/// positioned (`pread`-style), so any number of worker threads can
-/// rehydrate concurrently through the shared read handle while the merge
-/// thread appends.
-#[derive(Clone)]
+/// Locator of one checkpoint record in the segment file: the payload's
+/// offset and length, read back through [`SpillStore::read`].
+#[derive(Clone, Copy)]
 pub(super) struct DiskRef {
-    file: Arc<File>,
     offset: u64,
     len: u64,
-}
-
-impl DiskRef {
-    /// Reads back and decodes the checkpoint snapshot. A locator that
-    /// reaches past the end of the segment file (a corrupt frontier
-    /// record) is an `InvalidData` error before it sizes any buffer.
-    pub(super) fn read(&self) -> io::Result<Snapshot> {
-        let file_len = self.file.metadata()?.len();
-        if !matches!(self.offset.checked_add(self.len), Some(end) if end <= file_len) {
-            return Err(bad_data(format!(
-                "checkpoint record at offset {} of length {} overruns the {file_len}-byte \
-                 segment file",
-                self.offset, self.len
-            )));
-        }
-        let mut buf = vec![0u8; usize::try_from(self.len).map_err(bad_data)?];
-        read_exact_at(&self.file, &mut buf, self.offset)?;
-        Snapshot::decode(&buf).map_err(bad_data)
-    }
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(_file: &File, _buf: &mut [u8], _offset: u64) -> io::Result<()> {
-    Err(io::Error::new(
-        io::ErrorKind::Unsupported,
-        "positioned segment-file reads require a unix platform",
-    ))
 }
 
 fn bad_data<E>(e: E) -> io::Error
@@ -155,7 +119,7 @@ pub(super) struct SweepCheckpoint<'a> {
     pub(super) stats: &'a ExploreStats,
     pub(super) violations: &'a [Violation],
     /// Fingerprints newly committed to the visited set since the last
-    /// barrier, in canonical merge order.
+    /// barrier, in canonical order.
     pub(super) visited_delta: &'a [u64],
     pub(super) queued: u64,
     pub(super) complete: bool,
@@ -168,9 +132,9 @@ pub(super) struct SweepCheckpoint<'a> {
 /// resume the sweep after a kill ([`open_sweep`]).
 pub(super) struct SpillStore {
     dir: PathBuf,
-    /// Segment file, opened read + append: the merge thread appends
-    /// records, workers read them back at recorded offsets.
-    segments: Arc<File>,
+    /// Segment file, opened read + append: the engine appends records
+    /// and reads them back at recorded offsets.
+    segments: File,
     segments_len: u64,
     visited: File,
     visited_len: u64,
@@ -203,7 +167,7 @@ impl SpillStore {
         sync_dir(dir)?;
         Ok(SpillStore {
             dir: dir.to_path_buf(),
-            segments: Arc::new(segments),
+            segments,
             segments_len: 0,
             visited,
             visited_len: 0,
@@ -220,12 +184,30 @@ impl SpillStore {
         let mut record = Vec::with_capacity(8 + payload.len());
         record.extend_from_slice(&len.to_le_bytes());
         record.extend_from_slice(&payload);
-        (&*self.segments).write_all(&record)?;
+        self.segments.write_all(&record)?;
         let offset = self.segments_len + 8;
         self.segments_len += record.len() as u64;
         stats.spilled += 1;
         stats.spill_bytes += len;
-        Ok(DiskRef { file: Arc::clone(&self.segments), offset, len })
+        Ok(DiskRef { offset, len })
+    }
+
+    /// Reads back and decodes the checkpoint snapshot at `disk`. A
+    /// locator that reaches past the end of the segment file (a corrupt
+    /// frontier record) is an `InvalidData` error before it sizes any
+    /// buffer.
+    pub(super) fn read(&self, disk: &DiskRef) -> io::Result<Snapshot> {
+        if !matches!(disk.offset.checked_add(disk.len), Some(end) if end <= self.segments_len) {
+            return Err(bad_data(format!(
+                "checkpoint record at offset {} of length {} overruns the {}-byte segment file",
+                disk.offset, disk.len, self.segments_len
+            )));
+        }
+        let mut buf = vec![0u8; usize::try_from(disk.len).map_err(bad_data)?];
+        let mut file = &self.segments;
+        file.seek(SeekFrom::Start(disk.offset))?;
+        file.read_exact(&mut buf)?;
+        Snapshot::decode(&buf).map_err(bad_data)
     }
 
     /// Persists one layer barrier — called at every layer boundary, and
@@ -351,17 +333,14 @@ fn encode_node(w: &mut ByteWriter, node: &Node) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn decode_node(r: &mut ByteReader<'_>, segments: &Arc<File>) -> Result<Node, CodecError> {
+fn decode_node(r: &mut ByteReader<'_>) -> Result<Node, CodecError> {
     let path = (0..r.usize()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
     let depth = r.usize()?;
-    let disk = DiskRef { file: Arc::clone(segments), offset: r.u64()?, len: r.u64()? };
+    let disk = DiskRef { offset: r.u64()?, len: r.u64()? };
     Ok(Node { snap: None, path, anchor: Some(Anchor { depth, disk }) })
 }
 
-fn decode_state(
-    bytes: &[u8],
-    segments: &Arc<File>,
-) -> Result<(Vec<Violation>, Vec<Job>), CodecError> {
+fn decode_state(bytes: &[u8]) -> Result<(Vec<Violation>, Vec<Job>), CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.bytes(4)? != STATE_MAGIC.as_slice() {
         return Err(CodecError::BadMagic);
@@ -380,7 +359,7 @@ fn decode_state(
     }
     let mut jobs = Vec::new();
     for _ in 0..r.usize()? {
-        let node = decode_node(&mut r, segments)?;
+        let node = decode_node(&mut r)?;
         match r.u8()? {
             0 => jobs.push(Job::Tail { node }),
             1 => {
@@ -459,7 +438,6 @@ fn render_manifest(
     kv("fixture", ex.fixture.replace(['\n', '\r'], " "));
     kv("layer", ck.layer.to_string());
     kv("n", ex.n.to_string());
-    kv("threads", ex.threads.to_string());
     kv("collect_all", ex.collect_all.to_string());
     kv("max_expansions", ex.limits.max_expansions.to_string());
     kv("max_steps", ex.limits.max_steps.to_string());
@@ -621,7 +599,6 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
             symmetry: m.bool("symmetry")?,
         },
         collect_all: m.bool("collect_all")?,
-        threads: m.usize("threads")?,
         resident_ceiling: m.usize("resident_ceiling")?,
         checkpoint_every,
         spill_dir: Some(dir.to_path_buf()),
@@ -673,9 +650,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     if state_checksum(&state_bytes) != m.u64("state_fnv")? {
         return Err(bad_data(format!("{state_name} does not match the manifest's state_fnv")));
     }
-    let segments =
-        Arc::new(OpenOptions::new().read(true).append(true).open(dir.join("segments.bin"))?);
-    let (violations, jobs) = decode_state(&state_bytes, &segments).map_err(bad_data)?;
+    let (violations, jobs) = decode_state(&state_bytes).map_err(bad_data)?;
     // Rehydration replays `path[depth..]`, so an anchor deeper than its
     // own node's path is corrupt.
     for job in &jobs {
@@ -697,6 +672,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     }
     // Torn-tail discipline: drop whatever the interrupted layer appended
     // past the last barrier, restoring the exact byte state it saw.
+    let segments = OpenOptions::new().read(true).append(true).open(dir.join("segments.bin"))?;
     if segments.metadata()?.len() < segments_len {
         return Err(bad_data("segments.bin is shorter than the manifest records"));
     }
@@ -760,14 +736,16 @@ mod tests {
     /// starts inside it but runs over, and an offset that overflows.
     #[test]
     fn over_long_disk_ref_is_an_error() {
-        let path = std::env::temp_dir().join(format!("mpcn-over-long-ref-{}", std::process::id()));
-        fs::write(&path, [0u8; 64]).expect("write segment file");
-        let file = Arc::new(File::open(&path).expect("open segment file"));
-        let _ = fs::remove_file(&path);
+        let dir = std::env::temp_dir().join(format!("mpcn-over-long-ref-{}", std::process::id()));
+        let mut store = SpillStore::create(&dir).expect("create sweep directory");
+        store.segments.write_all(&[0u8; 64]).expect("write segment file");
+        store.segments_len = 64;
         for (offset, len) in [(0, 1u64 << 36), (60, 8), (u64::MAX, 2)] {
-            let disk = DiskRef { file: Arc::clone(&file), offset, len };
-            let Err(e) = disk.read() else { panic!("offset {offset} len {len} must not decode") };
+            let Err(e) = store.read(&DiskRef { offset, len }) else {
+                panic!("offset {offset} len {len} must not decode")
+            };
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "offset {offset} len {len}: {e}");
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

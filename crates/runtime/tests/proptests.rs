@@ -302,8 +302,8 @@ proptest! {
     /// observation quotient) and pruning-only exploration (no commutation,
     /// no quotient) must produce identical violation *sets* and
     /// identical *replay verdicts* — every reported schedule, replayed
-    /// through the gated reference engine, must still trip the checker —
-    /// under one and two expansion workers alike. DPOR never adds work.
+    /// through the gated reference engine, must still trip the checker.
+    /// DPOR never adds work.
     #[test]
     fn dpor_preserves_violation_sets_and_replay_verdicts(
         seed in 0u64..1_000_000,
@@ -320,44 +320,41 @@ proptest! {
             Ok(())
         };
         let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        for threads in [1usize, 2] {
-            let collect = |reduction: Reduction| {
-                let out = Explorer::new(n)
-                    .limits(limits)
-                    .reduction(reduction)
-                    .threads(threads)
-                    .collect_all(true)
-                    .run(make, check);
-                prop_assert!(
-                    out.complete || !out.violations.is_empty(),
-                    "small trees must be exhausted"
-                );
-                // Replay verdict: every reported schedule reproduces its
-                // violation through the gated reference engine.
-                for v in &out.violations {
-                    let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                    prop_assert!(
-                        check(&replayed).is_err(),
-                        "replay verdict lost (seed {seed}, choices {:?})",
-                        v.choices
-                    );
-                }
-                let mut msgs: Vec<String> =
-                    out.violations.iter().map(|v| v.message.clone()).collect();
-                msgs.sort();
-                msgs.dedup();
-                Ok((out.stats.expansions, msgs))
-            };
-            let (dpor_work, dpor) = collect(Reduction::full())?;
-            let (reference_work, reference) =
-                collect(Reduction { prune_visited: true, ..Reduction::none() })?;
-            prop_assert_eq!(
-                dpor, reference,
-                "DPOR must preserve the violation set (seed {}, threads {})", seed, threads
+        let collect = |reduction: Reduction| {
+            let out = Explorer::new(n)
+                .limits(limits)
+                .reduction(reduction)
+                .collect_all(true)
+                .run(make, check);
+            prop_assert!(
+                out.complete || !out.violations.is_empty(),
+                "small trees must be exhausted"
             );
-            prop_assert!(dpor_work <= reference_work, "DPOR never adds work");
-        }
+            // Replay verdict: every reported schedule reproduces its
+            // violation through the gated reference engine.
+            for v in &out.violations {
+                let replayed =
+                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                prop_assert!(
+                    check(&replayed).is_err(),
+                    "replay verdict lost (seed {seed}, choices {:?})",
+                    v.choices
+                );
+            }
+            let mut msgs: Vec<String> =
+                out.violations.iter().map(|v| v.message.clone()).collect();
+            msgs.sort();
+            msgs.dedup();
+            Ok((out.stats.expansions, msgs))
+        };
+        let (dpor_work, dpor) = collect(Reduction::full())?;
+        let (reference_work, reference) =
+            collect(Reduction { prune_visited: true, ..Reduction::none() })?;
+        prop_assert_eq!(
+            dpor, reference,
+            "DPOR must preserve the violation set (seed {})", seed
+        );
+        prop_assert!(dpor_work <= reference_work, "DPOR never adds work");
     }
 
     /// Differential view-summary test — the same discipline as the DPOR
@@ -367,8 +364,8 @@ proptest! {
     /// the symmetry quotient) must produce identical violation
     /// *sets* and identical *replay verdicts* — every reported schedule,
     /// replayed through the gated reference engine, must still trip the
-    /// checker — under one and two expansion workers alike. Summaries
-    /// only merge states, never split them, so they never add work.
+    /// checker. Summaries only merge states, never split them, so they
+    /// never add work.
     #[test]
     fn view_summaries_preserve_violation_sets_and_replay_verdicts(
         seed in 0u64..1_000_000,
@@ -385,46 +382,42 @@ proptest! {
             Ok(())
         };
         let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        for threads in [1usize, 2] {
-            let collect = |reduction: Reduction| {
-                let out = Explorer::new(n)
-                    .limits(limits)
-                    .reduction(reduction)
-                    .threads(threads)
-                    .collect_all(true)
-                    .run(make, check);
-                prop_assert!(
-                    out.complete || !out.violations.is_empty(),
-                    "small trees must be exhausted"
-                );
-                for v in &out.violations {
-                    let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                    prop_assert!(
-                        check(&replayed).is_err(),
-                        "replay verdict lost (seed {seed}, choices {:?})",
-                        v.choices
-                    );
-                }
-                let mut msgs: Vec<String> =
-                    out.violations.iter().map(|v| v.message.clone()).collect();
-                msgs.sort();
-                msgs.dedup();
-                Ok((out.stats.expansions, msgs))
-            };
-            let (summarized_work, summarized) = collect(Reduction::full())?;
-            let (reference_work, reference) = collect(Reduction {
-                view_summaries: false,
-                symmetry: false,
-                ..Reduction::full()
-            })?;
-            prop_assert_eq!(
-                summarized, reference,
-                "view summaries must preserve the violation set (seed {}, threads {})",
-                seed, threads
+        let collect = |reduction: Reduction| {
+            let out = Explorer::new(n)
+                .limits(limits)
+                .reduction(reduction)
+                .collect_all(true)
+                .run(make, check);
+            prop_assert!(
+                out.complete || !out.violations.is_empty(),
+                "small trees must be exhausted"
             );
-            prop_assert!(summarized_work <= reference_work, "summaries never add work");
-        }
+            for v in &out.violations {
+                let replayed =
+                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                prop_assert!(
+                    check(&replayed).is_err(),
+                    "replay verdict lost (seed {seed}, choices {:?})",
+                    v.choices
+                );
+            }
+            let mut msgs: Vec<String> =
+                out.violations.iter().map(|v| v.message.clone()).collect();
+            msgs.sort();
+            msgs.dedup();
+            Ok((out.stats.expansions, msgs))
+        };
+        let (summarized_work, summarized) = collect(Reduction::full())?;
+        let (reference_work, reference) = collect(Reduction {
+            view_summaries: false,
+            symmetry: false,
+            ..Reduction::full()
+        })?;
+        prop_assert_eq!(
+            summarized, reference,
+            "view summaries must preserve the violation set (seed {})", seed
+        );
+        prop_assert!(summarized_work <= reference_work, "summaries never add work");
     }
 
     /// Differential symmetry test — the DPOR/view-summary discipline
@@ -434,10 +427,9 @@ proptest! {
     /// (every other reduction still on) must produce
     /// identical violation *sets* and identical *replay verdicts* —
     /// every reported schedule, replayed through the gated reference
-    /// engine, must still trip the checker — under one and two
-    /// expansion workers alike. The checker sorts decided values, so it
-    /// is closed under pid permutation of outcomes (the §7 contract);
-    /// quotienting orbits never adds work.
+    /// engine, must still trip the checker. The checker sorts decided
+    /// values, so it is closed under pid permutation of outcomes (the §7
+    /// contract); quotienting orbits never adds work.
     #[test]
     fn symmetry_preserves_violation_sets_and_replay_verdicts(
         seed in 0u64..1_000_000,
@@ -454,45 +446,42 @@ proptest! {
             Ok(())
         };
         let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        for threads in [1usize, 2] {
-            let collect = |reduction: Reduction| {
-                let out = Explorer::new(n)
-                    .limits(limits)
-                    .reduction(reduction)
-                    .symmetry(IDENTITY_SYMMETRY)
-                    .threads(threads)
-                    .collect_all(true)
-                    .run(make, check);
-                prop_assert!(
-                    out.complete || !out.violations.is_empty(),
-                    "small trees must be exhausted"
-                );
-                for v in &out.violations {
-                    let replayed =
-                        mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                    prop_assert!(
-                        check(&replayed).is_err(),
-                        "replay verdict lost (seed {seed}, choices {:?})",
-                        v.choices
-                    );
-                }
-                let mut msgs: Vec<String> =
-                    out.violations.iter().map(|v| v.message.clone()).collect();
-                msgs.sort();
-                msgs.dedup();
-                Ok((out.stats.expansions, out.stats.symm_enabled, msgs))
-            };
-            let (symm_work, symm_active, symm) = collect(Reduction::full())?;
-            let (reference_work, reference_active, reference) =
-                collect(Reduction { symmetry: false, ..Reduction::full() })?;
-            prop_assert!(symm_active, "spec + full reduction must activate the quotient");
-            prop_assert!(!reference_active, "symmetry off must keep the quotient off");
-            prop_assert_eq!(
-                symm, reference,
-                "symmetry must preserve the violation set (seed {}, threads {})", seed, threads
+        let collect = |reduction: Reduction| {
+            let out = Explorer::new(n)
+                .limits(limits)
+                .reduction(reduction)
+                .symmetry(IDENTITY_SYMMETRY)
+                .collect_all(true)
+                .run(make, check);
+            prop_assert!(
+                out.complete || !out.violations.is_empty(),
+                "small trees must be exhausted"
             );
-            prop_assert!(symm_work <= reference_work, "quotienting orbits never adds work");
-        }
+            for v in &out.violations {
+                let replayed =
+                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
+                prop_assert!(
+                    check(&replayed).is_err(),
+                    "replay verdict lost (seed {seed}, choices {:?})",
+                    v.choices
+                );
+            }
+            let mut msgs: Vec<String> =
+                out.violations.iter().map(|v| v.message.clone()).collect();
+            msgs.sort();
+            msgs.dedup();
+            Ok((out.stats.expansions, out.stats.symm_enabled, msgs))
+        };
+        let (symm_work, symm_active, symm) = collect(Reduction::full())?;
+        let (reference_work, reference_active, reference) =
+            collect(Reduction { symmetry: false, ..Reduction::full() })?;
+        prop_assert!(symm_active, "spec + full reduction must activate the quotient");
+        prop_assert!(!reference_active, "symmetry off must keep the quotient off");
+        prop_assert_eq!(
+            symm, reference,
+            "symmetry must preserve the violation set (seed {})", seed
+        );
+        prop_assert!(symm_work <= reference_work, "quotienting orbits never adds work");
     }
 
     /// The crash-and-timeout differential: the same DPOR-on vs
@@ -572,8 +561,7 @@ proptest! {
     /// sweep under a resident ceiling of 1 (evict all but one node per
     /// layer, rehydrate from the segment file on demand) yields
     /// byte-identical summaries, completeness and violation lists to the
-    /// unbounded in-memory run on random small programs, under one and
-    /// two expansion workers alike.
+    /// unbounded in-memory run on random small programs.
     #[test]
     fn bounded_frontier_reports_are_byte_identical(
         seed in 0u64..1_000_000,
@@ -582,25 +570,23 @@ proptest! {
     ) {
         let unbounded = flagged_sweep(seed, n, ops, Explorer::new(n));
         prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
-        for threads in [1usize, 2] {
-            let dir = sweep_dir("bounded");
-            let bounded = flagged_sweep(
-                seed,
-                n,
-                ops,
-                Explorer::new(n).threads(threads).resident_ceiling(1).spill_to(&dir),
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-            prop_assert_eq!(
-                (&unbounded.0, unbounded.1, &unbounded.2),
-                (&bounded.0, bounded.1, &bounded.2),
-                "the resident ceiling must be invisible (seed {}, threads {})", seed, threads
-            );
-        }
+        let dir = sweep_dir("bounded");
+        let bounded = flagged_sweep(
+            seed,
+            n,
+            ops,
+            Explorer::new(n).resident_ceiling(1).spill_to(&dir),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(
+            (&unbounded.0, unbounded.1, &unbounded.2),
+            (&bounded.0, bounded.1, &bounded.2),
+            "the resident ceiling must be invisible (seed {})", seed
+        );
     }
 
     /// The checkpoint stride is pure memory/time policy: for every
-    /// `(threads, k) ∈ {(1, 1), (2, 4), (1, 16)}`, a spilled ceiling-1
+    /// `k ∈ {1, 4, 16}`, a spilled ceiling-1
     /// frontier produces byte-identical summaries, completeness, and
     /// violation lists to the unbounded in-memory run on random small
     /// programs — and no rehydration ever replays more than `k`
@@ -615,15 +601,14 @@ proptest! {
         let unbounded = flagged_sweep(seed, n, ops, Explorer::new(n));
         prop_assert_eq!(unbounded.3.evicted, 0u64, "unbounded run must not evict");
         prop_assert_eq!(unbounded.3.max_rehydration_replay, 0u64);
-        for (threads, k) in [(1, 1), (2, 4), (1, 16)] {
+        for k in [1, 4, 16] {
             let dir = sweep_dir("stride");
             let bounded = flagged_sweep(
                 seed,
                 n,
                 ops,
                 Explorer::new(n)
-                    .threads(threads)
-                    .resident_ceiling(1)
+                        .resident_ceiling(1)
                     .checkpoint_every(k)
                     .spill_to(&dir),
             );
@@ -631,7 +616,7 @@ proptest! {
             prop_assert_eq!(
                 (&unbounded.0, unbounded.1, &unbounded.2),
                 (&bounded.0, bounded.1, &bounded.2),
-                "checkpoint stride k = {} must be invisible (seed {}, threads {})", k, seed, threads
+                "checkpoint stride k = {} must be invisible (seed {})", k, seed
             );
             prop_assert!(
                 bounded.3.max_rehydration_replay <= k as u64,
@@ -646,36 +631,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Parallel frontier expansion is invisible: `threads = 1` and
-    /// `threads = 4` produce byte-identical statistics (visited/pruned
-    /// counts included) and identical violation lists — messages *and*
-    /// schedules — on random small programs.
-    #[test]
-    fn parallel_exploration_is_deterministic(seed in 0u64..1_000_000, n in 2usize..4, ops in 1usize..3) {
-        let make = move || small_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 4 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
-        };
-        let sweep = |threads: usize| {
-            let out = Explorer::new(n)
-                .limits(ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() })
-                .collect_all(true)
-                .threads(threads)
-                .run(make, check);
-            let violations: Vec<(Vec<usize>, String)> =
-                out.violations.iter().map(|v| (v.choices.clone(), v.message.clone())).collect();
-            (out.stats.summary(), out.complete, violations)
-        };
-        let sequential = sweep(1);
-        let parallel = sweep(4);
-        prop_assert_eq!(sequential, parallel, "thread count must be invisible (seed {})", seed);
     }
 
     /// Snapshot-resume oracle: driving the snapshot engine down an
@@ -903,7 +858,7 @@ proptest! {
     /// enumeration under [`Explorer::tso`] pins the *byte-identical*
     /// violation set, verdict, and statistics of the sequentially
     /// consistent sweep — whole summary lines included, `flushes=0` on
-    /// both — under one and two expansion workers alike.
+    /// both.
     #[test]
     fn tso_equals_sc_on_buffer_free_programs(
         seed in 0u64..1_000_000,
@@ -919,7 +874,7 @@ proptest! {
             }
             Ok(())
         };
-        let sweep = |tso: bool, threads: usize| {
+        let sweep = |tso: bool| {
             let out = Explorer::new(n)
                 .tso(tso)
                 .reduction(Reduction::none())
@@ -929,23 +884,19 @@ proptest! {
                     ..Default::default()
                 })
                 .collect_all(true)
-                .threads(threads)
                 .run(make, check);
             let violations: Vec<(Vec<usize>, String)> =
                 out.violations.iter().map(|v| (v.choices.clone(), v.message.clone())).collect();
             (out.stats.summary(), out.complete, violations, out.stats.flush_branches)
         };
-        for threads in [1usize, 2] {
-            let sc = sweep(false, threads);
-            let tso = sweep(true, threads);
-            prop_assert_eq!(tso.3, 0u64);
-            prop_assert_eq!(
-                (&tso.0, tso.1, &tso.2),
-                (&sc.0, sc.1, &sc.2),
-                "TSO must be invisible on buffer-free programs (seed {}, threads {})",
-                seed, threads
-            );
-        }
+        let sc = sweep(false);
+        let tso = sweep(true);
+        prop_assert_eq!(tso.3, 0u64);
+        prop_assert_eq!(
+            (&tso.0, tso.1, &tso.2),
+            (&sc.0, sc.1, &sc.2),
+            "TSO must be invisible on buffer-free programs (seed {})", seed
+        );
     }
 }
 
@@ -984,8 +935,8 @@ proptest! {
     /// The crash-count differential: on random small programs, one
     /// [`Crashes::UpTo`]`(f)` sweep finds exactly the union of the
     /// violation sets of every hand-enumerated [`Crashes::AtOwnStep`]
-    /// plan with at most `f` victims — under one and two expansion
-    /// workers alike — and every crash-branch counterexample's choice
+    /// plan with at most `f` victims, and every crash-branch
+    /// counterexample's choice
     /// vector (crash index band included) replays to the same verdict
     /// through the gated reference engine. The checker keys on decided
     /// values, crashed pids, and undecided pids, so crash placement
@@ -1009,55 +960,51 @@ proptest! {
         };
         let limits =
             ExploreLimits { max_expansions: 200_000, max_steps: 1_000, ..Default::default() };
-        for threads in [1usize, 2] {
-            let sweep = |crashes: Crashes| {
-                let out = Explorer::new(n)
-                    .limits(limits)
-                    .crashes(crashes)
-                    .threads(threads)
-                    .collect_all(true)
-                    .run(make, check);
-                prop_assert!(
-                    out.complete || !out.violations.is_empty(),
-                    "small trees must be exhausted"
-                );
-                Ok(out)
-            };
-            let counted = sweep(Crashes::UpTo(f))?;
-            for v in &counted.violations {
-                let replayed = mpcn_runtime::explore::replay(
-                    n,
-                    Crashes::UpTo(f),
-                    1_000,
-                    make,
-                    &v.choices,
-                );
-                prop_assert!(
-                    check(&replayed).is_err(),
-                    "crash-band replay verdict lost (seed {seed}, choices {:?})",
-                    v.choices
-                );
-            }
-            let mut counted_msgs: Vec<String> =
-                counted.violations.iter().map(|v| v.message.clone()).collect();
-            counted_msgs.sort();
-            counted_msgs.dedup();
-            // A body performs `ops` shared operations, so every park
-            // point sits at an own-step count in 0..=ops — plans beyond
-            // that never fire and add nothing to the union.
-            let mut union_msgs = Vec::new();
-            for plan in at_own_step_plans_up_to(n, f, ops as u64) {
-                let planned = sweep(Crashes::AtOwnStep(plan))?;
-                union_msgs.extend(planned.violations.iter().map(|v| v.message.clone()));
-            }
-            union_msgs.sort();
-            union_msgs.dedup();
-            prop_assert_eq!(
-                &counted_msgs, &union_msgs,
-                "UpTo({}) must equal the union of ≤{}-victim plans (seed {}, threads {})",
-                f, f, seed, threads
+        let sweep = |crashes: Crashes| {
+            let out = Explorer::new(n)
+                .limits(limits)
+                .crashes(crashes)
+                .collect_all(true)
+                .run(make, check);
+            prop_assert!(
+                out.complete || !out.violations.is_empty(),
+                "small trees must be exhausted"
+            );
+            Ok(out)
+        };
+        let counted = sweep(Crashes::UpTo(f))?;
+        for v in &counted.violations {
+            let replayed = mpcn_runtime::explore::replay(
+                n,
+                Crashes::UpTo(f),
+                1_000,
+                make,
+                &v.choices,
+            );
+            prop_assert!(
+                check(&replayed).is_err(),
+                "crash-band replay verdict lost (seed {seed}, choices {:?})",
+                v.choices
             );
         }
+        let mut counted_msgs: Vec<String> =
+            counted.violations.iter().map(|v| v.message.clone()).collect();
+        counted_msgs.sort();
+        counted_msgs.dedup();
+        // A body performs `ops` shared operations, so every park
+        // point sits at an own-step count in 0..=ops — plans beyond
+        // that never fire and add nothing to the union.
+        let mut union_msgs = Vec::new();
+        for plan in at_own_step_plans_up_to(n, f, ops as u64) {
+            let planned = sweep(Crashes::AtOwnStep(plan))?;
+            union_msgs.extend(planned.violations.iter().map(|v| v.message.clone()));
+        }
+        union_msgs.sort();
+        union_msgs.dedup();
+        prop_assert_eq!(
+            &counted_msgs, &union_msgs,
+            "UpTo({}) must equal the union of ≤{}-victim plans (seed {})", f, f, seed
+        );
     }
 }
 

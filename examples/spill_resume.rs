@@ -2,7 +2,7 @@
 //! executable form of the storage layer's crash-recovery contract
 //! (`docs/EXPLORER.md` §5). CI's resume gate runs this binary; it
 //! exits nonzero (panics) if any resumed report differs from the
-//! uninterrupted in-memory run. Every sweep runs at two workers.
+//! uninterrupted in-memory run.
 //!
 //! The script, on the exhaustive Figure 1 `n = 4` sweep, crash-free and
 //! again under the crash-count adversary `Crashes::UpTo(1)` (whose
@@ -29,7 +29,7 @@ use mpcn::{ExploreLimits, Explorer};
 use std::io::Write as _;
 
 fn explorer(crashes: &Crashes) -> Explorer {
-    Explorer::new(4).threads(2).crashes(crashes.clone()).limits(ExploreLimits {
+    Explorer::new(4).crashes(crashes.clone()).limits(ExploreLimits {
         max_expansions: 2_000_000,
         max_steps: 2_000,
         ..Default::default()

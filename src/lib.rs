@@ -25,8 +25,7 @@
 //! model checker in [`runtime::explore`] (re-exported here as
 //! [`Explorer`]) sweeps every schedule of the Figure 1/5/6 objects at
 //! small `n` — resuming from state snapshots instead of re-executing
-//! prefixes, optionally across worker threads with byte-identical
-//! reports — with visited-state pruning, DPOR-style commutation (pure
+//! prefixes — with visited-state pruning, DPOR-style commutation (pure
 //! reads, independent footprints, crash deliveries), observation and
 //! view-summary quotients, and a pid-symmetry quotient, and emits
 //! replayable [`Schedule::Indexed`](runtime::Schedule) counterexamples
