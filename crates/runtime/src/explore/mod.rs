@@ -1422,29 +1422,38 @@ mod tests {
         line.unwrap_or_else(|| panic!("manifest records {key}")).to_string()
     }
 
-    /// Sets the value of `key=` in a sweep directory's manifest.
+    /// FNV-1a of `bytes`, the manifest's checksum.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        use std::hash::Hasher as _;
+        let mut fnv = crate::fingerprint::Fnv1a::default();
+        fnv.write(bytes);
+        fnv.finish()
+    }
+
+    /// Sets the value of `key=` in a sweep directory's manifest and
+    /// re-stamps its `manifest_fnv`, so that a later check is still
+    /// reached.
     fn set_manifest_field(dir: &std::path::Path, key: &str, value: impl std::fmt::Display) {
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
         let prefix = format!("{key}=");
-        let lines: Vec<String> = text
-            .lines()
-            .map(
-                |l| if l.starts_with(&prefix) { format!("{prefix}{value}") } else { l.to_string() },
-            )
-            .collect();
-        std::fs::write(&manifest, lines.join("\n") + "\n").expect("rewrite manifest");
+        let mut body = String::new();
+        for line in text.lines().filter(|l| !l.starts_with("manifest_fnv=")) {
+            match line.strip_prefix(prefix.as_str()) {
+                Some(_) => body += &format!("{prefix}{value}\n"),
+                None => body += &format!("{line}\n"),
+            }
+        }
+        let stamp = format!("manifest_fnv={}\n", fnv1a(body.as_bytes()));
+        std::fs::write(&manifest, body + &stamp).expect("rewrite manifest");
     }
 
     /// Replaces a sweep directory's state file with `bytes` and re-stamps
     /// the manifest's `state_fnv`, so that a later check is still reached.
     fn rewrite_state(dir: &std::path::Path, bytes: &[u8]) {
-        use std::hash::Hasher as _;
         let state = dir.join(manifest_field(dir, "state_file"));
         std::fs::write(state, bytes).expect("rewrite state file");
-        let mut fnv = crate::fingerprint::Fnv1a::default();
-        fnv.write(bytes);
-        set_manifest_field(dir, "state_fnv", fnv.finish());
+        set_manifest_field(dir, "state_fnv", fnv1a(bytes));
     }
 
     /// A fresh three-process sweep directory halted after three layers.
@@ -1476,6 +1485,47 @@ mod tests {
         bytes[first_choice_at] = 1;
         std::fs::write(&state, bytes).expect("rewrite state file");
         assert_corrupt(&dir);
+    }
+
+    /// The manifest commits to itself: a halted sweep whose `runs=` value
+    /// is edited would resume to a report with the wrong `runs`, and a
+    /// manifest without its `manifest_fnv` line has nothing to check.
+    #[test]
+    fn resume_rejects_an_edited_manifest() {
+        let dir = halted_sweep("edited-manifest");
+        let manifest = dir.join("MANIFEST");
+        let text = std::fs::read_to_string(&manifest).expect("manifest exists");
+        let runs = manifest_field(&dir, "runs");
+        let edited = text.replace(&format!("\nruns={runs}\n"), &format!("\nruns={runs}1\n"));
+        assert_ne!(edited, text, "the manifest records runs");
+        std::fs::write(&manifest, edited).expect("rewrite manifest");
+        let Err(e) = store::open_sweep(&dir) else { panic!("an edited manifest opened") };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        let unstamped = text.lines().filter(|l| !l.starts_with("manifest_fnv="));
+        std::fs::write(&manifest, unstamped.map(|l| format!("{l}\n")).collect::<String>())
+            .expect("rewrite manifest");
+        assert_corrupt(&dir);
+    }
+
+    /// A fresh sweep owns its directory: nothing an earlier sweep left
+    /// survives it. The first sweep halts after more layers than the
+    /// second, shorter one needs, so its last state file has a name the
+    /// second never writes.
+    #[test]
+    fn a_fresh_sweep_clears_an_earlier_sweeps_files() {
+        let dir = sweep_dir("fresh-owns-dir");
+        Explorer::new(3).spill_to(&dir).halt_after_layers(5).run(spill_bodies, |_r| Ok(()));
+        assert!(dir.join("state-5.bin").exists(), "the halted sweep leaves its state file");
+        std::fs::write(dir.join("MANIFEST.tmp"), "torn").expect("leave a torn manifest");
+        let report = Explorer::new(2).spill_to(&dir).run(tas_bodies, one_winner);
+        assert!(report.complete);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("sweep directory")
+            .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["MANIFEST", "segments.bin", "state-final.bin", "visited.bin"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The manifest commits to the visited set: a flipped byte in its

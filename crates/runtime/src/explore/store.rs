@@ -19,7 +19,7 @@
 //! | `segments.bin` | checkpoint records: `[payload_len: u64 LE][payload]`, where `payload` is [`Snapshot::encode`] bytes |
 //! | `visited.bin` | visited fingerprints, 8 bytes LE each, appended per layer barrier |
 //! | `state-<L>.bin` (or `state-final.bin`) | violations + the layer-`L` frontier jobs, each a node (its choice path and disk anchor) plus its queued choices or a tail tag (binary, see `encode_state`) |
-//! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths and checksums, status |
+//! | `MANIFEST` | text `key=value` lines: configuration, running statistics, file lengths and checksums, status, and last its own checksum |
 //!
 //! # Resume soundness
 //!
@@ -57,8 +57,10 @@
 //! included — as `InvalidData`, and likewise a `segments_len` past the
 //! end of the segment file. It also rejects an anchor deeper than its
 //! node's path, and a job whose queued choices are empty or not strictly
-//! increasing. Segment records are checked only by [`Snapshot::decode`],
-//! and the manifest itself by nothing but its parser.
+//! increasing. The manifest's last line, `manifest_fnv`, is the FNV-1a
+//! of every byte before it, so an edited value the parser would accept
+//! is `InvalidData` too. Segment records are checked only by
+//! [`Snapshot::decode`].
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -92,8 +94,9 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// reduction set, misread counters or misparse its state file, so older
 /// manifests are rejected whole rather than partially decoded. v7 added
 /// `state_fnv` and `visited_fnv`, checksums of the state file and of the
-/// committed visited set. v8 dropped the `threads` key: every sweep runs
-/// on the caller's thread.
+/// committed visited set. v8 dropped the `threads` key, since every sweep
+/// runs on the caller's thread, and added `manifest_fnv`, a checksum of
+/// the manifest itself.
 const MANIFEST_VERSION: u64 = 8;
 
 /// Locator of one checkpoint record in the segment file: the payload's
@@ -149,12 +152,19 @@ impl SpillStore {
     /// Creates (or wipes) a sweep directory for a fresh sweep.
     pub(super) fn create(dir: &Path) -> io::Result<SpillStore> {
         fs::create_dir_all(dir)?;
-        // A stale manifest from an earlier sweep must not survive into
-        // the window before this sweep's first barrier.
-        match fs::remove_file(dir.join("MANIFEST")) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        // An earlier sweep's manifest, its torn manifest rename and its
+        // state files must not survive into this sweep: a stale manifest
+        // would describe the window before the first barrier, and a
+        // stale state file would outlive the sweep.
+        for entry in fs::read_dir(dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|name| name.to_str()).unwrap_or_default();
+            let stale = name == "MANIFEST"
+                || name == "MANIFEST.tmp"
+                || (name.starts_with("state-") && name.ends_with(".bin"));
+            if stale {
+                fs::remove_file(&path)?;
+            }
         }
         let segments = OpenOptions::new()
             .read(true)
@@ -230,7 +240,7 @@ impl SpillStore {
             if ck.done { "state-final.bin".to_string() } else { format!("state-{}.bin", ck.layer) };
         let state = encode_state(ck).map_err(bad_data)?;
         write_sync(&self.dir.join(&state_name), &state)?;
-        let manifest = render_manifest(ck, self, &state_name, state_checksum(&state))?;
+        let manifest = render_manifest(ck, self, &state_name, fnv1a(&state))?;
         write_sync(&self.dir.join("MANIFEST.tmp"), manifest.as_bytes())?;
         fs::rename(self.dir.join("MANIFEST.tmp"), self.dir.join("MANIFEST"))?;
         // The rename must be durable before the state file it replaces
@@ -263,8 +273,9 @@ fn sync_dir(_dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// The manifest's `state_fnv`: FNV-1a of the state file's bytes.
-fn state_checksum(bytes: &[u8]) -> u64 {
+/// FNV-1a of `bytes`: the manifest's `state_fnv` of the state file, and
+/// its `manifest_fnv` of every manifest byte before that line.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
@@ -484,7 +495,22 @@ fn render_manifest(
         "branching",
         stats.branching_histogram.iter().map(u64::to_string).collect::<Vec<_>>().join(","),
     );
+    let manifest_fnv = fnv1a(out.as_bytes());
+    let _ = writeln!(out, "manifest_fnv={manifest_fnv}");
     Ok(out)
+}
+
+/// Checks the manifest's last line, `manifest_fnv=`, against the FNV-1a
+/// of every byte before it, so that an edited or damaged value — which
+/// its parser would accept — is `InvalidData`.
+fn check_manifest_fnv(text: &str) -> io::Result<()> {
+    let last = text.trim_end_matches('\n').rfind('\n').map_or(0, |i| i + 1);
+    let (body, last) = text.split_at(last);
+    match last.trim_end().strip_prefix("manifest_fnv=") {
+        Some(v) if v.parse() == Ok(fnv1a(body.as_bytes())) => Ok(()),
+        Some(_) => Err(bad_data("MANIFEST does not match its manifest_fnv")),
+        None => Err(bad_data("MANIFEST does not end with a manifest_fnv line")),
+    }
 }
 
 struct Manifest<'a> {
@@ -577,6 +603,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         v if v == u64::from(CODEC_VERSION) => {}
         v => return Err(bad_data(format!("unsupported snapshot codec version {v}"))),
     }
+    check_manifest_fnv(&text)?;
     // A zero stride would divide by zero at the first admitted node.
     let checkpoint_every = match m.usize("checkpoint_every")? {
         0 => return Err(bad_data("manifest checkpoint_every is 0; the stride is at least 1")),
@@ -647,7 +674,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         return Err(bad_data(format!("manifest state_file escapes the sweep dir: {state_name:?}")));
     }
     let state_bytes = fs::read(dir.join(state_name))?;
-    if state_checksum(&state_bytes) != m.u64("state_fnv")? {
+    if fnv1a(&state_bytes) != m.u64("state_fnv")? {
         return Err(bad_data(format!("{state_name} does not match the manifest's state_fnv")));
     }
     let (violations, jobs) = decode_state(&state_bytes).map_err(bad_data)?;
