@@ -292,7 +292,7 @@ fn fig1_n6_exhaustive_symm_baseline() {
 }
 
 /// One scale step beyond the milestone: `n = 6` (depth 24) is also
-/// exhaustible under the view summaries — ~1.37M expansions, ~20 s
+/// exhaustible under the view summaries — ~1.37M expansions, ~15 s
 /// release — but too heavy for the debug-mode tier-1 suite, so the
 /// exact baseline is pinned behind `#[ignore]`. The sweep runs through
 /// a disk-backed `SpillStore` with a resident ceiling far below the
@@ -303,7 +303,7 @@ fn fig1_n6_exhaustive_symm_baseline() {
 /// `cargo test --release -p mpcn-agreement --test explore_sweeps -- \
 /// --ignored fig1_n6`.
 #[test]
-#[ignore = "release-scale sweep (~20 s release, minutes debug); run explicitly with --ignored"]
+#[ignore = "release-scale sweep (~15 s release, minutes debug); run explicitly with --ignored"]
 fn fig1_n6_exhaustive_viewsum_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n6-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

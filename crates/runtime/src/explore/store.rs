@@ -41,8 +41,9 @@
 //!
 //! A frontier record is a node's choice path plus its disk anchor — an
 //! offset and a length in the segment file — and nothing else: the
-//! node's job rehydrates its snapshot from the anchor, and the snapshot holds everything the engine reads
-//! — the alive set, footprints, clocks, and the adversary state. Under
+//! node's job rehydrates its snapshot from the anchor, and the snapshot
+//! holds everything the engine reads — the alive set, footprints,
+//! clocks, and the adversary state. Under
 //! every policy the explorer accepts ([`Crashes::None`] /
 //! [`Crashes::AtOwnStep`] / [`Crashes::UpTo`]) that state is which
 //! processes have crashed, so a resumed crash-count sweep re-branches
