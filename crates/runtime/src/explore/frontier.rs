@@ -70,10 +70,11 @@
 //! happens only in a spilled sweep ([`super::Explorer::spill_to`]): only
 //! the first `ceiling` nodes admitted per layer keep their snapshot;
 //! colder nodes are **evicted** down to their choice path and anchor,
-//! and an evicted node's job **rehydrates** it, once, by replaying its choice path through the snapshot
-//! engine — the operation-log cursors make every replayed decision a
-//! deterministic `O(own log)` resume, so the rebuilt snapshot (and hence
-//! the whole report) is byte-identical to the never-evicted run.
+//! and an evicted node's job **rehydrates** it, once, by replaying its
+//! choice path through the snapshot engine — the operation-log cursors
+//! make every replayed decision a deterministic `O(own log)` resume, so
+//! the rebuilt snapshot (and hence the whole report) is byte-identical
+//! to the never-evicted run.
 //! [`Engine::admit`] makes every decision that reads a node's state
 //! (terminality, tail, choices, skips) from the freshly expanded node's
 //! snapshot, so an evicted node is rebuilt only to be expanded.

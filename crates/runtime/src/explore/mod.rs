@@ -134,8 +134,8 @@
 //! that keep their snapshot: only the first `ceiling` nodes admitted per
 //! layer stay resident; colder nodes are evicted down to their choice
 //! path and anchor and deterministically rehydrated when their job runs
-//! — reports are byte-identical to the unbounded
-//! run (tested in `crates/agreement/tests/explore_sweeps.rs`). The
+//! — reports are byte-identical to the unbounded run (tested in
+//! `crates/agreement/tests/explore_sweeps.rs`). The
 //! anchor is the segment-file record of the node's nearest ancestor
 //! whose depth is a multiple of [`Explorer::checkpoint_every`]`= k`, so
 //! a rehydration replays at most `k` decisions instead of `O(depth)`
@@ -448,9 +448,9 @@ impl Explorer {
     /// the two layers' resident nodes plus one job's parent and child.
     /// Reports are byte-identical to the unbounded run; evicted
     /// expansions cost one record read and at most `checkpoint_every`
-    /// extra resumes each. The default is `usize::MAX` (never evict); a ceiling needs
-    /// [`Explorer::spill_to`], since the segment file is where evicted
-    /// snapshots live ([`Explorer::run`] panics otherwise).
+    /// extra resumes each. The default is `usize::MAX` (never evict); a
+    /// ceiling needs [`Explorer::spill_to`], since the segment file is
+    /// where evicted snapshots live ([`Explorer::run`] panics otherwise).
     pub fn resident_ceiling(mut self, ceiling: usize) -> Self {
         self.resident_ceiling = ceiling.max(1);
         self
@@ -1422,14 +1422,6 @@ mod tests {
         line.unwrap_or_else(|| panic!("manifest records {key}")).to_string()
     }
 
-    /// FNV-1a of `bytes`, the manifest's checksum.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        use std::hash::Hasher as _;
-        let mut fnv = crate::fingerprint::Fnv1a::default();
-        fnv.write(bytes);
-        fnv.finish()
-    }
-
     /// Sets the value of `key=` in a sweep directory's manifest and
     /// re-stamps its `manifest_fnv`, so that a later check is still
     /// reached.
@@ -1444,7 +1436,7 @@ mod tests {
                 None => body += &format!("{line}\n"),
             }
         }
-        let stamp = format!("manifest_fnv={}\n", fnv1a(body.as_bytes()));
+        let stamp = format!("manifest_fnv={}\n", store::fnv1a(body.as_bytes()));
         std::fs::write(&manifest, body + &stamp).expect("rewrite manifest");
     }
 
@@ -1453,7 +1445,7 @@ mod tests {
     fn rewrite_state(dir: &std::path::Path, bytes: &[u8]) {
         let state = dir.join(manifest_field(dir, "state_file"));
         std::fs::write(state, bytes).expect("rewrite state file");
-        set_manifest_field(dir, "state_fnv", fnv1a(bytes));
+        set_manifest_field(dir, "state_fnv", store::fnv1a(bytes));
     }
 
     /// A fresh three-process sweep directory halted after three layers.

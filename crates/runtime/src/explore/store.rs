@@ -276,7 +276,7 @@ fn sync_dir(_dir: &Path) -> io::Result<()> {
 
 /// FNV-1a of `bytes`: the manifest's `state_fnv` of the state file, and
 /// its `manifest_fnv` of every manifest byte before that line.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
