@@ -1,17 +1,17 @@
-//! ThreadWorld large-`n` sweep (ROADMAP "high-concurrency ThreadWorld").
+//! Real-thread large-`n` sweep.
 //!
-//! Drives the lock-based [`ThreadWorld`] — real OS threads, no scheduler
-//! — through safe-agreement rounds at `n ∈ {8, 16, 32, 64}` against the
-//! deterministic [`ModelWorld`] executing the *same* bodies under its
-//! step gate, then scales ThreadWorld alone through the high-concurrency
-//! sizes `n ∈ {128, 256, 1024}` (ModelWorld spawns one gated OS thread
-//! per process, so the comparison stops being about shared memory well
-//! before 1024). One round = every process runs `sa_propose` (3
-//! shared-memory steps) plus `POLLS` `try_decide` polls (1 step each), so
-//! a round costs exactly `n · (3 + POLLS)` shared operations in either
-//! world — which makes the printed steps/sec lines a direct measure of
-//! the scheduler-handshake overhead (small `n`) and of substrate
-//! contention behavior (large `n`).
+//! Drives a free-mode [`ModelWorld`] ([`ModelWorld::new_free`]) — real OS
+//! threads sharing one world, no scheduler — through safe-agreement
+//! rounds at `n ∈ {8, 16, 32, 64}` against the gated [`ModelWorld`]
+//! executing the *same* bodies under its step gate, then scales the free
+//! world alone through the high-concurrency sizes `n ∈ {128, 256, 1024}`
+//! (the gated run spawns one OS thread per process, so the comparison
+//! stops being about shared memory well before 1024). One round = every
+//! process runs `sa_propose` (3 shared-memory steps) plus `POLLS`
+//! `try_decide` polls (1 step each), so a round costs exactly
+//! `n · (3 + POLLS)` shared operations in either mode — which makes the
+//! printed steps/sec lines a direct measure of the scheduler-handshake
+//! overhead (small `n`) and of lock contention (large `n`).
 //!
 //! The `thread_world …` stderr lines contain wall-clock rates, so no
 //! golden file pins them. After all bodies finish, `main` runs the epoch
@@ -22,7 +22,6 @@ use mpcn_agreement::safe::SafeAgreement;
 use mpcn_bench::assert_epoch_drained;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig};
 use mpcn_runtime::sched::Schedule;
-use mpcn_runtime::thread_world::ThreadWorld;
 use mpcn_runtime::world::Env;
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,7 +32,7 @@ const KIND: u32 = 840;
 const POLLS: usize = 2;
 /// Sizes where the gated ModelWorld comparison is still meaningful.
 const COMPARE_SIZES: [usize; 4] = [8, 16, 32, 64];
-/// High-concurrency ThreadWorld-only sizes.
+/// High-concurrency sizes run on the free world alone.
 const LARGE_SIZES: [usize; 3] = [128, 256, 1024];
 
 /// Shared-memory operations one round completes.
@@ -57,10 +56,10 @@ fn rate_rounds(n: usize) -> u32 {
 }
 
 /// One full-speed round on real threads: `n` processes propose and poll
-/// on a fresh world. Returns the number of processes that saw a decided
-/// value (data dependency against dead-code elimination).
+/// on a fresh free-mode world. Returns the number of processes that saw a
+/// decided value (data dependency against dead-code elimination).
 fn thread_world_round(n: usize) -> usize {
-    let world = ThreadWorld::new();
+    let world = ModelWorld::new_free(n);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|pid| {
@@ -127,7 +126,7 @@ fn sweep(c: &mut Criterion) {
             ops_per_round(n)
         });
         eprintln!(
-            "thread_world n={n}: ModelWorld {model_rate:.0} steps/s vs ThreadWorld \
+            "thread_world n={n}: gated {model_rate:.0} steps/s vs free \
              {thread_rate:.0} steps/s (x{:.1} gate overhead)",
             thread_rate / model_rate.max(f64::MIN_POSITIVE)
         );
@@ -137,7 +136,7 @@ fn sweep(c: &mut Criterion) {
             black_box(thread_world_round(n));
             ops_per_round(n)
         });
-        eprintln!("thread_world n={n}: ThreadWorld {thread_rate:.0} steps/s (high-concurrency)");
+        eprintln!("thread_world n={n}: free {thread_rate:.0} steps/s (high-concurrency)");
     }
 
     let mut g = c.benchmark_group("thread_world");

@@ -1,21 +1,21 @@
 //! The simulation on real OS threads.
 //!
 //! The simulator code is generic over [`mpcn_runtime::world::World`]; this
-//! module instantiates it over the lock-based
-//! [`mpcn_runtime::thread_world::ThreadWorld`], giving a full-speed,
-//! genuinely concurrent execution (no deterministic scheduler, no crash
-//! injection). Used by benches and as evidence that the simulation's
+//! module runs it on one free-mode
+//! [`mpcn_runtime::model_world::ModelWorld`] shared by real OS threads,
+//! giving a full-speed, genuinely concurrent execution (no deterministic
+//! scheduler, no crash injection). Used by benches and as evidence that the simulation's
 //! correctness does not lean on the model world's step gating — safety
 //! holds under real interleavings too.
 
-use mpcn_runtime::thread_world::ThreadWorld;
+use mpcn_runtime::model_world::ModelWorld;
 use mpcn_runtime::world::Env;
 
 use crate::simulator::{SimulationSpec, Simulator};
 
 /// Runs the colorless simulation on real threads: one OS thread per
-/// simulator over a shared [`ThreadWorld`]. Returns the simulators'
-/// decisions (every simulator decides — there are no crashes here).
+/// simulator over one shared free-mode [`ModelWorld`]. Returns the
+/// simulators' decisions (every simulator decides — there are no crashes here).
 ///
 /// # Panics
 ///
@@ -24,7 +24,7 @@ use crate::simulator::{SimulationSpec, Simulator};
 pub fn run_colorless_threaded(spec: &SimulationSpec, inputs: &[u64]) -> Vec<u64> {
     let n_targets = spec.target().n() as usize;
     assert_eq!(inputs.len(), n_targets, "one input per simulator required");
-    let world = ThreadWorld::new();
+    let world = ModelWorld::new_free(n_targets);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n_targets)
             .map(|qi| {

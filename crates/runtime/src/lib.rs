@@ -9,18 +9,19 @@
 //!
 //! * [`world::World`] — the shared-memory interface: keyed registers,
 //!   snapshot objects, test&set, and x-consensus objects;
-//! * [`model_world::ModelWorld`] — a **deterministic, crash-injecting**
-//!   implementation: every virtual process runs on its own thread behind a
-//!   *step gate*, the scheduler grants one shared-memory operation at a
-//!   time (seeded-random, round-robin, or scripted order), and a crash can
-//!   be delivered between any two shared accesses — exactly the failure
-//!   granularity the paper's proofs quantify over (e.g. a simulator
-//!   crashing *inside* `sa_propose` blocks that safe-agreement object).
-//!   Reachable states can be checkpointed as [`model_world::Snapshot`]s
-//!   and resumed one decision at a time on the caller thread — the
-//!   substrate of the exhaustive explorer's frontier search;
-//! * [`thread_world::ThreadWorld`] — a lock-based implementation running at
-//!   full speed on real threads, for benchmarks;
+//! * [`model_world::ModelWorld`] — the implementation, in three modes.
+//!   Gated, it is **deterministic and crash-injecting**: every virtual
+//!   process runs on its own thread behind a *step gate*, the scheduler
+//!   grants one shared-memory operation at a time (seeded-random,
+//!   round-robin, or scripted order), and a crash can be delivered between
+//!   any two shared accesses — exactly the failure granularity the
+//!   paper's proofs quantify over (e.g. a simulator crashing *inside*
+//!   `sa_propose` blocks that safe-agreement object). Reachable states
+//!   can be checkpointed as [`model_world::Snapshot`]s and resumed one
+//!   decision at a time on the caller thread — the substrate of the
+//!   exhaustive explorer's frontier search. Free
+//!   ([`model_world::ModelWorld::new_free`]), it has no scheduler, and
+//!   real threads share it at full speed, for benchmarks;
 //! * [`atomics`] — lock-free/wait-free building blocks on real atomics
 //!   (Afek-et-al-style wait-free snapshot, test&set, CAS consensus),
 //!   benchmarked as experiment E9;
@@ -58,7 +59,6 @@ pub mod model_world;
 pub mod program;
 pub mod runner;
 pub mod sched;
-pub mod thread_world;
 pub mod world;
 
 pub use explore::{ExploreLimits, ExploreReport, ExploreStats, Explorer, Reduction, Violation};

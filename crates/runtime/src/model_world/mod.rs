@@ -21,14 +21,16 @@
 //! is exhausted (remaining processes are reported [`Outcome::Undecided`] —
 //! used by the boundary experiments to detect forever-blocked simulations).
 //!
-//! **One state, two engines.** The model-world state is one struct,
+//! **One state, three modes.** The model-world state is one struct,
 //! [`Snapshot`]: shared memory, per-process liveness, results,
-//! observation histories, store buffers and step counters. Two engines
-//! step it, one operation at a time, through the same code: the object
-//! semantics of `Object` (shared with
-//! [`crate::thread_world::ThreadWorld`]), the store-buffer flush and
-//! drain, the state fingerprint, and the run report.
+//! observation histories, store buffers and step counters. Every mode
+//! steps it, one operation at a time, through the same code: the object
+//! semantics of `Object`, the store-buffer flush and drain, the state
+//! fingerprint, and the run report.
 //!
+//! * The **free** mode ([`ModelWorld::new_free`]) has no scheduler:
+//!   every operation runs at once under the world lock, so any number of
+//!   real threads may share one world (linearizable, not deterministic).
 //! * The **gated** engine ([`ModelWorld::run`]) gives each process its
 //!   own thread and grants steps through a handshake; the threads hold
 //!   the continuations, so the state's operation logs stay empty.
@@ -37,6 +39,11 @@
 //!   continuation cursors, and a single further step is executed *on
 //!   the caller thread* — no process threads, no scheduler handshakes.
 //!   The exhaustive explorer ([`crate::explore`]) is built on it.
+//!
+//! A gated crash or timeout, and a resume park, halt a process body by
+//! unwinding it with a private payload through
+//! [`std::panic::resume_unwind`], which skips the panic hook: the host's
+//! hook sees only real algorithm bugs.
 
 pub(crate) mod codec;
 mod snapshot;
@@ -58,29 +65,11 @@ use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
 use crate::world::{Env, MemVal, ObjKey, Pid, Stored, World};
 use std::hash::Hasher;
 
-/// Panic payload used to unwind a crashed virtual process.
-struct CrashSignal;
-
-/// Panic payload used to unwind a resumed process once it has taken its
-/// granted step and parked at its next gate (see [`Snapshot`]).
-struct StopSignal;
-
-/// Silences the default panic report for crash-signal and stop-signal
-/// unwinds (they are the *intended* crash/park mechanisms, not errors);
-/// all other panics keep the previous hook.
-fn install_crash_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let ours = info.payload().downcast_ref::<CrashSignal>().is_some()
-                || info.payload().downcast_ref::<StopSignal>().is_some();
-            if !ours {
-                prev(info);
-            }
-        }));
-    });
-}
+/// The unwind payload that halts a process body: a gated crash or
+/// timeout, or a resume park (see [`Snapshot`]). [`ModelWorld::step`]
+/// raises it with [`std::panic::resume_unwind`], which never calls the
+/// panic hook; a world runs in one mode, so the payload needs no kind.
+struct Halt;
 
 /// How long the scheduler waits for the processes to settle — a granted
 /// process to take its step and run on to its next gate, return or fail —
@@ -347,16 +336,15 @@ impl std::fmt::Debug for Symmetry {
 }
 
 /// A stored value together with its fingerprint (0 when fingerprint
-/// tracking is off — see [`Snapshot::track`] — and always 0 in
-/// [`crate::thread_world::ThreadWorld`]).
+/// tracking is off — see [`Snapshot::track`]).
 #[derive(Debug, Clone)]
-pub(crate) struct Cell {
+struct Cell {
     val: Stored,
     fp: u64,
 }
 
 impl Cell {
-    pub(crate) fn new<T: MemVal>(val: T, track: bool) -> Self {
+    fn new<T: MemVal>(val: T, track: bool) -> Self {
         let fp = if track { fp_of(&val) } else { 0 };
         Cell { val: Arc::new(val), fp }
     }
@@ -370,13 +358,11 @@ impl Cell {
     }
 }
 
-/// One shared object, with the operation semantics every world shares:
-/// the model world's engines run them on their [`Snapshot`], and
-/// [`crate::thread_world::ThreadWorld`] under its heap lock. Each
-/// operation panics on the algorithm bugs [`World`] lists: a kind,
-/// length, type or port mismatch.
+/// One shared object, with the operation semantics every mode runs on
+/// its [`Snapshot`]. Each operation panics on the algorithm bugs
+/// [`World`] lists: a kind, length, type or port mismatch.
 #[derive(Debug, Clone)]
-pub(crate) enum Object {
+enum Object {
     Register(Option<Cell>),
     Snapshot(Vec<Option<Cell>>),
     Tas(bool),
@@ -414,7 +400,7 @@ impl Object {
     }
 
     /// Writes the register.
-    pub(crate) fn write_register(&mut self, key: ObjKey, cell: Cell) {
+    fn write_register(&mut self, key: ObjKey, cell: Cell) {
         match self {
             Object::Register(slot) => *slot = Some(cell),
             other => panic!("object {key} is not a register: {other:?}"),
@@ -422,7 +408,7 @@ impl Object {
     }
 
     /// Reads the register (`None` if never written).
-    pub(crate) fn read_register<T: MemVal>(&self, key: ObjKey) -> Option<T> {
+    fn read_register<T: MemVal>(&self, key: ObjKey) -> Option<T> {
         match self {
             Object::Register(slot) => slot.as_ref().map(|c| c.get(key, "register")),
             other => panic!("object {key} is not a register: {other:?}"),
@@ -430,7 +416,7 @@ impl Object {
     }
 
     /// Writes cell `idx` of the `len`-cell snapshot object.
-    pub(crate) fn write_cell(&mut self, key: ObjKey, len: usize, idx: usize, cell: Cell) {
+    fn write_cell(&mut self, key: ObjKey, len: usize, idx: usize, cell: Cell) {
         match self {
             Object::Snapshot(cells) => {
                 assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
@@ -441,7 +427,7 @@ impl Object {
     }
 
     /// Reads every cell of the `len`-cell snapshot object.
-    pub(crate) fn scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
+    fn scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
         match self {
             Object::Snapshot(cells) => {
                 assert_eq!(cells.len(), len, "snapshot {key} length mismatch");
@@ -452,7 +438,7 @@ impl Object {
     }
 
     /// One-shot test&set: `true` to the first invocation only.
-    pub(crate) fn test_and_set(&mut self, key: ObjKey) -> bool {
+    fn test_and_set(&mut self, key: ObjKey) -> bool {
         match self {
             Object::Tas(taken) => !std::mem::replace(taken, true),
             other => panic!("object {key} is not a test&set object: {other:?}"),
@@ -461,7 +447,7 @@ impl Object {
 
     /// Proposes `val` through port `pid` and returns the decided value —
     /// the first proposal, stored with its fingerprint under `track`.
-    pub(crate) fn propose<T: MemVal>(
+    fn propose<T: MemVal>(
         &mut self,
         pid: Pid,
         key: ObjKey,
@@ -495,8 +481,8 @@ enum Permit {
 
 /// What drives the processes of a [`ModelWorld`].
 enum Mode {
-    /// No scheduler: every operation proceeds immediately (used for
-    /// direct unit tests of object semantics).
+    /// No scheduler: every operation proceeds at once, on whichever
+    /// thread issues it ([`ModelWorld::new_free`]).
     Free,
     /// The gated engine ([`ModelWorld::run`]): one thread per process,
     /// one scheduler grant per step.
@@ -540,7 +526,7 @@ const OP_FENCE: u64 = 7;
 /// The footprint tag of a store-buffer **flush** action (TSO mode). Never
 /// appears in operation logs — a flush is a hardware action, not a process
 /// step — only in [`Footprint`]s and the explorer's action encoding.
-pub(crate) const OP_FLUSH: u64 = 8;
+const OP_FLUSH: u64 = 8;
 
 /// Object-kind namespace of the per-process pseudo-key a fence step is
 /// accounted and logged under (`ObjKey::new(FENCE_KIND, pid, 0)`): fences
@@ -554,11 +540,11 @@ const FENCE_KIND: u32 = u32::MAX;
 /// its fingerprint. Under SC it reaches memory in its own step; under
 /// TSO it parks in the writer's FIFO store buffer until a flush.
 #[derive(Debug, Clone)]
-pub(crate) struct BufferedWrite {
-    pub(super) key: ObjKey,
-    pub(super) cell_idx: Option<usize>,
-    pub(super) len: usize,
-    pub(super) cell: Cell,
+struct BufferedWrite {
+    key: ObjKey,
+    cell_idx: Option<usize>,
+    len: usize,
+    cell: Cell,
 }
 
 impl BufferedWrite {
@@ -566,7 +552,7 @@ impl BufferedWrite {
     /// target object (cell-granular for snapshot cells), so
     /// [`Footprint::commutes`] gives flush/flush independence on distinct
     /// objects and flush/read conflicts on the flushed object for free.
-    pub(crate) fn flush_footprint(&self) -> Footprint {
+    fn flush_footprint(&self) -> Footprint {
         Footprint::new(OP_FLUSH, self.key, self.cell_idx.map(|i| i as u64), false)
     }
 }
@@ -576,7 +562,7 @@ impl BufferedWrite {
 /// by the state fingerprints whenever the buffer is non-empty, so
 /// SC states (and TSO states with drained buffers) keep their exact
 /// pre-TSO identities.
-pub(super) fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
+fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
     let mut acc = 0u64;
     for w in buf {
         let mut h = Fnv1a::default();
@@ -854,11 +840,13 @@ impl ModelWorld {
         }
     }
 
-    /// A world with no scheduler: every operation proceeds immediately.
+    /// A world of `n` processes with no scheduler: every operation
+    /// proceeds at once under the world lock.
     ///
-    /// Only for single-threaded unit tests of object semantics; concurrent
-    /// use would be linearizable (each op still runs under the world lock)
-    /// but not deterministic.
+    /// Real threads may share it (clones are handles to one world), one
+    /// per pid in `0..n`: every operation is still one atomic step, so
+    /// runs are linearizable, but the interleaving is whatever the OS
+    /// scheduler produces — no determinism, no crash injection.
     pub fn new_free(n: usize) -> Self {
         ModelWorld::with_state(Snapshot::new(n, false, false, false), Mode::Free)
     }
@@ -872,15 +860,14 @@ impl ModelWorld {
     /// # Panics
     ///
     /// Panics if `bodies.len() != cfg.n()`, or if any process body panics
-    /// with anything other than the internal crash signal (i.e. a real bug
-    /// in an algorithm under test).
+    /// (a real bug in an algorithm under test; crashes and timeouts halt
+    /// bodies without a panic).
     pub fn run(cfg: RunConfig, bodies: Vec<Body>) -> RunReport {
         assert_eq!(bodies.len(), cfg.n(), "one body per process required");
         assert!(
             !cfg.tso || matches!(cfg.schedule, Schedule::Indexed { .. }),
             "TSO gated runs require Schedule::Indexed (no other policy schedules flushes)"
         );
-        install_crash_hook();
         let n = cfg.n();
         let world = ModelWorld::with_state(
             Snapshot::new(n, cfg.record_state_hashes, cfg.view_summaries, cfg.tso),
@@ -995,9 +982,9 @@ impl ModelWorld {
         match result {
             Ok(v) => st.snap.finish(pid, v),
             // The scheduler recorded an adversary crash when it delivered
-            // it; the timeout sweep's unwinds stay unrecorded, so those
+            // it; the timeout sweep's halts stay unrecorded, so those
             // processes report `Undecided`.
-            Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => {}
+            Err(payload) if payload.is::<Halt>() => {}
             Err(payload) => {
                 st.failures.push((pid, panic_message(payload.as_ref())));
                 // Settled, so the run can end and report the failure.
@@ -1051,8 +1038,8 @@ impl ModelWorld {
     /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
     /// are answered from the recorded log without executing `op`; the
     /// granted fresh operations execute and are appended to the log; one
-    /// operation past the budget unwinds with [`StopSignal`] — the
-    /// process is then parked at its next gate, footprint recorded.
+    /// operation past the budget unwinds with [`Halt`] — the process is
+    /// then parked at its next gate, footprint recorded.
     fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut Snapshot) -> R) -> R
     where
         R: Clone + Send + Sync + 'static,
@@ -1066,7 +1053,7 @@ impl ModelWorld {
                 ResumeGate::Park => {
                     ctl.park_at(footprint);
                     drop(st);
-                    std::panic::panic_any(StopSignal);
+                    std::panic::resume_unwind(Box::new(Halt));
                 }
                 ResumeGate::Fresh => {}
             },
@@ -1082,7 +1069,7 @@ impl ModelWorld {
                         Permit::Crash => {
                             st.waiting[pid] = false;
                             drop(st);
-                            std::panic::panic_any(CrashSignal);
+                            std::panic::resume_unwind(Box::new(Halt));
                         }
                         Permit::Idle => self.inner.proc_cvs[pid].wait(&mut st),
                     }
@@ -1175,8 +1162,7 @@ impl World for ModelWorld {
 
     fn fence(&self, pid: Pid) {
         // Under SC a fence is free: no gate, no step, no trace or log
-        // effect — the default-noop contract of [`World::fence`]. The
-        // check reads the fixed `tso` mode flag only (never buffer
+        // effect (see [`World::fence`]). The check reads the fixed `tso` mode flag only (never buffer
         // contents), so whether a fence gates is a pure function of the
         // run mode and log replay stays deterministic.
         if !self.inner.st.lock().snap.tso {
@@ -1269,6 +1255,67 @@ mod tests {
         let ports = vec![0usize, 2];
         assert_eq!(w.xcons_propose(0, CONS, &ports, 40u64), 40);
         assert_eq!(w.xcons_propose(2, CONS, &ports, 41u64), 40);
+    }
+
+    #[test]
+    fn concurrent_tas_single_winner() {
+        let w = ModelWorld::new_free(8);
+        let key = ObjKey::new(11, 0, 0);
+        let wins: usize = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|pid| {
+                    let w = w.clone();
+                    s.spawn(move || usize::from(w.tas(pid, key)))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(wins, 1);
+    }
+
+    #[test]
+    fn concurrent_xcons_agreement() {
+        let w = ModelWorld::new_free(6);
+        let key = ObjKey::new(12, 0, 0);
+        let ports: Vec<Pid> = (0..6).collect();
+        let decisions: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..6)
+                .map(|pid| {
+                    let w = w.clone();
+                    let ports = ports.clone();
+                    s.spawn(move || w.xcons_propose(pid, key, &ports, pid as u64 + 1))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement");
+        assert!((1..=6).contains(&decisions[0]), "validity");
+    }
+
+    #[test]
+    fn concurrent_snapshot_scans_are_consistent() {
+        // Writer fills cells 0 and 1 with equal counters in separate ops;
+        // scans under the lock must never observe cell1 > cell0.
+        let w = ModelWorld::new_free(2);
+        let key = ObjKey::new(13, 0, 0);
+        std::thread::scope(|s| {
+            let ww = w.clone();
+            s.spawn(move || {
+                for k in 0..2000u64 {
+                    ww.snap_write(0, key, 2, 0, k + 1);
+                    ww.snap_write(0, key, 2, 1, k + 1);
+                }
+            });
+            let wr = w.clone();
+            s.spawn(move || {
+                for _ in 0..2000 {
+                    let v = wr.snap_scan::<u64>(1, key, 2);
+                    let a = v[0].unwrap_or(0);
+                    let b = v[1].unwrap_or(0);
+                    assert!(a >= b, "scan saw cell1 ahead of cell0: {a} < {b}");
+                }
+            });
+        });
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! decision from a snapshot on the caller thread: replay the picked
 //! process's log, execute its next operation against the snapshot's
 //! memory (appending the new log record), let the body run on to its next
-//! gate — where a [`StopSignal`] unwind parks it, recording the purity of
-//! the operation it stopped at — or to completion. The exhaustive
+//! gate — where a [`Halt`] unwind parks it, recording the purity of the
+//! operation it stopped at — or to completion. The exhaustive
 //! explorer ([`crate::explore`]) expands its frontier this way instead of
 //! re-executing every schedule from the root.
 //!
@@ -38,8 +38,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use super::{
-    buffer_fp, codec, install_crash_hook, panic_message, Body, BufferedWrite, Footprint, Mode,
-    ModelWorld, Outcome, RunReport, StopSignal,
+    buffer_fp, codec, panic_message, Body, BufferedWrite, Footprint, Halt, Mode, ModelWorld,
+    Outcome, RunReport,
 };
 use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
 use crate::world::{Env, ObjKey, Pid, Stored};
@@ -142,7 +142,7 @@ pub(super) enum ResumeGate<R> {
     /// A granted fresh operation — execute it.
     Fresh,
     /// Budget exhausted — record the footprint and unwind with
-    /// [`StopSignal`].
+    /// [`Halt`].
     Park,
 }
 
@@ -696,12 +696,12 @@ impl ModelWorld {
     }
 
     /// Runs `body` as process `pid` against this resume-mode world until
-    /// it parks ([`StopSignal`]) or returns.
+    /// it parks ([`Halt`]) or returns.
     fn drive_resumed(&self, pid: Pid, body: Body) -> Resumed {
         let env = Env::new(self.clone(), pid);
         match catch_unwind(AssertUnwindSafe(move || body(env))) {
             Ok(v) => Resumed::Finished(v),
-            Err(payload) if payload.downcast_ref::<StopSignal>().is_some() => Resumed::Parked,
+            Err(payload) if payload.is::<Halt>() => Resumed::Parked,
             Err(payload) => {
                 panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref()))
             }
@@ -736,7 +736,6 @@ impl ModelWorld {
         bodies: Vec<Body>,
     ) -> Snapshot {
         assert_eq!(bodies.len(), n, "one body per process required");
-        install_crash_hook();
         let mut snap = Snapshot::new(n, track, viewsum, tso);
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
@@ -771,7 +770,6 @@ impl ModelWorld {
             pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
             "resume_from requires an alive process (pid {pid})"
         );
-        install_crash_hook();
         let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 1);
         let world = ModelWorld::from_snapshot(snap, ctl);
         let resumed = world.drive_resumed(pid, body);

@@ -7,13 +7,15 @@
 //! families like the BG simulation's `SAFE_AG[1..n, 0..+∞)` need no
 //! up-front allocation.
 //!
-//! Two implementations exist: the deterministic, crash-injecting
-//! [`crate::model_world::ModelWorld`] (every operation is one scheduler
+//! One implementation exists, [`crate::model_world::ModelWorld`], in
+//! three modes: free (no scheduler — every operation runs at once under
+//! the world lock, so real threads may share one world), gated
+//! (deterministic and crash-injecting: every operation is one scheduler
 //! step, so every operation is trivially linearizable and crashes land
-//! between operations), and the lock-based [`crate::thread_world::ThreadWorld`]
-//! for full-speed benchmarking on real threads. Both run the same object
-//! semantics (the model world's `Object` operations), so they create,
-//! read and write objects, and panic on algorithm bugs, identically.
+//! between operations) and resumed (one scheduling decision from a
+//! checkpoint, the explorer's engine). All three run the same object
+//! semantics, so they create, read and write objects, and panic on
+//! algorithm bugs, identically.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -102,8 +104,8 @@ pub trait World: Clone + Send + Sync + 'static {
     /// `summarize(view)` — a **program-declared view summary**: the caller
     /// receives *only* the summary, never the raw view.
     ///
-    /// Semantically identical to `summarize(&snap_scan(..))` (the default
-    /// implementation is exactly that), and still one atomic step. The
+    /// Semantically identical to `summarize(&snap_scan(..))`, and still
+    /// one atomic step. The
     /// point of declaring the summary at the operation is what it licenses
     /// the exhaustive explorer to do: because the calling process's
     /// continuation is a deterministic function of the values its
@@ -139,18 +141,16 @@ pub trait World: Clone + Send + Sync + 'static {
         key: ObjKey,
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
-    ) -> S {
-        summarize(&self.snap_scan::<T>(pid, key, len))
-    }
+    ) -> S;
 
-    /// Store-buffer drain point (a full memory fence). Under a
-    /// sequentially consistent world every write is globally visible the
-    /// moment it completes, so the default is a free no-op — it takes no
-    /// scheduling step and leaves run traces untouched. The model world's
-    /// TSO exploration mode overrides it: there a fence is one atomic
-    /// step that drains the calling process's FIFO store buffer to shared
-    /// memory ([`crate::model_world::RunConfig::tso`]).
-    fn fence(&self, _pid: Pid) {}
+    /// Store-buffer drain point (a full memory fence). Under sequential
+    /// consistency every write is globally visible the moment it
+    /// completes, so a fence is a free no-op: it takes no scheduling step
+    /// and leaves run traces untouched. Under the model world's TSO
+    /// exploration mode a fence is one atomic step that drains the
+    /// calling process's FIFO store buffer to shared memory
+    /// ([`crate::model_world::RunConfig::tso`]).
+    fn fence(&self, pid: Pid);
 
     /// One-shot test&set: `true` to the first invocation ever, `false` to
     /// all later ones.
