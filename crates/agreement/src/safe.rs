@@ -131,14 +131,12 @@ mod tests {
         // Two proposals can both stabilize if their snapshots interleave
         // before either writes level 2 — impossible sequentially; here we
         // exercise the min-index tie-break by scheduling an interleaving.
-        let cfg = RunConfig::new(2)
-            .schedule(Schedule::Scripted {
-                // p0: write(0), p1: write(1), p0: scan, p1: scan,
-                // p0: write stable, p1: write stable, then decides.
-                steps: vec![0, 1, 0, 1, 0, 1],
-                then_seed: 1,
-            })
-            .record_trace(true);
+        let cfg = RunConfig::new(2).schedule(Schedule::Scripted {
+            // p0: write(0), p1: write(1), p0: scan, p1: scan,
+            // p0: write stable, p1: write stable, then decides.
+            steps: vec![0, 1, 0, 1, 0, 1],
+            then_seed: 1,
+        });
         let bodies: Vec<Body> = (0..2)
             .map(|i| {
                 Box::new(move |env: Env<ModelWorld>| {

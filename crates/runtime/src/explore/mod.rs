@@ -208,14 +208,6 @@ impl Default for ExploreLimits {
     }
 }
 
-impl ExploreLimits {
-    /// Default limits with sibling enumeration bounded to `max_depth`
-    /// picks (for bounded-depth sweeps of larger configurations).
-    pub fn depth_bounded(max_depth: usize) -> Self {
-        ExploreLimits { max_depth, ..ExploreLimits::default() }
-    }
-}
-
 /// Which search-space reductions the explorer applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reduction {
@@ -966,7 +958,7 @@ mod tests {
         let full = explore(2, Crashes::None, ExploreLimits::default(), bodies, |_r| Ok(()));
         let bounded = Explorer::new(2)
             .reduction(Reduction::none())
-            .limits(ExploreLimits::depth_bounded(2))
+            .limits(ExploreLimits { max_depth: 2, ..ExploreLimits::default() })
             .run(bodies, |_r| Ok(()));
         assert!(full.complete);
         assert!(!bounded.complete);

@@ -13,7 +13,7 @@
 //!   Gated, it is **deterministic and crash-injecting**: every virtual
 //!   process runs on its own thread behind a *step gate*, the scheduler
 //!   grants one shared-memory operation at a time (seeded-random,
-//!   round-robin, or scripted order), and a crash can be delivered between
+//!   scripted or indexed order), and a crash can be delivered between
 //!   any two shared accesses — exactly the failure granularity the
 //!   paper's proofs quantify over (e.g. a simulator crashing *inside*
 //!   `sa_propose` blocks that safe-agreement object). Reachable states

@@ -1354,7 +1354,7 @@ mod tests {
         // Plain runs work at any n: nothing in the gated engine caps
         // the world at 64 processes.
         let n = 65;
-        let cfg = RunConfig::new(n).schedule(Schedule::RoundRobin);
+        let cfg = RunConfig::new(n).schedule(Schedule::RandomSeed(1));
         let bodies = (0..n)
             .map(|i| {
                 body(move |env| {
@@ -1420,7 +1420,7 @@ mod tests {
     fn crash_at_own_step_is_honored() {
         // Process 0 is crashed before its second op; it never decides.
         let cfg = RunConfig::new(2)
-            .schedule(Schedule::RoundRobin)
+            .schedule(Schedule::RandomSeed(1))
             .crashes(Crashes::AtOwnStep(vec![(0, 1)]));
         let bodies = (0..2)
             .map(|i| {

@@ -23,8 +23,6 @@ pub enum Schedule {
     /// Uniformly random among alive processes, from a seeded RNG
     /// (deterministic given the seed).
     RandomSeed(u64),
-    /// Strict rotation among alive processes.
-    RoundRobin,
     /// Follow `steps` (skipping entries for dead processes), then fall back
     /// to seeded-random. Used to drive adversarial prefixes, e.g. "let
     /// simulator 0 enter `sa_propose` and park it there".
@@ -104,7 +102,6 @@ pub(crate) struct ScheduleState {
     policy: Schedule,
     rng: StdRng,
     cursor: usize,
-    rr_next: usize,
 }
 
 impl ScheduleState {
@@ -112,9 +109,9 @@ impl ScheduleState {
         let seed = match &policy {
             Schedule::RandomSeed(s) => *s,
             Schedule::Scripted { then_seed, .. } => *then_seed,
-            Schedule::RoundRobin | Schedule::Indexed { .. } => 0,
+            Schedule::Indexed { .. } => 0,
         };
-        ScheduleState { policy, rng: StdRng::seed_from_u64(seed), cursor: 0, rr_next: 0 }
+        ScheduleState { policy, rng: StdRng::seed_from_u64(seed), cursor: 0 }
     }
 
     /// Decodes the next scheduling decision among the schedulable
@@ -138,22 +135,6 @@ impl ScheduleState {
     pub(crate) fn pick(&mut self, alive: &[Pid], flushable: &[Pid]) -> Pick {
         match &self.policy {
             Schedule::RandomSeed(_) => Pick::Op(alive[self.rng.gen_range(0..alive.len())]),
-            Schedule::RoundRobin => {
-                // Find the first alive pid at or after rr_next, cyclically.
-                let max = alive
-                    .iter()
-                    .copied()
-                    .max()
-                    .expect("pick is only called with a non-empty alive set");
-                for off in 0..=max + 1 {
-                    let cand = (self.rr_next + off) % (max + 1);
-                    if alive.contains(&cand) {
-                        self.rr_next = cand + 1;
-                        return Pick::Op(cand);
-                    }
-                }
-                Pick::Op(alive[0])
-            }
             Schedule::Scripted { steps, .. } => {
                 while self.cursor < steps.len() {
                     let cand = steps[self.cursor];
@@ -296,17 +277,6 @@ mod tests {
         };
         assert_eq!(picks(42), picks(42));
         assert_ne!(picks(42), picks(43));
-    }
-
-    #[test]
-    fn round_robin_rotates_and_skips_dead() {
-        let mut st = ScheduleState::new(Schedule::RoundRobin);
-        let alive: Vec<Pid> = vec![0, 1, 2];
-        let seq: Vec<_> = (0..6).map(|_| st.pick(&alive, &[])).collect();
-        assert_eq!(seq, [0, 1, 2, 0, 1, 2].map(Pick::Op));
-        let alive2: Vec<Pid> = vec![0, 2];
-        let seq2: Vec<_> = (0..4).map(|_| st.pick(&alive2, &[])).collect();
-        assert_eq!(seq2, [0, 2, 0, 2].map(Pick::Op));
     }
 
     #[test]
