@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpcn_runtime::explore::{ExploreLimits, ExploreStats, Explorer, Reduction};
+use mpcn_runtime::explore::{replay, ExploreLimits, ExploreStats, Explorer, Reduction};
 use mpcn_runtime::fingerprint::fp_of;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use mpcn_runtime::sched::{Crashes, Schedule};
@@ -259,41 +259,19 @@ proptest! {
     /// Reduced exploration (visited-state pruning + commuting reads)
     /// finds exactly the same violation set as the unpruned reference on
     /// randomly generated small programs, for an outcome-only checker —
-    /// and never runs more schedules doing so.
+    /// every reported schedule replays to its verdict — and never runs
+    /// more schedules doing so.
     #[test]
     fn reductions_preserve_violation_sets(seed in 0u64..1_000_000, n in 2usize..4, ops in 1usize..3) {
         let make = move || small_program(seed, n, ops);
-        // A checker that trips on a seed-dependent subset of outcomes, so
-        // some generated cases violate and some do not.
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
+        let sweep = |reduction| {
+            let explorer = Explorer::new(n).reduction(reduction);
+            differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
         };
-        let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        let collect = |reduction: Reduction| {
-            let out = Explorer::new(n)
-                .limits(limits)
-                .reduction(reduction)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            let mut msgs: Vec<String> =
-                out.violations.iter().map(|v| v.message.clone()).collect();
-            msgs.sort();
-            msgs.dedup();
-            Ok((out.stats.runs, msgs))
-        };
-        let (reduced_runs, reduced) = collect(Reduction::full())?;
-        let (reference_runs, reference) = collect(Reduction::none())?;
+        let (reduced_stats, reduced) = sweep(Reduction::full())?;
+        let (reference_stats, reference) = sweep(Reduction::none())?;
         prop_assert_eq!(reduced, reference, "violation sets must match (seed {})", seed);
-        prop_assert!(reduced_runs <= reference_runs, "reductions never add work");
+        prop_assert!(reduced_stats.runs <= reference_stats.runs, "reductions never add work");
     }
 
     /// Differential DPOR test in the spirit of testing reductions against
@@ -311,50 +289,18 @@ proptest! {
         ops in 1usize..3,
     ) {
         let make = move || small_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
+        let sweep = |reduction| {
+            let explorer = Explorer::new(n).reduction(reduction);
+            differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
         };
-        let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        let collect = |reduction: Reduction| {
-            let out = Explorer::new(n)
-                .limits(limits)
-                .reduction(reduction)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            // Replay verdict: every reported schedule reproduces its
-            // violation through the gated reference engine.
-            for v in &out.violations {
-                let replayed =
-                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                prop_assert!(
-                    check(&replayed).is_err(),
-                    "replay verdict lost (seed {seed}, choices {:?})",
-                    v.choices
-                );
-            }
-            let mut msgs: Vec<String> =
-                out.violations.iter().map(|v| v.message.clone()).collect();
-            msgs.sort();
-            msgs.dedup();
-            Ok((out.stats.expansions, msgs))
-        };
-        let (dpor_work, dpor) = collect(Reduction::full())?;
-        let (reference_work, reference) =
-            collect(Reduction { prune_visited: true, ..Reduction::none() })?;
+        let (dpor_stats, dpor) = sweep(Reduction::full())?;
+        let (reference_stats, reference) =
+            sweep(Reduction { prune_visited: true, ..Reduction::none() })?;
         prop_assert_eq!(
             dpor, reference,
             "DPOR must preserve the violation set (seed {})", seed
         );
-        prop_assert!(dpor_work <= reference_work, "DPOR never adds work");
+        prop_assert!(dpor_stats.expansions <= reference_stats.expansions, "DPOR never adds work");
     }
 
     /// Differential view-summary test — the same discipline as the DPOR
@@ -373,42 +319,12 @@ proptest! {
         ops in 1usize..3,
     ) {
         let make = move || small_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
+        let sweep = |reduction| {
+            let explorer = Explorer::new(n).reduction(reduction);
+            differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
         };
-        let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        let collect = |reduction: Reduction| {
-            let out = Explorer::new(n)
-                .limits(limits)
-                .reduction(reduction)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            for v in &out.violations {
-                let replayed =
-                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                prop_assert!(
-                    check(&replayed).is_err(),
-                    "replay verdict lost (seed {seed}, choices {:?})",
-                    v.choices
-                );
-            }
-            let mut msgs: Vec<String> =
-                out.violations.iter().map(|v| v.message.clone()).collect();
-            msgs.sort();
-            msgs.dedup();
-            Ok((out.stats.expansions, msgs))
-        };
-        let (summarized_work, summarized) = collect(Reduction::full())?;
-        let (reference_work, reference) = collect(Reduction {
+        let (summarized_stats, summarized) = sweep(Reduction::full())?;
+        let (reference_stats, reference) = sweep(Reduction {
             view_summaries: false,
             symmetry: false,
             ..Reduction::full()
@@ -417,7 +333,10 @@ proptest! {
             summarized, reference,
             "view summaries must preserve the violation set (seed {})", seed
         );
-        prop_assert!(summarized_work <= reference_work, "summaries never add work");
+        prop_assert!(
+            summarized_stats.expansions <= reference_stats.expansions,
+            "summaries never add work"
+        );
     }
 
     /// Differential symmetry test — the DPOR/view-summary discipline
@@ -437,51 +356,23 @@ proptest! {
         ops in 1usize..3,
     ) {
         let make = move || symmetric_program(seed, n, ops);
-        let check = move |r: &RunReport| {
-            let mut vals = r.decided_values();
-            vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {vals:?}"));
-            }
-            Ok(())
+        let sweep = |reduction| {
+            let explorer = Explorer::new(n).reduction(reduction).symmetry(IDENTITY_SYMMETRY);
+            differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
         };
-        let limits = ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() };
-        let collect = |reduction: Reduction| {
-            let out = Explorer::new(n)
-                .limits(limits)
-                .reduction(reduction)
-                .symmetry(IDENTITY_SYMMETRY)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            for v in &out.violations {
-                let replayed =
-                    mpcn_runtime::explore::replay(n, Crashes::None, 1_000, make, &v.choices);
-                prop_assert!(
-                    check(&replayed).is_err(),
-                    "replay verdict lost (seed {seed}, choices {:?})",
-                    v.choices
-                );
-            }
-            let mut msgs: Vec<String> =
-                out.violations.iter().map(|v| v.message.clone()).collect();
-            msgs.sort();
-            msgs.dedup();
-            Ok((out.stats.expansions, out.stats.symm_enabled, msgs))
-        };
-        let (symm_work, symm_active, symm) = collect(Reduction::full())?;
-        let (reference_work, reference_active, reference) =
-            collect(Reduction { symmetry: false, ..Reduction::full() })?;
-        prop_assert!(symm_active, "spec + full reduction must activate the quotient");
-        prop_assert!(!reference_active, "symmetry off must keep the quotient off");
+        let (symm_stats, symm) = sweep(Reduction::full())?;
+        let (reference_stats, reference) =
+            sweep(Reduction { symmetry: false, ..Reduction::full() })?;
+        prop_assert!(symm_stats.symm_enabled, "spec + full reduction must activate the quotient");
+        prop_assert!(!reference_stats.symm_enabled, "symmetry off must keep the quotient off");
         prop_assert_eq!(
             symm, reference,
             "symmetry must preserve the violation set (seed {})", seed
         );
-        prop_assert!(symm_work <= reference_work, "quotienting orbits never adds work");
+        prop_assert!(
+            symm_stats.expansions <= reference_stats.expansions,
+            "quotienting orbits never adds work"
+        );
     }
 
     /// The crash-and-timeout differential: the same DPOR-on vs
@@ -514,43 +405,12 @@ proptest! {
             }
             Ok(())
         };
-        let collect = |reduction: Reduction| {
-            let out = Explorer::new(n)
-                .limits(ExploreLimits {
-                    max_expansions: 100_000,
-                    max_steps,
-                    ..Default::default()
-                })
-                .crashes(crashes.clone())
-                .reduction(reduction)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            for v in &out.violations {
-                let replayed = mpcn_runtime::explore::replay(
-                    n,
-                    crashes.clone(),
-                    max_steps,
-                    make,
-                    &v.choices,
-                );
-                prop_assert!(
-                    check(&replayed).is_err(),
-                    "replay verdict lost (seed {seed}, choices {:?})",
-                    v.choices
-                );
-            }
-            let mut msgs: Vec<String> =
-                out.violations.iter().map(|v| v.message.clone()).collect();
-            msgs.sort();
-            msgs.dedup();
-            Ok(msgs)
+        let sweep = |reduction| {
+            let explorer = Explorer::new(n).reduction(reduction);
+            differential_sweep(explorer, crashes.clone(), max_steps, make, check)
         };
-        let dpor = collect(Reduction::full())?;
-        let reference = collect(Reduction { prune_visited: true, ..Reduction::none() })?;
+        let (_, dpor) = sweep(Reduction::full())?;
+        let (_, reference) = sweep(Reduction { prune_visited: true, ..Reduction::none() })?;
         prop_assert_eq!(
             dpor, reference,
             "DPOR must preserve crash/timeout verdicts (seed {})", seed
@@ -958,45 +818,22 @@ proptest! {
             }
             Ok(())
         };
-        let limits =
-            ExploreLimits { max_expansions: 200_000, max_steps: 1_000, ..Default::default() };
-        let sweep = |crashes: Crashes| {
-            let out = Explorer::new(n)
-                .limits(limits)
-                .crashes(crashes)
-                .collect_all(true)
-                .run(make, check);
-            prop_assert!(
-                out.complete || !out.violations.is_empty(),
-                "small trees must be exhausted"
-            );
-            Ok(out)
-        };
-        let counted = sweep(Crashes::UpTo(f))?;
-        for v in &counted.violations {
-            let replayed = mpcn_runtime::explore::replay(
-                n,
-                Crashes::UpTo(f),
-                1_000,
-                make,
-                &v.choices,
-            );
-            prop_assert!(
-                check(&replayed).is_err(),
-                "crash-band replay verdict lost (seed {seed}, choices {:?})",
-                v.choices
-            );
-        }
-        let mut counted_msgs: Vec<String> =
-            counted.violations.iter().map(|v| v.message.clone()).collect();
-        counted_msgs.sort();
-        counted_msgs.dedup();
+        let (_, counted_msgs) =
+            differential_sweep(Explorer::new(n), Crashes::UpTo(f), 1_000, make, check)?;
         // A body performs `ops` shared operations, so every park
         // point sits at an own-step count in 0..=ops — plans beyond
         // that never fire and add nothing to the union.
         let mut union_msgs = Vec::new();
         for plan in at_own_step_plans_up_to(n, f, ops as u64) {
-            let planned = sweep(Crashes::AtOwnStep(plan))?;
+            let planned = Explorer::new(n)
+                .limits(DIFFERENTIAL_LIMITS)
+                .crashes(Crashes::AtOwnStep(plan))
+                .collect_all(true)
+                .run(make, check);
+            prop_assert!(
+                planned.complete || !planned.violations.is_empty(),
+                "small trees must be exhausted"
+            );
             union_msgs.extend(planned.violations.iter().map(|v| v.message.clone()));
         }
         union_msgs.sort();
@@ -1005,6 +842,55 @@ proptest! {
             &counted_msgs, &union_msgs,
             "UpTo({}) must equal the union of ≤{}-victim plans (seed {})", f, f, seed
         );
+    }
+}
+
+/// The work cap of a differential sweep, far above any generated tree.
+const DIFFERENTIAL_LIMITS: ExploreLimits =
+    ExploreLimits { max_expansions: 200_000, max_steps: 1_000, max_depth: usize::MAX };
+
+/// The differential harness of the reduction proptests: one
+/// `collect_all` sweep of the program `make` builds, under `explorer`
+/// (the caller sets its reductions and symmetry spec), the adversary
+/// `crashes` and a `max_steps` budget. The small generated tree must be
+/// exhausted (or violated), and every reported schedule must replay
+/// through the gated reference engine to a run `check` still rejects.
+/// Returns the sweep's statistics and its sorted, deduplicated violation
+/// messages.
+fn differential_sweep(
+    explorer: Explorer,
+    crashes: Crashes,
+    max_steps: u64,
+    make: impl Fn() -> Vec<Body>,
+    check: impl Fn(&RunReport) -> Result<(), String>,
+) -> Result<(ExploreStats, Vec<String>), TestCaseError> {
+    let out = explorer
+        .limits(ExploreLimits { max_steps, ..DIFFERENTIAL_LIMITS })
+        .crashes(crashes.clone())
+        .collect_all(true)
+        .run(&make, &check);
+    prop_assert!(out.complete || !out.violations.is_empty(), "small trees must be exhausted");
+    let n = make().len();
+    for v in &out.violations {
+        let replayed = replay(n, crashes.clone(), max_steps, &make, &v.choices);
+        prop_assert!(check(&replayed).is_err(), "replay verdict lost (choices {:?})", v.choices);
+    }
+    let mut msgs: Vec<String> = out.violations.iter().map(|v| v.message.clone()).collect();
+    msgs.sort();
+    msgs.dedup();
+    Ok((out.stats, msgs))
+}
+
+/// A checker that trips on a seed-dependent third of the decided-value
+/// multisets, so some generated cases violate and some do not.
+fn flag_decided(seed: u64) -> impl Fn(&RunReport) -> Result<(), String> + Copy {
+    move |r: &RunReport| {
+        let mut vals = r.decided_values();
+        vals.sort_unstable();
+        if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
+            return Err(format!("flagged outcome {vals:?}"));
+        }
+        Ok(())
     }
 }
 
