@@ -4,10 +4,11 @@
 //! * the **explorer catalogue** (`fixtures::catalogue`, also printed by
 //!   the `explore_sweep` bench): every sweep's summary line must equal
 //!   its line in `tests/golden/explore_catalogue.txt`, the one place
-//!   those lines are pinned, both in memory and through a disk-backed
-//!   `SpillStore` — and a matrix switches each reduction off in turn
-//!   over the catalogue's small fixtures, demanding the full set's
-//!   verdicts;
+//!   those lines are pinned, both in memory (which never touches a
+//!   store) and through a disk-backed `SpillStore` under a binding
+//!   ceiling (whose eviction and rehydration counters are checked per
+//!   sweep) — and a matrix switches each reduction off in turn over the
+//!   catalogue's small fixtures, demanding the full set's verdicts;
 //! * Figure 1 safe agreement, `n = 3..7` — exhaustive, termination
 //!   checked too; `n = 6` pinned in tier-1, and `n = 6` without
 //!   symmetry plus `n = 7`, both through a disk-backed `SpillStore`,
@@ -15,9 +16,7 @@
 //! * Figure 5 `x_compete`, `n = 3..5` — exhaustive at `n = 3, 4`,
 //!   bounded-depth at `n = 5`;
 //! * Figure 6 x-safe agreement, `n = 3..5` — exhaustive at `n = 3, 4`
-//!   (the `n = 4` sweep additionally pins that a disk-spilled sweep under
-//!   an artificially tiny snapshot ceiling reproduces the in-memory line
-//!   byte for byte), bounded-depth at `n = 5`;
+//!   (termination checked at `n = 4`), bounded-depth at `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
 //!   `(process, step)` pair, DPOR-on vs pruning-only, verdicts
 //!   cross-checked against the gated-replay oracle — plus a crash-count
@@ -36,7 +35,6 @@ use mpcn_agreement::fixtures::{
     catalogue, check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies,
     CatalogueSweep, FIG1_SYMMETRY,
 };
-use std::sync::OnceLock;
 
 use mpcn_runtime::explore::{
     explore, replay_tso, ExploreLimits, ExploreReport, Explorer, Reduction,
@@ -78,8 +76,8 @@ fn fig1_n3_pruned_sweep_beats_unpruned_reference() {
 }
 
 /// Runs one catalogued sweep under `explorer` (its own, or a variant of
-/// it), checks its verdict, and returns its summary line.
-fn catalogue_line(sweep: &CatalogueSweep, explorer: &Explorer) -> String {
+/// it) and checks its verdict.
+fn catalogue_report(sweep: &CatalogueSweep, explorer: &Explorer) -> ExploreReport {
     let report = sweep.run_with(explorer);
     assert_eq!(
         !report.violations.is_empty(),
@@ -87,7 +85,7 @@ fn catalogue_line(sweep: &CatalogueSweep, explorer: &Explorer) -> String {
         "{}: unexpected verdict",
         sweep.label
     );
-    report.summary_line(sweep.label)
+    report
 }
 
 /// Diffs the catalogue's `lines` against
@@ -115,14 +113,27 @@ fn assert_matches_golden_catalogue(lines: &[String]) {
 
 /// The one place the catalogue's summary lines are pinned: every sweep
 /// of `fixtures::catalogue`, run in memory, must print exactly its line
-/// of `tests/golden/explore_catalogue.txt`. After an intentional
-/// search-shape change, regenerate the file with `cargo bench --bench
-/// explore_sweep -- --quick 2>&1 >/dev/null | grep -E '^explore:' >
+/// of `tests/golden/explore_catalogue.txt`, and touch no store: nothing
+/// evicted, spilled or read back. After an intentional search-shape
+/// change, regenerate the file with `cargo bench --bench explore_sweep
+/// -- --quick 2>&1 >/dev/null | grep -E '^explore:' >
 /// tests/golden/explore_catalogue.txt`.
 #[test]
 fn catalogue_matches_golden_file() {
-    let lines: Vec<String> =
-        catalogue().iter().map(|sweep| catalogue_line(sweep, &sweep.explorer)).collect();
+    let lines: Vec<String> = catalogue()
+        .iter()
+        .map(|sweep| {
+            let report = catalogue_report(sweep, &sweep.explorer);
+            let stats = &report.stats;
+            assert_eq!(
+                (stats.evicted, stats.spilled, stats.store_reads),
+                (0, 0, 0),
+                "{}: an in-memory sweep must not touch a store",
+                sweep.label
+            );
+            report.summary_line(sweep.label)
+        })
+        .collect();
     assert_matches_golden_catalogue(&lines);
 }
 
@@ -132,7 +143,10 @@ fn catalogue_matches_golden_file() {
 /// the same golden line as in memory. The ceiling binds on nine sweeps —
 /// `fig1 n=3 unpruned`, `fig1 n=4`, `fig1 n=5`, both fault-tolerance
 /// sweeps, `fig1 n=3 tso` and all three `fig6` sweeps — so eviction and
-/// anchored rehydration from disk run on every pass.
+/// anchored rehydration from disk run on every pass. Every sweep spills
+/// its checkpoint layers, reads each evicted node back at most once and
+/// replays at most one stride to rehydrate it; `fig6 n=4` evicts en
+/// masse, and `fig1 n=5` evicts and replays at least one decision.
 #[test]
 fn spilled_catalogue_matches_golden_file() {
     let lines: Vec<String> = catalogue()
@@ -146,7 +160,7 @@ fn spilled_catalogue_matches_golden_file() {
             let dir = std::env::temp_dir()
                 .join(format!("mpcn-catalogue-spill-{}-{slug}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            let line = catalogue_line(
+            let report = catalogue_report(
                 sweep,
                 &sweep
                     .explorer
@@ -157,7 +171,40 @@ fn spilled_catalogue_matches_golden_file() {
                     .fixture_id(sweep.label),
             );
             let _ = std::fs::remove_dir_all(&dir);
-            line
+            let (label, stats) = (sweep.label, &report.stats);
+            assert!(stats.spilled > 0, "{label}: checkpoint layers must spill to the segment file");
+            assert!(
+                stats.store_reads <= stats.evicted,
+                "{label}: one disk read per evicted node: {} reads for {} evictions",
+                stats.store_reads,
+                stats.evicted
+            );
+            assert!(
+                stats.max_rehydration_replay <= 8,
+                "{label}: rehydration replays at most checkpoint_every decisions ({})",
+                stats.max_rehydration_replay
+            );
+            match label {
+                "fig6 n=4 x=2 pruned" => {
+                    assert!(
+                        stats.evicted > 1_000,
+                        "{label}: a 64-node ceiling must evict en masse"
+                    );
+                    assert!(
+                        stats.store_reads > 0,
+                        "{label}: evicted nodes must rehydrate from disk"
+                    );
+                }
+                "fig1 n=5 pruned" => {
+                    assert!(stats.evicted > 0, "{label}: a 64-node ceiling must evict");
+                    assert!(
+                        stats.max_rehydration_replay >= 1,
+                        "{label}: anchored rehydration must replay a decision"
+                    );
+                }
+                _ => {}
+            }
+            report.summary_line(label)
         })
         .collect();
     assert_matches_golden_catalogue(&lines);
@@ -234,15 +281,11 @@ fn fig1_n4_exhaustive_baseline() {
 
 /// The Figure 1 scale-up milestone: safe agreement at `n = 5` — 5
 /// proposers, schedule depth 20 — is **exhausted** under the full
-/// reduction set with the pid-symmetry quotient, termination checked,
-/// spilled under a 64-node resident ceiling and 8-layer checkpoint
-/// stride. The ceiling binds, and anchored rehydration replays at least
-/// one decision and at most one stride (the catalogue's `fig1 n=5
-/// pruned` line pins its state counts).
+/// reduction set with the pid-symmetry quotient, termination checked
+/// (the catalogue's `fig1 n=5 pruned` line pins its state counts, in
+/// memory and spilled).
 #[test]
 fn fig1_n5_exhaustive_symm_baseline() {
-    let dir = std::env::temp_dir().join(format!("mpcn-fig1-n5-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let out = Explorer::new(5)
         .symmetry(FIG1_SYMMETRY)
         .limits(ExploreLimits {
@@ -250,19 +293,9 @@ fn fig1_n5_exhaustive_symm_baseline() {
             max_steps: 2_000,
             ..Default::default()
         })
-        .resident_ceiling(64)
-        .checkpoint_every(8)
-        .spill_to(&dir)
         .run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
-    let _ = std::fs::remove_dir_all(&dir);
     out.assert_no_violation();
     assert!(out.complete, "fig1 n = 5 must exhaust ({} runs)", out.runs());
-    assert!(out.stats.evicted > 0, "a 64-node ceiling must evict");
-    assert!(
-        (1..=8).contains(&out.stats.max_rehydration_replay),
-        "evicted nodes rehydrate by replaying at most checkpoint_every decisions ({})",
-        out.stats.max_rehydration_replay
-    );
 }
 
 /// One scale step past the milestone under the symmetry quotient:
@@ -609,67 +642,17 @@ fn fig5_tso_sweeps_stay_correct_n3_and_n4() {
     }
 }
 
-/// The Figure 6 scale-up sweep in memory, and spilled to a disk-backed
-/// `SpillStore` under an artificially tiny snapshot ceiling (64 resident
-/// nodes per layer where the widest layer holds thousands). Run once and
-/// shared by the two tests below.
-fn fig6_n4_in_memory_and_spilled() -> &'static (ExploreReport, ExploreReport) {
-    static RUNS: OnceLock<(ExploreReport, ExploreReport)> = OnceLock::new();
-    RUNS.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ex = Explorer::new(4).limits(ExploreLimits {
-            max_expansions: 2_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        });
-        let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
-        let in_memory = run(ex.clone());
-        let spilled = run(ex
-            .resident_ceiling(64)
-            .checkpoint_every(8)
-            .spill_to(&dir)
-            .fixture_id("fig6 n=4 x=2"));
-        let _ = std::fs::remove_dir_all(&dir);
-        (in_memory, spilled)
-    })
-}
-
-/// The bounded-memory frontier on the Figure 6 scale-up sweep: the
-/// 64-node ceiling forces mass eviction and rehydration from the segment
-/// file, and the report — every statistic of the summary line,
-/// completeness, violations — is byte-identical to the in-memory run's.
+/// The Figure 6 scale-up sweep, `n = 4` `x = 2`, is exhausted with
+/// termination checked too (the catalogue's `fig6 n=4 x=2 pruned` line
+/// pins its state counts, in memory and spilled under a binding
+/// ceiling).
 #[test]
-fn fig6_n4_bounded_frontier_report_is_byte_identical() {
-    let (in_memory, bounded) = fig6_n4_in_memory_and_spilled();
-    assert!(in_memory.complete, "n = 4 x = 2 must exhaust ({} runs)", in_memory.runs());
-    assert_eq!(in_memory.stats.evicted, 0, "the in-memory run must not evict");
-    assert!(bounded.stats.evicted > 1_000, "a 64-node ceiling must evict en masse");
-    assert_eq!(
-        in_memory.stats.summary(),
-        bounded.stats.summary(),
-        "eviction and the storage layer must be invisible in the report"
-    );
-    assert_eq!(in_memory.complete, bounded.complete);
-    assert_eq!(in_memory.violations, bounded.violations);
-    in_memory.assert_no_violation();
-}
-
-/// The storage layer on the same pair of runs: only the off-summary
-/// storage counters see the disk, and each evicted node is read back at
-/// most once, however many choices are queued on it.
-#[test]
-fn fig6_n4_spilled_sweep_report_is_byte_identical() {
-    let (in_memory, spilled) = fig6_n4_in_memory_and_spilled();
-    assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
-    assert!(spilled.stats.store_reads > 0, "the 64-node ceiling must rehydrate from disk");
-    assert!(
-        spilled.stats.store_reads <= spilled.stats.evicted,
-        "one disk read per evicted node: {} reads for {} evictions",
-        spilled.stats.store_reads,
-        spilled.stats.evicted
-    );
-    assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
+fn fig6_n4_exhaustive_baseline() {
+    let out = Explorer::new(4)
+        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
+        .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
+    out.assert_no_violation();
+    assert!(out.complete, "n = 4 x = 2 must exhaust ({} runs)", out.runs());
 }
 
 /// A broken invariant on the real Figure 1 object produces a violation
