@@ -1162,9 +1162,10 @@ impl World for ModelWorld {
 
     fn fence(&self, pid: Pid) {
         // Under SC a fence is free: no gate, no step, no trace or log
-        // effect (see [`World::fence`]). The check reads the fixed `tso` mode flag only (never buffer
-        // contents), so whether a fence gates is a pure function of the
-        // run mode and log replay stays deterministic.
+        // effect (see [`World::fence`]). The check reads the fixed `tso`
+        // mode flag only (never buffer contents), so whether a fence
+        // gates is a pure function of the run mode and log replay stays
+        // deterministic.
         if !self.inner.st.lock().snap.tso {
             return;
         }

@@ -105,14 +105,14 @@ pub trait World: Clone + Send + Sync + 'static {
     /// receives *only* the summary, never the raw view.
     ///
     /// Semantically identical to `summarize(&snap_scan(..))`, and still
-    /// one atomic step. The
-    /// point of declaring the summary at the operation is what it licenses
-    /// the exhaustive explorer to do: because the calling process's
-    /// continuation is a deterministic function of the values its
-    /// operations *returned*, a scan that returns only `saw_stable` makes
-    /// the process's control state a function of that one bit — so the
-    /// model world may fold the summary, instead of the full `O(len)`
-    /// view, into the process's observation identity
+    /// one atomic step. The point of declaring the summary at the
+    /// operation is what it licenses the exhaustive explorer to do:
+    /// because the calling process's continuation is a deterministic
+    /// function of the values its operations *returned*, a scan that
+    /// returns only `saw_stable` makes the process's control state a
+    /// function of that one bit — so the model world may fold the
+    /// summary, instead of the full `O(len)` view, into the process's
+    /// observation identity
     /// ([`crate::explore::Reduction::view_summaries`]). Sound by
     /// construction: nothing the abstraction drops was ever visible to
     /// the program.
