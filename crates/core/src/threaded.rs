@@ -4,9 +4,9 @@
 //! module runs it on one free-mode
 //! [`mpcn_runtime::model_world::ModelWorld`] shared by real OS threads,
 //! giving a full-speed, genuinely concurrent execution (no deterministic
-//! scheduler, no crash injection). Used by benches and as evidence that the simulation's
-//! correctness does not lean on the model world's step gating — safety
-//! holds under real interleavings too.
+//! scheduler, no crash injection). Used by benches and as evidence that
+//! the simulation's correctness does not lean on the model world's step
+//! gating — safety holds under real interleavings too.
 
 use mpcn_runtime::model_world::ModelWorld;
 use mpcn_runtime::world::Env;
@@ -15,7 +15,8 @@ use crate::simulator::{SimulationSpec, Simulator};
 
 /// Runs the colorless simulation on real threads: one OS thread per
 /// simulator over one shared free-mode [`ModelWorld`]. Returns the
-/// simulators' decisions (every simulator decides — there are no crashes here).
+/// simulators' decisions (every simulator decides — there are no crashes
+/// here).
 ///
 /// # Panics
 ///
