@@ -16,7 +16,9 @@
 //! * Figure 5 `x_compete`, `n = 3..5` — exhaustive at `n = 3, 4`,
 //!   bounded-depth at `n = 5`;
 //! * Figure 6 x-safe agreement, `n = 3..5` — exhaustive at `n = 3, 4`
-//!   (termination checked at `n = 4`), bounded-depth at `n = 5`;
+//!   (termination checked at `n = 4`, whose report a sweep spilled
+//!   under a second, tighter storage policy reproduces byte for byte),
+//!   bounded-depth at `n = 5`;
 //! * a crash-schedule matrix: `fig1 n = 3` with a crash at every
 //!   `(process, step)` pair, DPOR-on vs pruning-only, verdicts
 //!   cross-checked against the gated-replay oracle — plus a crash-count
@@ -653,6 +655,51 @@ fn fig6_n4_exhaustive_baseline() {
         .run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
     out.assert_no_violation();
     assert!(out.complete, "n = 4 x = 2 must exhaust ({} runs)", out.runs());
+}
+
+/// Storage is policy at a second setting too: the Figure 6 scale-up
+/// sweep, spilled to a disk-backed `SpillStore` under a 32-node resident
+/// ceiling with a 3-layer checkpoint stride (the catalogue's spilled
+/// test uses 64 and 8), reports exactly what the in-memory run reports —
+/// every statistic of the summary line, completeness, violations. Only
+/// the off-summary storage counters see the disk, and each evicted node
+/// is read back at most once and rehydrated by at most one stride.
+#[test]
+fn fig6_n4_spilled_sweep_report_is_byte_identical() {
+    let dir = std::env::temp_dir().join(format!("mpcn-fig6-n4-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ex = Explorer::new(4).limits(ExploreLimits {
+        max_expansions: 2_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    });
+    let run = |ex: Explorer| ex.run(|| fig6_bodies(4, 2, 1), |r| check_agreement(r, 4, true));
+    let in_memory = run(ex.clone());
+    let spilled =
+        run(ex.resident_ceiling(32).checkpoint_every(3).spill_to(&dir).fixture_id("fig6 n=4 x=2"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        in_memory.stats.summary(),
+        spilled.stats.summary(),
+        "eviction and the storage layer must be invisible in the report"
+    );
+    assert_eq!(in_memory.complete, spilled.complete);
+    assert_eq!(in_memory.violations, spilled.violations);
+    assert_eq!(in_memory.stats.spilled, 0, "the in-memory run must not touch a disk");
+    assert!(spilled.stats.evicted > 1_000, "a 32-node ceiling must evict en masse");
+    assert!(spilled.stats.spilled > 0, "checkpoint layers must spill to the segment file");
+    assert!(spilled.stats.store_reads > 0, "the 32-node ceiling must rehydrate from disk");
+    assert!(
+        spilled.stats.store_reads <= spilled.stats.evicted,
+        "one disk read per evicted node: {} reads for {} evictions",
+        spilled.stats.store_reads,
+        spilled.stats.evicted
+    );
+    assert!(
+        spilled.stats.max_rehydration_replay <= 3,
+        "rehydration replays at most checkpoint_every decisions ({})",
+        spilled.stats.max_rehydration_replay
+    );
 }
 
 /// A broken invariant on the real Figure 1 object produces a violation
