@@ -45,7 +45,7 @@ pub fn fig1_bodies(n: usize, polls: usize) -> Vec<Body> {
                 sa.propose(&env, 100 + i as u64);
                 let mut last = None;
                 for _ in 0..polls {
-                    last = sa.try_decide::<u64, _>(&env);
+                    last = sa.try_decide::<u64>(&env);
                 }
                 last.map_or(0, |v| v + 1)
             }) as Body
@@ -102,7 +102,7 @@ pub fn fig6_bodies(n: usize, x: u32, polls: usize) -> Vec<Body> {
                 ag.propose(&env, 100 + i as u64);
                 let mut last = None;
                 for _ in 0..polls {
-                    last = ag.try_decide::<u64, _>(&env);
+                    last = ag.try_decide::<u64>(&env);
                 }
                 last.map_or(0, |v| v + 1)
             }) as Body

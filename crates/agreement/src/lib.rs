@@ -1,8 +1,8 @@
 //! Agreement object types of Imbs & Raynal 2010.
 //!
 //! The BG-style simulations of the paper rest on two one-shot agreement
-//! object types, both implemented here generically over any
-//! [`mpcn_runtime::world::World`]:
+//! object types, both implemented here as stateless handles whose
+//! operations take the calling process's [`mpcn_runtime::world::Env`]:
 //!
 //! * [`safe::SafeAgreement`] — the classic *safe agreement* type of the BG
 //!   simulation (paper Figure 1): agreement and validity always; termination
@@ -40,7 +40,7 @@
 //!
 //! ag.propose(&envs[1], 41u64);
 //! ag.propose(&envs[2], 42u64);
-//! assert_eq!(ag.try_decide::<u64, _>(&envs[0]), Some(41));
+//! assert_eq!(ag.try_decide::<u64>(&envs[0]), Some(41));
 //! ```
 
 pub mod fixtures;
@@ -49,7 +49,7 @@ pub mod tas_cons;
 pub mod xcompete;
 pub mod xsafe;
 
-use mpcn_runtime::world::{Env, MemVal, World};
+use mpcn_runtime::world::{Env, MemVal};
 
 /// Which agreement object type backs an [`Agreement`] instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,7 +122,7 @@ impl Agreement {
     /// is exactly what may block the instance (1 crash suffices for
     /// [`AgreementKind::Safe`]; all `x` owners must crash for
     /// [`AgreementKind::XSafe`]).
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub fn propose<T: MemVal>(&self, env: &Env, v: T) {
         match self.kind {
             AgreementKind::Safe => {
                 safe::SafeAgreement::new(self.kind_base, self.inst, self.n).propose(env, v)
@@ -135,7 +135,7 @@ impl Agreement {
 
     /// Returns the decided value if the instance has stabilized, `None`
     /// otherwise (one shared-memory step).
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+    pub fn try_decide<T: MemVal>(&self, env: &Env) -> Option<T> {
         match self.kind {
             AgreementKind::Safe => {
                 safe::SafeAgreement::new(self.kind_base, self.inst, self.n).try_decide(env)
@@ -150,7 +150,7 @@ impl Agreement {
     ///
     /// May spin forever if the instance is blocked by crashes; model-world
     /// runs bound this with their step budget.
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub fn decide<T: MemVal>(&self, env: &Env) -> T {
         loop {
             if let Some(v) = self.try_decide(env) {
                 return v;
@@ -194,10 +194,10 @@ mod tests {
         let world = ModelWorld::new_free(4);
         let envs: Vec<Env<ModelWorld>> = (0..4).map(|p| Env::new(world.clone(), p)).collect();
         let ag = Agreement::new(AgreementKind::XSafe { x: 2 }, 600, 1, 4);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[3]), None);
+        assert_eq!(ag.try_decide::<u64>(&envs[3]), None);
         ag.propose(&envs[0], 10u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[3]), Some(10));
+        assert_eq!(ag.try_decide::<u64>(&envs[3]), Some(10));
         ag.propose(&envs[1], 11u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[1]), Some(10));
+        assert_eq!(ag.try_decide::<u64>(&envs[1]), Some(10));
     }
 }

@@ -14,7 +14,7 @@
 //! `decide` waits until no entry is unstable, then returns the stable value
 //! of the smallest-index process.
 
-use mpcn_runtime::world::{Env, MemVal, ObjKey, World};
+use mpcn_runtime::world::{Env, MemVal, ObjKey};
 
 /// Levels of a proposal in `SM`.
 const MEANINGLESS: u8 = 0;
@@ -48,11 +48,11 @@ impl SafeAgreement {
     /// process's entry unstable and blocks the instance forever.
     ///
     /// The line-02 snapshot is taken through a **declared view summary**
-    /// ([`mpcn_runtime::world::World::snap_scan_via`]): line 03 consumes
+    /// ([`mpcn_runtime::world::Env::snap_scan_via`]): line 03 consumes
     /// only `saw_stable`, so that one bit is all the scan returns — which
     /// licenses the exhaustive explorer to fold the bit, not the `O(n)`
     /// view, into this process's mid-flight state identity.
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub fn propose<T: MemVal>(&self, env: &Env, v: T) {
         let i = env.pid();
         let key = self.sm_key();
         // (01) SM[i] ← (v, 1)
@@ -73,7 +73,7 @@ impl SafeAgreement {
     /// smallest-index process. The scan is summarized to exactly that
     /// `Option` — the poll's entire observable effect — under the same
     /// declared-view-summary contract as [`SafeAgreement::propose`].
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+    pub fn try_decide<T: MemVal>(&self, env: &Env) -> Option<T> {
         env.snap_scan_via::<(T, u8), Option<T>>(self.sm_key(), self.n, |sm| {
             // (04) repeat until ∀x: sm[x].level ≠ 1
             if sm.iter().flatten().any(|(_, lvl)| *lvl == UNSTABLE) {
@@ -88,7 +88,7 @@ impl SafeAgreement {
     ///
     /// Spins forever if a proposer crashed mid-`propose`; in model-world
     /// runs the step budget bounds this.
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub fn decide<T: MemVal>(&self, env: &Env) -> T {
         loop {
             if let Some(v) = self.try_decide(env) {
                 return v;
@@ -116,13 +116,13 @@ mod tests {
     fn first_stable_proposal_wins_sequentially() {
         let (_w, e) = envs(3);
         let sa = SafeAgreement::new(BASE, 0, 3);
-        assert_eq!(sa.try_decide::<u64, _>(&e[0]), None, "nothing proposed yet");
+        assert_eq!(sa.try_decide::<u64>(&e[0]), None, "nothing proposed yet");
         sa.propose(&e[2], 22u64);
         sa.propose(&e[0], 7u64);
         sa.propose(&e[1], 11u64);
         // p2's proposal stabilized first; later proposals are meaningless.
         for env in &e {
-            assert_eq!(sa.try_decide::<u64, _>(env), Some(22));
+            assert_eq!(sa.try_decide::<u64>(env), Some(22));
         }
     }
 
@@ -142,7 +142,7 @@ mod tests {
                 Box::new(move |env: Env<ModelWorld>| {
                     let sa = SafeAgreement::new(BASE, 0, 2);
                     sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
+                    sa.decide::<u64>(&env)
                 }) as Body
             })
             .collect();
@@ -160,7 +160,7 @@ mod tests {
                     Box::new(move |env: Env<ModelWorld>| {
                         let sa = SafeAgreement::new(BASE, 0, 4);
                         sa.propose(&env, 100 + i as u64);
-                        sa.decide::<u64, _>(&env)
+                        sa.decide::<u64>(&env)
                     }) as Body
                 })
                 .collect();
@@ -185,7 +185,7 @@ mod tests {
                     Box::new(move |env: Env<ModelWorld>| {
                         let sa = SafeAgreement::new(BASE, 0, 3);
                         sa.propose(&env, 100 + i as u64);
-                        sa.decide::<u64, _>(&env)
+                        sa.decide::<u64>(&env)
                     }) as Body
                 })
                 .collect();
@@ -210,7 +210,7 @@ mod tests {
                 Box::new(move |env: Env<ModelWorld>| {
                     let sa = SafeAgreement::new(BASE, 0, 3);
                     sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
+                    sa.decide::<u64>(&env)
                 }) as Body
             })
             .collect();
@@ -229,7 +229,7 @@ mod tests {
         sa.propose(&e[0], 6u64);
         sa.propose(&e[2], 7u64);
         for _ in 0..5 {
-            assert_eq!(sa.try_decide::<u64, _>(&e[2]), Some(first));
+            assert_eq!(sa.try_decide::<u64>(&e[2]), Some(first));
         }
     }
 
@@ -240,7 +240,7 @@ mod tests {
         let b = SafeAgreement::new(BASE, 2, 2);
         a.propose(&e[0], 1u64);
         b.propose(&e[1], 2u64);
-        assert_eq!(a.try_decide::<u64, _>(&e[1]), Some(1));
-        assert_eq!(b.try_decide::<u64, _>(&e[0]), Some(2));
+        assert_eq!(a.try_decide::<u64>(&e[1]), Some(1));
+        assert_eq!(b.try_decide::<u64>(&e[0]), Some(2));
     }
 }

@@ -15,7 +15,7 @@
 //! Gafni-Raynal-Travers 2007 (out of scope — a different paper); see
 //! DESIGN.md for the substitution note.
 
-use mpcn_runtime::world::{Env, ObjKey, Pid, World};
+use mpcn_runtime::world::{Env, ObjKey, Pid};
 
 /// One-shot test&set among the statically known `ports` (`|ports| ≤ x`),
 /// implemented from a single x-consensus object at `key`.
@@ -27,7 +27,7 @@ use mpcn_runtime::world::{Env, ObjKey, Pid, World};
 ///
 /// Panics (via the world's port check) if the caller is not in `ports` or
 /// if different calls pass different port sets.
-pub fn tas_via_consensus<W: World>(env: &Env<W>, key: ObjKey, ports: &[Pid]) -> bool {
+pub fn tas_via_consensus(env: &Env, key: ObjKey, ports: &[Pid]) -> bool {
     let me = env.pid() as u64;
     env.xcons_propose(key, ports, me) == me
 }

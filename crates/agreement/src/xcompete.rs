@@ -12,7 +12,7 @@
 //! 2007); our worlds provide it as a primitive, and [`crate::tas_cons`]
 //! demonstrates the reduction for statically-ported process sets.
 
-use mpcn_runtime::world::{Env, ObjKey, World};
+use mpcn_runtime::world::{Env, ObjKey};
 
 /// `x_compete()` — Figure 5.
 ///
@@ -29,7 +29,7 @@ use mpcn_runtime::world::{Env, ObjKey, World};
 /// * at most `x` invocations return `true`;
 /// * if at most `x` processes ever invoke it, every invoker that does not
 ///   crash obtains `true`.
-pub fn x_compete<W: World>(env: &Env<W>, kind: u32, inst: u64, x: u32) -> bool {
+pub fn x_compete(env: &Env, kind: u32, inst: u64, x: u32) -> bool {
     // (01) ℓ ← 1; winner ← false
     // (02) while (ℓ ≤ x ∧ ¬winner) do (03) winner ← TS[ℓ].test&set() ...
     for l in 0..x as u64 {

@@ -20,7 +20,7 @@
 //! the result register `X_SAFE_AG`.
 
 use mpcn_model::combinatorics::{binomial, subset_unrank};
-use mpcn_runtime::world::{Env, MemVal, ObjKey, Pid, World};
+use mpcn_runtime::world::{Env, MemVal, ObjKey, Pid};
 
 use crate::xcompete::x_compete;
 
@@ -78,7 +78,7 @@ impl XSafeAgreement {
     /// subset containing them (`C(n−1, x−1)` steps) and one final register
     /// write; a crash anywhere in that walk is survivable by the instance
     /// as long as at least one owner completes.
-    pub fn propose<T: MemVal, W: World>(&self, env: &Env<W>, v: T) {
+    pub fn propose<T: MemVal>(&self, env: &Env, v: T) {
         // (01) owner ← X_T&S.x_compete()
         let owner = x_compete(env, self.tas_kind(), self.inst, self.x);
         // (02) if (owner) then
@@ -105,12 +105,12 @@ impl XSafeAgreement {
     /// One polling iteration of `x_sa_decide` — Figure 6 lines 09–10.
     ///
     /// Returns the content of `X_SAFE_AG`, or `None` while it is still `⊥`.
-    pub fn try_decide<T: MemVal, W: World>(&self, env: &Env<W>) -> Option<T> {
+    pub fn try_decide<T: MemVal>(&self, env: &Env) -> Option<T> {
         env.reg_read(self.result_key())
     }
 
     /// Blocking `x_sa_decide` (spins on [`Self::try_decide`]).
-    pub fn decide<T: MemVal, W: World>(&self, env: &Env<W>) -> T {
+    pub fn decide<T: MemVal>(&self, env: &Env) -> T {
         loop {
             if let Some(v) = self.try_decide(env) {
                 return v;
@@ -134,7 +134,7 @@ mod tests {
                 Box::new(move |env: Env<ModelWorld>| {
                     let ag = XSafeAgreement::new(BASE, 0, n, x);
                     ag.propose(&env, 100 + i as u64);
-                    ag.decide::<u64, _>(&env)
+                    ag.decide::<u64>(&env)
                 }) as Body
             })
             .collect()
@@ -145,13 +145,13 @@ mod tests {
         let w = ModelWorld::new_free(4);
         let envs: Vec<Env<ModelWorld>> = (0..4).map(|p| Env::new(w.clone(), p)).collect();
         let ag = XSafeAgreement::new(BASE, 0, 4, 2);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[0]), None);
+        assert_eq!(ag.try_decide::<u64>(&envs[0]), None);
         ag.propose(&envs[2], 22u64);
         // p2 ran alone: it won x_compete, carried 22 through its subsets,
         // and published it.
-        assert_eq!(ag.try_decide::<u64, _>(&envs[0]), Some(22));
+        assert_eq!(ag.try_decide::<u64>(&envs[0]), Some(22));
         ag.propose(&envs[1], 11u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[1]), Some(22));
+        assert_eq!(ag.try_decide::<u64>(&envs[1]), Some(22));
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
                     if i < 4 {
                         ag.propose(&env, 100 + i as u64);
                     }
-                    ag.decide::<u64, _>(&env)
+                    ag.decide::<u64>(&env)
                 }) as Body
             })
             .collect();
@@ -244,7 +244,7 @@ mod tests {
         assert_eq!(ag.set_list_len(), 3);
         ag.propose(&envs[1], 9u64);
         ag.propose(&envs[0], 8u64);
-        assert_eq!(ag.try_decide::<u64, _>(&envs[2]), Some(9));
+        assert_eq!(ag.try_decide::<u64>(&envs[2]), Some(9));
     }
 
     #[test]

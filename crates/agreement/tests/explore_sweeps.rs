@@ -38,9 +38,7 @@ use mpcn_agreement::fixtures::{
     CatalogueSweep, FIG1_SYMMETRY,
 };
 
-use mpcn_runtime::explore::{
-    explore, replay_tso, ExploreLimits, ExploreReport, Explorer, Reduction,
-};
+use mpcn_runtime::explore::{explore, ExploreLimits, ExploreReport, Explorer, Reduction};
 use mpcn_runtime::model_world::RunReport;
 use mpcn_runtime::sched::Crashes;
 
@@ -462,12 +460,10 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
     for victim in 0..3usize {
         for crash_step in 0..4u64 {
             let crashes = Crashes::AtOwnStep(vec![(victim, crash_step)]);
+            let ex = Explorer::new(3).crashes(crashes).limits(limits);
             let sweep = |reduction: Reduction| {
-                let c = crashes.clone();
-                Explorer::new(3)
-                    .crashes(c)
+                ex.clone()
                     .reduction(reduction)
-                    .limits(limits)
                     .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, false))
             };
             let dpor = sweep(Reduction::full());
@@ -486,7 +482,7 @@ fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
             );
             // Gated-replay oracle, driven explicitly on the canonical
             // schedule: the reference engine agrees nothing is violated.
-            let gated = mpcn_runtime::explore::replay(3, crashes, 1_000, || fig1_bodies(3, 1), &[]);
+            let gated = ex.replay(|| fig1_bodies(3, 1), &[]);
             assert!(
                 check_agreement(&gated, 3, false).is_ok(),
                 "gated oracle disagrees (victim {victim}, step {crash_step})"
@@ -563,22 +559,19 @@ fn fig1_n3_crash_count_matches_single_victim_union() {
 /// counts).
 #[test]
 fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
-    let out = Explorer::new(3)
-        .symmetry(FIG1_SYMMETRY)
-        .tso(true)
-        .limits(ExploreLimits {
-            max_expansions: 10_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
+    let ex = Explorer::new(3).symmetry(FIG1_SYMMETRY).tso(true).limits(ExploreLimits {
+        max_expansions: 10_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    });
+    let out = ex.run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
     assert!(!out.complete, "a found counterexample ends the sweep early");
     let v = out.violation().expect("TSO must break unfenced safe agreement at n = 3");
     assert_eq!(v.message, "agreement violated: [100, 101, 102]");
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2]);
     // Gated replay: the relaxed outcome reproduces — every process
     // decides its own proposal (encoded `v + 1`).
-    let replayed = replay_tso(3, Crashes::None, 2_000, || fig1_bodies(3, 1), &v.choices);
+    let replayed = ex.replay(|| fig1_bodies(3, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103]);
     assert!(check_agreement(&replayed, 3, true).is_err(), "replay must reproduce the violation");
 }
@@ -590,15 +583,12 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
 /// 10 212 without) recorded in EXPERIMENTS.md.
 #[test]
 fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
-    let out = Explorer::new(4)
-        .symmetry(FIG1_SYMMETRY)
-        .tso(true)
-        .limits(ExploreLimits {
-            max_expansions: 60_000_000,
-            max_steps: 2_000,
-            ..Default::default()
-        })
-        .run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
+    let ex = Explorer::new(4).symmetry(FIG1_SYMMETRY).tso(true).limits(ExploreLimits {
+        max_expansions: 60_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    });
+    let out = ex.run(|| fig1_bodies(4, 1), |r| check_agreement(r, 4, true));
     let v = out.violation().expect("TSO must break unfenced safe agreement at n = 4");
     assert_eq!(v.message, "agreement violated: [100, 101, 102, 103]");
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3]);
@@ -609,7 +599,7 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
          branching=[0,7808,28061,53743,58861,37884,14280,2948,256]",
         "fig1 n = 4 TSO counterexample baseline drifted"
     );
-    let replayed = replay_tso(4, Crashes::None, 2_000, || fig1_bodies(4, 1), &v.choices);
+    let replayed = ex.replay(|| fig1_bodies(4, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103, 104]);
     assert!(check_agreement(&replayed, 4, true).is_err(), "replay must reproduce the violation");
 }
@@ -713,17 +703,16 @@ fn fig1_violation_schedule_replays_deterministically() {
             Some(v) if v - 1 == 102 => Err("p2 stabilized first".to_string()),
             _ => Ok(()),
         };
-    let out = Explorer::new(3)
-        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 1_000, ..Default::default() })
-        .run(|| fig1_bodies(3, 1), broken);
+    let limits =
+        ExploreLimits { max_expansions: 2_000_000, max_steps: 1_000, ..Default::default() };
+    let ex = Explorer::new(3).limits(limits);
+    let out = ex.run(|| fig1_bodies(3, 1), broken);
     let v = out.violation().expect("the explorer must find a p2-first schedule");
     // Replay: the violating interleaving re-runs deterministically.
-    let replayed =
-        mpcn_runtime::explore::replay(3, Crashes::None, 1_000, || fig1_bodies(3, 1), &v.choices);
+    let replayed = ex.replay(|| fig1_bodies(3, 1), &v.choices);
     assert!(broken(&replayed).is_err(), "replay must reproduce: {}", v.repro_snippet());
     // And twice more, to pin determinism of the replay itself.
-    let again =
-        mpcn_runtime::explore::replay(3, Crashes::None, 1_000, || fig1_bodies(3, 1), &v.choices);
+    let again = ex.replay(|| fig1_bodies(3, 1), &v.choices);
     assert_eq!(replayed.outcomes, again.outcomes);
 }
 

@@ -25,7 +25,7 @@ proptest! {
                 Box::new(move |env: Env<ModelWorld>| {
                     let sa = SafeAgreement::new(BASE, 0, n);
                     sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
+                    sa.decide::<u64>(&env)
                 }) as Body
             })
             .collect();
@@ -52,7 +52,7 @@ proptest! {
                 Box::new(move |env: Env<ModelWorld>| {
                     let ag = XSafeAgreement::new(BASE + 10, 0, n, x);
                     ag.propose(&env, 100 + i as u64);
-                    ag.decide::<u64, _>(&env)
+                    ag.decide::<u64>(&env)
                 }) as Body
             })
             .collect();
@@ -109,7 +109,7 @@ proptest! {
                     let inst = (i % 2) as u64; // two instances, two proposers each
                     let sa = SafeAgreement::new(BASE + 30, inst, n);
                     sa.propose(&env, 100 + i as u64);
-                    sa.decide::<u64, _>(&env)
+                    sa.decide::<u64>(&env)
                 }) as Body
             })
             .collect();

@@ -31,7 +31,7 @@ fn sequential_propose_decide(c: &mut Criterion) {
                 for e in &envs {
                     sa.propose(e, black_box(7u64));
                 }
-                black_box(sa.try_decide::<u64, _>(&envs[0]).unwrap())
+                black_box(sa.try_decide::<u64>(&envs[0]).unwrap())
             });
         });
     }
@@ -54,7 +54,7 @@ fn contended_round(c: &mut Criterion) {
                         Box::new(move |env: Env<ModelWorld>| {
                             let sa = SafeAgreement::new(KIND, 0, n);
                             sa.propose(&env, 100 + i as u64);
-                            sa.decide::<u64, _>(&env)
+                            sa.decide::<u64>(&env)
                         }) as Body
                     })
                     .collect();

@@ -29,7 +29,7 @@ fn propose_walk(c: &mut Criterion) {
                 inst += 1;
                 let ag = XSafeAgreement::new(KIND, inst, n, x);
                 ag.propose(&envs[0], black_box(42u64));
-                black_box(ag.try_decide::<u64, _>(&envs[1]).unwrap())
+                black_box(ag.try_decide::<u64>(&envs[1]).unwrap())
             });
         });
     }
@@ -44,7 +44,7 @@ fn decide_poll(c: &mut Criterion) {
             let envs = free_envs(n);
             let ag = XSafeAgreement::new(KIND, 999_000 + u64::from(x), n, x);
             ag.propose(&envs[0], 7u64);
-            b.iter(|| black_box(ag.try_decide::<u64, _>(&envs[2]).unwrap()));
+            b.iter(|| black_box(ag.try_decide::<u64>(&envs[2]).unwrap()));
         });
     }
     g.finish();

@@ -70,7 +70,7 @@ fn thread_world_round(n: usize) -> usize {
                     sa.propose(&env, 100 + pid as u64);
                     let mut last = None;
                     for _ in 0..POLLS {
-                        last = sa.try_decide::<u64, _>(&env);
+                        last = sa.try_decide::<u64>(&env);
                     }
                     usize::from(last.is_some())
                 })
@@ -88,7 +88,7 @@ fn model_bodies(n: usize) -> Vec<Body> {
                 sa.propose(&env, 100 + pid as u64);
                 let mut last = None;
                 for _ in 0..POLLS {
-                    last = sa.try_decide::<u64, _>(&env);
+                    last = sa.try_decide::<u64>(&env);
                 }
                 u64::from(last.is_some())
             }) as Body

@@ -35,7 +35,7 @@ use mpcn_model::ModelParams;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport};
 use mpcn_runtime::program::{BoxedProcess, SimOp, SimResponse, SimStep};
 use mpcn_runtime::sched::{Crashes, Schedule};
-use mpcn_runtime::world::{Env, ObjKey, World};
+use mpcn_runtime::world::{Env, ObjKey};
 use mpcn_tasks::SourceAlgorithm;
 
 /// Object-kind namespaces used by the simulation.
@@ -241,9 +241,9 @@ enum Status {
     Claimed,
 }
 
-/// One simulator `q_i` (generic over the world it runs in).
-pub(crate) struct Simulator<W: World> {
-    env: Env<W>,
+/// One simulator `q_i`.
+pub(crate) struct Simulator {
+    env: Env,
     n_sim: usize,
     n_simulators: usize,
     algorithm: SourceAlgorithm,
@@ -268,12 +268,12 @@ pub(crate) struct Simulator<W: World> {
     proposed_x: Vec<bool>,
 }
 
-impl<W: World> Simulator<W> {
+impl Simulator {
     /// Builds simulator `env.pid()` of a group of `n_simulators`, which
     /// will simulate all processes of `algorithm`'s model, proposing
     /// `own_input` to every input agreement.
     pub(crate) fn new(
-        env: Env<W>,
+        env: Env,
         n_simulators: usize,
         algorithm: SourceAlgorithm,
         own_input: u64,
@@ -357,7 +357,7 @@ impl<W: World> Simulator<W> {
             }
             Status::WaitInput => {
                 let ag = self.input_agreement(j);
-                match ag.try_decide::<u64, W>(&self.env) {
+                match ag.try_decide::<u64>(&self.env) {
                     None => return,
                     Some(input_j) => {
                         self.programs[j] = Some(self.algorithm.program(j, input_j));
@@ -367,7 +367,7 @@ impl<W: World> Simulator<W> {
             }
             Status::WaitSnapshot { snapsn } => {
                 let ag = self.snap_agreement(j, *snapsn);
-                match ag.try_decide::<MemArray, W>(&self.env) {
+                match ag.try_decide::<MemArray>(&self.env) {
                     None => return, // still unstable; try again later
                     Some(input) => {
                         let view =
@@ -379,7 +379,7 @@ impl<W: World> Simulator<W> {
             Status::WaitXCons { a } => {
                 let a = *a;
                 let ag = self.xcons_agreement(a);
-                match ag.try_decide::<u64, W>(&self.env) {
+                match ag.try_decide::<u64>(&self.env) {
                     None => return,
                     Some(v) => {
                         self.xres.insert(a, v);

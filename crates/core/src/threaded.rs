@@ -1,12 +1,13 @@
 //! The simulation on real OS threads.
 //!
-//! The simulator code is generic over [`mpcn_runtime::world::World`]; this
-//! module runs it on one free-mode
-//! [`mpcn_runtime::model_world::ModelWorld`] shared by real OS threads,
-//! giving a full-speed, genuinely concurrent execution (no deterministic
-//! scheduler, no crash injection). Used by benches and as evidence that
-//! the simulation's correctness does not lean on the model world's step
-//! gating — safety holds under real interleavings too.
+//! A simulator reaches shared memory only through its
+//! [`mpcn_runtime::world::Env`], so the code that runs gated runs here
+//! too, each simulator on its own OS thread over one free-mode
+//! [`mpcn_runtime::model_world::ModelWorld`]: a full-speed, genuinely
+//! concurrent execution (no deterministic scheduler, no crash injection).
+//! Used by benches and as evidence that the simulation's correctness does
+//! not lean on the model world's step gating — safety holds under real
+//! interleavings too.
 
 use mpcn_runtime::model_world::ModelWorld;
 use mpcn_runtime::world::Env;

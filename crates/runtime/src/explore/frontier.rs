@@ -30,7 +30,7 @@
 //! run a **tail**: resumed to completion along the canonical choice-0
 //! suffix as one job, exactly like the gated explorer's depth-bounded
 //! runs. A violation's confirmation re-runs its choice vector through the
-//! **gated** world ([`RunConfig::replay`]) and asserts both engines agree
+//! **gated** world ([`Explorer::replay`]) and asserts both engines agree
 //! on the outcomes — a permanent cross-check of the resume engine against
 //! the reference implementation.
 //!
@@ -104,7 +104,7 @@
 
 use std::collections::HashSet;
 
-use crate::model_world::{Body, Footprint, ModelWorld, RunConfig, RunReport, Snapshot, Symmetry};
+use crate::model_world::{Body, Footprint, ModelWorld, RunReport, Snapshot, Symmetry};
 use crate::sched::{Crashes, Pick};
 use crate::world::Pid;
 
@@ -706,18 +706,11 @@ where
         }
     }
 
-    /// Re-runs a violating choice vector through the gated world (the
-    /// same [`RunConfig::replay`] the public [`super::replay`] builds)
-    /// and asserts both engines reach the same outcomes.
+    /// Re-runs a violating choice vector through the gated world
+    /// ([`Explorer::replay`]) and asserts both engines reach the same
+    /// outcomes.
     fn confirm_against_gated_replay(&self, choices: &[usize], report: &RunReport) {
-        let cfg = RunConfig::replay(
-            self.ex.n,
-            self.ex.crashes.clone(),
-            self.ex.limits.max_steps,
-            choices,
-        )
-        .tso(self.ex.tso);
-        let replayed = ModelWorld::run(cfg, (self.make_bodies)());
+        let replayed = self.ex.replay(self.make_bodies, choices);
         assert_eq!(
             replayed.outcomes, report.outcomes,
             "snapshot-resume exploration and gated replay disagree on a counterexample \

@@ -114,7 +114,7 @@
 //! The observation quotient only collapses *terminated* histories; a
 //! process still mid-protocol keeps its full poll history in the state
 //! identity — even when its program, by construction, consumed almost
-//! none of it. [`crate::world::World::snap_scan_via`] lets a program
+//! none of it. [`crate::world::Env::snap_scan_via`] lets a program
 //! **declare** that at an operation: the scan returns only a summary
 //! (e.g. Figure 1's propose-scan returns just `saw_stable`), so the
 //! process's continuation is a function of the summary alone. With this
@@ -224,7 +224,7 @@ pub struct Reduction {
     /// meaningful with [`Reduction::prune_visited`].
     pub quotient_obs: bool,
     /// Fold **declared view summaries**
-    /// ([`crate::world::World::snap_scan_via`]) instead of raw views into
+    /// ([`crate::world::Env::snap_scan_via`]) instead of raw views into
     /// *live* processes' observation histories — the mid-flight
     /// counterpart of [`Reduction::quotient_obs`] (see the
     /// [module docs](self)). Only meaningful with
@@ -394,7 +394,7 @@ impl Explorer {
     /// placement of every flush against every interleaving (and every
     /// counterexample vector replays its flush placements through the
     /// gated engine verbatim). `tas`, `xcons_propose`, and
-    /// [`crate::world::World::fence`] drain the caller's buffer.
+    /// [`crate::world::Env::fence`] drain the caller's buffer.
     ///
     /// Store buffers are hardware state: they survive their owner's
     /// crash or finish, and a run is terminal only once every buffer
@@ -657,6 +657,22 @@ impl Explorer {
         );
         frontier::Engine::new(self, &make_bodies, &check).run()
     }
+
+    /// Replays one choice vector through the gated engine under this
+    /// explorer's configuration — its process count, crash adversary,
+    /// step budget and memory model — the deterministic reproduction of
+    /// a [`Violation`] it found. The [`RunConfig`] is built by
+    /// [`RunConfig::replay`], as the explorer's own counterexample
+    /// confirmation builds it, so a repro cannot drift from its sweep: a
+    /// TSO vector replays under TSO, at the step budget it was found at.
+    pub fn replay<F>(&self, make_bodies: F, choices: &[usize]) -> RunReport
+    where
+        F: FnOnce() -> Vec<Body>,
+    {
+        let cfg = RunConfig::replay(self.n, self.crashes.clone(), self.limits.max_steps, choices)
+            .tso(self.tso);
+        ModelWorld::run(cfg, make_bodies())
+    }
 }
 
 /// Exhaustively explores every schedule with **no reductions** — the
@@ -682,42 +698,6 @@ where
         .limits(limits)
         .reduction(Reduction::none())
         .run(make_bodies, check)
-}
-
-/// Replays one choice vector under the same configuration an exploration
-/// used — the deterministic reproduction of a [`Violation`]. Builds its
-/// [`RunConfig`] through [`RunConfig::replay`], the exact constructor the
-/// explorer's internal counterexample confirmation uses, so repro
-/// configs cannot drift from sweep configs.
-pub fn replay<F>(
-    n: usize,
-    crashes: Crashes,
-    max_steps: u64,
-    make_bodies: F,
-    choices: &[usize],
-) -> RunReport
-where
-    F: Fn() -> Vec<Body>,
-{
-    ModelWorld::run(RunConfig::replay(n, crashes, max_steps, choices), make_bodies())
-}
-
-/// [`replay`] under the x86-TSO memory model — the reproduction path
-/// for counterexamples found by a TSO exploration ([`Explorer::tso`]):
-/// the same [`RunConfig::replay`] constructor, with the TSO flag the
-/// explorer's internal confirmation sets, so weak-memory repro configs
-/// cannot drift from sweep configs either.
-pub fn replay_tso<F>(
-    n: usize,
-    crashes: Crashes,
-    max_steps: u64,
-    make_bodies: F,
-    choices: &[usize],
-) -> RunReport
-where
-    F: Fn() -> Vec<Body>,
-{
-    ModelWorld::run(RunConfig::replay(n, crashes, max_steps, choices).tso(true), make_bodies())
 }
 
 #[cfg(test)]
@@ -768,7 +748,7 @@ mod tests {
         assert!(!out.complete);
         // Replay the emitted schedule: it reproduces the violation
         // deterministically.
-        let report = replay(2, Crashes::None, 10_000, tas_bodies, &v.choices);
+        let report = Explorer::new(2).replay(tas_bodies, &v.choices);
         assert_eq!(report.outcomes[1].decided(), Some(0));
         assert!(v.repro_snippet().starts_with("Schedule::Indexed"));
     }
@@ -929,13 +909,15 @@ mod tests {
             Some(1) => Ok(()),
             other => Err(format!("p1 got {other:?}")),
         };
+        let ex = Explorer::new(2);
         let unpruned = explore(2, Crashes::None, ExploreLimits::default(), tas_bodies, check);
-        let reduced = Explorer::new(2).run(tas_bodies, check);
+        let reduced = ex.run(tas_bodies, check);
         let (u, r) = (unpruned.violation().unwrap(), reduced.violation().unwrap());
         assert_eq!(u.message, r.message);
-        // Both replay to the same outcome.
-        let ru = replay(2, Crashes::None, 100, tas_bodies, &u.choices);
-        let rr = replay(2, Crashes::None, 100, tas_bodies, &r.choices);
+        // Both replay to the same outcome, under the configuration (step
+        // budget included) both sweeps ran with.
+        let ru = ex.replay(tas_bodies, &u.choices);
+        let rr = ex.replay(tas_bodies, &r.choices);
         assert_eq!(ru.outcomes[1], rr.outcomes[1]);
     }
 
@@ -1385,7 +1367,7 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v7 manifest carries a worker count, and a v3 manifest (pre-TSO
+    /// v8 manifest has no segment checksum, and a v3 manifest (pre-TSO
     /// key set) cannot describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
@@ -1394,14 +1376,14 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=8"), "current manifests are v8");
+        assert!(text.contains("manifest_version=9"), "current manifests are v9");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=8", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=9", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(7);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v7 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 7"), "{e}");
+        downgrade(8);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v8 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 8"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }
@@ -1522,6 +1504,22 @@ mod tests {
         assert!(bytes.len() >= 8, "the halted sweep committed visited fingerprints");
         bytes[0] ^= 1;
         std::fs::write(&visited, bytes).expect("rewrite visited file");
+        assert_corrupt(&dir);
+    }
+
+    /// The manifest commits to the segment file: the last payload byte of
+    /// the first record is the high byte of its snapshot's `steps`, and a
+    /// flipped one still decodes, but would resume to a different report.
+    #[test]
+    fn resume_rejects_a_flipped_segment_byte() {
+        let dir = halted_sweep("flipped-segment");
+        let segments = dir.join("segments.bin");
+        let mut bytes = std::fs::read(&segments).expect("segment file exists");
+        let len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
+        let steps_at = 8 + len - 8;
+        assert_eq!(bytes[steps_at..steps_at + 8], 0u64.to_le_bytes(), "the root took no steps");
+        bytes[steps_at + 7] ^= 0x80;
+        std::fs::write(&segments, bytes).expect("rewrite segment file");
         assert_corrupt(&dir);
     }
 

@@ -168,8 +168,8 @@ impl ExploreStats {
 /// schedule prefix that reproduces it deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The choice vector of the violating run: replay it with
-    /// [`Violation::schedule`] under the same `n`, crash plan, and bodies.
+    /// The choice vector of the violating run: replay it with the
+    /// explorer that found it ([`super::Explorer::replay`]).
     pub choices: Vec<usize>,
     /// The checker's message.
     pub message: String,

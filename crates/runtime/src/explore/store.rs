@@ -52,16 +52,16 @@
 //! sweep starts.
 //!
 //! The manifest commits to the files it points at: `state_fnv` is the
-//! FNV-1a of the state file, and `visited_fnv` folds every committed
-//! visited fingerprint in file order, so [`open_sweep`] rejects a
-//! changed byte in either — a flipped choice that stays enabled
-//! included — as `InvalidData`, and likewise a `segments_len` past the
-//! end of the segment file. It also rejects an anchor deeper than its
-//! node's path, and a job whose queued choices are empty or not strictly
-//! increasing. The manifest's last line, `manifest_fnv`, is the FNV-1a
-//! of every byte before it, so an edited value the parser would accept
-//! is `InvalidData` too. Segment records are checked only by
-//! [`Snapshot::decode`].
+//! FNV-1a of the state file, `segments_fnv` the FNV-1a of the committed
+//! segment file prefix, and `visited_fnv` folds every committed visited
+//! fingerprint in file order, so [`open_sweep`] rejects a changed byte
+//! in any of them — a flipped choice that stays enabled, or a segment
+//! record's step count that still decodes, included — as `InvalidData`,
+//! and likewise a `segments_len` past the end of the segment file. It
+//! also rejects an anchor deeper than its node's path, and a job whose
+//! queued choices are empty or not strictly increasing. The manifest's
+//! last line, `manifest_fnv`, is the FNV-1a of every byte before it, so
+//! an edited value the parser would accept is `InvalidData` too.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -97,8 +97,9 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// `state_fnv` and `visited_fnv`, checksums of the state file and of the
 /// committed visited set. v8 dropped the `threads` key, since every sweep
 /// runs on the caller's thread, and added `manifest_fnv`, a checksum of
-/// the manifest itself.
-const MANIFEST_VERSION: u64 = 8;
+/// the manifest itself. v9 added `segments_fnv`, a checksum of the
+/// committed segment file.
+const MANIFEST_VERSION: u64 = 9;
 
 /// Locator of one checkpoint record in the segment file: the payload's
 /// offset and length, read back through [`SpillStore::read`].
@@ -140,6 +141,8 @@ pub(super) struct SpillStore {
     /// and reads them back at recorded offsets.
     segments: File,
     segments_len: u64,
+    /// Running FNV-1a of every record appended to the segment file.
+    segments_fnv: Fnv1a,
     visited: File,
     visited_len: u64,
     /// [`visited_checksum`] of the committed visited set.
@@ -180,6 +183,7 @@ impl SpillStore {
             dir: dir.to_path_buf(),
             segments,
             segments_len: 0,
+            segments_fnv: Fnv1a::default(),
             visited,
             visited_len: 0,
             visited_fnv: Fnv1a::default().finish(),
@@ -196,6 +200,7 @@ impl SpillStore {
         record.extend_from_slice(&len.to_le_bytes());
         record.extend_from_slice(&payload);
         self.segments.write_all(&record)?;
+        self.segments_fnv.write(&record);
         let offset = self.segments_len + 8;
         self.segments_len += record.len() as u64;
         stats.spilled += 1;
@@ -280,6 +285,20 @@ pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.write(bytes);
     h.finish()
+}
+
+/// FNV-1a of the first `len` bytes of `file`, read from its start: the
+/// running hash a [`SpillStore`] held after appending them.
+fn fnv1a_prefix(file: &File, len: u64) -> io::Result<Fnv1a> {
+    let mut h = Fnv1a::default();
+    let mut prefix = file.take(len);
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match prefix.read(&mut buf)? {
+            0 => return Ok(h),
+            k => h.write(&buf[..k]),
+        }
+    }
 }
 
 /// The manifest's `visited_fnv`: [`mix`] folded over the visited
@@ -469,6 +488,7 @@ fn render_manifest(
     kv("crashes", encode_crashes(&ex.crashes)?);
     kv("tso", ex.tso.to_string());
     kv("segments_len", store.segments_len.to_string());
+    kv("segments_fnv", store.segments_fnv.finish().to_string());
     kv("visited_len", store.visited_len.to_string());
     kv("visited_fnv", store.visited_fnv.to_string());
     kv("state_file", state_file.to_string());
@@ -704,6 +724,10 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
     if segments.metadata()?.len() < segments_len {
         return Err(bad_data("segments.bin is shorter than the manifest records"));
     }
+    let segments_fnv = fnv1a_prefix(&segments, segments_len)?;
+    if segments_fnv.finish() != m.u64("segments_fnv")? {
+        return Err(bad_data("segments.bin does not match the manifest's segments_fnv"));
+    }
     segments.set_len(segments_len)?;
     let visited_bytes = fs::read(dir.join("visited.bin"))?;
     let visited_len_usize = usize::try_from(visited_len).map_err(bad_data)?;
@@ -735,6 +759,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         dir: dir.to_path_buf(),
         segments,
         segments_len,
+        segments_fnv,
         visited: visited_file,
         visited_len,
         visited_fnv,

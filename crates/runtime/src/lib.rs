@@ -7,10 +7,11 @@
 //!
 //! It provides:
 //!
-//! * [`world::World`] — the shared-memory interface: keyed registers,
-//!   snapshot objects, test&set, and x-consensus objects;
-//! * [`model_world::ModelWorld`] — the implementation, in three modes.
-//!   Gated, it is **deterministic and crash-injecting**: every virtual
+//! * [`world::Env`] — a process's handle on shared memory, its one way
+//!   to reach keyed registers, snapshot objects, test&set, and
+//!   x-consensus objects, one atomic step per operation;
+//! * [`model_world::ModelWorld`] — the world those operations run in, in
+//!   three modes. Gated, it is **deterministic and crash-injecting**: every virtual
 //!   process runs on its own thread behind a *step gate*, the scheduler
 //!   grants one shared-memory operation at a time (seeded-random,
 //!   scripted or indexed order), and a crash can be delivered between
@@ -36,7 +37,7 @@
 //! ```
 //! use mpcn_runtime::model_world::{ModelWorld, RunConfig};
 //! use mpcn_runtime::sched::Schedule;
-//! use mpcn_runtime::world::{Env, ObjKey, World};
+//! use mpcn_runtime::world::{Env, ObjKey};
 //!
 //! // Two processes race on a test&set object; exactly one wins.
 //! let cfg = RunConfig::new(2).schedule(Schedule::RandomSeed(7));
@@ -65,4 +66,4 @@ pub use explore::{ExploreLimits, ExploreReport, ExploreStats, Explorer, Reductio
 pub use model_world::{Footprint, ModelWorld, Outcome, RunConfig, RunReport, Snapshot};
 pub use program::{SimOp, SimProcess, SimResponse, SimStep, XConsLayout};
 pub use sched::{Crashes, Schedule};
-pub use world::{Env, ObjKey, Pid, World};
+pub use world::{Env, ObjKey, Pid};

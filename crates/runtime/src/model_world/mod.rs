@@ -62,7 +62,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::fingerprint::{fp_of, mix, Fnv1a};
 use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
-use crate::world::{Env, MemVal, ObjKey, Pid, Stored, World};
+use crate::world::{Env, MemVal, ObjKey, Pid, Stored};
 use std::hash::Hasher;
 
 /// The unwind payload that halts a process body: a gated crash or
@@ -198,9 +198,10 @@ impl RunConfig {
     /// under: `n` processes, the original crash plan and step budget, and
     /// the [`Schedule::Indexed`] policy over `choices`.
     ///
-    /// Shared by [`crate::explore::replay`] and the explorer's internal
-    /// counterexample confirmation re-run, so reproduction configs cannot
-    /// drift from sweep configs.
+    /// Built by [`crate::explore::Explorer::replay`] from the explorer's
+    /// own configuration — the one path that re-runs its choice vectors,
+    /// counterexample confirmation included — so reproduction configs
+    /// cannot drift from sweep configs.
     pub fn replay(n: usize, crashes: Crashes, max_steps: u64, choices: &[usize]) -> Self {
         RunConfig::new(n)
             .schedule(Schedule::Indexed { choices: choices.to_vec() })
@@ -240,7 +241,7 @@ impl RunConfig {
         self
     }
 
-    /// Folds **declared view summaries** ([`World::snap_scan_via`])
+    /// Folds **declared view summaries** ([`Env::snap_scan_via`])
     /// instead of raw views into the per-process observation histories
     /// the state fingerprints hash. Only meaningful together with
     /// [`RunConfig::record_state_hashes`]; run *behavior* is identical
@@ -263,7 +264,7 @@ impl RunConfig {
     /// raw pid (buffers keep draining after their owner finishes or
     /// crashes: the hardware owns them, not the process). Reads forward
     /// from the issuing process's own buffer (newest entry per
-    /// object/cell); `tas` / `xcons_propose` / [`World::fence`] drain the
+    /// object/cell); `tas` / `xcons_propose` / [`Env::fence`] drain the
     /// caller's buffer before (or as) their step, the x86-TSO fence
     /// discipline. Off by default — SC runs are byte-identical to the
     /// pre-TSO engine.
@@ -360,7 +361,7 @@ impl Cell {
 
 /// One shared object, with the operation semantics every mode runs on
 /// its [`Snapshot`]. Each operation panics on the algorithm bugs
-/// [`World`] lists: a kind, length, type or port mismatch.
+/// [`Env`] lists: a kind, length, type or port mismatch.
 #[derive(Debug, Clone)]
 enum Object {
     Register(Option<Cell>),
@@ -521,7 +522,7 @@ const OP_SNAP_WRITE: u64 = 3;
 const OP_SNAP_SCAN: u64 = 4;
 const OP_TAS: u64 = 5;
 const OP_XCONS: u64 = 6;
-/// A [`World::fence`] step (TSO mode only: under SC a fence never gates).
+/// An [`Env::fence`] step (TSO mode only: under SC a fence never gates).
 const OP_FENCE: u64 = 7;
 /// The footprint tag of a store-buffer **flush** action (TSO mode). Never
 /// appears in operation logs — a flush is a hardware action, not a process
@@ -629,7 +630,7 @@ impl Footprint {
     }
 
     /// `true` for operations that drain the caller's store buffer under
-    /// TSO (`tas`, `xcons_propose`, [`World::fence`]): their step may
+    /// TSO (`tas`, `xcons_propose`, [`Env::fence`]): their step may
     /// write *several* objects beyond [`Footprint::key`], so the TSO
     /// explorer treats them as conflicting with every adjacent action
     /// instead of trusting the single-key footprint. SC commutation is
@@ -1095,16 +1096,25 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-impl World for ModelWorld {
-    fn reg_write<T: MemVal>(&self, pid: Pid, key: ObjKey, val: T) {
-        self.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |st| {
+/// The shared-memory operations of a process. Each is one atomic step of
+/// [`Env::pid`] through the world's step gate, in every mode: under the
+/// world lock when free, on the scheduler's grant when gated, and from the
+/// operation log when resumed.
+impl Env {
+    /// Writes a multi-writer multi-reader atomic register.
+    pub fn reg_write<T: MemVal>(&self, key: ObjKey, val: T) {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |st| {
             let cell = Cell::new(val, st.track);
             st.write(pid, BufferedWrite { key, cell_idx: None, len: 0, cell });
         });
     }
 
-    fn reg_read<T: MemVal>(&self, pid: Pid, key: ObjKey) -> Option<T> {
-        self.step(pid, Footprint::new(OP_REG_READ, key, None, true), |st| {
+    /// Reads a multi-writer multi-reader atomic register. `None` if never
+    /// written (the paper's `⊥`).
+    pub fn reg_read<T: MemVal>(&self, key: ObjKey) -> Option<T> {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_REG_READ, key, None, true), |st| {
             let out = st.read(pid, key);
             if st.track {
                 st.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
@@ -1113,16 +1123,21 @@ impl World for ModelWorld {
         })
     }
 
-    fn snap_write<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize, idx: usize, val: T) {
+    /// Writes cell `idx` of the `len`-cell snapshot object `key`.
+    pub fn snap_write<T: MemVal>(&self, key: ObjKey, len: usize, idx: usize, val: T) {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
-        self.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |st| {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |st| {
             let cell = Cell::new(val, st.track);
             st.write(pid, BufferedWrite { key, cell_idx: Some(idx), len, cell });
         });
     }
 
-    fn snap_scan<T: MemVal>(&self, pid: Pid, key: ObjKey, len: usize) -> Vec<Option<T>> {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
+    /// Atomically reads all cells of the `len`-cell snapshot object `key`.
+    /// Unwritten cells read as `None` (the paper's `⊥`).
+    pub fn snap_scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
             let out: Vec<Option<T>> = st.scan(pid, key, len);
             if st.track {
                 st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
@@ -1131,25 +1146,60 @@ impl World for ModelWorld {
         })
     }
 
-    /// The summarized scan. One atomic step with the *same* dependency
-    /// footprint as [`World::snap_scan`] (same key, pure read), so every
-    /// commutation argument carries over unchanged. What differs is the
-    /// observation fold: with [`RunConfig::view_summaries`] off, the **raw view** is
-    /// folded exactly as a plain scan folds it (byte-identical state
-    /// identity — recorded baselines cannot move); with it on, only the
-    /// **declared summary** is folded, so live processes whose raw views
-    /// differed but whose summaries agree become indistinguishable — which
-    /// is sound precisely because the summary is all the process ever saw.
-    /// The resume log records the summary either way (it is the value the
-    /// operation returned).
-    fn snap_scan_via<T: MemVal, S: MemVal>(
+    /// Atomically scans the `len`-cell snapshot object `key` and returns
+    /// `summarize(view)` — a **program-declared view summary**: the caller
+    /// receives *only* the summary, never the raw view.
+    ///
+    /// Semantically identical to `summarize(&snap_scan(..))`, and still
+    /// one atomic step. The point of declaring the summary at the
+    /// operation is what it licenses the exhaustive explorer to do:
+    /// because the calling process's continuation is a deterministic
+    /// function of the values its operations *returned*, a scan that
+    /// returns only `saw_stable` makes the process's control state a
+    /// function of that one bit — so the model world may fold the
+    /// summary, instead of the full `O(len)` view, into the process's
+    /// observation identity
+    /// ([`crate::explore::Reduction::view_summaries`]). Sound by
+    /// construction: nothing the abstraction drops was ever visible to
+    /// the program.
+    ///
+    /// The step has the *same* dependency footprint as [`Env::snap_scan`]
+    /// (same key, pure read), so every commutation argument carries over
+    /// unchanged. What differs is the observation fold: with
+    /// [`RunConfig::view_summaries`] off, the **raw view** is folded
+    /// exactly as a plain scan folds it (byte-identical state identity —
+    /// recorded baselines cannot move); with it on, only the **declared
+    /// summary** is folded, so live processes whose raw views differed
+    /// but whose summaries agree become indistinguishable. The resume log
+    /// records the summary either way (it is the value the operation
+    /// returned).
+    ///
+    /// `summarize` is a plain `fn` pointer on purpose: it cannot capture
+    /// mutable state, so it is structurally a pure function of the view
+    /// (plus the caller's type parameters) — the determinism the model
+    /// world's log-replay resumption requires.
+    ///
+    /// ```
+    /// use mpcn_runtime::model_world::ModelWorld;
+    /// use mpcn_runtime::world::{Env, ObjKey};
+    ///
+    /// let env = Env::new(ModelWorld::new_free(2), 0);
+    /// let key = ObjKey::new(901, 0, 0);
+    /// env.snap_write(key, 2, 0, 7u64);
+    /// // The caller receives only the declared summary — here, how many
+    /// // cells have been written — never the raw view.
+    /// let written =
+    ///     env.snap_scan_via::<u64, u64>(key, 2, |view| view.iter().flatten().count() as u64);
+    /// assert_eq!(written, 1);
+    /// ```
+    pub fn snap_scan_via<T: MemVal, S: MemVal>(
         &self,
-        pid: Pid,
         key: ObjKey,
         len: usize,
         summarize: fn(&[Option<T>]) -> S,
     ) -> S {
-        self.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
             let raw: Vec<Option<T>> = st.scan(pid, key, len);
             let out = summarize(&raw);
             if st.track {
@@ -1160,17 +1210,22 @@ impl World for ModelWorld {
         })
     }
 
-    fn fence(&self, pid: Pid) {
-        // Under SC a fence is free: no gate, no step, no trace or log
-        // effect (see [`World::fence`]). The check reads the fixed `tso`
-        // mode flag only (never buffer contents), so whether a fence
-        // gates is a pure function of the run mode and log replay stays
-        // deterministic.
-        if !self.inner.st.lock().snap.tso {
+    /// Store-buffer drain point (a full memory fence). Under sequential
+    /// consistency every write is globally visible the moment it
+    /// completes, so a fence is a free no-op: it takes no scheduling step
+    /// and leaves run traces untouched. Under the TSO exploration mode
+    /// ([`RunConfig::tso`]) a fence is one atomic step that drains the
+    /// calling process's FIFO store buffer to shared memory.
+    pub fn fence(&self) {
+        // The check reads the fixed `tso` mode flag only (never buffer
+        // contents), so whether a fence gates is a pure function of the
+        // run mode and log replay stays deterministic.
+        if !self.world.inner.st.lock().snap.tso {
             return;
         }
+        let pid = self.pid;
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
-        self.step(pid, Footprint::new(OP_FENCE, key, None, false), |st| {
+        self.world.step(pid, Footprint::new(OP_FENCE, key, None, false), |st| {
             st.drain(pid);
             if st.track {
                 st.observe(pid, OP_FENCE, key, 0);
@@ -1178,8 +1233,11 @@ impl World for ModelWorld {
         });
     }
 
-    fn tas(&self, pid: Pid, key: ObjKey) -> bool {
-        self.step(pid, Footprint::new(OP_TAS, key, None, false), |st| {
+    /// One-shot test&set: `true` to the first invocation ever, `false` to
+    /// all later ones.
+    pub fn tas(&self, key: ObjKey) -> bool {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_TAS, key, None, false), |st| {
             // x86-TSO: a LOCK'd RMW drains the issuing process's buffer as
             // part of its atomic step.
             st.drain(pid);
@@ -1191,8 +1249,15 @@ impl World for ModelWorld {
         })
     }
 
-    fn xcons_propose<T: MemVal>(&self, pid: Pid, key: ObjKey, ports: &[Pid], val: T) -> T {
-        self.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
+    /// Proposes `val` to the port-limited consensus object `key` and
+    /// returns its decided value.
+    ///
+    /// `ports` is the static set of processes allowed to access the object;
+    /// it must be identical across all accesses, contain the caller's pid,
+    /// and its length is the object's consensus number `x`.
+    pub fn xcons_propose<T: MemVal>(&self, key: ObjKey, ports: &[Pid], val: T) -> T {
+        let pid = self.pid;
+        self.world.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
             // LOCK'd RMW under x86-TSO — see `tas`.
             st.drain(pid);
             let track = st.track;
@@ -1225,37 +1290,39 @@ mod tests {
 
     #[test]
     fn free_world_register_semantics() {
-        let w = ModelWorld::new_free(1);
-        assert_eq!(w.reg_read::<u64>(0, REG), None);
-        w.reg_write(0, REG, 17u64);
-        assert_eq!(w.reg_read::<u64>(0, REG), Some(17));
-        w.reg_write(0, REG, 18u64);
-        assert_eq!(w.reg_read::<u64>(0, REG), Some(18));
+        let p0 = Env::new(ModelWorld::new_free(1), 0);
+        assert_eq!(p0.reg_read::<u64>(REG), None);
+        p0.reg_write(REG, 17u64);
+        assert_eq!(p0.reg_read::<u64>(REG), Some(17));
+        p0.reg_write(REG, 18u64);
+        assert_eq!(p0.reg_read::<u64>(REG), Some(18));
     }
 
     #[test]
     fn free_world_snapshot_semantics() {
         let w = ModelWorld::new_free(2);
-        assert_eq!(w.snap_scan::<u64>(0, SNAP, 3), vec![None, None, None]);
-        w.snap_write(0, SNAP, 3, 0, 5u64);
-        w.snap_write(1, SNAP, 3, 2, 7u64);
-        assert_eq!(w.snap_scan::<u64>(1, SNAP, 3), vec![Some(5), None, Some(7)]);
+        let (p0, p1) = (Env::new(w.clone(), 0), Env::new(w.clone(), 1));
+        assert_eq!(p0.snap_scan::<u64>(SNAP, 3), vec![None, None, None]);
+        p0.snap_write(SNAP, 3, 0, 5u64);
+        p1.snap_write(SNAP, 3, 2, 7u64);
+        assert_eq!(p1.snap_scan::<u64>(SNAP, 3), vec![Some(5), None, Some(7)]);
     }
 
     #[test]
     fn free_world_tas_once() {
         let w = ModelWorld::new_free(2);
-        assert!(w.tas(0, TAS));
-        assert!(!w.tas(1, TAS));
-        assert!(!w.tas(0, TAS));
+        let (p0, p1) = (Env::new(w.clone(), 0), Env::new(w.clone(), 1));
+        assert!(p0.tas(TAS));
+        assert!(!p1.tas(TAS));
+        assert!(!p0.tas(TAS));
     }
 
     #[test]
     fn free_world_xcons_agreement_and_ports() {
         let w = ModelWorld::new_free(3);
         let ports = vec![0usize, 2];
-        assert_eq!(w.xcons_propose(0, CONS, &ports, 40u64), 40);
-        assert_eq!(w.xcons_propose(2, CONS, &ports, 41u64), 40);
+        assert_eq!(Env::new(w.clone(), 0).xcons_propose(CONS, &ports, 40u64), 40);
+        assert_eq!(Env::new(w.clone(), 2).xcons_propose(CONS, &ports, 41u64), 40);
     }
 
     #[test]
@@ -1265,8 +1332,8 @@ mod tests {
         let wins: usize = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|pid| {
-                    let w = w.clone();
-                    s.spawn(move || usize::from(w.tas(pid, key)))
+                    let env = Env::new(w.clone(), pid);
+                    s.spawn(move || usize::from(env.tas(key)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()
@@ -1282,9 +1349,9 @@ mod tests {
         let decisions: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..6)
                 .map(|pid| {
-                    let w = w.clone();
+                    let env = Env::new(w.clone(), pid);
                     let ports = ports.clone();
-                    s.spawn(move || w.xcons_propose(pid, key, &ports, pid as u64 + 1))
+                    s.spawn(move || env.xcons_propose(key, &ports, pid as u64 + 1))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1300,17 +1367,17 @@ mod tests {
         let w = ModelWorld::new_free(2);
         let key = ObjKey::new(13, 0, 0);
         std::thread::scope(|s| {
-            let ww = w.clone();
+            let writer = Env::new(w.clone(), 0);
             s.spawn(move || {
                 for k in 0..2000u64 {
-                    ww.snap_write(0, key, 2, 0, k + 1);
-                    ww.snap_write(0, key, 2, 1, k + 1);
+                    writer.snap_write(key, 2, 0, k + 1);
+                    writer.snap_write(key, 2, 1, k + 1);
                 }
             });
-            let wr = w.clone();
+            let reader = Env::new(w.clone(), 1);
             s.spawn(move || {
                 for _ in 0..2000 {
-                    let v = wr.snap_scan::<u64>(1, key, 2);
+                    let v = reader.snap_scan::<u64>(key, 2);
                     let a = v[0].unwrap_or(0);
                     let b = v[1].unwrap_or(0);
                     assert!(a >= b, "scan saw cell1 ahead of cell0: {a} < {b}");
@@ -1322,32 +1389,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a port")]
     fn xcons_rejects_non_port() {
-        let w = ModelWorld::new_free(3);
-        w.xcons_propose(1, CONS, &[0, 2], 1u64);
+        Env::new(ModelWorld::new_free(3), 1).xcons_propose(CONS, &[0, 2], 1u64);
     }
 
     #[test]
     #[should_panic(expected = "inconsistent port sets")]
     fn xcons_rejects_port_mutation() {
         let w = ModelWorld::new_free(3);
-        w.xcons_propose(0, CONS, &[0, 2], 1u64);
-        w.xcons_propose(1, CONS, &[0, 1], 2u64);
+        Env::new(w.clone(), 0).xcons_propose(CONS, &[0, 2], 1u64);
+        Env::new(w.clone(), 1).xcons_propose(CONS, &[0, 1], 2u64);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn register_type_mismatch_panics() {
-        let w = ModelWorld::new_free(1);
-        w.reg_write(0, REG, 1u64);
-        let _: Option<String> = w.reg_read(0, REG);
+        let p0 = Env::new(ModelWorld::new_free(1), 0);
+        p0.reg_write(REG, 1u64);
+        let _: Option<String> = p0.reg_read(REG);
     }
 
     #[test]
     #[should_panic(expected = "is not a register")]
     fn object_kind_mismatch_panics() {
-        let w = ModelWorld::new_free(1);
-        w.tas(0, REG);
-        w.reg_write(0, REG, 1u64);
+        let p0 = Env::new(ModelWorld::new_free(1), 0);
+        p0.tas(REG);
+        p0.reg_write(REG, 1u64);
     }
 
     #[test]
@@ -1510,6 +1576,66 @@ mod tests {
         assert_eq!(report.undecided_pids(), vec![2]);
         assert_eq!(report.distinct_decisions(), 1);
         assert!(!report.all_correct_decided());
+    }
+
+    /// A fence is free under SC: fences around a write change neither the
+    /// step count, nor the trace, nor any state hash, and no operation
+    /// runs on the fence kind. Under TSO each fence is one step on the
+    /// fence kind. The gated and the resume engine agree on every run.
+    #[test]
+    fn fence_is_free_under_sc_and_one_step_under_tso() {
+        fn plain() -> Body {
+            body(|env| {
+                env.reg_write(REG, 1u64);
+                0
+            })
+        }
+        fn fenced() -> Body {
+            body(|env| {
+                env.fence();
+                env.reg_write(REG, 1u64);
+                env.fence();
+                0
+            })
+        }
+        // One process, gated (trace and state hashes recorded) and
+        // resumed step by step from its root snapshot.
+        let run = |make: fn() -> Body, tso: bool| {
+            let cfg = RunConfig::new(1)
+                .schedule(Schedule::Indexed { choices: Vec::new() })
+                .record_trace(true)
+                .record_state_hashes(true)
+                .tso(tso);
+            let gated = ModelWorld::run(cfg, vec![make()]);
+            let mut snap = ModelWorld::snapshot_root_tso(1, true, false, tso, vec![make()]);
+            let mut hashes = Vec::new();
+            while !snap.is_terminal() {
+                snap = if snap.alive().is_empty() {
+                    ModelWorld::resume_flush(&snap, 0)
+                } else {
+                    ModelWorld::resume_from(&snap, 0, make())
+                };
+                hashes.push(snap.fingerprint());
+            }
+            let resumed = snap.report(false);
+            assert_eq!((resumed.steps, &resumed.ops_by_kind), (gated.steps, &gated.ops_by_kind));
+            assert_eq!(gated.state_hashes.as_ref(), Some(&hashes), "tso {tso}");
+            gated
+        };
+        let (sc_plain, sc_fenced) = (run(plain, false), run(fenced, false));
+        assert_eq!(sc_fenced.steps, sc_plain.steps);
+        assert_eq!(sc_fenced.trace, sc_plain.trace);
+        assert_eq!(sc_fenced.state_hashes, sc_plain.state_hashes);
+        assert_eq!(sc_fenced.ops_on_kind(FENCE_KIND), 0);
+        // Plain: the write, then its flush. Fenced: two fences and the
+        // write, which the second fence drains, so nothing is left to
+        // flush.
+        let (tso_plain, tso_fenced) = (run(plain, true), run(fenced, true));
+        assert_eq!(tso_plain.steps, 2);
+        assert_eq!(tso_plain.ops_on_kind(FENCE_KIND), 0);
+        assert_eq!(tso_fenced.steps, 3);
+        assert_eq!(tso_fenced.ops_on_kind(FENCE_KIND), 2);
+        assert_eq!(tso_fenced.trace, Some(vec![0, 0, 0]));
     }
 
     #[test]

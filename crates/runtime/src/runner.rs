@@ -46,8 +46,7 @@ pub fn run_direct(cfg: RunConfig, programs: Vec<BoxedProcess>, layout: XConsLayo
     assert_eq!(cfg.n(), n, "one program per process required");
     let bodies: Vec<Body> = programs
         .into_iter()
-        .enumerate()
-        .map(|(pid, mut prog)| {
+        .map(|mut prog| {
             let layout = layout.clone();
             Box::new(move |env: Env<ModelWorld>| {
                 let mut step = prog.begin();
@@ -55,7 +54,7 @@ pub fn run_direct(cfg: RunConfig, programs: Vec<BoxedProcess>, layout: XConsLayo
                     match step {
                         SimStep::Decide(v) => return v,
                         SimStep::Invoke(op) => {
-                            let resp = perform(&env, pid, &layout, n, op);
+                            let resp = perform(&env, &layout, n, op);
                             step = prog.on_response(resp);
                         }
                     }
@@ -66,17 +65,12 @@ pub fn run_direct(cfg: RunConfig, programs: Vec<BoxedProcess>, layout: XConsLayo
     ModelWorld::run(cfg, bodies)
 }
 
-/// Executes one simulated-process operation against the world.
-fn perform(
-    env: &Env<ModelWorld>,
-    pid: usize,
-    layout: &XConsLayout,
-    n: usize,
-    op: SimOp,
-) -> SimResponse {
+/// Executes one simulated-process operation of `env`'s process: a write
+/// goes to its own cell of the simulated memory.
+fn perform(env: &Env, layout: &XConsLayout, n: usize, op: SimOp) -> SimResponse {
     match op {
         SimOp::Write(v) => {
-            env.snap_write(mem_key(), n, pid, v);
+            env.snap_write(mem_key(), n, env.pid(), v);
             SimResponse::WriteAck
         }
         SimOp::Snapshot => SimResponse::Snapshot(env.snap_scan::<u64>(mem_key(), n)),

@@ -8,11 +8,11 @@
 //! or the per-location total order of stores.
 //!
 //! Every relaxed outcome the sweeps find is replayed through the gated
-//! engine ([`replay_tso`] builds the exact `RunConfig::replay` the
+//! engine ([`Explorer::replay`] builds the exact `RunConfig::replay` the
 //! explorer's internal counterexample confirmation uses), so the
 //! counterexamples here double as end-to-end replay fixtures.
 
-use mpcn_runtime::explore::{replay_tso, ExploreLimits, Explorer, Reduction};
+use mpcn_runtime::explore::{Explorer, Reduction};
 use mpcn_runtime::model_world::{Body, ModelWorld, RunReport};
 use mpcn_runtime::sched::Crashes;
 use mpcn_runtime::world::{Env, ObjKey};
@@ -125,11 +125,8 @@ fn corr_backwards(report: &RunReport) -> Result<(), String> {
 /// outcome through the gated engine.
 #[test]
 fn sb_relaxation_is_reachable_under_tso_and_replays() {
-    let out = Explorer::new(2)
-        .tso(true)
-        .reduction(Reduction::none())
-        .collect_all(true)
-        .run(sb_bodies, sb_both_zero);
+    let ex = Explorer::new(2).tso(true).reduction(Reduction::none()).collect_all(true);
+    let out = ex.run(sb_bodies, sb_both_zero);
     // Exhaustive: 6 actions (2 buffered writes, 2 reads, 2 flushes)
     // whose only order constraints are program order and write-before-
     // flush — C(6,3) · 2 · 2 = 80 linear extensions.
@@ -137,8 +134,7 @@ fn sb_relaxation_is_reachable_under_tso_and_replays() {
     assert_eq!(out.stats.depth_limited_runs, 0);
     assert_eq!(out.violations.len(), 18, "TSO must reach the relaxed SB outcome r0 = r1 = 0");
     for v in &out.violations {
-        let rerun =
-            replay_tso(2, Crashes::None, ExploreLimits::default().max_steps, sb_bodies, &v.choices);
+        let rerun = ex.replay(sb_bodies, &v.choices);
         assert_eq!(
             rerun.decided_values(),
             vec![0, 0],
@@ -235,20 +231,19 @@ fn buffered_write_of_a_crashed_process_still_flushes() {
             Box::new(|env: Env<ModelWorld>| env.reg_read::<u64>(X).unwrap_or(0)) as Body,
         ]
     };
-    let out = Explorer::new(2)
+    let ex = Explorer::new(2)
         .tso(true)
         .crashes(Crashes::UpTo(1))
         .reduction(Reduction::none())
-        .collect_all(true)
-        .run(bodies, writer_crashed_but_read_1);
+        .collect_all(true);
+    let out = ex.run(bodies, writer_crashed_but_read_1);
     assert_eq!(out.stats.depth_limited_runs, 0);
     assert!(
         !out.violations.is_empty(),
         "a flush after the writer's crash must make the store visible"
     );
     for v in &out.violations {
-        let rerun =
-            replay_tso(2, Crashes::UpTo(1), ExploreLimits::default().max_steps, bodies, &v.choices);
+        let rerun = ex.replay(bodies, &v.choices);
         assert_eq!(rerun.crashed_pids(), vec![0]);
         assert_eq!(rerun.outcomes[1].decided(), Some(1));
     }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use mpcn_runtime::explore::{replay, ExploreLimits, ExploreStats, Explorer, Reduction};
+use mpcn_runtime::explore::{ExploreLimits, ExploreStats, Explorer, Reduction};
 use mpcn_runtime::fingerprint::fp_of;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use mpcn_runtime::sched::{Crashes, Schedule};
@@ -864,15 +864,14 @@ fn differential_sweep(
     make: impl Fn() -> Vec<Body>,
     check: impl Fn(&RunReport) -> Result<(), String>,
 ) -> Result<(ExploreStats, Vec<String>), TestCaseError> {
-    let out = explorer
+    let explorer = explorer
         .limits(ExploreLimits { max_steps, ..DIFFERENTIAL_LIMITS })
-        .crashes(crashes.clone())
-        .collect_all(true)
-        .run(&make, &check);
+        .crashes(crashes)
+        .collect_all(true);
+    let out = explorer.run(&make, &check);
     prop_assert!(out.complete || !out.violations.is_empty(), "small trees must be exhausted");
-    let n = make().len();
     for v in &out.violations {
-        let replayed = replay(n, crashes.clone(), max_steps, &make, &v.choices);
+        let replayed = explorer.replay(&make, &v.choices);
         prop_assert!(check(&replayed).is_err(), "replay verdict lost (choices {:?})", v.choices);
     }
     let mut msgs: Vec<String> = out.violations.iter().map(|v| v.message.clone()).collect();

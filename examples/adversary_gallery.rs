@@ -36,7 +36,7 @@ fn exhibit_1_min_index_tiebreak() {
             Box::new(move |env: Env<ModelWorld>| {
                 let sa = SafeAgreement::new(500, 0, 2);
                 sa.propose(&env, 100 + i as u64);
-                sa.decide::<u64, _>(&env)
+                sa.decide::<u64>(&env)
             }) as Body
         })
         .collect();
@@ -58,7 +58,7 @@ fn exhibit_2_blocked_safe_agreement() {
             Box::new(move |env: Env<ModelWorld>| {
                 let sa = SafeAgreement::new(501, 0, 2);
                 sa.propose(&env, 100 + i as u64);
-                sa.decide::<u64, _>(&env)
+                sa.decide::<u64>(&env)
             }) as Body
         })
         .collect();
