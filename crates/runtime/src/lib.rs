@@ -10,17 +10,17 @@
 //! * [`world::Env`] — a process's handle on shared memory, its one way
 //!   to reach keyed registers, snapshot objects, test&set, and
 //!   x-consensus objects, one atomic step per operation;
-//! * [`model_world::ModelWorld`] — the world those operations run in, in
-//!   three modes. Gated, it is **deterministic and crash-injecting**: every virtual
-//!   process runs on its own thread behind a *step gate*, the scheduler
-//!   grants one shared-memory operation at a time (seeded-random,
-//!   scripted or indexed order), and a crash can be delivered between
-//!   any two shared accesses — exactly the failure granularity the
-//!   paper's proofs quantify over (e.g. a simulator crashing *inside*
-//!   `sa_propose` blocks that safe-agreement object). Reachable states
-//!   can be checkpointed as [`model_world::Snapshot`]s and resumed one
-//!   decision at a time on the caller thread — the substrate of the
-//!   exhaustive explorer's frontier search. Free
+//! * [`model_world::ModelWorld`] — the world those operations run in,
+//!   in three modes. Gated, it is **deterministic and crash-injecting**:
+//!   every virtual process runs on its own thread behind a *step gate*,
+//!   the scheduler grants one shared-memory operation at a time
+//!   (seeded-random, scripted or indexed order), and a crash can be
+//!   delivered between any two shared accesses — exactly the failure
+//!   granularity the paper's proofs quantify over (e.g. a simulator
+//!   crashing *inside* `sa_propose` blocks that safe-agreement object).
+//!   Reachable states can be checkpointed as [`model_world::Snapshot`]s
+//!   and resumed one decision at a time on the caller thread — the
+//!   substrate of the exhaustive explorer's frontier search. Free
 //!   ([`model_world::ModelWorld::new_free`]), it has no scheduler, and
 //!   real threads share it at full speed, for benchmarks;
 //! * [`atomics`] — lock-free/wait-free building blocks on real atomics
