@@ -25,13 +25,13 @@
 //!   differential pinning that one `Crashes::UpTo(1)` sweep reproduces
 //!   the exact outcome union of the whole matrix;
 //! * weak-memory sweeps (`Explorer::tso`, x86-TSO store buffers):
-//!   Figure 1 at `n = 3, 4` — where unfenced safe agreement **breaks**
-//!   (every process's propose parks in its own store buffer, its scan
-//!   forwards only its own write, and all `n` decide their own
-//!   proposals); the exact counterexample choice vectors are pinned and
-//!   replayed through the gated engine — plus Figure 5 at `n = 3`,
-//!   which stays correct under TSO (its test&set / x-consensus steps
-//!   fence).
+//!   Figure 1 at `n = 3, 4`, and `n = 5` behind `#[ignore]` (release
+//!   scale) — where unfenced safe agreement **breaks** (every process's
+//!   propose parks in its own store buffer, its scan forwards only its
+//!   own write, and all `n` decide their own proposals); the exact
+//!   counterexample choice vectors are pinned and replayed through the
+//!   gated engine — plus Figure 5 at `n = 3`, which stays correct under
+//!   TSO (its test&set / x-consensus steps fence).
 
 use mpcn_agreement::fixtures::{
     catalogue, check_agreement, check_winners, fig1_bodies, fig5_bodies, fig6_bodies,
@@ -577,10 +577,11 @@ fn fig1_n3_tso_agreement_counterexample_pinned_and_replayed() {
 }
 
 /// The `n = 4` weak-memory counterexample: same failure mode, one
-/// scale step up — the relaxed outcome survives half a million
-/// expansions of reduced search before being reached, which pins the
-/// SC-vs-TSO blowup (906 expansions exhaust the SC tree with symmetry;
-/// 10 212 without) recorded in EXPERIMENTS.md.
+/// scale step up. The pinned summary records the SC-vs-TSO blowup
+/// (906 expansions exhaust the SC tree with symmetry; 10 212 without)
+/// that EXPERIMENTS.md tabulates: the symmetry quotient, live under TSO
+/// with DPOR off, reaches the violation in 42 942 expansions, where the
+/// search without it took 515 323.
 #[test]
 fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     let ex = Explorer::new(4).symmetry(FIG1_SYMMETRY).tso(true).limits(ExploreLimits {
@@ -594,14 +595,48 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3]);
     assert_eq!(
         out.stats.summary(),
-        "runs=1 expansions=515323 visited=203841 pruned=308832 dpor=243064 qhits=299475 \
-         symm=off crashes=0 flushes=214196 max_depth=24 depth_limited=0 \
-         branching=[0,7808,28061,53743,58861,37884,14280,2948,256]",
+        "runs=1 expansions=42942 visited=11698 pruned=30984 dpor=0 qhits=29098 symm=24895 \
+         crashes=0 flushes=21917 max_depth=24 depth_limited=0 \
+         branching=[0,550,1729,3106,3257,2022,795,204,35]",
         "fig1 n = 4 TSO counterexample baseline drifted"
     );
     let replayed = ex.replay(|| fig1_bodies(4, 1), &v.choices);
     assert_eq!(replayed.decided_values(), vec![101, 102, 103, 104]);
     assert!(check_agreement(&replayed, 4, true).is_err(), "replay must reproduce the violation");
+}
+
+/// One scale step further: `fig1 n = 5` under TSO reaches the
+/// same-shaped counterexample (every propose and scan first, then each
+/// process's two decide polls in pid order) in about 0.43M expansions,
+/// where the search without the symmetry quotient took 20.7M. Too heavy
+/// for the debug-mode tier-1 suite, so the vector, the summary and the
+/// gated replay are pinned behind `#[ignore]`. Reproduce with
+/// `cargo test --release -p mpcn-agreement --test explore_sweeps -- \
+/// --ignored fig1_n5_tso`.
+#[test]
+#[ignore = "release-scale sweep (seconds release, about a minute debug); run explicitly with --ignored"]
+fn fig1_n5_tso_agreement_counterexample_pinned_and_replayed() {
+    let ex = Explorer::new(5).symmetry(FIG1_SYMMETRY).tso(true).limits(ExploreLimits {
+        max_expansions: 60_000_000,
+        max_steps: 2_000,
+        ..Default::default()
+    });
+    let out = ex.run(|| fig1_bodies(5, 1), |r| check_agreement(r, 5, true));
+    let v = out.violation().expect("TSO must break unfenced safe agreement at n = 5");
+    assert_eq!(v.message, "agreement violated: [100, 101, 102, 103, 104]");
+    let mut pinned = vec![0; 22];
+    pinned.extend([1, 1, 2, 2, 3, 3, 4, 4]);
+    assert_eq!(v.choices, pinned);
+    assert_eq!(
+        out.stats.summary(),
+        "runs=1 expansions=426311 visited=93003 pruned=332550 dpor=0 qhits=324021 \
+         symm=298321 crashes=0 flushes=226673 max_depth=30 depth_limited=0 \
+         branching=[0,1600,6151,14524,22604,23056,15477,6986,2124,425,56]",
+        "fig1 n = 5 TSO counterexample baseline drifted"
+    );
+    let replayed = ex.replay(|| fig1_bodies(5, 1), &v.choices);
+    assert_eq!(replayed.decided_values(), vec![101, 102, 103, 104, 105]);
+    assert!(check_agreement(&replayed, 5, true).is_err(), "replay must reproduce the violation");
 }
 
 /// Figure 5 under TSO: `x_compete` performs only fencing operations

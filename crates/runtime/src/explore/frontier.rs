@@ -222,6 +222,9 @@ pub(super) struct Engine<'a, F, C> {
     /// Visited-state pruning enabled — also the only reason to
     /// fingerprint child snapshots, so it doubles as the tracking flag.
     prune: bool,
+    /// The partial-order skip rule is on: [`super::Reduction::dpor`],
+    /// except in a TSO sweep with a live symmetry quotient (see
+    /// [`Engine::with_store`]).
     dpor: bool,
     /// Fingerprint children by the observation quotient.
     quotient: bool,
@@ -287,16 +290,9 @@ where
         // which the erasure sort key already carries), so relabeling
         // pids maps every explored schedule to an explored schedule
         // with the same budget consumption (docs/EXPLORER.md §3.6).
-        // And, of course, a declared spec. TSO gates the quotient off
-        // wholesale: the symmetric fingerprint canonicalizes per-process
-        // words by erasure sort, and a store buffer's *contents* (keys
-        // whose `ObjKey::a` may encode concrete pids) are folded into
-        // those words — a permutation of pids does not permute the
-        // buffered keys, so the canonical form is not an automorphism
-        // witness under TSO. The summary line then says `symm=off`.
+        // And, of course, a declared spec.
         let symmetry = if ex.reduction.prune_visited
             && ex.reduction.symmetry
-            && !ex.tso
             && matches!(ex.crashes, Crashes::None | Crashes::UpTo(_))
         {
             ex.symmetry
@@ -310,7 +306,13 @@ where
             make_bodies,
             check,
             prune: ex.reduction.prune_visited,
-            dpor: ex.reduction.dpor,
+            // DPOR's pid-ordered skip rule does not compose with
+            // symmetric merges once flushes exist: a kept state whose
+            // only move is skipped can have its π-image, the state that
+            // covers the skipped order, pruned as its duplicate
+            // (docs/EXPLORER.md §3.7). So a TSO sweep with a live
+            // quotient runs without DPOR.
+            dpor: ex.reduction.dpor && !(ex.tso && symmetry.is_some()),
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,

@@ -556,22 +556,32 @@ impl BufferedWrite {
     fn flush_footprint(&self) -> Footprint {
         Footprint::new(OP_FLUSH, self.key, self.cell_idx.map(|i| i as u64), false)
     }
+
+    /// The entry's `[cell, value fp]` words as [`buffer_fp`] folds them
+    /// for the state fingerprints: the snapshot cell written (`u64::MAX`
+    /// for a register) and the stored value's fingerprint.
+    fn plain_words(&self) -> [u64; 2] {
+        [self.cell_idx.map_or(u64::MAX, |i| i as u64), self.cell.fp]
+    }
 }
 
 /// Per-process store-buffer fingerprint: an order-sensitive fold of
-/// `(key, cell, value fp)` per entry — mixed into the owner's flags word
-/// by the state fingerprints whenever the buffer is non-empty, so
-/// SC states (and TSO states with drained buffers) keep their exact
-/// pre-TSO identities.
-fn buffer_fp(buf: &[BufferedWrite]) -> u64 {
+/// `(key, cell, value fp)` per entry, where `entry` gives each entry's
+/// cell word and value fingerprint — [`BufferedWrite::plain_words`] for
+/// the state fingerprints, relabeled words for the symmetric one. Mixed
+/// into the owner's flags word whenever the buffer is non-empty, so SC
+/// states (and TSO states with drained buffers) keep their exact pre-TSO
+/// identities.
+fn buffer_fp(buf: &[BufferedWrite], entry: impl Fn(&BufferedWrite) -> [u64; 2]) -> u64 {
     let mut acc = 0u64;
     for w in buf {
+        let [cell, val] = entry(w);
         let mut h = Fnv1a::default();
         h.write_u64(u64::from(w.key.kind));
         h.write_u64(w.key.a);
         h.write_u64(w.key.b);
-        h.write_u64(w.cell_idx.map_or(u64::MAX, |i| i as u64));
-        h.write_u64(w.cell.fp);
+        h.write_u64(cell);
+        h.write_u64(val);
         acc = mix(acc, h.finish());
     }
     acc

@@ -377,13 +377,13 @@ impl Snapshot {
         (0..self.n).any(|p| (self.finished[p] || self.crashed[p]) && self.obs_fp[p] != 0)
     }
 
-    /// Process `p`'s liveness word as the state fingerprints fold it,
-    /// extended with its store-buffer contents when (and only when) the
-    /// buffer is non-empty, so SC states and drained TSO states hash
-    /// alike. Bit 2 repeats the crashed bit (every recorded crash is an
-    /// adversary crash); the word stays as it is because spilled sweeps
-    /// persist the fingerprints built from it.
-    fn flags(&self, p: Pid) -> u64 {
+    /// Process `p`'s liveness word as the fingerprints fold it, extended
+    /// with its store-buffer fold ([`buffer_fp`] over `entry`'s per-entry
+    /// words) when (and only when) the buffer is non-empty, so SC states
+    /// and drained TSO states hash alike. Bit 2 repeats the crashed bit
+    /// (every recorded crash is an adversary crash); the word stays as it
+    /// is because spilled sweeps persist the fingerprints built from it.
+    fn flags(&self, p: Pid, entry: impl Fn(&BufferedWrite) -> [u64; 2]) -> u64 {
         let flags = u64::from(self.finished[p])
             | u64::from(self.crashed[p]) << 1
             | u64::from(self.crashed[p]) << 2
@@ -392,7 +392,7 @@ impl Snapshot {
         if buf.is_empty() {
             flags
         } else {
-            mix(flags, buffer_fp(buf))
+            mix(flags, buffer_fp(buf, entry))
         }
     }
 
@@ -408,7 +408,7 @@ impl Snapshot {
                 let terminated = self.finished[p] || self.crashed[p];
                 (
                     if quotient_obs && terminated { 0 } else { self.obs_fp[p] },
-                    self.flags(p),
+                    self.flags(p, BufferedWrite::plain_words),
                     self.results[p].unwrap_or(0),
                 )
             }),
@@ -426,8 +426,9 @@ impl Snapshot {
     /// Canonicalization happens in two passes:
     ///
     /// 1. **Order.** Each process gets a **pid-erased** sort key — its
-    ///    operation-log fold, liveness flags, result, and the erased
-    ///    contents of its own pid-indexed snapshot cells (the memory
+    ///    operation-log fold, liveness flags with its store buffer folded
+    ///    in, result, and the erased contents of its own pid-indexed
+    ///    snapshot cells (the memory
     ///    refinement that keeps all-terminated states sortable under
     ///    `quotient_obs`, where the log word is zeroed) — with every
     ///    embedded pid relabeled to `0` — and
@@ -441,10 +442,17 @@ impl Snapshot {
     ///    permutation `perm[pid] = rank`: memory objects with every value
     ///    leaf relabeled through [`super::Symmetry::relabel_value`] and
     ///    per-process snapshot cells moved to their canonical index, then
-    ///    each process's (relabeled log fold, flags, relabeled result)
-    ///    triple in canonical order — the same
-    ///    [`crate::fingerprint::fold_state_fp`] shape as
+    ///    each process's (relabeled log fold, flags with its relabeled
+    ///    store buffer, relabeled result) triple in canonical order — the
+    ///    same [`crate::fingerprint::fold_state_fp`] shape as
     ///    [`Snapshot::fingerprint`].
+    ///
+    /// A TSO store buffer moves with its owner and relabels like the
+    /// memory it is bound for: a write to cell `i` of a per-process
+    /// snapshot object folds as a write to cell `perm[i]`, its value
+    /// relabeled (its raw fingerprint outside the codec universe), its key
+    /// unchanged. An empty buffer folds as in [`Snapshot::fingerprint`],
+    /// so SC states canonicalize exactly as before TSO existed.
     ///
     /// The description folds the **operation log itself** (op tag, key,
     /// relabeled result fingerprint per entry — the exact words
@@ -478,12 +486,6 @@ impl Snapshot {
     /// tracking.
     pub fn fingerprint_symmetric(&self, quotient_obs: bool, spec: &super::Symmetry) -> (u64, bool) {
         debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
-        debug_assert!(
-            !self.tso,
-            "the symmetry quotient is gated off under TSO (store-buffer contents are \
-             per-process state the erasure does not canonicalize) — the explorer must not \
-             request canonical fingerprints on a TSO path"
-        );
         let n = self.n;
         let zeros = vec![0; n];
         // Erased view of each process's own pid-indexed snapshot cells,
@@ -504,10 +506,7 @@ impl Snapshot {
                     kh.write_u64(key.b);
                     let kfp = kh.finish();
                     for (p, c) in cells.iter().enumerate() {
-                        let cfp = c.as_ref().map_or(u64::MAX, |c| {
-                            codec::stored_symm_fp(&c.val, &zeros, spec.relabel_value)
-                                .unwrap_or(c.fp)
-                        });
+                        let cfp = c.as_ref().map_or(u64::MAX, |c| cell_symm_fp(c, &zeros, spec));
                         own_cells[p] = mix(own_cells[p], mix(kfp, cfp));
                     }
                 }
@@ -583,8 +582,20 @@ impl Snapshot {
             }
             acc
         };
+        // A buffered write relabels like the memory it is bound for: a
+        // cell of a per-process snapshot object moves to its canonical
+        // index and the value relabels; the key stays, since only
+        // snapshot cells may be pid-indexed (docs/EXPLORER.md §3.5).
+        let flags = self.flags(p, |w| {
+            let cell = match w.cell_idx {
+                Some(i) if w.len == self.n => perm[i] as u64,
+                Some(i) => i as u64,
+                None => u64::MAX,
+            };
+            [cell, cell_symm_fp(&w.cell, perm, spec)]
+        });
         let result = (spec.relabel_result)(self.results[p].unwrap_or(0), perm);
-        [obs, self.flags(p), result]
+        [obs, flags, result]
     }
 
     /// [`super::Object`] content fingerprint under the pid map: the same
@@ -601,11 +612,8 @@ impl Snapshot {
         order: &[Pid],
         spec: &super::Symmetry,
     ) -> u64 {
-        let cell_fp = |c: &Option<super::Cell>| {
-            c.as_ref().map_or(u64::MAX, |c| {
-                codec::stored_symm_fp(&c.val, perm, spec.relabel_value).unwrap_or(c.fp)
-            })
-        };
+        let cell_fp =
+            |c: &Option<super::Cell>| c.as_ref().map_or(u64::MAX, |c| cell_symm_fp(c, perm, spec));
         let mut h = Fnv1a::default();
         match obj {
             super::Object::Register(slot) => {
@@ -670,6 +678,13 @@ impl Snapshot {
             ops_by_kind,
         }
     }
+}
+
+/// A stored cell's value fingerprint under the pid map `perm`: the
+/// relabeled value's, falling back to the cell's own fingerprint outside
+/// the codec universe (sound, merely less merging).
+fn cell_symm_fp(c: &super::Cell, perm: &[Pid], spec: &super::Symmetry) -> u64 {
+    codec::stored_symm_fp(&c.val, perm, spec.relabel_value).unwrap_or(c.fp)
 }
 
 enum Resumed {
