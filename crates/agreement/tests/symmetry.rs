@@ -5,9 +5,10 @@
 //! * pid-permuted executions of the Figure 1 program — run schedule `s`
 //!   vs run `π(s)` for every permutation `π` — must produce identical
 //!   canonical fingerprints at **every** prefix, in both observation
-//!   modes, through adversary crashes, and across a codec
-//!   encode/decode round trip (the byte-stability a spilled sweep
-//!   relies on);
+//!   modes, under SC and TSO (store buffers included), through
+//!   adversary crashes, and across a codec encode/decode round trip
+//!   (the byte-stability a spilled sweep relies on), while a buffered
+//!   write never merges with the same write flushed;
 //! * programs that declare no spec (fig6) print byte-identical summary
 //!   lines with the symmetry reduction on and off — the "asymmetric
 //!   programs are unaffected" half of the contract;
@@ -27,27 +28,42 @@ use mpcn_runtime::world::ObjKey;
 use mpcn_runtime::Env;
 
 /// Drive the fig1 `n`-process snapshot engine along a deterministic
-/// pid sequence derived from `pick_seed`, mapping every chosen pid
+/// action sequence derived from `pick_seed`, mapping every chosen pid
 /// through `perm`, and return the snapshot after every step (the root
 /// included). The fig1 bodies are pid-indexed (body `p` proposes
 /// `100 + p`), so stepping `perm[p]` wherever the base run steps `p`
-/// reaches exactly the `perm`-relabeled state.
-fn permuted_run(n: usize, viewsum: bool, pick_seed: u64, perm: &[usize]) -> Vec<Snapshot> {
-    let mut snap = ModelWorld::snapshot_root(n, true, viewsum, fig1_bodies(n, 1));
+/// reaches exactly the `perm`-relabeled state. Under `tso` an action is
+/// an op or a store-buffer flush, and flushing `perm[p]`'s buffer
+/// wherever the base run flushes `p`'s keeps the runs π-related.
+fn permuted_run(
+    n: usize,
+    viewsum: bool,
+    tso: bool,
+    pick_seed: u64,
+    perm: &[usize],
+) -> Vec<Snapshot> {
+    let mut snap = ModelWorld::snapshot_root_tso(n, true, viewsum, tso, fig1_bodies(n, 1));
     let mut out = vec![snap.clone()];
     let mut step = 0u64;
-    while !snap.is_terminal() {
-        let alive = snap.alive();
-        // Choose among alive pids of the *base* run: the permuted run's
-        // alive set is the image of the base run's, so selecting the
-        // base pid and mapping it lands on an alive pid there too.
+    // Choose among the *base* run's pids: the permuted run's alive and
+    // flushable sets are the images of the base run's, so selecting a
+    // base pid and mapping it lands on an enabled action there too.
+    let base = |pids: Vec<usize>| {
         let mut base: Vec<usize> =
-            alive.iter().map(|&p| perm.iter().position(|&q| q == p).unwrap()).collect();
+            pids.iter().map(|&p| perm.iter().position(|&q| q == p).unwrap()).collect();
         base.sort_unstable();
-        let chosen = base[(fp_of(&(pick_seed, step)) as usize) % base.len()];
-        let pid = perm[chosen];
-        let body = fig1_bodies(n, 1).into_iter().nth(pid).unwrap();
-        snap = ModelWorld::resume_from(&snap, pid, body);
+        base
+    };
+    while !snap.is_terminal() {
+        let (ops, flushes) = (base(snap.alive()), base(snap.flushable()));
+        let c = (fp_of(&(pick_seed, step)) as usize) % (ops.len() + flushes.len());
+        snap = match ops.get(c) {
+            Some(&chosen) => {
+                let body = fig1_bodies(n, 1).into_iter().nth(perm[chosen]).unwrap();
+                ModelWorld::resume_from(&snap, perm[chosen], body)
+            }
+            None => ModelWorld::resume_flush(&snap, perm[flushes[c - ops.len()]]),
+        };
         out.push(snap.clone());
         step += 1;
     }
@@ -72,10 +88,11 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// The core canonicalization property on fig1, over its **equivariant
 /// fragment**: for every permutation `π` and every prefix where no
 /// process has decided yet, the `π`-relabeled execution reaches a state
-/// with the same canonical fingerprint — in both observation modes —
-/// while the plain fingerprint distinguishes the relabelings (so the
-/// equality is the quotient's doing, not a collision of the base
-/// hash).
+/// with the same canonical fingerprint — in both observation modes,
+/// under SC and under TSO, where the compared prefixes include states
+/// with writes still buffered — while the plain fingerprint
+/// distinguishes the relabelings (so the equality is the quotient's
+/// doing, not a collision of the base hash).
 ///
 /// The decided-prefix restriction is the min-index caveat of
 /// `docs/EXPLORER.md` §3.5 made concrete: `SafeAgreement::try_decide`
@@ -91,12 +108,13 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 #[test]
 fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
     let n = 3;
-    for viewsum in [false, true] {
+    for (viewsum, tso) in [(false, false), (true, false), (false, true), (true, true)] {
+        let mut buffered = false;
         for pick_seed in 0..4u64 {
             let identity: Vec<usize> = (0..n).collect();
-            let base = permuted_run(n, viewsum, pick_seed, &identity);
+            let base = permuted_run(n, viewsum, tso, pick_seed, &identity);
             for perm in permutations(n) {
-                let relabeled = permuted_run(n, viewsum, pick_seed, &perm);
+                let relabeled = permuted_run(n, viewsum, tso, pick_seed, &perm);
                 assert_eq!(base.len(), relabeled.len(), "π-related runs have equal length");
                 let mut raw_diverged = false;
                 let mut compared = 0;
@@ -105,13 +123,14 @@ fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
                         break;
                     }
                     compared += 1;
+                    buffered |= !a.flushable().is_empty();
                     for quotient in [false, true] {
                         let (fa, _) = a.fingerprint_symmetric(quotient, &FIG1_SYMMETRY);
                         let (fb, _) = b.fingerprint_symmetric(quotient, &FIG1_SYMMETRY);
                         assert_eq!(
                             fa, fb,
-                            "canonical fingerprints diverge at prefix {i} \
-                             (perm {perm:?}, viewsum {viewsum}, quotient {quotient})"
+                            "canonical fingerprints diverge at prefix {i} (perm {perm:?}, \
+                             viewsum {viewsum}, tso {tso}, quotient {quotient})"
                         );
                     }
                     raw_diverged |= a.fingerprint() != b.fingerprint();
@@ -121,11 +140,39 @@ fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
                     assert!(
                         raw_diverged,
                         "plain fingerprints must distinguish the relabelings somewhere \
-                         (perm {perm:?}) — otherwise this test proves nothing"
+                         (perm {perm:?}, tso {tso}) — otherwise this test proves nothing"
                     );
                 }
             }
         }
+        assert_eq!(buffered, tso, "TSO prefixes must stop with writes still buffered");
+    }
+}
+
+/// A buffered write is not a flushed one: fig1's first write left in
+/// `p`'s store buffer and the same write flushed to memory canonicalize
+/// apart, in both observation modes, while each still merges with its
+/// images under every pid permutation.
+#[test]
+fn buffered_and_flushed_writes_never_merge() {
+    let n = 3;
+    let fps = |p: usize, flush: bool| {
+        let root = ModelWorld::snapshot_root_tso(n, true, false, true, fig1_bodies(n, 1));
+        let body = fig1_bodies(n, 1).into_iter().nth(p).unwrap();
+        let mut snap = ModelWorld::resume_from(&root, p, body);
+        assert_eq!(snap.flushable(), [p], "the propose write parks in its issuer's buffer");
+        if flush {
+            snap = ModelWorld::resume_flush(&snap, p);
+        }
+        [false, true].map(|quotient| snap.fingerprint_symmetric(quotient, &FIG1_SYMMETRY).0)
+    };
+    let (buffered, flushed) = (fps(0, false), fps(0, true));
+    for quotient in [0, 1] {
+        assert_ne!(buffered[quotient], flushed[quotient], "quotient {quotient}");
+    }
+    for p in 1..n {
+        assert_eq!(fps(p, false), buffered, "p{p}'s buffered write is p0's π-image");
+        assert_eq!(fps(p, true), flushed, "p{p}'s flushed write is p0's π-image");
     }
 }
 
@@ -264,25 +311,29 @@ fn pid_permuted_post_crash_states_fingerprint_identically() {
 /// The canonical fingerprint survives a codec round trip byte-stably:
 /// a spilled-and-rehydrated snapshot must land in the same visited-set
 /// slot as its in-memory original, or resumed sweeps would re-explore
-/// (or worse, skip) subtrees.
+/// (or worse, skip) subtrees. Under TSO the walked states include
+/// buffered writes.
 #[test]
 fn canonical_fingerprint_survives_codec_roundtrip() {
     let n = 3;
-    for viewsum in [false, true] {
+    for (viewsum, tso) in [(false, false), (true, false), (false, true), (true, true)] {
+        let mut buffered = false;
         for pick_seed in 0..4u64 {
             let identity: Vec<usize> = (0..n).collect();
-            for snap in permuted_run(n, viewsum, pick_seed, &identity) {
+            for snap in permuted_run(n, viewsum, tso, pick_seed, &identity) {
+                buffered |= !snap.flushable().is_empty();
                 let decoded = Snapshot::decode(&snap.encode().expect("encode")).expect("decode");
                 for quotient in [false, true] {
                     assert_eq!(
                         snap.fingerprint_symmetric(quotient, &FIG1_SYMMETRY),
                         decoded.fingerprint_symmetric(quotient, &FIG1_SYMMETRY),
                         "canonical fingerprint changed across encode/decode \
-                         (viewsum {viewsum}, quotient {quotient})"
+                         (viewsum {viewsum}, tso {tso}, quotient {quotient})"
                     );
                 }
             }
         }
+        assert_eq!(buffered, tso, "TSO walks must pass through buffered states");
     }
 }
 

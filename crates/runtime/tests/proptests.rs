@@ -341,33 +341,42 @@ proptest! {
 
     /// Differential symmetry test — the DPOR/view-summary discipline
     /// applied to the process-identity quotient: on random
-    /// pid-symmetric programs with the identity relabeling, symm-on
-    /// exploration ([`Reduction::full`]) and symm-off exploration
-    /// (every other reduction still on) must produce
-    /// identical violation *sets* and identical *replay verdicts* —
-    /// every reported schedule, replayed through the gated reference
-    /// engine, must still trip the checker. The checker sorts decided
-    /// values, so it is closed under pid permutation of outcomes (the §7
-    /// contract); quotienting orbits never adds work.
+    /// pid-symmetric programs with the identity relabeling, under SC and
+    /// under `tso`, symm-on exploration ([`Reduction::full`]) and
+    /// symm-off exploration (every other reduction still on) must
+    /// produce identical violation *sets* and identical *replay
+    /// verdicts* — every reported schedule, replayed through the gated
+    /// reference engine, must still trip the checker. The checker sorts
+    /// decided values, so it is closed under pid permutation of outcomes
+    /// (the §7 contract); quotienting orbits never adds work. Under TSO
+    /// the explorer runs the quotient without DPOR (`docs/EXPLORER.md`
+    /// §3.7), so the reference drops DPOR too and the two sweeps differ
+    /// in the quotient alone.
     #[test]
     fn symmetry_preserves_violation_sets_and_replay_verdicts(
         seed in 0u64..1_000_000,
         n in 2usize..4,
         ops in 1usize..3,
+        tso in 0u8..2,
     ) {
+        let tso = tso == 1;
         let make = move || symmetric_program(seed, n, ops);
         let sweep = |reduction| {
-            let explorer = Explorer::new(n).reduction(reduction).symmetry(IDENTITY_SYMMETRY);
+            let explorer =
+                Explorer::new(n).tso(tso).reduction(reduction).symmetry(IDENTITY_SYMMETRY);
             differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
         };
         let (symm_stats, symm) = sweep(Reduction::full())?;
         let (reference_stats, reference) =
-            sweep(Reduction { symmetry: false, ..Reduction::full() })?;
+            sweep(Reduction { symmetry: false, dpor: !tso, ..Reduction::full() })?;
         prop_assert!(symm_stats.symm_enabled, "spec + full reduction must activate the quotient");
         prop_assert!(!reference_stats.symm_enabled, "symmetry off must keep the quotient off");
+        if tso {
+            prop_assert_eq!(symm_stats.dpor_skips, 0u64, "DPOR must be off next to the quotient");
+        }
         prop_assert_eq!(
             symm, reference,
-            "symmetry must preserve the violation set (seed {})", seed
+            "symmetry must preserve the violation set (seed {}, tso {})", seed, tso
         );
         prop_assert!(
             symm_stats.expansions <= reference_stats.expansions,
@@ -758,6 +767,48 @@ proptest! {
             "TSO must be invisible on buffer-free programs (seed {})", seed
         );
     }
+}
+
+/// The smallest program on which DPOR and the symmetry quotient
+/// together lose an outcome under TSO: two processes each scan a 2-cell
+/// snapshot and then write their own cell. Both scanning first is the
+/// outcome `[0, 0]`. DPOR would keep the state {both decided, cell 0
+/// still buffered, cell 1 flushed} and skip its only move, `flush p0`,
+/// since 0 < 1 and the cells differ. The covering order reaches that
+/// state's π-image, which the quotient prunes as its duplicate, so the
+/// outcome would be lost and only `[0, 4]` reported. The explorer runs
+/// the quotient without DPOR under TSO, and the full reduction must
+/// report what pruning alone reports.
+#[test]
+fn tso_symmetry_keeps_the_outcome_a_dpor_skip_would_lose() {
+    let n = 2;
+    let cells = ObjKey::new(87, 0, 0);
+    let make = move || -> Vec<Body> {
+        (0..n)
+            .map(|i| {
+                Box::new(move |env: Env<ModelWorld>| {
+                    let seen: u64 = env.snap_scan::<u64>(cells, n).into_iter().flatten().sum();
+                    env.snap_write(cells, n, i, 4u64);
+                    seen
+                }) as Body
+            })
+            .collect()
+    };
+    let every_outcome = |r: &RunReport| {
+        let mut vals = r.decided_values();
+        vals.sort_unstable();
+        Err(format!("{vals:?}"))
+    };
+    let outcomes = |reduction| {
+        let explorer = Explorer::new(n).tso(true).reduction(reduction).symmetry(IDENTITY_SYMMETRY);
+        differential_sweep(explorer, Crashes::None, 1_000, make, every_outcome)
+            .expect("the two-process tree is exhausted and every outcome replays")
+    };
+    let (full_stats, full) = outcomes(Reduction::full());
+    let (_, pruned) = outcomes(Reduction { prune_visited: true, ..Reduction::none() });
+    assert!(full_stats.symm_enabled && full_stats.symm_hits > 0, "the quotient must merge");
+    assert_eq!(pruned, ["[0, 0]", "[0, 4]"]);
+    assert_eq!(full, pruned, "the full reduction lost an outcome under TSO");
 }
 
 /// Every `AtOwnStep` plan naming at most `f` distinct victims (drawn
