@@ -750,7 +750,7 @@ mod tests {
         // deterministically.
         let report = Explorer::new(2).replay(tas_bodies, &v.choices);
         assert_eq!(report.outcomes[1].decided(), Some(0));
-        assert!(v.repro_snippet().starts_with("Schedule::Indexed"));
+        assert_eq!(v.repro_snippet(), format!("explorer.replay(make_bodies, &{:?})", v.choices));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! [`ExploreStats::summary`] strings on every run, machine, and
 //! optimization level — the property the golden catalogue tests diff.
 
-use crate::sched::Schedule;
-
 /// Coverage and reduction statistics of one exploration.
 ///
 /// "States" are schedule-tree nodes keyed by their global-state
@@ -176,14 +174,12 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// The schedule that re-runs the violating interleaving.
-    pub fn schedule(&self) -> Schedule {
-        Schedule::Indexed { choices: self.choices.clone() }
-    }
-
-    /// A copy-pasteable reproduction expression for a unit test.
+    /// A copy-pasteable reproduction expression for a unit test: the
+    /// choice vector replayed through [`super::Explorer::replay`] on
+    /// `explorer`, the explorer that ran the sweep, whose memory model,
+    /// crash adversary and step budget the bare vector does not carry.
     pub fn repro_snippet(&self) -> String {
-        format!("Schedule::Indexed {{ choices: vec!{:?} }}", self.choices)
+        format!("explorer.replay(make_bodies, &{:?})", self.choices)
     }
 }
 
@@ -221,7 +217,8 @@ impl ExploreReport {
     pub fn assert_no_violation(&self) {
         if let Some(v) = self.violations.first() {
             panic!(
-                "exploration found a violating schedule: {}\n  reproduce with {}",
+                "exploration found a violating schedule: {}\n  reproduce with {}, where \
+                 `explorer` is the explorer that ran the sweep",
                 v.message,
                 v.repro_snippet()
             );
@@ -283,12 +280,11 @@ mod tests {
     #[test]
     fn violation_repro_snippet_quotes_choices() {
         let v = Violation { choices: vec![1, 0, 2], message: "two winners".into() };
-        assert_eq!(v.repro_snippet(), "Schedule::Indexed { choices: vec![1, 0, 2] }");
-        assert_eq!(v.schedule(), Schedule::Indexed { choices: vec![1, 0, 2] });
+        assert_eq!(v.repro_snippet(), "explorer.replay(make_bodies, &[1, 0, 2])");
     }
 
     #[test]
-    #[should_panic(expected = "reproduce with Schedule::Indexed")]
+    #[should_panic(expected = "reproduce with explorer.replay(make_bodies, &[0]), where")]
     fn assert_no_violation_panics_with_recipe() {
         let report = ExploreReport {
             stats: ExploreStats::new(2),
