@@ -297,9 +297,10 @@ pub fn catalogue() -> Vec<CatalogueSweep> {
             Fixture::Fig1 { n: 4 },
             fig1(4).crashes(Crashes::UpTo(2)).limits(limits(60_000_000, unbounded)),
         ),
-        // The weak-memory sweeps (x86-TSO store buffers; the symmetry
-        // quotient gates itself off). Unfenced safe agreement breaks, so
-        // this line deterministically ends `complete=false violations=1`.
+        // The weak-memory sweeps (x86-TSO store buffers; fig1 runs the
+        // symmetry quotient without DPOR). Unfenced safe agreement
+        // breaks, so this line deterministically ends
+        // `complete=false violations=1`.
         CatalogueSweep {
             expect_violation: true,
             ..sweep(

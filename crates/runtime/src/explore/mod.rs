@@ -216,7 +216,8 @@ pub struct Reduction {
     /// Keep only the canonical order of adjacent commuting actions —
     /// independent footprints (pure reads included) and crash
     /// deliveries (DPOR-style persistent-set pruning; see the
-    /// [module docs](self)).
+    /// [module docs](self)). Inactive in a TSO sweep whose symmetry
+    /// quotient is live ([`Explorer::tso`]).
     pub dpor: bool,
     /// Quotient state fingerprints by the observation abstraction:
     /// finished and crashed processes' observation histories are dropped
@@ -398,14 +399,16 @@ impl Explorer {
     ///
     /// Store buffers are hardware state: they survive their owner's
     /// crash or finish, and a run is terminal only once every buffer
-    /// has drained. The DPOR footprint rule stays live (flushes commute
-    /// by footprint independence; buffer-draining ops conflict with
-    /// everything via [`crate::model_world::Footprint`]'s fence
-    /// classification), as do the observation and view-summary
-    /// quotients — but the process-identity symmetry quotient gates
-    /// itself off (`symm=off` on the summary line): buffered keys are
-    /// not permuted by the canonical pid relabeling. SC sweeps are
-    /// byte-for-byte unaffected by this mode existing.
+    /// has drained. Every reduction stays live: the observation and
+    /// view-summary quotients, the process-identity symmetry quotient
+    /// (each buffer relabels with its owner), and the DPOR footprint
+    /// rule (flushes commute by footprint independence;
+    /// buffer-draining ops conflict with everything via
+    /// [`crate::model_world::Footprint`]'s fence classification) —
+    /// except that DPOR is off while the symmetry quotient is live, the
+    /// one pair that does not compose once flushes exist
+    /// (`docs/EXPLORER.md` §3.7). SC sweeps are byte-for-byte
+    /// unaffected by this mode existing.
     pub fn tso(mut self, yes: bool) -> Self {
         self.tso = yes;
         self
