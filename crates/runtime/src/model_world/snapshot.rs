@@ -428,13 +428,12 @@ impl Snapshot {
     /// 1. **Order.** Each process gets a **pid-erased** sort key — its
     ///    operation-log fold, liveness flags with its store buffer folded
     ///    in, result, and the erased contents of its own pid-indexed
-    ///    snapshot cells (the memory
-    ///    refinement that keeps all-terminated states sortable under
-    ///    `quotient_obs`, where the log word is zeroed) — with every
-    ///    embedded pid relabeled to `0` — and
-    ///    [`crate::fingerprint::canonical_order`] sorts processes by that
-    ///    key (pid tie-break, the same canonical-pid seed as DPOR's
-    ///    tie-break). Erasure is pid-blind by the spec's group-action
+    ///    snapshot cells (the memory refinement that keeps
+    ///    all-terminated states sortable under `quotient_obs`, where the
+    ///    log word is zeroed) — with every embedded pid relabeled to `0`
+    ///    — and [`crate::fingerprint::canonical_order`] sorts processes
+    ///    by that key (pid tie-break, the same canonical-pid seed as
+    ///    DPOR's tie-break). Erasure is pid-blind by the spec's group-action
     ///    contract, so two π-related states sort their corresponding
     ///    processes into the same ranks (ties can diverge — a reduction
     ///    loss, never an unsoundness).
