@@ -14,9 +14,9 @@
 //!   programs are unaffected" half of the contract;
 //! * a symmetry-quotiented sweep interrupted at a barrier resumes to
 //!   the byte-identical final report via
-//!   `Explorer::resume_sweep_with_symmetry`, and plain `resume_sweep`
-//!   refuses the spec-bearing manifest instead of silently resuming in
-//!   the wrong state space.
+//!   `Explorer::resume_sweep_with_symmetry`, under SC and TSO, and plain
+//!   `resume_sweep` refuses the spec-bearing manifest instead of
+//!   silently resuming in the wrong state space.
 
 use mpcn_agreement::fixtures::{
     check_agreement, fig1_bodies, fig6_bodies, FIG1_SYMMETRY, KIND_BASE,
@@ -366,48 +366,45 @@ fn programs_without_a_spec_are_untouched() {
 
 /// A symmetry-quotiented sweep halted at a mid-sweep barrier resumes —
 /// with the spec re-supplied — to the byte-identical final report of
-/// the uninterrupted sweep.
+/// the uninterrupted sweep, under SC and under TSO (where the resumed
+/// sweep must again run the quotient without DPOR and reach the same
+/// counterexample).
 #[test]
 fn symm_sweep_resumes_to_identical_report() {
-    let dir = std::env::temp_dir().join(format!("mpcn-symm-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let sweep = |halt: Option<u64>| {
-        let ex = Explorer::new(3)
-            .symmetry(FIG1_SYMMETRY)
-            .limits(ExploreLimits {
-                max_expansions: 2_000_000,
-                max_steps: 2_000,
-                ..Default::default()
-            })
+    for tso in [false, true] {
+        let dir =
+            std::env::temp_dir().join(format!("mpcn-symm-resume-{tso}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let explorer = Explorer::new(3).symmetry(FIG1_SYMMETRY).tso(tso).limits(ExploreLimits {
+            max_expansions: 2_000_000,
+            max_steps: 2_000,
+            ..Default::default()
+        });
+        let halted = explorer
+            .clone()
             .spill_to(&dir)
-            .fixture_id("fig1 n=3 symm resume");
-        let ex = match halt {
-            Some(k) => ex.halt_after_layers(k),
-            None => ex,
-        };
-        ex.run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true))
-    };
-    let halted = sweep(Some(3));
-    assert!(!halted.complete, "the halt must actually interrupt the sweep");
-    let resumed = Explorer::resume_sweep_with_symmetry(
-        &dir,
-        Some(FIG1_SYMMETRY),
-        || fig1_bodies(3, 1),
-        |r| check_agreement(r, 3, true),
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let uninterrupted = Explorer::new(3)
-        .symmetry(FIG1_SYMMETRY)
-        .limits(ExploreLimits { max_expansions: 2_000_000, max_steps: 2_000, ..Default::default() })
-        .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
-    assert_eq!(
-        resumed.stats.summary(),
-        uninterrupted.stats.summary(),
-        "resume must reach the uninterrupted sweep's exact summary"
-    );
-    assert_eq!(resumed.complete, uninterrupted.complete);
-    assert_eq!(resumed.violations, uninterrupted.violations);
-    assert!(resumed.stats.symm_enabled, "the resumed sweep must keep the quotient active");
+            .fixture_id("fig1 n=3 symm resume")
+            .halt_after_layers(3)
+            .run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
+        assert!(!halted.complete, "the halt must actually interrupt the sweep");
+        let resumed = Explorer::resume_sweep_with_symmetry(
+            &dir,
+            Some(FIG1_SYMMETRY),
+            || fig1_bodies(3, 1),
+            |r| check_agreement(r, 3, true),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let uninterrupted = explorer.run(|| fig1_bodies(3, 1), |r| check_agreement(r, 3, true));
+        assert_eq!(
+            resumed.stats.summary(),
+            uninterrupted.stats.summary(),
+            "resume must reach the uninterrupted sweep's exact summary (tso {tso})"
+        );
+        assert_eq!(resumed.complete, uninterrupted.complete);
+        assert_eq!(resumed.violations, uninterrupted.violations);
+        assert_eq!(resumed.violations.is_empty(), !tso, "only TSO breaks fig1");
+        assert!(resumed.stats.symm_enabled, "the resumed sweep must keep the quotient active");
+    }
 }
 
 /// Plain `resume_sweep` must refuse a manifest whose sweep was started
