@@ -111,15 +111,37 @@ fn assert_matches_golden_catalogue(lines: &[String]) {
     );
 }
 
+/// Process bodies each catalogued sweep runs (`ExploreStats::body_runs`,
+/// off the summary line): the `n` root probes plus one per
+/// continuation-cache miss, or one per op pick in the unpruned sweep,
+/// which keeps no cache.
+const BODY_RUNS: [(&str, u64); 14] = [
+    ("fig1 n=3 pruned", 25),
+    ("fig1 n=3 unpruned", 110_253),
+    ("fig1 n=3 crash(0@1) pruned", 23),
+    ("fig1 n=4 depth<=9 pruned", 34),
+    ("fig5 n=4 x=2 pruned", 20),
+    ("fig6 n=3 x=2 pruned", 90),
+    ("fig6 n=4 x=2 pruned", 172),
+    ("fig1 n=4 pruned", 35),
+    ("fig1 n=5 pruned", 45),
+    ("fig1 n=5 f=1 pruned", 45),
+    ("fig1 n=4 f=2 pruned", 35),
+    ("fig1 n=3 tso pruned", 30),
+    ("fig5 n=4 x=2 tso pruned", 20),
+    ("fig6 n=3 x=2 tso pruned", 90),
+];
+
 /// The one place the catalogue's summary lines are pinned: every sweep
 /// of `fixtures::catalogue`, run in memory, must print exactly its line
-/// of `tests/golden/explore_catalogue.txt`, and touch no store: nothing
-/// evicted, spilled or read back. After an intentional search-shape
-/// change, regenerate the file with `cargo bench --bench explore_sweep
-/// -- --quick 2>&1 >/dev/null | grep -E '^explore:' >
-/// tests/golden/explore_catalogue.txt`.
+/// of `tests/golden/explore_catalogue.txt`, run exactly its
+/// [`BODY_RUNS`] bodies, and touch no store: nothing evicted, spilled or
+/// read back. After an intentional search-shape change, regenerate the
+/// file with `cargo bench --bench explore_sweep -- --quick 2>&1
+/// >/dev/null | grep -E '^explore:' > tests/golden/explore_catalogue.txt`.
 #[test]
 fn catalogue_matches_golden_file() {
+    let mut body_runs = Vec::new();
     let lines: Vec<String> = catalogue()
         .iter()
         .map(|sweep| {
@@ -131,10 +153,12 @@ fn catalogue_matches_golden_file() {
                 "{}: an in-memory sweep must not touch a store",
                 sweep.label
             );
+            body_runs.push((sweep.label, stats.body_runs));
             report.summary_line(sweep.label)
         })
         .collect();
     assert_matches_golden_catalogue(&lines);
+    assert_eq!(body_runs, BODY_RUNS, "process bodies run per catalogued sweep");
 }
 
 /// Storage is policy, never search shape: every catalogued sweep, run
@@ -147,8 +171,14 @@ fn catalogue_matches_golden_file() {
 /// its checkpoint layers, reads each evicted node back at most once and
 /// replays at most one stride to rehydrate it; `fig6 n=4` evicts en
 /// masse, and `fig1 n=5` evicts and replays at least one decision.
+/// Rehydration replays only paths the sweep has already run, so every
+/// op pick it replays in a pruned sweep hits the continuation cache: each
+/// pruned sweep runs exactly its in-memory [`BODY_RUNS`]. The unpruned
+/// sweep keeps no cache, so each op pick its rehydrations replay runs a
+/// body again: 176 282 more than in memory.
 #[test]
 fn spilled_catalogue_matches_golden_file() {
+    let mut body_runs = Vec::new();
     let lines: Vec<String> = catalogue()
         .iter()
         .map(|sweep| {
@@ -204,10 +234,16 @@ fn spilled_catalogue_matches_golden_file() {
                 }
                 _ => {}
             }
+            body_runs.push((label, stats.body_runs));
             report.summary_line(label)
         })
         .collect();
     assert_matches_golden_catalogue(&lines);
+    let expected = BODY_RUNS.map(|(label, runs)| match label {
+        "fig1 n=3 unpruned" => (label, 286_535),
+        _ => (label, runs),
+    });
+    assert_eq!(body_runs, expected, "rehydration must only hit the continuation cache");
 }
 
 /// Switching off any one reduction — DPOR, the observation quotient,

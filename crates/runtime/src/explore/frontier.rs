@@ -104,7 +104,9 @@
 
 use std::collections::HashSet;
 
-use crate::model_world::{Body, Footprint, ModelWorld, RunReport, Snapshot, Symmetry};
+use crate::model_world::{
+    Body, Continuations, Footprint, ModelWorld, RunReport, Snapshot, Symmetry,
+};
 use crate::sched::{Crashes, Pick};
 use crate::world::Pid;
 
@@ -236,6 +238,11 @@ pub(super) struct Engine<'a, F, C> {
     symmetry: Option<Symmetry>,
     /// Fingerprints of every retained state.
     visited: HashSet<u64>,
+    /// What each process does next at each history the sweep reached
+    /// ([`ModelWorld::resume_cached`]); `Some` exactly when `prune` is on,
+    /// because only tracked snapshots keep the history fingerprints it is
+    /// keyed by. A resumed sweep starts with an empty one.
+    conts: Option<Continuations>,
     stats: ExploreStats,
     violations: Vec<Violation>,
     complete: bool,
@@ -317,6 +324,7 @@ where
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
             visited: HashSet::new(),
+            conts: ex.reduction.prune_visited.then(Continuations::default),
             stats,
             violations: Vec::new(),
             complete: true,
@@ -337,6 +345,8 @@ where
             self.ex.tso,
             (self.make_bodies)(),
         );
+        // The root probes run every body once.
+        self.stats.body_runs += self.ex.n as u64;
         let root = Node { snap: Some(Box::new(snap)), path: Vec::new(), anchor: None };
         let mut jobs = Vec::new();
         self.admit(root, None, &mut jobs);
@@ -732,11 +742,12 @@ where
     /// (its footprint read from `snap`: the flushed head is gone from the
     /// successor's buffer).
     ///
-    /// Under the `Fn() -> Vec<Body>` contract a step must materialize all
-    /// `n` bodies to use the picked one — `O(n)` small boxed allocations
-    /// per step. Negligible for the catalogued sweeps; a per-pid body
-    /// constructor in the public API would remove it if a
-    /// multi-million-expansion sweep ever makes it measurable.
+    /// An op pick goes through the sweep's continuation cache when it
+    /// has one ([`ModelWorld::resume_cached`]), and a body is built only
+    /// when it runs: on a cache miss, or on every op pick of a sweep
+    /// without pruning. Under the `Fn() -> Vec<Body>` contract building
+    /// the picked body materializes all `n` bodies — `O(n)` small boxed
+    /// allocations per body run, not per step.
     ///
     /// # Panics
     ///
@@ -745,7 +756,7 @@ where
     /// pick for a pid whose store buffer is empty or that does not exist.
     /// The engine never queues one, so such a choice comes from a corrupt
     /// sweep state file; executing it would silently change the report.
-    fn apply_choice(&self, snap: &Snapshot, choice: usize) -> (Snapshot, Pick, Action) {
+    fn apply_choice(&mut self, snap: &Snapshot, choice: usize) -> (Snapshot, Pick, Action) {
         let crashes = &self.ex.crashes;
         let pick = Pick::decode(choice, &snap.alive());
         let action = match pick {
@@ -766,8 +777,14 @@ where
         let pid = pick.pid();
         let successor = match action {
             Action::Op(_) => {
-                let body = (self.make_bodies)().into_iter().nth(pid).expect("one body per process");
-                ModelWorld::resume_from(snap, pid, body)
+                let make_bodies = self.make_bodies;
+                let body = || make_bodies().into_iter().nth(pid).expect("one body per process");
+                let (successor, ran) = match &mut self.conts {
+                    Some(conts) => ModelWorld::resume_cached(snap, pid, conts, body),
+                    None => (ModelWorld::resume_from(snap, pid, body()), true),
+                };
+                self.stats.body_runs += u64::from(ran);
+                successor
             }
             Action::Crash => ModelWorld::resume_crash(snap, pid),
             Action::Flush(_) => ModelWorld::resume_flush(snap, pid),

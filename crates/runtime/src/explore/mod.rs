@@ -735,6 +735,31 @@ mod tests {
         assert_eq!(out.stats.expansions, out.stats.states_visited);
     }
 
+    /// A sweep whose cached operation panics on a cache hit fails with
+    /// the message of the same sweep without the cache: process 1's
+    /// register write, cached when it runs first, clashes with process
+    /// 0's test&set of the same key when it runs second.
+    #[test]
+    fn a_cached_operation_that_panics_fails_the_sweep_like_an_uncached_one() {
+        let bodies = || -> Vec<Body> {
+            vec![
+                Box::new(|env: Env<ModelWorld>| u64::from(env.tas(REG))),
+                Box::new(|env: Env<ModelWorld>| {
+                    env.reg_write(REG, 5u64);
+                    0
+                }),
+            ]
+        };
+        let failure = |reduction: Reduction| {
+            let sweep = || Explorer::new(2).reduction(reduction).run(bodies, |_r| Ok(()));
+            let payload = std::panic::catch_unwind(sweep).expect_err("the clash fails the sweep");
+            crate::model_world::panic_message(payload.as_ref())
+        };
+        let cached = failure(Reduction::full());
+        assert_eq!(cached, failure(Reduction::none()));
+        assert!(cached.starts_with("virtual process 1 failed: object"), "{cached}");
+    }
+
     #[test]
     fn finds_a_violation_and_reports_the_schedule() {
         // A deliberately broken invariant: "process 1 always wins the
@@ -1370,7 +1395,7 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v8 manifest has no segment checksum, and a v3 manifest (pre-TSO
+    /// v9 manifest has no `body_runs` count, and a v3 manifest (pre-TSO
     /// key set) cannot describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
@@ -1379,14 +1404,14 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=9"), "current manifests are v9");
+        assert!(text.contains("manifest_version=10"), "current manifests are v10");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=9", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=10", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(8);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v8 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 8"), "{e}");
+        downgrade(9);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v9 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 9"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }

@@ -99,6 +99,15 @@ pub struct ExploreStats {
     /// that is not resumed reads at most [`ExploreStats::evicted`]
     /// records. Excluded from [`ExploreStats::summary`].
     pub store_reads: u64,
+    /// Process bodies the sweep executed: the `n` root probes, plus one
+    /// per op pick that ran a body — a continuation-cache miss when the
+    /// sweep prunes ([`super::Reduction::prune_visited`]), every op pick
+    /// when it does not. The explorer's exact work counter for the
+    /// resume engine. Excluded from [`ExploreStats::summary`], like
+    /// [`ExploreStats::store_reads`]: a resumed sweep starts with an
+    /// empty cache, so it runs more bodies than the uninterrupted one
+    /// and still prints the same line.
+    pub body_runs: u64,
     /// Deepest completed run (in picks) seen.
     pub max_depth: usize,
     /// Depth-bounded completion runs: frontier nodes at
@@ -130,6 +139,7 @@ impl ExploreStats {
             spilled: 0,
             spill_bytes: 0,
             store_reads: 0,
+            body_runs: 0,
             max_depth: 0,
             depth_limited_runs: 0,
             branching_histogram: vec![0; n + 1],
@@ -256,10 +266,11 @@ mod tests {
         stats.spilled = 9;
         stats.spill_bytes = 4096;
         stats.store_reads = 3;
+        stats.body_runs = 7;
         stats.max_depth = 4;
         stats.branching_histogram = vec![0, 4, 8];
-        // Every field prints, in one order; the storage counters stay
-        // off the line.
+        // Every field prints, in one order; the storage and body-run
+        // counters stay off the line.
         assert_eq!(
             stats.summary(),
             "runs=6 expansions=14 visited=12 pruned=0 dpor=3 qhits=2 symm=off crashes=5 \

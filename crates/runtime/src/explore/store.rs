@@ -98,8 +98,8 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// committed visited set. v8 dropped the `threads` key, since every sweep
 /// runs on the caller's thread, and added `manifest_fnv`, a checksum of
 /// the manifest itself. v9 added `segments_fnv`, a checksum of the
-/// committed segment file.
-const MANIFEST_VERSION: u64 = 9;
+/// committed segment file. v10 added the `body_runs` statistic.
+const MANIFEST_VERSION: u64 = 10;
 
 /// Locator of one checkpoint record in the segment file: the payload's
 /// offset and length, read back through [`SpillStore::read`].
@@ -510,6 +510,7 @@ fn render_manifest(
     kv("spilled", stats.spilled.to_string());
     kv("spill_bytes", stats.spill_bytes.to_string());
     kv("store_reads", stats.store_reads.to_string());
+    kv("body_runs", stats.body_runs.to_string());
     kv("max_depth_seen", (stats.max_depth as u64).to_string());
     kv("depth_limited_runs", stats.depth_limited_runs.to_string());
     kv(
@@ -683,6 +684,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         spilled: m.u64("spilled")?,
         spill_bytes: m.u64("spill_bytes")?,
         store_reads: m.u64("store_reads")?,
+        body_runs: m.u64("body_runs")?,
         max_depth: m.usize("max_depth_seen")?,
         depth_limited_runs: m.u64("depth_limited_runs")?,
         branching_histogram: branching,

@@ -43,12 +43,19 @@
 //! A gated crash or timeout, and a resume park, halt a process body by
 //! unwinding it with a private payload through
 //! [`std::panic::resume_unwind`], which skips the panic hook: the host's
-//! hook sees only real algorithm bugs.
+//! hook sees only real algorithm bugs. The explorer pays that park
+//! unwind once per distinct process history, not once per resume: its
+//! continuation cache keeps a copy of the operation each history parks
+//! before — every operation is an `Fn` closure over the state, so a copy
+//! can run again — and replays it on later snapshots without running the
+//! body at all. Only cache misses run a body, replay its log and unwind
+//! it.
 
 pub(crate) mod codec;
 mod snapshot;
 
 pub use codec::{CodecError, CODEC_VERSION};
+pub(crate) use snapshot::Continuations;
 pub use snapshot::Snapshot;
 
 use snapshot::{LogEntry, ResumeCtl, ResumeGate};
@@ -1050,10 +1057,15 @@ impl ModelWorld {
     /// are answered from the recorded log without executing `op`; the
     /// granted fresh operations execute and are appended to the log; one
     /// operation past the budget unwinds with [`Halt`] — the process is
-    /// then parked at its next gate, footprint recorded.
-    fn step<R>(&self, pid: Pid, footprint: Footprint, op: impl FnOnce(&mut Snapshot) -> R) -> R
+    /// then parked at its next gate, footprint recorded. A resume that
+    /// fills the continuation cache ([`Continuations`]) also keeps
+    /// type-erased copies of the fresh operation and of the parked one;
+    /// `op` is `Fn` so that such a copy can run again on another
+    /// snapshot.
+    fn step<R, F>(&self, pid: Pid, footprint: Footprint, op: F) -> R
     where
         R: Clone + Send + Sync + 'static,
+        F: Fn(&mut Snapshot) -> R + Send + Sync + 'static,
     {
         let key = footprint.key;
         let mut st = self.inner.st.lock();
@@ -1062,7 +1074,7 @@ impl ModelWorld {
             Mode::Resume(ctl) => match ctl.gate::<R>(pid, footprint.op, key) {
                 ResumeGate::Replayed(out) => return out,
                 ResumeGate::Park => {
-                    ctl.park_at(footprint);
+                    ctl.park_at(footprint, op);
                     drop(st);
                     std::panic::resume_unwind(Box::new(Halt));
                 }
@@ -1090,13 +1102,13 @@ impl ModelWorld {
         let out = op(&mut st.snap);
         st.snap.count_op(pid, key.kind);
         if let Mode::Resume(ctl) = &mut st.mode {
-            ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())));
+            ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())), op);
         }
         out
     }
 }
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1114,8 +1126,8 @@ impl Env {
     /// Writes a multi-writer multi-reader atomic register.
     pub fn reg_write<T: MemVal>(&self, key: ObjKey, val: T) {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), |st| {
-            let cell = Cell::new(val, st.track);
+        self.world.step(pid, Footprint::new(OP_REG_WRITE, key, None, false), move |st| {
+            let cell = Cell::new(val.clone(), st.track);
             st.write(pid, BufferedWrite { key, cell_idx: None, len: 0, cell });
         });
     }
@@ -1124,7 +1136,7 @@ impl Env {
     /// written (the paper's `⊥`).
     pub fn reg_read<T: MemVal>(&self, key: ObjKey) -> Option<T> {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_REG_READ, key, None, true), |st| {
+        self.world.step(pid, Footprint::new(OP_REG_READ, key, None, true), move |st| {
             let out = st.read(pid, key);
             if st.track {
                 st.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
@@ -1137,8 +1149,9 @@ impl Env {
     pub fn snap_write<T: MemVal>(&self, key: ObjKey, len: usize, idx: usize, val: T) {
         assert!(idx < len, "snapshot cell index {idx} out of range (len {len})");
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false), |st| {
-            let cell = Cell::new(val, st.track);
+        let footprint = Footprint::new(OP_SNAP_WRITE, key, Some(idx as u64), false);
+        self.world.step(pid, footprint, move |st| {
+            let cell = Cell::new(val.clone(), st.track);
             st.write(pid, BufferedWrite { key, cell_idx: Some(idx), len, cell });
         });
     }
@@ -1147,7 +1160,7 @@ impl Env {
     /// Unwritten cells read as `None` (the paper's `⊥`).
     pub fn snap_scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
+        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |st| {
             let out: Vec<Option<T>> = st.scan(pid, key, len);
             if st.track {
                 st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
@@ -1209,7 +1222,7 @@ impl Env {
         summarize: fn(&[Option<T>]) -> S,
     ) -> S {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), |st| {
+        self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |st| {
             let raw: Vec<Option<T>> = st.scan(pid, key, len);
             let out = summarize(&raw);
             if st.track {
@@ -1235,7 +1248,7 @@ impl Env {
         }
         let pid = self.pid;
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
-        self.world.step(pid, Footprint::new(OP_FENCE, key, None, false), |st| {
+        self.world.step(pid, Footprint::new(OP_FENCE, key, None, false), move |st| {
             st.drain(pid);
             if st.track {
                 st.observe(pid, OP_FENCE, key, 0);
@@ -1247,7 +1260,7 @@ impl Env {
     /// all later ones.
     pub fn tas(&self, key: ObjKey) -> bool {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_TAS, key, None, false), |st| {
+        self.world.step(pid, Footprint::new(OP_TAS, key, None, false), move |st| {
             // x86-TSO: a LOCK'd RMW drains the issuing process's buffer as
             // part of its atomic step.
             st.drain(pid);
@@ -1267,14 +1280,15 @@ impl Env {
     /// and its length is the object's consensus number `x`.
     pub fn xcons_propose<T: MemVal>(&self, key: ObjKey, ports: &[Pid], val: T) -> T {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_XCONS, key, None, false), |st| {
+        let ports = ports.to_vec();
+        self.world.step(pid, Footprint::new(OP_XCONS, key, None, false), move |st| {
             // LOCK'd RMW under x86-TSO — see `tas`.
             st.drain(pid);
             let track = st.track;
             let out = st.with_obj(
                 key,
-                || Object::XCons { ports: ports.to_vec(), decided: None },
-                |obj| obj.propose(pid, key, ports, val, track),
+                || Object::XCons { ports: ports.clone(), decided: None },
+                |obj| obj.propose(pid, key, &ports, val.clone(), track),
             );
             if st.track {
                 st.observe(pid, OP_XCONS, key, fp_of(&out));

@@ -28,6 +28,13 @@
 //! step of *every* process. Logs are shared (`Arc`) between a snapshot
 //! and its children; only the stepped process's log is rebuilt.
 //!
+//! A sweep resumes the same process history from many snapshots, which
+//! differ only in the other processes and in memory. The explorer's
+//! [`Continuations`] cache runs the body once per history instead:
+//! [`ModelWorld::resume_cached`] keeps a type-erased copy of the
+//! operation a history parks before, and later resumes of that history
+//! run the copy on the new snapshot — no body, no replay, no unwind.
+//!
 //! **Caveat:** resume executes bodies on the caller thread, so — unlike
 //! the gated world, which has a watchdog — a body that spins forever in
 //! local code without reaching another shared operation hangs the caller.
@@ -60,6 +67,22 @@ impl LogEntry {
     }
 }
 
+/// A type-erased copy of one operation a process body issued: it runs
+/// the operation on a snapshot and returns its result as a log entry
+/// stores it. The continuation cache ([`Continuations`]) runs it again,
+/// without the body, on every snapshot where the same history parks
+/// before it.
+type StoredOp = Arc<dyn Fn(&mut Snapshot) -> Stored + Send + Sync>;
+
+/// Erases `op` into a [`StoredOp`].
+fn store_op<R, F>(op: F) -> StoredOp
+where
+    R: Send + Sync + 'static,
+    F: Fn(&mut Snapshot) -> R + Send + Sync + 'static,
+{
+    Arc::new(move |snap: &mut Snapshot| -> Stored { Arc::new(op(snap)) })
+}
+
 /// Control state of one resumed process (the world's resume mode).
 pub(super) struct ResumeCtl {
     /// The process being driven — resume mode executes no other body.
@@ -74,13 +97,31 @@ pub(super) struct ResumeCtl {
     fresh: Vec<LogEntry>,
     /// Footprint of the operation the body parked at, once stopped.
     next_op: Option<Footprint>,
+    /// Keep copies of the fresh operation and of the parked one, for the
+    /// continuation cache.
+    keep_ops: bool,
+    /// The kept copy of the last fresh operation.
+    fresh_op: Option<StoredOp>,
+    /// The kept copy of the operation the body parked at.
+    park_op: Option<StoredOp>,
 }
 
 impl ResumeCtl {
     /// Drives `pid` from its operation `log`, granting it `budget` fresh
-    /// operations (0 = probe only).
-    fn new(pid: Pid, log: Arc<Vec<LogEntry>>, budget: usize) -> Self {
-        ResumeCtl { pid, log, cursor: 0, budget, fresh: Vec::new(), next_op: None }
+    /// operations (0 = probe only), and keeps copies of the operations
+    /// it runs and parks at under `keep_ops`.
+    fn new(pid: Pid, log: Arc<Vec<LogEntry>>, budget: usize, keep_ops: bool) -> Self {
+        ResumeCtl {
+            pid,
+            log,
+            cursor: 0,
+            budget,
+            fresh: Vec::new(),
+            next_op: None,
+            keep_ops,
+            fresh_op: None,
+            park_op: None,
+        }
     }
 
     /// Classifies the operation `(op_tag, key)` of `pid` against the
@@ -123,14 +164,30 @@ impl ResumeCtl {
         }
     }
 
-    pub(super) fn push_fresh(&mut self, entry: LogEntry) {
+    /// Records a completed fresh operation: its log `entry`, and a copy
+    /// of `op` under `keep_ops`.
+    pub(super) fn push_fresh<R, F>(&mut self, entry: LogEntry, op: F)
+    where
+        R: Send + Sync + 'static,
+        F: Fn(&mut Snapshot) -> R + Send + Sync + 'static,
+    {
         self.fresh.push(entry);
+        if self.keep_ops {
+            self.fresh_op = Some(store_op(op));
+        }
     }
 
-    /// Records the footprint of the operation the body is about to park
-    /// at.
-    pub(super) fn park_at(&mut self, footprint: Footprint) {
+    /// Records the footprint of the operation `op` the body is about to
+    /// park at, and a copy of `op` under `keep_ops`.
+    pub(super) fn park_at<R, F>(&mut self, footprint: Footprint, op: F)
+    where
+        R: Send + Sync + 'static,
+        F: Fn(&mut Snapshot) -> R + Send + Sync + 'static,
+    {
         self.next_op = Some(footprint);
+        if self.keep_ops {
+            self.park_op = Some(store_op(op));
+        }
     }
 }
 
@@ -144,6 +201,57 @@ pub(super) enum ResumeGate<R> {
     /// Budget exhausted — record the footprint and unwind with
     /// [`Halt`].
     Park,
+}
+
+/// What a process does next from one history: park before an operation,
+/// or return.
+#[derive(Clone)]
+enum Next {
+    /// It parks before this operation: its footprint, and a copy that
+    /// runs it.
+    Op(Footprint, StoredOp),
+    /// Its body returns this value.
+    Returns(u64),
+}
+
+impl Next {
+    /// What the body does next, from how a resume that kept its
+    /// operations (`ctl`) left it (`resumed`).
+    fn of(resumed: Resumed, ctl: ResumeCtl) -> Next {
+        match resumed {
+            Resumed::Finished(v) => Next::Returns(v),
+            Resumed::Parked => Next::Op(
+                ctl.next_op.expect("a live body parks at its next gate"),
+                ctl.park_op.expect("a resume that keeps operations keeps the parked one"),
+            ),
+        }
+    }
+
+    /// Settles `pid` in `snap` at this continuation: parked before the
+    /// operation, or finished with the value.
+    fn settle(&self, snap: &mut Snapshot, pid: Pid) {
+        match self {
+            Next::Op(footprint, _) => snap.pending_op[pid] = Some(*footprint),
+            Next::Returns(v) => snap.finish(pid, *v),
+        }
+    }
+}
+
+/// The continuation cache of one explorer sweep: what each process does
+/// next at each history it has reached, so that
+/// [`ModelWorld::resume_cached`] runs a process body once per distinct
+/// history instead of once per resume.
+///
+/// A history is keyed by `(pid, obs_fp[pid], log length)`. The
+/// observation fingerprint folds every operation's tag, key and result,
+/// and a body's control state is a function of the results it received,
+/// so equal keys mean equal continuations: the history identity the
+/// visited set already relies on when it prunes on state fingerprints.
+/// Only tracked snapshots keep `obs_fp`, so the cache is for sweeps that
+/// prune.
+#[derive(Default)]
+pub(crate) struct Continuations {
+    next: HashMap<(Pid, u64, usize), Next>,
 }
 
 /// One reachable model-world state: the state every engine steps, and a
@@ -241,6 +349,11 @@ impl Snapshot {
         self.finished[pid] = true;
         self.results[pid] = Some(v);
         self.pending_op[pid] = None;
+    }
+
+    /// `pid`'s history as the continuation cache keys it.
+    fn history(&self, pid: Pid) -> (Pid, u64, usize) {
+        (pid, self.obs_fp[pid], self.logs[pid].len())
     }
 
     /// Records an adversary crash of `pid`.
@@ -686,6 +799,33 @@ fn cell_symm_fp(c: &super::Cell, perm: &[Pid], spec: &super::Symmetry) -> u64 {
     codec::stored_symm_fp(&c.val, perm, spec.relabel_value).unwrap_or(c.fp)
 }
 
+/// Panics unless `pid` is an alive process of `snap`: only those take a
+/// resumed step.
+fn assert_alive(snap: &Snapshot, pid: Pid) {
+    assert!(
+        pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
+        "resume_from requires an alive process (pid {pid})"
+    );
+}
+
+/// Asserts that `cached`, the successor a continuation-cache hit built,
+/// is `reference`, the one [`ModelWorld::resume_from`] built from the
+/// same snapshot: the same fingerprint, pending footprints, log lengths,
+/// results and step counters.
+fn assert_same_successor(cached: &Snapshot, reference: &Snapshot) {
+    let log_lens = |s: &Snapshot| s.logs.iter().map(|log| log.len()).collect::<Vec<_>>();
+    assert_eq!(cached.fingerprint(), reference.fingerprint(), "continuation cache: fingerprint");
+    assert_eq!(cached.pending_op, reference.pending_op, "continuation cache: pending footprints");
+    assert_eq!(log_lens(cached), log_lens(reference), "continuation cache: log lengths");
+    assert_eq!(cached.results, reference.results, "continuation cache: results");
+    assert_eq!(
+        (cached.steps, &cached.own_steps, &cached.op_counts),
+        (reference.steps, &reference.own_steps, &reference.op_counts),
+        "continuation cache: step counters"
+    );
+}
+
+#[derive(Clone, Copy)]
 enum Resumed {
     /// The body parked at its next gate.
     Parked,
@@ -754,19 +894,44 @@ impl ModelWorld {
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
             // without touching shared state, recording the op's purity.
-            let world = ModelWorld::from_snapshot(
-                &snap,
-                ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 0),
-            );
-            match world.drive_resumed(pid, body) {
-                Resumed::Finished(v) => snap.finish(pid, v),
-                Resumed::Parked => {
-                    let (_, ctl) = world.into_resumed();
+            match ModelWorld::resume_body(&snap, pid, body, 0, false) {
+                (_, _, Resumed::Finished(v)) => snap.finish(pid, v),
+                (_, ctl, Resumed::Parked) => {
                     snap.pending_op[pid] = Some(ctl.next_op.expect("parked at a gate"));
                 }
             }
         }
         snap
+    }
+
+    /// Runs `body` as `pid` from `snap`'s operation log with `budget`
+    /// fresh operations (0 = probe only), keeping copies of the
+    /// operations it runs and parks at under `keep_ops`, and returns the
+    /// stepped state, the resume control and how the body stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body diverges from its log or fails with a real
+    /// panic.
+    fn resume_body(
+        snap: &Snapshot,
+        pid: Pid,
+        body: Body,
+        budget: usize,
+        keep_ops: bool,
+    ) -> (Snapshot, ResumeCtl, Resumed) {
+        let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), budget, keep_ops);
+        let world = ModelWorld::from_snapshot(snap, ctl);
+        let resumed = world.drive_resumed(pid, body);
+        let (next, ctl) = world.into_resumed();
+        assert_eq!(
+            ctl.cursor,
+            ctl.log.len(),
+            "nondeterministic process body: replay consumed {} of {} logged operations",
+            ctl.cursor,
+            ctl.log.len()
+        );
+        (next, ctl, resumed)
     }
 
     /// Executes one scheduling decision from `snap`: grants alive process
@@ -780,21 +945,21 @@ impl ModelWorld {
     /// the recorded operation log (nondeterministic bodies are disallowed
     /// by the model).
     pub fn resume_from(snap: &Snapshot, pid: Pid, body: Body) -> Snapshot {
-        assert!(
-            pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
-            "resume_from requires an alive process (pid {pid})"
-        );
-        let ctl = ResumeCtl::new(pid, Arc::clone(&snap.logs[pid]), 1);
-        let world = ModelWorld::from_snapshot(snap, ctl);
-        let resumed = world.drive_resumed(pid, body);
-        let (mut next, ctl) = world.into_resumed();
-        assert_eq!(
-            ctl.cursor,
-            ctl.log.len(),
-            "nondeterministic process body: replay consumed {} of {} logged operations",
-            ctl.cursor,
-            ctl.log.len()
-        );
+        ModelWorld::resume_step(snap, pid, body, false).0
+    }
+
+    /// The one granted step of [`ModelWorld::resume_from`]: returns the
+    /// successor, the resume control, which holds copies of the executed
+    /// and the parked operation under `keep_ops`, and how the body
+    /// stopped.
+    fn resume_step(
+        snap: &Snapshot,
+        pid: Pid,
+        body: Body,
+        keep_ops: bool,
+    ) -> (Snapshot, ResumeCtl, Resumed) {
+        assert_alive(snap, pid);
+        let (mut next, mut ctl, resumed) = ModelWorld::resume_body(snap, pid, body, 1, keep_ops);
         assert_eq!(
             ctl.fresh.len(),
             1,
@@ -802,7 +967,7 @@ impl ModelWorld {
             ctl.fresh.len()
         );
         let mut full = (*ctl.log).clone();
-        full.extend(ctl.fresh);
+        full.append(&mut ctl.fresh);
         next.logs[pid] = Arc::new(full);
         match resumed {
             Resumed::Finished(v) => next.finish(pid, v),
@@ -811,7 +976,86 @@ impl ModelWorld {
                     Some(ctl.next_op.expect("a live body parks at its next gate"));
             }
         }
-        next
+        (next, ctl, resumed)
+    }
+
+    /// [`ModelWorld::resume_from`] through the continuation cache `conts`
+    /// of a sweep whose snapshots track fingerprints: the same successor,
+    /// but `make_body` builds `pid`'s body only when `conts` misses.
+    /// Returns the successor and whether a body ran.
+    ///
+    /// * **Hit** (`conts` knows the operation `pid`'s history parks
+    ///   before): the cached copy runs on a clone of `snap`, the step is
+    ///   counted and logged, and what `pid` does next is read from
+    ///   `conts` too. No body runs, no log is replayed, nothing unwinds.
+    /// * **Miss**: [`ModelWorld::resume_from`]'s path runs the body and
+    ///   fills `conts` with this history and the next one; when only the
+    ///   next history is new, a budget-0 probe over the grown log fills
+    ///   it.
+    ///
+    /// Every build asserts that a hit's cached footprint is the one `pid`
+    /// is parked at; debug builds also check every hit against
+    /// [`ModelWorld::resume_from`] (fingerprint, pending footprints, log
+    /// lengths, results and step counters).
+    ///
+    /// # Panics
+    ///
+    /// As [`ModelWorld::resume_from`], with the same `virtual process
+    /// {pid} failed: …` message when a cached operation panics; also if
+    /// `snap` does not track fingerprints.
+    pub(crate) fn resume_cached(
+        snap: &Snapshot,
+        pid: Pid,
+        conts: &mut Continuations,
+        make_body: impl Fn() -> Body,
+    ) -> (Snapshot, bool) {
+        assert!(snap.track, "the continuation cache keys on fingerprints only tracked paths keep");
+        assert_alive(snap, pid);
+        let here = snap.history(pid);
+        let Some(cached) = conts.next.get(&here) else {
+            let (next, mut ctl, resumed) = ModelWorld::resume_step(snap, pid, make_body(), true);
+            let footprint = snap.pending_op[pid].expect("an alive process parks at a gate");
+            let op = ctl.fresh_op.take().expect("a granted step keeps its operation");
+            conts.next.insert(here, Next::Op(footprint, op));
+            conts.next.insert(next.history(pid), Next::of(resumed, ctl));
+            return (next, true);
+        };
+        let Next::Op(footprint, op) = cached.clone() else {
+            panic!("continuation cache: alive process {pid} has a history that returned")
+        };
+        assert_eq!(
+            Some(footprint),
+            snap.pending_op[pid],
+            "continuation cache: the cached operation of process {pid} is not the one it is \
+             parked at"
+        );
+        let mut next = snap.clone();
+        let result = catch_unwind(AssertUnwindSafe(|| op(&mut next))).unwrap_or_else(|payload| {
+            panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref()))
+        });
+        next.count_op(pid, footprint.key.kind);
+        let mut log = Vec::with_capacity(snap.logs[pid].len() + 1);
+        log.extend(snap.logs[pid].iter().cloned());
+        log.push(LogEntry::new(footprint.op, footprint.key, result));
+        next.logs[pid] = Arc::new(log);
+        let after = next.history(pid);
+        let ran = match conts.next.get(&after) {
+            Some(then) => {
+                then.settle(&mut next, pid);
+                false
+            }
+            None => {
+                let (_, ctl, resumed) = ModelWorld::resume_body(&next, pid, make_body(), 0, true);
+                let then = Next::of(resumed, ctl);
+                then.settle(&mut next, pid);
+                conts.next.insert(after, then);
+                true
+            }
+        };
+        if cfg!(debug_assertions) {
+            assert_same_successor(&next, &ModelWorld::resume_from(snap, pid, make_body()));
+        }
+        (next, ran)
     }
 
     /// Delivers an adversary crash to alive `pid` *instead of* its next
@@ -858,11 +1102,16 @@ impl ModelWorld {
 #[cfg(test)]
 mod tests {
     use super::super::{Body, ModelWorld, Outcome, RunConfig};
+    use super::{assert_same_successor, Continuations};
     use crate::sched::Schedule;
     use crate::world::{Env, ObjKey};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const REG: ObjKey = ObjKey::new(30, 0, 0);
     const SNAP: ObjKey = ObjKey::new(31, 0, 0);
+    const TAS: ObjKey = ObjKey::new(32, 0, 0);
+    const CONS: ObjKey = ObjKey::new(33, 0, 0);
 
     fn body(f: impl FnOnce(Env<ModelWorld>) -> u64 + Send + 'static) -> Body {
         Box::new(f)
@@ -980,6 +1229,73 @@ mod tests {
         let snap = ModelWorld::resume_from(&snap, 0, make(0).remove(0));
         // Resuming with a *different* body: the log replay must detect it.
         ModelWorld::resume_from(&snap, 0, make(1).remove(0));
+    }
+
+    /// Bodies that issue all eight operations and branch on what they
+    /// read, so that random walks reach some histories again and others
+    /// for the first time.
+    fn mixed_bodies(n: usize) -> Vec<Body> {
+        (0..n)
+            .map(|i| {
+                let ports: Vec<usize> = (0..n).collect();
+                body(move |env: Env<ModelWorld>| {
+                    env.snap_write(SNAP, n, i, i as u64 + 1);
+                    env.fence();
+                    let seen = env.snap_scan::<u64>(SNAP, n).into_iter().flatten().count() as u64;
+                    if seen > 1 {
+                        env.reg_write(REG, seen);
+                    }
+                    let won = env.tas(TAS);
+                    let read = env.reg_read::<u64>(REG).unwrap_or(0);
+                    let sum =
+                        env.snap_scan_via::<u64, u64>(SNAP, n, |view| view.iter().flatten().sum());
+                    env.xcons_propose(CONS, &ports, read + sum + u64::from(won))
+                })
+            })
+            .collect()
+    }
+
+    /// The continuation cache's hit path, checked in every build (the
+    /// audit inside `resume_cached` runs in debug builds only): random
+    /// walks under SC and TSO, with and without view summaries, mix
+    /// flushes and crash deliveries into their op picks, and every op
+    /// pick's cached successor must be the one `resume_from` builds.
+    #[test]
+    fn cached_resumes_match_resume_from_on_random_walks() {
+        let n = 3;
+        for (tso, viewsum) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut rng = StdRng::seed_from_u64(u64::from(tso) << 1 | u64::from(viewsum));
+            let mut conts = Continuations::default();
+            let (mut op_picks, mut body_runs) = (0u64, 0u64);
+            for _ in 0..40 {
+                let mut snap =
+                    ModelWorld::snapshot_root_tso(n, true, viewsum, tso, mixed_bodies(n));
+                while !snap.is_terminal() {
+                    let (alive, flushable) = (snap.alive(), snap.flushable());
+                    if !flushable.is_empty() && (alive.is_empty() || rng.gen_range(0..3) == 0) {
+                        let pid = flushable[rng.gen_range(0..flushable.len())];
+                        snap = ModelWorld::resume_flush(&snap, pid);
+                        continue;
+                    }
+                    let pid = alive[rng.gen_range(0..alive.len())];
+                    if snap.crashes() == 0 && rng.gen_range(0..12) == 0 {
+                        snap = ModelWorld::resume_crash(&snap, pid);
+                        continue;
+                    }
+                    let make = || mixed_bodies(n).swap_remove(pid);
+                    let (cached, ran) = ModelWorld::resume_cached(&snap, pid, &mut conts, make);
+                    assert_same_successor(&cached, &ModelWorld::resume_from(&snap, pid, make()));
+                    op_picks += 1;
+                    body_runs += u64::from(ran);
+                    snap = cached;
+                }
+            }
+            assert!(
+                body_runs * 3 < op_picks,
+                "tso {tso}, viewsum {viewsum}: the walks must mostly hit the cache \
+                 ({body_runs} body runs for {op_picks} op picks)"
+            );
+        }
     }
 
     #[test]
