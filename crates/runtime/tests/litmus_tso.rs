@@ -144,7 +144,8 @@ fn sb_relaxation_is_reachable_under_tso_and_replays() {
     }
     // The full reduction stack must preserve reachability of the
     // relaxed outcome (DPOR treats fencing footprints as dependent on
-    // everything under TSO, and the symmetry quotient is gated off).
+    // everything under TSO; the symmetry quotient is off only because
+    // the SB bodies declare no spec).
     let reduced =
         Explorer::new(2).tso(true).reduction(Reduction::full()).run(sb_bodies, sb_both_zero);
     assert!(!reduced.violations.is_empty(), "reductions must not hide the SB relaxation");
