@@ -353,7 +353,7 @@ fn fig1_n6_exhaustive_symm_baseline() {
     assert!(out.complete, "fig1 n = 6 must exhaust ({} runs)", out.runs());
     assert_eq!(
         out.stats.summary(),
-        "runs=90 expansions=10399 visited=4062 pruned=6337 dpor=3132 qhits=5846 symm=5890 \
+        "runs=90 expansions=10399 visited=4062 pruned=6337 dpor=3132 qhits=5846 symm=5794 \
          crashes=0 flushes=0 max_depth=24 depth_limited=0 \
          branching=[0,365,738,992,956,642,280]",
         "fig1 n = 6 symmetry baseline drifted"
@@ -433,7 +433,7 @@ fn fig1_n7_exhaustive_symm_spill_baseline() {
     assert_eq!(
         out.stats.summary(),
         "runs=139 expansions=28312 visited=9565 pruned=18747 dpor=8896 qhits=17690 \
-         symm=17880 crashes=0 flushes=0 max_depth=28 depth_limited=0 \
+         symm=17707 crashes=0 flushes=0 max_depth=28 depth_limited=0 \
          branching=[0,586,1271,1898,2144,1856,1174,498]",
         "fig1 n = 7 symmetry baseline drifted"
     );
@@ -631,7 +631,7 @@ fn fig1_n4_tso_agreement_counterexample_pinned_and_replayed() {
     assert_eq!(v.choices, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 3, 3]);
     assert_eq!(
         out.stats.summary(),
-        "runs=1 expansions=42942 visited=11698 pruned=30984 dpor=0 qhits=29098 symm=24895 \
+        "runs=1 expansions=42942 visited=11698 pruned=30984 dpor=0 qhits=29098 symm=27460 \
          crashes=0 flushes=21917 max_depth=24 depth_limited=0 \
          branching=[0,550,1729,3106,3257,2022,795,204,35]",
         "fig1 n = 4 TSO counterexample baseline drifted"
@@ -666,7 +666,7 @@ fn fig1_n5_tso_agreement_counterexample_pinned_and_replayed() {
     assert_eq!(
         out.stats.summary(),
         "runs=1 expansions=426311 visited=93003 pruned=332550 dpor=0 qhits=324021 \
-         symm=298321 crashes=0 flushes=226673 max_depth=30 depth_limited=0 \
+         symm=317548 crashes=0 flushes=226673 max_depth=30 depth_limited=0 \
          branching=[0,1600,6151,14524,22604,23056,15477,6986,2124,425,56]",
         "fig1 n = 5 TSO counterexample baseline drifted"
     );

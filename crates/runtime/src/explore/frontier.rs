@@ -104,6 +104,7 @@
 
 use std::collections::HashSet;
 
+use crate::fingerprint::BuildStateHasher;
 use crate::model_world::{
     Body, Continuations, Footprint, ModelWorld, RunReport, Snapshot, Symmetry,
 };
@@ -237,7 +238,7 @@ pub(super) struct Engine<'a, F, C> {
     /// [`Crashes::UpTo`]; see [`Engine::with_store`]).
     symmetry: Option<Symmetry>,
     /// Fingerprints of every retained state.
-    visited: HashSet<u64>,
+    visited: HashSet<u64, BuildStateHasher>,
     /// What each process does next at each history the sweep reached
     /// ([`ModelWorld::resume_cached`]); `Some` exactly when `prune` is on,
     /// because only tracked snapshots keep the history fingerprints it is
@@ -323,7 +324,7 @@ where
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
             viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
-            visited: HashSet::new(),
+            visited: HashSet::default(),
             conts: ex.reduction.prune_visited.then(Continuations::default),
             stats,
             violations: Vec::new(),

@@ -1395,8 +1395,9 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v9 manifest has no `body_runs` count, and a v3 manifest (pre-TSO
-    /// key set) cannot describe a TSO sweep at all.
+    /// v10 manifest's visited set holds fingerprints of the old hash
+    /// kernel, and a v3 manifest (pre-TSO key set) cannot describe a TSO
+    /// sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1404,14 +1405,14 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=10"), "current manifests are v10");
+        assert!(text.contains("manifest_version=11"), "current manifests are v11");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=10", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=11", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(9);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v9 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 9"), "{e}");
+        downgrade(10);
+        let Err(e) = store::open_sweep(&dir) else { panic!("a v10 manifest must be rejected") };
+        assert!(e.to_string().contains("unsupported manifest version 10"), "{e}");
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }

@@ -65,11 +65,10 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::hash::Hasher;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::fingerprint::{mix, Fnv1a};
+use crate::fingerprint::mix;
 use crate::model_world::codec::{ByteReader, ByteWriter, CodecError, CODEC_VERSION};
 use crate::model_world::Snapshot;
 use crate::sched::Crashes;
@@ -98,8 +97,11 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// committed visited set. v8 dropped the `threads` key, since every sweep
 /// runs on the caller's thread, and added `manifest_fnv`, a checksum of
 /// the manifest itself. v9 added `segments_fnv`, a checksum of the
-/// committed segment file. v10 added the `body_runs` statistic.
-const MANIFEST_VERSION: u64 = 10;
+/// committed segment file. v10 added the `body_runs` statistic. v11
+/// moved the state fingerprints to the word-wise
+/// [`crate::fingerprint::StateHasher`]: an older sweep's `visited.bin`
+/// and `visited_fnv` hold fingerprints that no current sweep makes.
+const MANIFEST_VERSION: u64 = 11;
 
 /// Locator of one checkpoint record in the segment file: the payload's
 /// offset and length, read back through [`SpillStore::read`].
@@ -183,10 +185,10 @@ impl SpillStore {
             dir: dir.to_path_buf(),
             segments,
             segments_len: 0,
-            segments_fnv: Fnv1a::default(),
+            segments_fnv: Fnv1a::new(),
             visited,
             visited_len: 0,
-            visited_fnv: Fnv1a::default().finish(),
+            visited_fnv: Fnv1a::OFFSET,
             last_state: None,
         })
     }
@@ -279,10 +281,40 @@ fn sync_dir(_dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
+/// Byte-wise FNV-1a (64-bit), the store's file checksums. It is a
+/// running hash of a byte stream that gives the same word however the
+/// stream is chunked, which `segments_fnv` needs: resume re-hashes the
+/// segment file in other chunks than the appends that built it. The
+/// word-wise state hasher ([`crate::fingerprint::StateHasher`]) tags
+/// partial words, so it would not.
+#[derive(Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// FNV-1a offset basis (64-bit).
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    /// FNV-1a prime (64-bit).
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1a(Fnv1a::OFFSET)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a of `bytes`: the manifest's `state_fnv` of the state file, and
 /// its `manifest_fnv` of every manifest byte before that line.
 pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
+    let mut h = Fnv1a::new();
     h.write(bytes);
     h.finish()
 }
@@ -290,7 +322,7 @@ pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
 /// FNV-1a of the first `len` bytes of `file`, read from its start: the
 /// running hash a [`SpillStore`] held after appending them.
 fn fnv1a_prefix(file: &File, len: u64) -> io::Result<Fnv1a> {
-    let mut h = Fnv1a::default();
+    let mut h = Fnv1a::new();
     let mut prefix = file.take(len);
     let mut buf = vec![0u8; 1 << 16];
     loop {
@@ -302,7 +334,7 @@ fn fnv1a_prefix(file: &File, len: u64) -> io::Result<Fnv1a> {
 }
 
 /// The manifest's `visited_fnv`: [`mix`] folded over the visited
-/// fingerprints in file order, from `Fnv1a::default().finish()` for the
+/// fingerprints in file order, from the FNV-1a offset basis for the
 /// empty set; `acc` extended by `fps`.
 fn visited_checksum(acc: u64, fps: &[u64]) -> u64 {
     fps.iter().fold(acc, |acc, &fp| mix(acc, fp))
@@ -752,7 +784,7 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
     let visited_fnv = m.u64("visited_fnv")?;
-    if visited_checksum(Fnv1a::default().finish(), &visited) != visited_fnv {
+    if visited_checksum(Fnv1a::OFFSET, &visited) != visited_fnv {
         return Err(bad_data("visited.bin does not match the manifest's visited_fnv"));
     }
     let visited_file = OpenOptions::new().append(true).open(dir.join("visited.bin"))?;
@@ -802,5 +834,25 @@ mod tests {
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "offset {offset} len {len}: {e}");
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn known_fnv_vector() {
+        // FNV-1a("a") = 0xaf63dc4c8601ec8c — pins the algorithm so a
+        // refactor cannot silently change every recorded checksum.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    /// The running checksum is the same however its bytes are chunked,
+    /// as `segments_fnv` requires.
+    #[test]
+    fn fnv1a_is_chunking_invariant() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        for split in [0, 1, 7, 8, 9, 100, 256] {
+            let mut h = Fnv1a::new();
+            h.write(&bytes[..split]);
+            h.write(&bytes[split..]);
+            assert_eq!(h.finish(), fnv1a(&bytes), "split at {split}");
+        }
     }
 }

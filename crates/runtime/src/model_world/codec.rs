@@ -39,6 +39,7 @@
 //! also rejects a process that is neither alive, decided with a result,
 //! nor crashed without one — states no engine reaches.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::snapshot::LogEntry;
@@ -51,8 +52,10 @@ use crate::world::{ObjKey, Stored};
 /// drift, and the sweep manifest refuses to resume across versions.
 ///
 /// v2: the TSO mode flag and per-process store-buffer contents
-/// ([`crate::model_world::RunConfig::tso`]) joined the format.
-pub const CODEC_VERSION: u16 = 2;
+/// ([`crate::model_world::RunConfig::tso`]) joined the format. v3: the
+/// encoded memory and observation fingerprints are made by the
+/// word-wise [`crate::fingerprint::StateHasher`], not FNV-1a.
+pub const CODEC_VERSION: u16 = 3;
 
 /// Leading magic of an encoded snapshot record.
 const MAGIC: &[u8; 4] = b"MPSN";
@@ -634,7 +637,7 @@ impl Snapshot {
         let viewsum = r.bool()?;
         let tso = r.bool()?;
         let obj_count = r.usize()?;
-        let mut objects = std::collections::HashMap::with_capacity(capped(obj_count));
+        let mut objects = HashMap::with_capacity_and_hasher(capped(obj_count), Default::default());
         for _ in 0..obj_count {
             let key = decode_key(&mut r)?;
             objects.insert(key, decode_object(&mut r, track)?);
@@ -698,7 +701,8 @@ impl Snapshot {
             buffers.push(buf);
         }
         let kind_count = r.usize()?;
-        let mut op_counts = std::collections::HashMap::with_capacity(capped(kind_count));
+        let mut op_counts =
+            HashMap::with_capacity_and_hasher(capped(kind_count), Default::default());
         for _ in 0..kind_count {
             let kind = r.u32()?;
             op_counts.insert(kind, r.u64()?);
@@ -804,7 +808,7 @@ mod tests {
         assert_eq!(hex, GOLDEN_HEX, "snapshot byte format drifted — bump CODEC_VERSION");
     }
 
-    const GOLDEN_HEX: &str = "4d50534e02000200000000000000010100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001e5cb8d3c9ae581da4a36b7faf849da5432573c9b80f46f0e02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a000000000000000000000000000000000000000001000101000000000000000002000000000000000000000102000000000000002800000000000000000000000000000000000000000101000000000000000000000000000000000000000000000003000000000000002800000001000000000000002900000001000000000000002a00000001000000000000000300000000000000";
+    const GOLDEN_HEX: &str = "4d50534e03000200000000000000010100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001178eaf6cd3e7e90fbab3d83a41955ba4b30f5778a73f457b02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a000000000000000000000000000000000000000001000101000000000000000002000000000000000000000102000000000000002800000000000000000000000000000000000000000101000000000000000000000000000000000000000000000003000000000000002800000001000000000000002900000001000000000000002a00000001000000000000000300000000000000";
 
     #[test]
     fn foreign_and_truncated_bytes_are_rejected() {
@@ -815,6 +819,11 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(matches!(Snapshot::decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
+        // A v2 snapshot carries FNV-1a fingerprints: refused by its
+        // version, never decoded.
+        let mut v2 = bytes.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert!(matches!(Snapshot::decode(&v2), Err(CodecError::UnsupportedVersion(2))));
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(Snapshot::decode(&trailing), Err(CodecError::TrailingBytes(1))));

@@ -67,7 +67,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::fingerprint::{fp_of, mix, Fnv1a};
+use crate::fingerprint::{fp_of, mix, StateHasher};
 use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
 use crate::world::{Env, MemVal, ObjKey, Pid, Stored};
 use std::hash::Hasher;
@@ -381,7 +381,7 @@ impl Object {
     /// Content fingerprint (independent of `HashMap` iteration order when
     /// XOR-combined per key into [`Snapshot::mem_fp`]).
     fn fp(&self) -> u64 {
-        let mut h = Fnv1a::default();
+        let mut h = StateHasher::default();
         match self {
             Object::Register(slot) => {
                 h.write_u64(1);
@@ -583,10 +583,7 @@ fn buffer_fp(buf: &[BufferedWrite], entry: impl Fn(&BufferedWrite) -> [u64; 2]) 
     let mut acc = 0u64;
     for w in buf {
         let [cell, val] = entry(w);
-        let mut h = Fnv1a::default();
-        h.write_u64(u64::from(w.key.kind));
-        h.write_u64(w.key.a);
-        h.write_u64(w.key.b);
+        let mut h = key_hasher(w.key);
         h.write_u64(cell);
         h.write_u64(val);
         acc = mix(acc, h.finish());
@@ -658,14 +655,31 @@ impl Footprint {
     }
 }
 
-/// `hash(key, object-content)` — the per-key word XOR-folded into
-/// [`Snapshot::mem_fp`].
-fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
-    let mut h = Fnv1a::default();
+/// A fresh [`StateHasher`] that has absorbed `key`'s three words: the
+/// prefix of every per-key fingerprint.
+fn key_hasher(key: ObjKey) -> StateHasher {
+    let mut h = StateHasher::default();
     h.write_u64(u64::from(key.kind));
     h.write_u64(key.a);
     h.write_u64(key.b);
+    h
+}
+
+/// `hash(key, object-content)` — the per-key word XOR-folded into
+/// [`Snapshot::mem_fp`].
+fn key_obj_fp(key: ObjKey, obj: &Object) -> u64 {
+    let mut h = key_hasher(key);
     h.write_u64(obj.fp());
+    h.finish()
+}
+
+/// The hasher state after an operation's `key` and tag `op`: an
+/// observation-history entry is [`mix`]`(entry_prefix(op, key), result
+/// fingerprint)`. A [`LogEntry`] keeps it, so the symmetric fingerprint
+/// hashes only each entry's relabeled result.
+fn entry_prefix(op: u64, key: ObjKey) -> u64 {
+    let mut h = key_hasher(key);
+    h.write_u64(op);
     h.finish()
 }
 
@@ -673,13 +687,7 @@ impl Snapshot {
     /// Folds one completed operation of `pid` into its observation
     /// fingerprint (only called when [`Snapshot::track`] is set).
     fn observe(&mut self, pid: Pid, op: u64, key: ObjKey, result_fp: u64) {
-        let mut h = Fnv1a::default();
-        h.write_u64(op);
-        h.write_u64(u64::from(key.kind));
-        h.write_u64(key.a);
-        h.write_u64(key.b);
-        h.write_u64(result_fp);
-        self.obs_fp[pid] = mix(self.obs_fp[pid], h.finish());
+        self.obs_fp[pid] = mix(self.obs_fp[pid], mix(entry_prefix(op, key), result_fp));
     }
 
     /// Runs `f` on the object at `key` (created via `default` on first

@@ -40,17 +40,18 @@
 //! local code without reaching another shared operation hangs the caller.
 //! The explorer's contract (bounded bodies) already excludes those.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use super::{
-    buffer_fp, codec, panic_message, Body, BufferedWrite, Footprint, Halt, Mode, ModelWorld,
-    Outcome, RunReport,
+    buffer_fp, codec, entry_prefix, key_hasher, panic_message, Body, BufferedWrite, Footprint,
+    Halt, Mode, ModelWorld, Outcome, RunReport,
 };
-use crate::fingerprint::{canonical_order, fold_state_fp, mix, Fnv1a};
+use crate::fingerprint::{fold_state_fp, mix, BuildStateHasher, StateHasher};
 use crate::world::{Env, ObjKey, Pid, Stored};
-use std::hash::Hasher;
 
 /// One completed shared-memory operation of a process: operation tag
 /// (`OP_*`), key, and the (type-erased) value the operation returned.
@@ -59,11 +60,15 @@ pub(super) struct LogEntry {
     pub(super) op: u64,
     pub(super) key: ObjKey,
     pub(super) result: Stored,
+    /// The hasher state after `(key, op)` ([`entry_prefix`]): the
+    /// symmetric fingerprint resumes from it and hashes only the
+    /// relabeled result.
+    prefix: u64,
 }
 
 impl LogEntry {
     pub(super) fn new(op: u64, key: ObjKey, result: Stored) -> Self {
-        LogEntry { op, key, result }
+        LogEntry { op, key, result, prefix: entry_prefix(op, key) }
     }
 }
 
@@ -251,7 +256,24 @@ impl Next {
 /// prune.
 #[derive(Default)]
 pub(crate) struct Continuations {
-    next: HashMap<(Pid, u64, usize), Next>,
+    next: HashMap<(Pid, u64, usize), Next, BuildStateHasher>,
+}
+
+/// The scratch of [`Snapshot::fingerprint_symmetric`], kept per thread
+/// and reused by every call, so that canonicalizing allocates no
+/// bookkeeping once the buffers have grown to `n`.
+struct SymmScratch {
+    /// The pid map: all zeros while ranking (the erasure), then the
+    /// canonical permutation.
+    perm: Vec<Pid>,
+    /// Every process with its erased sort key, sorted into canonical
+    /// order.
+    ranked: Vec<(u64, Pid)>,
+}
+
+thread_local! {
+    static SYMM_SCRATCH: RefCell<SymmScratch> =
+        const { RefCell::new(SymmScratch { perm: Vec::new(), ranked: Vec::new() }) };
 }
 
 /// One reachable model-world state: the state every engine steps, and a
@@ -276,7 +298,7 @@ pub struct Snapshot {
     /// never mixes the two identities. Only read where
     /// [`Snapshot::track`] is on; never changes behavior.
     pub(super) viewsum: bool,
-    pub(super) objects: HashMap<ObjKey, super::Object>,
+    pub(super) objects: HashMap<ObjKey, super::Object, BuildStateHasher>,
     /// Incrementally maintained XOR accumulator over
     /// `hash(key, object-content)` of every object in `objects` —
     /// maintained as a delta on each write instead of rehashing the full
@@ -297,7 +319,7 @@ pub struct Snapshot {
     pub(super) results: Vec<Option<u64>>,
     pub(super) pending_op: Vec<Option<Footprint>>,
     pub(super) own_steps: Vec<u64>,
-    pub(super) op_counts: HashMap<u32, u64>,
+    pub(super) op_counts: HashMap<u32, u64, BuildStateHasher>,
     pub(super) steps: u64,
     /// This path explores TSO store-buffer semantics
     /// ([`super::RunConfig::tso`]); fixed at the root like
@@ -328,7 +350,7 @@ impl Snapshot {
             n,
             track,
             viewsum,
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             mem_fp: 0,
             obs_fp: vec![0; n],
             logs: (0..n).map(|_| Arc::new(Vec::new())).collect(),
@@ -337,7 +359,7 @@ impl Snapshot {
             results: vec![None; n],
             pending_op: vec![None; n],
             own_steps: vec![0; n],
-            op_counts: HashMap::new(),
+            op_counts: HashMap::default(),
             steps: 0,
             tso,
             buffers: vec![Vec::new(); n],
@@ -490,17 +512,15 @@ impl Snapshot {
         (0..self.n).any(|p| (self.finished[p] || self.crashed[p]) && self.obs_fp[p] != 0)
     }
 
-    /// Process `p`'s liveness word as the fingerprints fold it, extended
-    /// with its store-buffer fold ([`buffer_fp`] over `entry`'s per-entry
-    /// words) when (and only when) the buffer is non-empty, so SC states
-    /// and drained TSO states hash alike. Bit 2 repeats the crashed bit
-    /// (every recorded crash is an adversary crash); the word stays as it
-    /// is because spilled sweeps persist the fingerprints built from it.
+    /// Process `p`'s liveness word as the fingerprints fold it — bit 0
+    /// finished, bit 1 crashed — extended with its store-buffer fold
+    /// ([`buffer_fp`] over `entry`'s per-entry words) when (and only
+    /// when) the buffer is non-empty, so SC states and drained TSO states
+    /// hash alike. The two bits are the whole liveness state: a process
+    /// has a result exactly when it finished (`Snapshot::decode` rejects
+    /// any other liveness triple).
     fn flags(&self, p: Pid, entry: impl Fn(&BufferedWrite) -> [u64; 2]) -> u64 {
-        let flags = u64::from(self.finished[p])
-            | u64::from(self.crashed[p]) << 1
-            | u64::from(self.crashed[p]) << 2
-            | u64::from(self.results[p].is_some()) << 3;
+        let flags = u64::from(self.finished[p]) | u64::from(self.crashed[p]) << 1;
         let buf = &self.buffers[p];
         if buf.is_empty() {
             flags
@@ -538,18 +558,20 @@ impl Snapshot {
     ///
     /// Canonicalization happens in two passes:
     ///
-    /// 1. **Order.** Each process gets a **pid-erased** sort key — its
-    ///    operation-log fold, liveness flags with its store buffer folded
-    ///    in, result, and the erased contents of its own pid-indexed
-    ///    snapshot cells (the memory refinement that keeps
+    /// 1. **Order.** Each process gets a **pid-erased** sort key — the
+    ///    hash of its operation-log fold, liveness flags with its store
+    ///    buffer folded in, result, and the erased contents of its own
+    ///    pid-indexed snapshot cells (the memory refinement that keeps
     ///    all-terminated states sortable under `quotient_obs`, where the
-    ///    log word is zeroed) — with every embedded pid relabeled to `0`
-    ///    — and [`crate::fingerprint::canonical_order`] sorts processes
-    ///    by that key (pid tie-break, the same canonical-pid seed as
-    ///    DPOR's tie-break). Erasure is pid-blind by the spec's group-action
-    ///    contract, so two π-related states sort their corresponding
-    ///    processes into the same ranks (ties can diverge — a reduction
-    ///    loss, never an unsoundness).
+    ///    log word is zeroed) — with every embedded pid relabeled to `0`,
+    ///    and processes are sorted by that key (pid tie-break, the same
+    ///    canonical-pid seed as DPOR's tie-break). Erasure is pid-blind
+    ///    by the spec's group-action contract, so two π-related states
+    ///    sort their corresponding processes into the same ranks (ties
+    ///    can diverge — a reduction loss, never an unsoundness). The
+    ///    order follows the hash kernel, so which permutations count as
+    ///    nontrivial does too; which states merge does not, because any
+    ///    pid-blind order relabels π-related states alike.
     /// 2. **Fold.** The state description is refolded under the induced
     ///    permutation `perm[pid] = rank`: memory objects with every value
     ///    leaf relabeled through [`super::Symmetry::relabel_value`] and
@@ -598,52 +620,56 @@ impl Snapshot {
     /// tracking.
     pub fn fingerprint_symmetric(&self, quotient_obs: bool, spec: &super::Symmetry) -> (u64, bool) {
         debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
+        SYMM_SCRATCH
+            .with_borrow_mut(|scratch| self.fingerprint_symmetric_in(quotient_obs, spec, scratch))
+    }
+
+    /// [`Snapshot::fingerprint_symmetric`] in the caller's `scratch`.
+    fn fingerprint_symmetric_in(
+        &self,
+        quotient_obs: bool,
+        spec: &super::Symmetry,
+        scratch: &mut SymmScratch,
+    ) -> (u64, bool) {
+        let SymmScratch { perm, ranked } = scratch;
         let n = self.n;
-        let zeros = vec![0; n];
+        // The zero map erases every pid-derived leaf while ranking.
+        perm.clear();
+        perm.resize(n, 0);
+        ranked.clear();
+        ranked.extend((0..n).map(|p| (0, p)));
         // Erased view of each process's own pid-indexed snapshot cells,
-        // folded in deterministic key order. Without it, states whose
-        // processes differ only through memory — e.g. all-terminated
-        // states under `quotient_obs`, whose log words are zeroed —
-        // would sort entirely by the pid tie-break, and π-related
-        // states could canonicalize inconsistently.
-        let mut own_cells = vec![0u64; n];
-        let mut keys: Vec<&crate::world::ObjKey> = self.objects.keys().collect();
-        keys.sort_unstable();
-        for key in keys {
-            if let super::Object::Snapshot(cells) = &self.objects[key] {
+        // XOR-folded over the objects so that the map's iteration order
+        // does not matter. Without it, states whose processes differ
+        // only through memory — e.g. all-terminated states under
+        // `quotient_obs`, whose log words are zeroed — would sort
+        // entirely by the pid tie-break, and π-related states could
+        // canonicalize inconsistently.
+        for (key, obj) in &self.objects {
+            if let super::Object::Snapshot(cells) = obj {
                 if cells.len() == n {
-                    let mut kh = Fnv1a::default();
-                    kh.write_u64(u64::from(key.kind));
-                    kh.write_u64(key.a);
-                    kh.write_u64(key.b);
-                    let kfp = kh.finish();
-                    for (p, c) in cells.iter().enumerate() {
-                        let cfp = c.as_ref().map_or(u64::MAX, |c| cell_symm_fp(c, &zeros, spec));
-                        own_cells[p] = mix(own_cells[p], mix(kfp, cfp));
+                    let kfp = key_hasher(*key).finish();
+                    for ((own, _), c) in ranked.iter_mut().zip(cells) {
+                        let cfp = c.as_ref().map_or(u64::MAX, |c| cell_symm_fp(c, perm, spec));
+                        *own ^= mix(kfp, cfp);
                     }
                 }
             }
         }
-        let erased: Vec<[u64; 4]> = (0..n)
-            .map(|p| {
-                let [obs, flags, result] = self.symm_proc_word(p, quotient_obs, &zeros, spec);
-                [obs, flags, result, own_cells[p]]
-            })
-            .collect();
-        let order = canonical_order(&erased);
-        let mut perm = vec![0; n];
+        for (erased, p) in ranked.iter_mut() {
+            let [obs, flags, result] = self.symm_proc_word(*p, quotient_obs, perm, spec);
+            *erased = fold_state_fp(*erased, std::iter::once((obs, flags, result)));
+        }
+        ranked.sort_unstable();
         let mut nontrivial = false;
-        for (rank, &p) in order.iter().enumerate() {
+        for (rank, &(_, p)) in ranked.iter().enumerate() {
             perm[p] = rank;
             nontrivial |= rank != p;
         }
         let mut mem = 0u64;
         for (key, obj) in &self.objects {
-            let mut h = Fnv1a::default();
-            h.write_u64(u64::from(key.kind));
-            h.write_u64(key.a);
-            h.write_u64(key.b);
-            h.write_u64(self.obj_symm_fp(obj, &perm, &order, spec));
+            let mut h = key_hasher(*key);
+            h.write_u64(self.obj_symm_fp(obj, perm, ranked, spec));
             mem ^= h.finish();
         }
         if quotient_obs {
@@ -651,8 +677,8 @@ impl Snapshot {
         }
         let fp = fold_state_fp(
             mem,
-            order.iter().map(|&p| {
-                let [obs, flags, result] = self.symm_proc_word(p, quotient_obs, &perm, spec);
+            ranked.iter().map(|&(_, p)| {
+                let [obs, flags, result] = self.symm_proc_word(p, quotient_obs, perm, spec);
                 (obs, flags, result)
             }),
         );
@@ -684,13 +710,7 @@ impl Snapshot {
                              in the closed universe (docs/EXPLORER.md §7)"
                         )
                     });
-                let mut h = Fnv1a::default();
-                h.write_u64(e.op);
-                h.write_u64(u64::from(e.key.kind));
-                h.write_u64(e.key.a);
-                h.write_u64(e.key.b);
-                h.write_u64(rfp);
-                acc = mix(acc, h.finish());
+                acc = mix(acc, mix(e.prefix, rfp));
             }
             acc
         };
@@ -716,17 +736,17 @@ impl Snapshot {
     /// fingerprint outside the codec universe — sound, merely less
     /// merging) and, for per-process snapshot objects (`cells.len() ==
     /// n`), cells moved to their canonical index: canonical position
-    /// `rank` holds the relabeled cell of process `order[rank]`.
+    /// `rank` holds the relabeled cell of the process ranked `rank`.
     fn obj_symm_fp(
         &self,
         obj: &super::Object,
         perm: &[Pid],
-        order: &[Pid],
+        ranked: &[(u64, Pid)],
         spec: &super::Symmetry,
     ) -> u64 {
         let cell_fp =
             |c: &Option<super::Cell>| c.as_ref().map_or(u64::MAX, |c| cell_symm_fp(c, perm, spec));
-        let mut h = Fnv1a::default();
+        let mut h = StateHasher::default();
         match obj {
             super::Object::Register(slot) => {
                 h.write_u64(1);
@@ -735,7 +755,7 @@ impl Snapshot {
             super::Object::Snapshot(cells) => {
                 h.write_u64(2);
                 if cells.len() == self.n {
-                    for &p in order {
+                    for &(_, p) in ranked {
                         h.write_u64(cell_fp(&cells[p]));
                     }
                 } else {
