@@ -48,7 +48,7 @@
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Multiplier of the mixing step: `⌊2⁶⁴/φ⌋`, rounded to odd.
+/// Multiplier of the mixing step: `⌊2⁶⁴/φ⌋`, which is odd.
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
 /// State of a fresh [`StateHasher`]: the first 64 fractional bits of π.
 const SEED: u64 = 0x243f_6a88_85a3_08d3;

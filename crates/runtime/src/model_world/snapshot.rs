@@ -259,10 +259,10 @@ pub(crate) struct Continuations {
     next: HashMap<(Pid, u64, usize), Next, BuildStateHasher>,
 }
 
-/// The scratch of [`Snapshot::fingerprint_symmetric`], kept per thread
-/// and reused by every call, so that canonicalizing allocates no
-/// bookkeeping once the buffers have grown to `n`.
-struct SymmScratch {
+/// The working buffers of [`Snapshot::fingerprint_symmetric`], kept per
+/// thread and reused by every call, so that canonicalizing allocates no
+/// bookkeeping once they have grown to `n`.
+struct SymmBuffers {
     /// The pid map: all zeros while ranking (the erasure), then the
     /// canonical permutation.
     perm: Vec<Pid>,
@@ -272,8 +272,8 @@ struct SymmScratch {
 }
 
 thread_local! {
-    static SYMM_SCRATCH: RefCell<SymmScratch> =
-        const { RefCell::new(SymmScratch { perm: Vec::new(), ranked: Vec::new() }) };
+    static SYMM_BUFFERS: RefCell<SymmBuffers> =
+        const { RefCell::new(SymmBuffers { perm: Vec::new(), ranked: Vec::new() }) };
 }
 
 /// One reachable model-world state: the state every engine steps, and a
@@ -620,18 +620,17 @@ impl Snapshot {
     /// tracking.
     pub fn fingerprint_symmetric(&self, quotient_obs: bool, spec: &super::Symmetry) -> (u64, bool) {
         debug_assert!(self.track, "fingerprints require tracking (snapshot_root track=true)");
-        SYMM_SCRATCH
-            .with_borrow_mut(|scratch| self.fingerprint_symmetric_in(quotient_obs, spec, scratch))
+        SYMM_BUFFERS.with_borrow_mut(|bufs| self.fingerprint_symmetric_in(quotient_obs, spec, bufs))
     }
 
-    /// [`Snapshot::fingerprint_symmetric`] in the caller's `scratch`.
+    /// [`Snapshot::fingerprint_symmetric`] in the caller's `bufs`.
     fn fingerprint_symmetric_in(
         &self,
         quotient_obs: bool,
         spec: &super::Symmetry,
-        scratch: &mut SymmScratch,
+        bufs: &mut SymmBuffers,
     ) -> (u64, bool) {
-        let SymmScratch { perm, ranked } = scratch;
+        let SymmBuffers { perm, ranked } = bufs;
         let n = self.n;
         // The zero map erases every pid-derived leaf while ranking.
         perm.clear();
