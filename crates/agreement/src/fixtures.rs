@@ -20,8 +20,8 @@
 //! makes the `n = 5` sweep exhaustible. The Figure 5/6 bodies have
 //! nothing to declare: every operation they perform (`tas`,
 //! `xcons_propose`, `reg_read`/`reg_write`) already returns a
-//! minimal-width result the body consumes whole, so the summary
-//! reduction is, correctly, a no-op on them.
+//! minimal-width result the body consumes whole, so a declared summary
+//! would fold exactly what they already fold.
 
 use mpcn_runtime::explore::{ExploreLimits, ExploreReport, Explorer, Reduction};
 use mpcn_runtime::model_world::{Body, ModelWorld, RunReport, Symmetry};

@@ -8,7 +8,8 @@
 //!   store) and through a disk-backed `SpillStore` under a binding
 //!   ceiling (whose eviction and rehydration counters are checked per
 //!   sweep) — and a matrix switches each reduction off in turn over the
-//!   catalogue's small fixtures, demanding the full set's verdicts;
+//!   catalogue's small fixtures, demanding the full set's verdicts and
+//!   pinning every variant's expansions;
 //! * Figure 1 safe agreement, `n = 3..7` — exhaustive, termination
 //!   checked too; `n = 6` pinned in tier-1, and `n = 6` without
 //!   symmetry plus `n = 7`, both through a disk-backed `SpillStore`,
@@ -246,14 +247,36 @@ fn spilled_catalogue_matches_golden_file() {
     assert_eq!(body_runs, expected, "rehydration must only hit the continuation cache");
 }
 
+/// Expansions of each matrix sweep under the full reduction set and
+/// with `dpor`, `quotient_obs` or `symmetry` switched off, in that
+/// order. A cell equal to the full set's is a reduction that buys
+/// nothing on that sweep: symmetry on the spec-free Figure 5 and 6
+/// programs and under a pid-naming crash plan, DPOR under TSO next to
+/// the symmetry quotient, and the observation quotient on crash-free
+/// SC Figure 1.
+const MATRIX_EXPANSIONS: [(&str, [u64; 4]); 8] = [
+    ("fig1 n=3 pruned", [196, 235, 196, 763]),
+    ("fig1 n=3 crash(0@1) pruned", [206, 301, 206, 206]),
+    ("fig5 n=4 x=2 pruned", [129, 172, 184, 129]),
+    ("fig6 n=3 x=2 pruned", [1_328, 2_415, 1_336, 1_328]),
+    ("fig1 n=3 tso pruned", [3_493, 3_493, 3_493, 12_637]),
+    ("fig5 n=4 x=2 tso pruned", [172, 172, 244, 172]),
+    ("fig6 n=3 x=2 tso pruned", [5_523, 5_704, 5_706, 5_523]),
+    ("fig1 n=3 f=1 pruned", [431, 678, 443, 1_827]),
+];
+
 /// Switching off any one reduction — DPOR, the observation quotient,
-/// the view summaries, or the symmetry quotient — changes state counts
-/// but never the answer: over the catalogue's small fixtures (Figure 1
-/// at `n = 3` plain, under a crash plan, under one counted crash, and
-/// under TSO; Figure 5 at `n = 4` and Figure 6 at `n = 3`, each under
-/// SC and TSO) every variant must reach the full set's `complete` flag,
-/// violation count, and first violation message — the TSO
-/// counterexample included.
+/// or the symmetry quotient — changes state counts but never the
+/// answer: over the catalogue's small fixtures (Figure 1 at `n = 3`
+/// plain, under a crash plan, under one counted crash, and under TSO;
+/// Figure 5 at `n = 4` and Figure 6 at `n = 3`, each under SC and TSO)
+/// every variant must reach the full set's `complete` flag, violation
+/// count, and first violation message — the TSO counterexample
+/// included. Each variant's expansions are pinned in
+/// [`MATRIX_EXPANSIONS`], so a reduction that silently stops reducing
+/// fails here too. Declared view summaries are not a variant: the
+/// runtime's proptests and `view_summaries_merge_live_histories`
+/// compare programs written with and without them.
 #[test]
 fn reduction_matrix_preserves_catalogue_verdicts() {
     const LABELS: [&str; 7] = [
@@ -280,25 +303,31 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
     let variants = [
         ("dpor", Reduction { dpor: false, ..full }),
         ("quotient_obs", Reduction { quotient_obs: false, ..full }),
-        ("view_summaries", Reduction { view_summaries: false, ..full }),
         ("symmetry", Reduction { symmetry: false, ..full }),
     ];
     let verdict = |sweep: &CatalogueSweep, reduction: Reduction| {
         let out = sweep.run_with(&sweep.explorer.clone().reduction(reduction));
-        (out.complete, out.violations.len(), out.violation().map(|v| v.message.clone()))
+        let verdict =
+            (out.complete, out.violations.len(), out.violation().map(|v| v.message.clone()));
+        (verdict, out.stats.expansions)
     };
+    let mut expansions = Vec::new();
     for sweep in &sweeps {
-        let reference = verdict(sweep, full);
+        let (reference, full_expansions) = verdict(sweep, full);
         assert_eq!(reference.1 > 0, sweep.expect_violation, "{}: unexpected verdict", sweep.label);
-        for (off, reduction) in variants {
+        let mut row = [full_expansions; 4];
+        for (i, (off, reduction)) in variants.into_iter().enumerate() {
+            let (variant, variant_expansions) = verdict(sweep, reduction);
             assert_eq!(
-                verdict(sweep, reduction),
-                reference,
+                variant, reference,
                 "{}: switching off {off} changed the verdict",
                 sweep.label
             );
+            row[i + 1] = variant_expansions;
         }
+        expansions.push((sweep.label, row));
     }
+    assert_eq!(expansions, MATRIX_EXPANSIONS, "expansions per reduction variant");
 }
 
 /// The Figure 1 `n = 4` sweep under the full reduction set, the
@@ -361,9 +390,9 @@ fn fig1_n6_exhaustive_symm_baseline() {
 }
 
 /// One scale step beyond the milestone: `n = 6` (depth 24) is also
-/// exhaustible under the view summaries — ~1.37M expansions, ~15 s
-/// release — but too heavy for the debug-mode tier-1 suite, so the
-/// exact baseline is pinned behind `#[ignore]`. The sweep runs through
+/// exhaustible without the symmetry quotient — ~1.37M expansions, about
+/// 5 s release on a 2-vCPU VM — but too heavy for the debug-mode tier-1
+/// suite, so the exact baseline is pinned behind `#[ignore]`. The sweep runs through
 /// a disk-backed `SpillStore` with a resident ceiling far below the
 /// widest layer: checkpoint snapshots live in the segment file, so this
 /// is the storage layer at its design scale — and the pinned line
@@ -372,7 +401,7 @@ fn fig1_n6_exhaustive_symm_baseline() {
 /// `cargo test --release -p mpcn-agreement --test explore_sweeps -- \
 /// --ignored fig1_n6`.
 #[test]
-#[ignore = "release-scale sweep (~15 s release, minutes debug); run explicitly with --ignored"]
+#[ignore = "release-scale sweep (~5 s release, minutes debug); run explicitly with --ignored"]
 fn fig1_n6_exhaustive_viewsum_spill_baseline() {
     let dir = std::env::temp_dir().join(format!("mpcn-fig1-n6-spill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -483,12 +512,13 @@ fn fig6_x_safe_agreement_sweeps_n3_and_n5() {
 /// The crash-schedule matrix: `fig1 n = 3` with a crash injected at
 /// every `(process, step)` pair — every victim, every own-step position
 /// in its 4-operation body — swept exhaustively under the full
-/// reduction set **and** under pruning alone. Verdicts must match pair for pair, and both
-/// agree with the gated-replay oracle: any violation either sweep found
-/// would be re-executed through the gated reference engine (the
-/// explorer's built-in confirmation) before being reported, and the
-/// canonical choice-0 schedule is additionally replayed gated here and
-/// checked directly.
+/// reduction set **and** under pruning alone (which folds Figure 1's
+/// declared view summaries too). Verdicts must match pair for pair,
+/// and both agree with the gated-replay oracle: any violation either
+/// sweep found would be re-executed through the gated reference engine
+/// (the explorer's built-in confirmation) before being reported, and
+/// the canonical choice-0 schedule is additionally replayed gated here
+/// and checked directly.
 #[test]
 fn fig1_n3_crash_matrix_dpor_matches_gated_oracle() {
     let limits =

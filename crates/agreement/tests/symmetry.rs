@@ -4,8 +4,8 @@
 //!
 //! * pid-permuted executions of the Figure 1 program — run schedule `s`
 //!   vs run `π(s)` for every permutation `π` — must produce identical
-//!   canonical fingerprints at **every** prefix, in both observation
-//!   modes, under SC and TSO (store buffers included), through
+//!   canonical fingerprints at **every** prefix, under SC and TSO
+//!   (store buffers included), through
 //!   adversary crashes, and across a codec encode/decode round trip
 //!   (the byte-stability a spilled sweep relies on), while a buffered
 //!   write never merges with the same write flushed;
@@ -49,14 +49,8 @@ fn draw(pick_seed: u64, step: u64) -> usize {
 /// reaches exactly the `perm`-relabeled state. Under `tso` an action is
 /// an op or a store-buffer flush, and flushing `perm[p]`'s buffer
 /// wherever the base run flushes `p`'s keeps the runs π-related.
-fn permuted_run(
-    n: usize,
-    viewsum: bool,
-    tso: bool,
-    pick_seed: u64,
-    perm: &[usize],
-) -> Vec<Snapshot> {
-    let mut snap = ModelWorld::snapshot_root_tso(n, true, viewsum, tso, fig1_bodies(n, 1));
+fn permuted_run(n: usize, tso: bool, pick_seed: u64, perm: &[usize]) -> Vec<Snapshot> {
+    let mut snap = ModelWorld::snapshot_root_tso(n, true, true, tso, fig1_bodies(n, 1));
     let mut out = vec![snap.clone()];
     let mut step = 0u64;
     // Choose among the *base* run's pids: the permuted run's alive and
@@ -102,8 +96,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// The core canonicalization property on fig1, over its **equivariant
 /// fragment**: for every permutation `π` and every prefix where no
 /// process has decided yet, the `π`-relabeled execution reaches a state
-/// with the same canonical fingerprint — in both observation modes,
-/// under SC and under TSO, where the compared prefixes include states
+/// with the same canonical fingerprint — under SC and under TSO, where
+/// the compared prefixes include states
 /// with writes still buffered — while the plain fingerprint
 /// distinguishes the relabelings (so the equality is the quotient's
 /// doing, not a collision of the base hash).
@@ -122,13 +116,13 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 #[test]
 fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
     let n = 3;
-    for (viewsum, tso) in [(false, false), (true, false), (false, true), (true, true)] {
+    for tso in [false, true] {
         let mut buffered = false;
         for pick_seed in 0..4u64 {
             let identity: Vec<usize> = (0..n).collect();
-            let base = permuted_run(n, viewsum, tso, pick_seed, &identity);
+            let base = permuted_run(n, tso, pick_seed, &identity);
             for perm in permutations(n) {
-                let relabeled = permuted_run(n, viewsum, tso, pick_seed, &perm);
+                let relabeled = permuted_run(n, tso, pick_seed, &perm);
                 assert_eq!(base.len(), relabeled.len(), "π-related runs have equal length");
                 let mut raw_diverged = false;
                 let mut compared = 0;
@@ -144,7 +138,7 @@ fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
                         assert_eq!(
                             fa, fb,
                             "canonical fingerprints diverge at prefix {i} (perm {perm:?}, \
-                             viewsum {viewsum}, tso {tso}, quotient {quotient})"
+                             tso {tso}, quotient {quotient})"
                         );
                     }
                     raw_diverged |= a.fingerprint() != b.fingerprint();
@@ -165,13 +159,13 @@ fn pid_permuted_fig1_runs_fingerprint_identically_until_a_decision() {
 
 /// A buffered write is not a flushed one: fig1's first write left in
 /// `p`'s store buffer and the same write flushed to memory canonicalize
-/// apart, in both observation modes, while each still merges with its
-/// images under every pid permutation.
+/// apart, with and without the observation quotient, while each still
+/// merges with its images under every pid permutation.
 #[test]
 fn buffered_and_flushed_writes_never_merge() {
     let n = 3;
     let fps = |p: usize, flush: bool| {
-        let root = ModelWorld::snapshot_root_tso(n, true, false, true, fig1_bodies(n, 1));
+        let root = ModelWorld::snapshot_root_tso(n, true, true, true, fig1_bodies(n, 1));
         let body = fig1_bodies(n, 1).into_iter().nth(p).unwrap();
         let mut snap = ModelWorld::resume_from(&root, p, body);
         assert_eq!(snap.flushable(), [p], "the propose write parks in its issuer's buffer");
@@ -195,7 +189,7 @@ fn buffered_and_flushed_writes_never_merge() {
 /// write) or index-free (written-cell counts and their sums), so
 /// pid-permuted executions are genuine state relabelings all the way to
 /// termination — and canonical fingerprints must agree at **every**
-/// prefix, terminal states included, in both observation modes.
+/// prefix, terminal states included.
 fn equivariant_bodies(n: usize) -> Vec<Body> {
     (0..n)
         .map(|i| {
@@ -227,8 +221,8 @@ const EQUIVARIANT_SYMMETRY: Symmetry = Symmetry {
 #[test]
 fn equivariant_program_is_invariant_at_every_prefix() {
     let n = 3;
-    let run = |viewsum: bool, pick_seed: u64, perm: &[usize]| {
-        let mut snap = ModelWorld::snapshot_root(n, true, viewsum, equivariant_bodies(n));
+    let run = |pick_seed: u64, perm: &[usize]| {
+        let mut snap = ModelWorld::snapshot_root(n, true, true, equivariant_bodies(n));
         let mut out = vec![snap.clone()];
         let mut step = 0u64;
         while !snap.is_terminal() {
@@ -245,25 +239,23 @@ fn equivariant_program_is_invariant_at_every_prefix() {
         }
         out
     };
-    for viewsum in [false, true] {
-        for pick_seed in 0..4u64 {
-            let identity: Vec<usize> = (0..n).collect();
-            let base = run(viewsum, pick_seed, &identity);
-            for perm in permutations(n) {
-                let relabeled = run(viewsum, pick_seed, &perm);
-                assert_eq!(base.len(), relabeled.len());
-                for (i, (a, b)) in base.iter().zip(&relabeled).enumerate() {
-                    for quotient in [false, true] {
-                        let (fa, _) = a.fingerprint_symmetric(quotient, &EQUIVARIANT_SYMMETRY);
-                        let (fb, _) = b.fingerprint_symmetric(quotient, &EQUIVARIANT_SYMMETRY);
-                        assert_eq!(
-                            fa,
-                            fb,
-                            "canonical fingerprints diverge at prefix {i} of {} \
-                             (perm {perm:?}, viewsum {viewsum}, quotient {quotient})",
-                            base.len() - 1
-                        );
-                    }
+    for pick_seed in 0..4u64 {
+        let identity: Vec<usize> = (0..n).collect();
+        let base = run(pick_seed, &identity);
+        for perm in permutations(n) {
+            let relabeled = run(pick_seed, &perm);
+            assert_eq!(base.len(), relabeled.len());
+            for (i, (a, b)) in base.iter().zip(&relabeled).enumerate() {
+                for quotient in [false, true] {
+                    let (fa, _) = a.fingerprint_symmetric(quotient, &EQUIVARIANT_SYMMETRY);
+                    let (fb, _) = b.fingerprint_symmetric(quotient, &EQUIVARIANT_SYMMETRY);
+                    assert_eq!(
+                        fa,
+                        fb,
+                        "canonical fingerprints diverge at prefix {i} of {} \
+                         (perm {perm:?}, quotient {quotient})",
+                        base.len() - 1
+                    );
                 }
             }
         }
@@ -330,11 +322,11 @@ fn pid_permuted_post_crash_states_fingerprint_identically() {
 #[test]
 fn canonical_fingerprint_survives_codec_roundtrip() {
     let n = 3;
-    for (viewsum, tso) in [(false, false), (true, false), (false, true), (true, true)] {
+    for tso in [false, true] {
         let mut buffered = false;
         for pick_seed in 0..4u64 {
             let identity: Vec<usize> = (0..n).collect();
-            for snap in permuted_run(n, viewsum, tso, pick_seed, &identity) {
+            for snap in permuted_run(n, tso, pick_seed, &identity) {
                 buffered |= !snap.flushable().is_empty();
                 let decoded = Snapshot::decode(&snap.encode().expect("encode")).expect("decode");
                 for quotient in [false, true] {
@@ -342,7 +334,7 @@ fn canonical_fingerprint_survives_codec_roundtrip() {
                         snap.fingerprint_symmetric(quotient, &FIG1_SYMMETRY),
                         decoded.fingerprint_symmetric(quotient, &FIG1_SYMMETRY),
                         "canonical fingerprint changed across encode/decode \
-                         (viewsum {viewsum}, tso {tso}, quotient {quotient})"
+                         (tso {tso}, quotient {quotient})"
                     );
                 }
             }

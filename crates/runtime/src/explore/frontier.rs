@@ -231,7 +231,6 @@ pub(super) struct Engine<'a, F, C> {
     dpor: bool,
     /// Fingerprint children by the observation quotient.
     quotient: bool,
-    viewsum: bool,
     /// Fingerprint children by the pid-symmetry canonical form (`Some`
     /// only when the reduction is on, the program declared a spec, and
     /// the adversary is pid-blind — [`Crashes::None`] or
@@ -322,7 +321,6 @@ where
             // quotient runs without DPOR.
             dpor: ex.reduction.dpor && !(ex.tso && symmetry.is_some()),
             quotient: ex.reduction.prune_visited && ex.reduction.quotient_obs,
-            viewsum: ex.reduction.prune_visited && ex.reduction.view_summaries,
             symmetry,
             visited: HashSet::default(),
             conts: ex.reduction.prune_visited.then(Continuations::default),
@@ -342,7 +340,7 @@ where
         let snap = ModelWorld::snapshot_root_tso(
             self.ex.n,
             self.prune,
-            self.viewsum,
+            true,
             self.ex.tso,
             (self.make_bodies)(),
         );

@@ -109,7 +109,7 @@
 //! Checkers must remain outcome-only — the same contract pruning already
 //! imposes.
 //!
-//! # View summaries ([`Reduction::view_summaries`])
+//! # View summaries ([`crate::world::Env::snap_scan_via`])
 //!
 //! The observation quotient only collapses *terminated* histories; a
 //! process still mid-protocol keeps its full poll history in the state
@@ -117,15 +117,18 @@
 //! none of it. [`crate::world::Env::snap_scan_via`] lets a program
 //! **declare** that at an operation: the scan returns only a summary
 //! (e.g. Figure 1's propose-scan returns just `saw_stable`), so the
-//! process's continuation is a function of the summary alone. With this
-//! reduction on, the model world folds the declared summary instead of
-//! the raw `O(n)` view into the live process's observation fingerprint —
-//! merging mid-flight states whose raw views differed but whose
-//! summaries (and memory, flags, results) agree. Soundness is by
-//! construction — nothing the fold drops was ever returned to the
-//! program — and is *differentially tested* like DPOR: summary-on vs
-//! summary-off violation sets and replay verdicts on random programs in
-//! `tests/proptests.rs`.
+//! process's continuation is a function of the summary alone. Every
+//! observation history folds the value each operation returned to the
+//! body, so the live process's fingerprint folds the declared summary,
+//! not the raw `O(n)` view — merging mid-flight states whose raw views
+//! differed but whose summaries (and memory, flags, results) agree.
+//! This is not a [`Reduction`] switch: a program that wants the raw
+//! view in its state identity scans with [`crate::world::Env::snap_scan`]
+//! and applies the summary in its body. Soundness is by construction —
+//! nothing the fold drops was ever returned to the program — and is
+//! *differentially tested* like DPOR, at the program level: random
+//! programs written both ways must reach identical violation sets and
+//! replay verdicts in `tests/proptests.rs`.
 //!
 //! # Bounded-memory frontier ([`Explorer::resident_ceiling`])
 //!
@@ -209,6 +212,11 @@ impl Default for ExploreLimits {
 }
 
 /// Which search-space reductions the explorer applies.
+///
+/// Declared view summaries ([`crate::world::Env::snap_scan_via`]) are not
+/// a reduction here: every fingerprinted state folds what each operation
+/// returned to its body, so each sweep that prunes folds the summaries a
+/// program declares (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reduction {
     /// Skip subtrees rooted at an already-visited global state.
@@ -224,14 +232,6 @@ pub struct Reduction {
     /// from the state identity (their results and flags remain). Only
     /// meaningful with [`Reduction::prune_visited`].
     pub quotient_obs: bool,
-    /// Fold **declared view summaries**
-    /// ([`crate::world::Env::snap_scan_via`]) instead of raw views into
-    /// *live* processes' observation histories — the mid-flight
-    /// counterpart of [`Reduction::quotient_obs`] (see the
-    /// [module docs](self)). Only meaningful with
-    /// [`Reduction::prune_visited`]; a no-op for programs that declare no
-    /// summaries.
-    pub view_summaries: bool,
     /// Canonicalize visited-state identity under **process-identity
     /// permutation** for programs that declared a pid-symmetry spec
     /// ([`Explorer::symmetry`],
@@ -249,25 +249,16 @@ pub struct Reduction {
 impl Reduction {
     /// All reductions (the default).
     pub fn full() -> Self {
-        Reduction {
-            prune_visited: true,
-            dpor: true,
-            quotient_obs: true,
-            view_summaries: true,
-            symmetry: true,
-        }
+        Reduction { prune_visited: true, dpor: true, quotient_obs: true, symmetry: true }
     }
 
     /// Plain exhaustive enumeration — the reference the reductions are
-    /// validated against.
+    /// validated against. It fingerprints nothing, so no state identity
+    /// exists to fold a view summary into; the pruning-only reference
+    /// `Reduction { prune_visited: true, ..Reduction::none() }` folds
+    /// declared summaries like every pruning sweep.
     pub fn none() -> Self {
-        Reduction {
-            prune_visited: false,
-            dpor: false,
-            quotient_obs: false,
-            view_summaries: false,
-            symmetry: false,
-        }
+        Reduction { prune_visited: false, dpor: false, quotient_obs: false, symmetry: false }
     }
 }
 
@@ -399,15 +390,17 @@ impl Explorer {
     ///
     /// Store buffers are hardware state: they survive their owner's
     /// crash or finish, and a run is terminal only once every buffer
-    /// has drained. Every reduction stays live: the observation and
-    /// view-summary quotients, the process-identity symmetry quotient
-    /// (each buffer relabels with its owner), and the DPOR footprint
+    /// has drained. Every reduction stays live: the observation
+    /// quotient, the process-identity symmetry quotient (each buffer
+    /// relabels with its owner), and the DPOR footprint
     /// rule (flushes commute by footprint independence;
     /// buffer-draining ops conflict with everything via
     /// [`crate::model_world::Footprint`]'s fence classification) —
     /// except that DPOR is off while the symmetry quotient is live, the
     /// one pair that does not compose once flushes exist
-    /// (`docs/EXPLORER.md` §3.7). SC sweeps are byte-for-byte
+    /// (`docs/EXPLORER.md` §3.7). A summarized scan overlays the
+    /// caller's own buffer before summarizing, so declared view
+    /// summaries fold as under SC. SC sweeps are byte-for-byte
     /// unaffected by this mode existing.
     pub fn tso(mut self, yes: bool) -> Self {
         self.tso = yes;
@@ -1129,16 +1122,21 @@ mod tests {
         assert_eq!(unbounded.stats.summary(), bounded.stats.summary());
     }
 
-    /// The view-summary reduction merges *live* histories: two readers
-    /// that scanned different views but consumed (and therefore
-    /// returned) the same declared summary collapse while still
-    /// mid-flight, where the terminated-history quotient cannot reach.
+    /// Declared view summaries merge *live* histories: two readers that
+    /// scanned different views but received the same declared summary
+    /// collapse while still mid-flight, where the terminated-history
+    /// quotient cannot reach. The reference is the same program with the
+    /// summary applied in the body to a plain scan, whose history folds
+    /// the whole view.
     #[test]
     fn view_summaries_merge_live_histories() {
         // p0/p1 write distinct cells; p2 scans (summarized to the count
         // of written cells) and then writes — so p2 is still *alive*
         // when the summarized observation lands in its history.
-        let bodies = || {
+        fn written(view: &[Option<u64>]) -> u64 {
+            view.iter().flatten().count() as u64
+        }
+        let bodies = |summarized: bool| {
             let mut v: Vec<Body> = (0..2u64)
                 .map(|i| {
                     Box::new(move |env: Env<ModelWorld>| {
@@ -1148,19 +1146,18 @@ mod tests {
                 })
                 .collect();
             v.push(Box::new(move |env: Env<ModelWorld>| {
-                let written = env.snap_scan_via::<u64, u64>(ObjKey::new(68, 0, 0), 3, |view| {
-                    view.iter().flatten().count() as u64
-                });
-                env.snap_write(ObjKey::new(68, 0, 0), 3, 2, 99);
-                written
+                let key = ObjKey::new(68, 0, 0);
+                let count = if summarized {
+                    env.snap_scan_via(key, 3, written)
+                } else {
+                    written(&env.snap_scan(key, 3))
+                };
+                env.snap_write(key, 3, 2, 99);
+                count
             }) as Body);
             v
         };
-        let sweep = |view_summaries: bool| {
-            Explorer::new(3)
-                .reduction(Reduction { view_summaries, ..Reduction::full() })
-                .run(bodies, |_r| Ok(()))
-        };
+        let sweep = |summarized: bool| Explorer::new(3).run(|| bodies(summarized), |_r| Ok(()));
         let raw = sweep(false);
         let summarized = sweep(true);
         assert!(raw.complete && summarized.complete);
@@ -1395,9 +1392,10 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v10 manifest's visited set holds fingerprints of the old hash
-    /// kernel, and a v3 manifest (pre-TSO key set) cannot describe a TSO
-    /// sweep at all.
+    /// v11 manifest carries the `view_summaries` key and codec-v3
+    /// checkpoints, a v10 manifest's visited set holds fingerprints of
+    /// the old hash kernel, and a v3 manifest (pre-TSO key set) cannot
+    /// describe a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1405,14 +1403,20 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=11"), "current manifests are v11");
+        assert!(text.contains("manifest_version=12"), "current manifests are v12");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=11", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=12", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        downgrade(10);
-        let Err(e) = store::open_sweep(&dir) else { panic!("a v10 manifest must be rejected") };
-        assert!(e.to_string().contains("unsupported manifest version 10"), "{e}");
+        for version in [11, 10] {
+            downgrade(version);
+            let Err(e) = store::open_sweep(&dir) else {
+                panic!("a v{version} manifest must be rejected")
+            };
+            let expected = format!("unsupported manifest version {version}");
+            assert!(e.to_string().contains(&expected), "{e}");
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+        }
         downgrade(3);
         Explorer::resume_sweep(&dir, spill_bodies, |_r| Ok(()));
     }

@@ -100,8 +100,10 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// committed segment file. v10 added the `body_runs` statistic. v11
 /// moved the state fingerprints to the word-wise
 /// [`crate::fingerprint::StateHasher`]: an older sweep's `visited.bin`
-/// and `visited_fnv` hold fingerprints that no current sweep makes.
-const MANIFEST_VERSION: u64 = 11;
+/// and `visited_fnv` hold fingerprints that no current sweep makes. v12
+/// dropped the `view_summaries` key, since every sweep folds declared
+/// view summaries, and came with snapshot codec v4.
+const MANIFEST_VERSION: u64 = 12;
 
 /// Locator of one checkpoint record in the segment file: the payload's
 /// offset and length, read back through [`SpillStore::read`].
@@ -507,7 +509,6 @@ fn render_manifest(
     kv("prune_visited", ex.reduction.prune_visited.to_string());
     kv("dpor", ex.reduction.dpor.to_string());
     kv("quotient_obs", ex.reduction.quotient_obs.to_string());
-    kv("view_summaries", ex.reduction.view_summaries.to_string());
     kv("symmetry", ex.reduction.symmetry.to_string());
     // The Symmetry spec itself is code (fn pointers) and cannot be
     // persisted; the manifest records its presence so a resume can
@@ -675,7 +676,6 @@ pub(super) fn open_sweep(dir: &Path) -> io::Result<OpenedSweep> {
             prune_visited: m.bool("prune_visited")?,
             dpor: m.bool("dpor")?,
             quotient_obs: m.bool("quotient_obs")?,
-            view_summaries: m.bool("view_summaries")?,
             symmetry: m.bool("symmetry")?,
         },
         collect_all: m.bool("collect_all")?,

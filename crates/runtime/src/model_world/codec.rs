@@ -54,8 +54,10 @@ use crate::world::{ObjKey, Stored};
 /// v2: the TSO mode flag and per-process store-buffer contents
 /// ([`crate::model_world::RunConfig::tso`]) joined the format. v3: the
 /// encoded memory and observation fingerprints are made by the
-/// word-wise [`crate::fingerprint::StateHasher`], not FNV-1a.
-pub const CODEC_VERSION: u16 = 3;
+/// word-wise [`crate::fingerprint::StateHasher`], not FNV-1a. v4: the
+/// view-summary mode byte is gone, since every observation history
+/// folds what its operations returned.
+pub const CODEC_VERSION: u16 = 4;
 
 /// Leading magic of an encoded snapshot record.
 const MAGIC: &[u8; 4] = b"MPSN";
@@ -555,7 +557,6 @@ impl Snapshot {
         w.put_u16(CODEC_VERSION);
         w.put_usize(self.n);
         w.put_bool(self.track);
-        w.put_bool(self.viewsum);
         w.put_bool(self.tso);
         let mut keys: Vec<ObjKey> = self.objects.keys().copied().collect();
         keys.sort_unstable();
@@ -613,8 +614,7 @@ impl Snapshot {
     /// roundtrip: the decoded snapshot re-encodes to the same bytes,
     /// reports the same fingerprints, and resumes identically (its log
     /// values carry their original dynamic types) — property-tested in
-    /// `tests/proptests.rs` on random programs in both observation modes
-    /// and on post-crash states.
+    /// `tests/proptests.rs` on random programs and on post-crash states.
     ///
     /// # Errors
     ///
@@ -634,7 +634,6 @@ impl Snapshot {
         }
         let n = r.usize()?;
         let track = r.bool()?;
-        let viewsum = r.bool()?;
         let tso = r.bool()?;
         let obj_count = r.usize()?;
         let mut objects = HashMap::with_capacity_and_hasher(capped(obj_count), Default::default());
@@ -712,7 +711,6 @@ impl Snapshot {
         let snap = Snapshot {
             n,
             track,
-            viewsum,
             objects,
             mem_fp,
             obs_fp,
@@ -808,7 +806,7 @@ mod tests {
         assert_eq!(hex, GOLDEN_HEX, "snapshot byte format drifted — bump CODEC_VERSION");
     }
 
-    const GOLDEN_HEX: &str = "4d50534e03000200000000000000010100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001178eaf6cd3e7e90fbab3d83a41955ba4b30f5778a73f457b02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a000000000000000000000000000000000000000001000101000000000000000002000000000000000000000102000000000000002800000000000000000000000000000000000000000101000000000000000000000000000000000000000000000003000000000000002800000001000000000000002900000001000000000000002a00000001000000000000000300000000000000";
+    const GOLDEN_HEX: &str = "4d50534e040002000000000000000100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001178eaf6cd3e7e90fbab3d83a41955ba4b30f5778a73f457b02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a000000000000000000000000000000000000000001000101000000000000000002000000000000000000000102000000000000002800000000000000000000000000000000000000000101000000000000000000000000000000000000000000000003000000000000002800000001000000000000002900000001000000000000002a00000001000000000000000300000000000000";
 
     #[test]
     fn foreign_and_truncated_bytes_are_rejected() {
@@ -819,11 +817,14 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(matches!(Snapshot::decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
-        // A v2 snapshot carries FNV-1a fingerprints: refused by its
-        // version, never decoded.
-        let mut v2 = bytes.clone();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(Snapshot::decode(&v2), Err(CodecError::UnsupportedVersion(2))));
+        // A v2 snapshot carries FNV-1a fingerprints and a v3 one a
+        // view-summary mode byte: each is refused by its version, never
+        // decoded.
+        for old in [2u16, 3] {
+            let mut stale = bytes.clone();
+            stale[4..6].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(Snapshot::decode(&stale).err(), Some(CodecError::UnsupportedVersion(old)));
+        }
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(Snapshot::decode(&trailing), Err(CodecError::TrailingBytes(1))));
@@ -896,7 +897,7 @@ mod tests {
             ]
         };
         let body_of = |pid: usize| bodies().into_iter().nth(pid).unwrap();
-        let mut snap = ModelWorld::snapshot_root_tso(2, true, false, true, bodies());
+        let mut snap = ModelWorld::snapshot_root_tso(2, true, true, true, bodies());
         snap = ModelWorld::resume_from(&snap, 0, body_of(0));
         snap = ModelWorld::resume_from(&snap, 0, body_of(0));
         assert_eq!(snap.flushable(), vec![0]);
@@ -925,7 +926,7 @@ mod tests {
                 0
             })]
         };
-        let root = ModelWorld::snapshot_root(1, true, false, bodies());
+        let root = ModelWorld::snapshot_root(1, true, true, bodies());
         let snap = ModelWorld::resume_from(&root, 0, bodies().remove(0));
         let err = snap.encode().unwrap_err();
         assert!(matches!(err, CodecError::UnsupportedValue { .. }));

@@ -181,7 +181,6 @@ pub struct RunConfig {
     max_steps: u64,
     record_trace: bool,
     record_state_hashes: bool,
-    view_summaries: bool,
     tso: bool,
 }
 
@@ -196,7 +195,6 @@ impl RunConfig {
             max_steps: 2_000_000,
             record_trace: false,
             record_state_hashes: false,
-            view_summaries: false,
             tso: false,
         }
     }
@@ -242,22 +240,12 @@ impl RunConfig {
 
     /// Records a global-state fingerprint after every pick (for the
     /// explorer's visited-state pruning). Enables the per-operation
-    /// fingerprint bookkeeping, so leave it off for plain runs.
+    /// fingerprint bookkeeping, so leave it off for plain runs. Each
+    /// process's observation history folds the value every operation
+    /// returned to its body: a declared view summary
+    /// ([`Env::snap_scan_via`]), never the view it summarized.
     pub fn record_state_hashes(mut self, yes: bool) -> Self {
         self.record_state_hashes = yes;
-        self
-    }
-
-    /// Folds **declared view summaries** ([`Env::snap_scan_via`])
-    /// instead of raw views into the per-process observation histories
-    /// the state fingerprints hash. Only meaningful together with
-    /// [`RunConfig::record_state_hashes`]; run *behavior* is identical
-    /// either way (the calling process only ever receives the summary).
-    /// Off by default so recorded state hashes stay comparable with the
-    /// summary-free engine; the explorer switches it on under
-    /// [`crate::explore::Reduction::view_summaries`].
-    pub fn view_summaries(mut self, yes: bool) -> Self {
-        self.view_summaries = yes;
         self
     }
 
@@ -874,7 +862,7 @@ impl ModelWorld {
     /// runs are linearizable, but the interleaving is whatever the OS
     /// scheduler produces — no determinism, no crash injection.
     pub fn new_free(n: usize) -> Self {
-        ModelWorld::with_state(Snapshot::new(n, false, false, false), Mode::Free)
+        ModelWorld::with_state(Snapshot::new(n, false, false), Mode::Free)
     }
 
     /// Runs `bodies` (one per process) to completion under `cfg`.
@@ -895,10 +883,8 @@ impl ModelWorld {
             "TSO gated runs require Schedule::Indexed (no other policy schedules flushes)"
         );
         let n = cfg.n();
-        let world = ModelWorld::with_state(
-            Snapshot::new(n, cfg.record_state_hashes, cfg.view_summaries, cfg.tso),
-            Mode::Gated,
-        );
+        let world =
+            ModelWorld::with_state(Snapshot::new(n, cfg.record_state_hashes, cfg.tso), Mode::Gated);
         let mut sched = ScheduleState::new(cfg.schedule.clone());
         let mut crash = CrashState::new(cfg.crashes.clone());
 
@@ -1187,23 +1173,16 @@ impl Env {
     /// because the calling process's continuation is a deterministic
     /// function of the values its operations *returned*, a scan that
     /// returns only `saw_stable` makes the process's control state a
-    /// function of that one bit — so the model world may fold the
-    /// summary, instead of the full `O(len)` view, into the process's
-    /// observation identity
-    /// ([`crate::explore::Reduction::view_summaries`]). Sound by
-    /// construction: nothing the abstraction drops was ever visible to
-    /// the program.
+    /// function of that one bit — so the model world folds the summary,
+    /// instead of the full `O(len)` view, into the process's observation
+    /// identity, as every operation folds the value it returned. Live
+    /// processes whose raw views differed but whose summaries agree
+    /// become indistinguishable. Sound by construction: nothing the
+    /// abstraction drops was ever visible to the program.
     ///
     /// The step has the *same* dependency footprint as [`Env::snap_scan`]
     /// (same key, pure read), so every commutation argument carries over
-    /// unchanged. What differs is the observation fold: with
-    /// [`RunConfig::view_summaries`] off, the **raw view** is folded
-    /// exactly as a plain scan folds it (byte-identical state identity —
-    /// recorded baselines cannot move); with it on, only the **declared
-    /// summary** is folded, so live processes whose raw views differed
-    /// but whose summaries agree become indistinguishable. The resume log
-    /// records the summary either way (it is the value the operation
-    /// returned).
+    /// unchanged.
     ///
     /// `summarize` is a plain `fn` pointer on purpose: it cannot capture
     /// mutable state, so it is structurally a pure function of the view
@@ -1231,11 +1210,9 @@ impl Env {
     ) -> S {
         let pid = self.pid;
         self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |st| {
-            let raw: Vec<Option<T>> = st.scan(pid, key, len);
-            let out = summarize(&raw);
+            let out = summarize(&st.scan::<T>(pid, key, len));
             if st.track {
-                let result_fp = if st.viewsum { fp_of(&out) } else { fp_of(&raw) };
-                st.observe(pid, OP_SNAP_SCAN, key, result_fp);
+                st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
             }
             out
         })
@@ -1639,7 +1616,7 @@ mod tests {
                 .record_state_hashes(true)
                 .tso(tso);
             let gated = ModelWorld::run(cfg, vec![make()]);
-            let mut snap = ModelWorld::snapshot_root_tso(1, true, false, tso, vec![make()]);
+            let mut snap = ModelWorld::snapshot_root_tso(1, true, true, tso, vec![make()]);
             let mut hashes = Vec::new();
             while !snap.is_terminal() {
                 snap = if snap.alive().is_empty() {

@@ -292,12 +292,6 @@ pub struct Snapshot {
     /// `track`); off for plain runs so the per-operation hashing costs
     /// nothing.
     pub(super) track: bool,
-    /// Observation histories along this path fold declared view summaries
-    /// instead of raw views (see [`super::RunConfig::view_summaries`]);
-    /// fixed at the root and inherited by every successor, so a path
-    /// never mixes the two identities. Only read where
-    /// [`Snapshot::track`] is on; never changes behavior.
-    pub(super) viewsum: bool,
     pub(super) objects: HashMap<ObjKey, super::Object, BuildStateHasher>,
     /// Incrementally maintained XOR accumulator over
     /// `hash(key, object-content)` of every object in `objects` —
@@ -322,8 +316,8 @@ pub struct Snapshot {
     pub(super) op_counts: HashMap<u32, u64, BuildStateHasher>,
     pub(super) steps: u64,
     /// This path explores TSO store-buffer semantics
-    /// ([`super::RunConfig::tso`]); fixed at the root like
-    /// [`Snapshot::viewsum`], so a path never mixes memory models.
+    /// ([`super::RunConfig::tso`]); fixed at the root and inherited by
+    /// every successor, so a path never mixes memory models.
     pub(super) tso: bool,
     /// Per-process FIFO store buffers (always empty when [`Snapshot::tso`]
     /// is off). Part of the state: they enter the fingerprint, the codec,
@@ -345,11 +339,10 @@ impl std::fmt::Debug for Snapshot {
 impl Snapshot {
     /// The state before any step: empty memory, every process alive with
     /// an empty history.
-    pub(super) fn new(n: usize, track: bool, viewsum: bool, tso: bool) -> Self {
+    pub(super) fn new(n: usize, track: bool, tso: bool) -> Self {
         Snapshot {
             n,
             track,
-            viewsum,
             objects: HashMap::default(),
             mem_fp: 0,
             obs_fp: vec![0; n],
@@ -885,10 +878,12 @@ impl ModelWorld {
     /// settled at its first shared-memory gate (or has already decided,
     /// for bodies that return without touching shared memory). With
     /// `track`, fingerprint bookkeeping is enabled for the whole path —
-    /// required for [`Snapshot::fingerprint`]. With `viewsum`, the
-    /// observation histories fold declared view summaries instead of raw
-    /// views ([`super::RunConfig::view_summaries`]) — a property of the
-    /// whole path, inherited by every resumed successor.
+    /// required for [`Snapshot::fingerprint`]. The observation histories
+    /// fold what each operation returned to its body, declared view
+    /// summaries included ([`crate::world::Env::snap_scan_via`]).
+    ///
+    /// `viewsum` is ignored: it is kept only so that existing call sites
+    /// keep compiling. Pass `true`.
     ///
     /// # Panics
     ///
@@ -900,16 +895,17 @@ impl ModelWorld {
     /// [`ModelWorld::snapshot_root`] with the memory model chosen
     /// explicitly: with `tso`, the whole path explores TSO store-buffer
     /// semantics ([`super::RunConfig::tso`]) — a root property inherited
-    /// by every successor, like `viewsum`.
+    /// by every successor. `viewsum` is ignored, as in
+    /// [`ModelWorld::snapshot_root`].
     pub fn snapshot_root_tso(
         n: usize,
         track: bool,
-        viewsum: bool,
+        _viewsum: bool,
         tso: bool,
         bodies: Vec<Body>,
     ) -> Snapshot {
         assert_eq!(bodies.len(), n, "one body per process required");
-        let mut snap = Snapshot::new(n, track, viewsum, tso);
+        let mut snap = Snapshot::new(n, track, tso);
         for (pid, body) in bodies.into_iter().enumerate() {
             // Probe (budget 0): the body unwinds at its first operation
             // without touching shared state, recording the op's purity.
@@ -1152,7 +1148,7 @@ mod tests {
 
     #[test]
     fn root_settles_every_process_at_its_first_gate() {
-        let snap = ModelWorld::snapshot_root(3, true, false, writer_bodies(3, 2));
+        let snap = ModelWorld::snapshot_root(3, true, true, writer_bodies(3, 2));
         assert_eq!(snap.alive(), vec![0, 1, 2]);
         assert_eq!(snap.steps(), 0);
         assert!(!snap.pending_footprint(0).unwrap().pure_read, "first op is a snap_write");
@@ -1162,7 +1158,7 @@ mod tests {
     #[test]
     fn root_records_immediately_deciding_bodies() {
         let bodies: Vec<Body> = vec![body(|_env| 41), body(|env| u64::from(env.tas(REG)))];
-        let snap = ModelWorld::snapshot_root(2, false, false, bodies);
+        let snap = ModelWorld::snapshot_root(2, false, true, bodies);
         assert_eq!(snap.alive(), vec![1]);
         assert_eq!(snap.report(false).outcomes[0], Outcome::Decided(41));
     }
@@ -1173,7 +1169,7 @@ mod tests {
         // indexed schedule; outcomes, steps, and every per-pick
         // fingerprint must agree.
         let n = 2;
-        let mut snap = ModelWorld::snapshot_root(n, true, false, writer_bodies(n, 2));
+        let mut snap = ModelWorld::snapshot_root(n, true, true, writer_bodies(n, 2));
         let mut choices = Vec::new();
         let mut resumed_hashes = Vec::new();
         while !snap.is_terminal() {
@@ -1200,7 +1196,7 @@ mod tests {
     #[test]
     fn resume_crash_kills_without_consuming_steps() {
         let n = 2;
-        let snap = ModelWorld::snapshot_root(n, false, false, writer_bodies(n, 1));
+        let snap = ModelWorld::snapshot_root(n, false, true, writer_bodies(n, 1));
         let crashed = ModelWorld::resume_crash(&snap, 0);
         assert_eq!(crashed.alive(), vec![1]);
         assert_eq!(crashed.steps(), 0);
@@ -1221,7 +1217,7 @@ mod tests {
                 0
             })]
         };
-        let snap = ModelWorld::snapshot_root(n, false, false, bodies());
+        let snap = ModelWorld::snapshot_root(n, false, true, bodies());
         assert!(!snap.pending_footprint(0).unwrap().pure_read);
         let snap = ModelWorld::resume_from(&snap, 0, bodies().remove(0));
         assert!(snap.pending_footprint(0).unwrap().pure_read, "parked before the scan");
@@ -1244,7 +1240,7 @@ mod tests {
                 0
             })]
         };
-        let snap = ModelWorld::snapshot_root(1, false, false, make(0));
+        let snap = ModelWorld::snapshot_root(1, false, true, make(0));
         let snap = ModelWorld::resume_from(&snap, 0, make(0).remove(0));
         // Resuming with a *different* body: the log replay must detect it.
         ModelWorld::resume_from(&snap, 0, make(1).remove(0));
@@ -1276,19 +1272,18 @@ mod tests {
 
     /// The continuation cache's hit path, checked in every build (the
     /// audit inside `resume_cached` runs in debug builds only): random
-    /// walks under SC and TSO, with and without view summaries, mix
-    /// flushes and crash deliveries into their op picks, and every op
-    /// pick's cached successor must be the one `resume_from` builds.
+    /// walks under SC and TSO mix flushes and crash deliveries into
+    /// their op picks, and every op pick's cached successor must be the
+    /// one `resume_from` builds.
     #[test]
     fn cached_resumes_match_resume_from_on_random_walks() {
         let n = 3;
-        for (tso, viewsum) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut rng = StdRng::seed_from_u64(u64::from(tso) << 1 | u64::from(viewsum));
+        for tso in [false, true] {
+            let mut rng = StdRng::seed_from_u64(if tso { 3 } else { 1 });
             let mut conts = Continuations::default();
             let (mut op_picks, mut body_runs) = (0u64, 0u64);
             for _ in 0..40 {
-                let mut snap =
-                    ModelWorld::snapshot_root_tso(n, true, viewsum, tso, mixed_bodies(n));
+                let mut snap = ModelWorld::snapshot_root_tso(n, true, true, tso, mixed_bodies(n));
                 while !snap.is_terminal() {
                     let (alive, flushable) = (snap.alive(), snap.flushable());
                     if !flushable.is_empty() && (alive.is_empty() || rng.gen_range(0..3) == 0) {
@@ -1311,7 +1306,7 @@ mod tests {
             }
             assert!(
                 body_runs * 3 < op_picks,
-                "tso {tso}, viewsum {viewsum}: the walks must mostly hit the cache \
+                "tso {tso}: the walks must mostly hit the cache \
                  ({body_runs} body runs for {op_picks} op picks)"
             );
         }
@@ -1321,6 +1316,6 @@ mod tests {
     #[should_panic(expected = "virtual process 0 failed")]
     fn real_panics_surface_through_resume() {
         let bodies: Vec<Body> = vec![body(|_env| panic!("algorithm bug"))];
-        ModelWorld::snapshot_root(1, false, false, bodies);
+        ModelWorld::snapshot_root(1, false, true, bodies);
     }
 }

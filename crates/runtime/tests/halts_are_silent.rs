@@ -71,7 +71,7 @@ fn crashes_timeouts_and_parks_never_reach_the_panic_hook() {
 
     // Resume parks: the root probe parks each body at its first gate,
     // and one resumed step parks process 0 at its second.
-    let root = ModelWorld::snapshot_root(2, false, false, writers());
+    let root = ModelWorld::snapshot_root(2, false, true, writers());
     let next = ModelWorld::resume_from(&root, 0, writers().remove(0));
     assert_eq!(next.own_steps(0), 1);
     assert_eq!(next.alive(), vec![0, 1]);

@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 
 use mpcn_runtime::explore::{ExploreLimits, ExploreStats, Explorer, Reduction};
-use mpcn_runtime::fingerprint::fp_of;
 use mpcn_runtime::model_world::{Body, ModelWorld, RunConfig, RunReport, Symmetry};
 use mpcn_runtime::sched::{Crashes, Schedule};
 use mpcn_runtime::world::{Env, ObjKey};
@@ -25,23 +24,61 @@ fn counter_bodies(n: usize, rounds: u64) -> Vec<Body> {
         .collect()
 }
 
+/// This file's own fixed draw: FNV-1a over the little-endian bytes of
+/// `words`. Program shapes, schedules, crash points and checker flags
+/// all come from it rather than from the explorer's fingerprint kernel,
+/// so a change to the kernel cannot move what these tests cover.
+fn draw(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in words.into_iter().flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Whether a checker flags an outcome: about one outcome in `one_in`,
+/// drawn from `seed`, the sorted decided values `vals` and each pid
+/// list, every list preceded by its length.
+fn flagged(seed: u64, one_in: u64, vals: &[u64], pid_lists: &[&[usize]]) -> bool {
+    let mut words = vec![vals.len() as u64];
+    words.extend(vals);
+    for pids in pid_lists {
+        words.push(pids.len() as u64);
+        words.extend(pids.iter().map(|&p| p as u64));
+    }
+    draw(words).wrapping_add(seed) % one_in == 0
+}
+
+/// The declared view summary of the random programs, deliberately
+/// lossy: a body consumes only the count of written cells, not their
+/// values.
+fn written(view: &[Option<u64>]) -> u64 {
+    view.iter().flatten().count() as u64
+}
+
 /// A deterministic "random" program: `n` processes, `ops` shared-memory
 /// operations each, drawn from a small alphabet (register writes/reads,
-/// snapshot writes/scans — raw and through a lossy declared view
-/// summary — test&set) by hashing `(seed, pid, op index)`. Bodies fold
-/// their observations into the decided value, so outcomes depend on the
-/// interleaving — the explorer equivalence tests need schedule-sensitive
-/// programs, and the summarized-scan arm makes the view-summary
-/// reduction actually coarsen state identities on a fair share of the
-/// generated cases.
-fn small_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
+/// snapshot writes/scans — raw and summarized to [`written`] —
+/// test&set) by hashing `(seed, pid, op index)`. Bodies fold their
+/// observations into the decided value, so outcomes depend on the
+/// interleaving — the explorer equivalence tests need
+/// schedule-sensitive programs. With `summarized`, the summarized-scan
+/// arm declares its summary ([`Env::snap_scan_via`]), so the process's
+/// history folds the count alone and states coarsen on a fair share of
+/// the generated cases; without it, the arm applies [`written`] in the
+/// body to a plain scan, whose history folds the whole view. The two
+/// forms are the same program.
+fn small_program(seed: u64, n: usize, ops: usize, summarized: bool) -> Vec<Body> {
     (0..n)
         .map(|i| {
             Box::new(move |env: Env<ModelWorld>| {
                 let mut acc = 0u64;
                 for j in 0..ops {
-                    let h = fp_of(&(seed, i, j));
-                    let key = ObjKey::new(74, 0, h % 2);
+                    let h = draw([seed, i as u64, j as u64]);
+                    // The object index comes from bits the op choice
+                    // does not read, so reads and writes reach both.
+                    let b = (h >> 32) % 2;
+                    let key = ObjKey::new(74, 0, b);
                     match h % 6 {
                         0 => env.reg_write(key, h % 16),
                         1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).unwrap_or(7)),
@@ -51,16 +88,14 @@ fn small_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         4 => {
-                            // Declared view summary, deliberately lossy:
-                            // the body consumes only the count of
-                            // written cells, not their values.
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(75, 0, 0), n, |view| {
-                                    view.iter().flatten().count() as u64
-                                });
-                            acc = acc.wrapping_add(written);
+                            let cells = ObjKey::new(75, 0, 0);
+                            acc = acc.wrapping_add(if summarized {
+                                env.snap_scan_via(cells, n, written)
+                            } else {
+                                written(&env.snap_scan(cells, n))
+                            });
                         }
-                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(76, 0, h % 2)))),
+                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(76, 0, b)))),
                     }
                 }
                 acc
@@ -85,8 +120,9 @@ fn symmetric_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
             Box::new(move |env: Env<ModelWorld>| {
                 let mut acc = 0u64;
                 for j in 0..ops {
-                    let h = fp_of(&(seed, j));
-                    let key = ObjKey::new(77, 0, h % 2);
+                    let h = draw([seed, j as u64]);
+                    let b = (h >> 32) % 2;
+                    let key = ObjKey::new(77, 0, b);
                     match h % 6 {
                         0 => env.reg_write(key, h % 16),
                         1 => acc = acc.wrapping_add(env.reg_read::<u64>(key).unwrap_or(7)),
@@ -96,13 +132,10 @@ fn symmetric_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         4 => {
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(78, 0, 0), n, |view| {
-                                    view.iter().flatten().count() as u64
-                                });
-                            acc = acc.wrapping_add(written);
+                            let cells = ObjKey::new(78, 0, 0);
+                            acc = acc.wrapping_add(env.snap_scan_via(cells, n, written));
                         }
-                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(79, 0, h % 2)))),
+                        _ => acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(79, 0, b)))),
                     }
                 }
                 acc
@@ -125,11 +158,11 @@ fn buffer_free_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
             Box::new(move |env: Env<ModelWorld>| {
                 let mut acc = 0u64;
                 for j in 0..ops {
-                    let h = fp_of(&(seed, i, j));
+                    let h = draw([seed, i as u64, j as u64]);
                     match h % 4 {
                         0 => {
                             acc = acc.wrapping_add(
-                                env.reg_read::<u64>(ObjKey::new(84, 0, h % 2)).unwrap_or(7),
+                                env.reg_read::<u64>(ObjKey::new(84, 0, (h >> 32) % 2)).unwrap_or(7),
                             );
                         }
                         1 => {
@@ -137,14 +170,12 @@ fn buffer_free_program(seed: u64, n: usize, ops: usize) -> Vec<Body> {
                             acc = acc.wrapping_add(view.into_iter().flatten().sum::<u64>());
                         }
                         2 => {
-                            let written =
-                                env.snap_scan_via::<u64, u64>(ObjKey::new(85, 0, 0), n, |view| {
-                                    view.iter().flatten().count() as u64
-                                });
-                            acc = acc.wrapping_add(written);
+                            let cells = ObjKey::new(85, 0, 0);
+                            acc = acc.wrapping_add(env.snap_scan_via(cells, n, written));
                         }
                         _ => {
-                            acc = acc.wrapping_add(u64::from(env.tas(ObjKey::new(86, 0, h % 4))));
+                            let key = ObjKey::new(86, 0, (h >> 32) % 4);
+                            acc = acc.wrapping_add(u64::from(env.tas(key)));
                         }
                     }
                 }
@@ -263,7 +294,7 @@ proptest! {
     /// more schedules doing so.
     #[test]
     fn reductions_preserve_violation_sets(seed in 0u64..1_000_000, n in 2usize..4, ops in 1usize..3) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let sweep = |reduction| {
             let explorer = Explorer::new(n).reduction(reduction);
             differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
@@ -278,7 +309,8 @@ proptest! {
     /// the unreduced semantics: on random small programs (n ≤ 3, schedule
     /// depth ≤ 8), DPOR-on exploration (footprint commutation + the
     /// observation quotient) and pruning-only exploration (no commutation,
-    /// no quotient) must produce identical violation *sets* and
+    /// no quotient; declared view summaries fold in both, as in every
+    /// pruning sweep) must produce identical violation *sets* and
     /// identical *replay verdicts* — every reported schedule, replayed
     /// through the gated reference engine, must still trip the checker.
     /// DPOR never adds work.
@@ -288,7 +320,7 @@ proptest! {
         n in 2usize..4,
         ops in 1usize..3,
     ) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let sweep = |reduction| {
             let explorer = Explorer::new(n).reduction(reduction);
             differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
@@ -304,31 +336,27 @@ proptest! {
     }
 
     /// Differential view-summary test — the same discipline as the DPOR
-    /// gate: on random small programs (whose alphabet includes scans
-    /// through a lossy declared summary), summary-on exploration
-    /// ([`Reduction::full`]) and summary-off exploration (also without
-    /// the symmetry quotient) must produce identical violation
-    /// *sets* and identical *replay verdicts* — every reported schedule,
+    /// gate, moved to the program: each random small program is written
+    /// twice, its lossy summarized-scan arm once through a declared
+    /// summary ([`Env::snap_scan_via`]) and once as the same summary
+    /// applied in the body to a plain scan. Both forms sweep under
+    /// [`Reduction::full`] and must produce identical violation *sets*
+    /// and identical *replay verdicts* — every reported schedule,
     /// replayed through the gated reference engine, must still trip the
-    /// checker. Summaries only merge states, never split them, so they
-    /// never add work.
+    /// checker. A declared summary only merges states, never splits
+    /// them, so it never adds work.
     #[test]
     fn view_summaries_preserve_violation_sets_and_replay_verdicts(
         seed in 0u64..1_000_000,
         n in 2usize..4,
         ops in 1usize..3,
     ) {
-        let make = move || small_program(seed, n, ops);
-        let sweep = |reduction| {
-            let explorer = Explorer::new(n).reduction(reduction);
-            differential_sweep(explorer, Crashes::None, 1_000, make, flag_decided(seed))
+        let sweep = |summarized| {
+            let make = move || small_program(seed, n, ops, summarized);
+            differential_sweep(Explorer::new(n), Crashes::None, 1_000, make, flag_decided(seed))
         };
-        let (summarized_stats, summarized) = sweep(Reduction::full())?;
-        let (reference_stats, reference) = sweep(Reduction {
-            view_summaries: false,
-            symmetry: false,
-            ..Reduction::full()
-        })?;
+        let (summarized_stats, summarized) = sweep(true)?;
+        let (reference_stats, reference) = sweep(false)?;
         prop_assert_eq!(
             summarized, reference,
             "view summaries must preserve the violation set (seed {})", seed
@@ -385,7 +413,8 @@ proptest! {
     }
 
     /// The crash-and-timeout differential: the same DPOR-on vs
-    /// pruning-only equivalence, but with a generated single-crash plan (exercising
+    /// pruning-only equivalence (summaries folded in both), but with a
+    /// generated single-crash plan (exercising
     /// the crash-commutes-with-everything rule on random programs) and a
     /// deliberately *binding* step budget (exercising the observation
     /// quotient's interaction with timeout cuts — a terminated process's
@@ -401,16 +430,16 @@ proptest! {
         crash_step in 0u64..3,
         max_steps in 1u64..6,
     ) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let crashes = Crashes::AtOwnStep(vec![(victim % n, crash_step)]);
         // Outcome-only checker over decided values *and* the undecided
         // set, so timeout placement differences are visible verdicts.
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
             vals.sort_unstable();
-            let key = (vals, r.undecided_pids());
-            if fp_of(&key).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {key:?}"));
+            let undecided = r.undecided_pids();
+            if flagged(seed, 3, &vals, &[&undecided]) {
+                return Err(format!("flagged outcome {:?}", (vals, undecided)));
             }
             Ok(())
         };
@@ -506,9 +535,8 @@ proptest! {
     /// arbitrary schedule yields, pick for pick, the same state
     /// fingerprints — and finally the same outcomes, step count, and
     /// op accounting — as a gated replay-from-root of the same choice
-    /// vector. Checked in both observation modes: raw views and
-    /// declared view summaries must each agree *between the two
-    /// engines* (their identities legitimately differ from each other).
+    /// vector. Both engines fold the declared view summaries the random
+    /// programs return.
     ///
     /// Two further inputs reach the paths where the engines handle
     /// state differently. A one-entry [`Crashes::AtOwnStep`] plan
@@ -527,53 +555,49 @@ proptest! {
         crash_step in 0u64..5,
         tso in 0u8..2,
     ) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let tso = tso == 1;
         let plan = vec![(crash_pid, crash_step)];
-        for viewsum in [false, true] {
-            let mut snap = ModelWorld::snapshot_root_tso(n, true, viewsum, tso, make());
-            let mut choices = Vec::new();
-            let mut resumed_hashes = Vec::new();
-            while !snap.is_terminal() {
-                let alive = snap.alive();
-                let flushable = snap.flushable();
-                let c = (fp_of(&(pick_seed, choices.len())) as usize)
-                    % (alive.len() + flushable.len());
-                snap = if let Some(&pid) = alive.get(c) {
-                    choices.push(c);
-                    if plan.contains(&(pid, snap.own_steps(pid))) {
-                        ModelWorld::resume_crash(&snap, pid)
-                    } else {
-                        let body = make().into_iter().nth(pid).expect("pid in range");
-                        ModelWorld::resume_from(&snap, pid, body)
-                    }
+        let mut snap = ModelWorld::snapshot_root_tso(n, true, true, tso, make());
+        let mut choices = Vec::new();
+        let mut resumed_hashes = Vec::new();
+        while !snap.is_terminal() {
+            let alive = snap.alive();
+            let flushable = snap.flushable();
+            let c = (draw([pick_seed, choices.len() as u64]) as usize)
+                % (alive.len() + flushable.len());
+            snap = if let Some(&pid) = alive.get(c) {
+                choices.push(c);
+                if plan.contains(&(pid, snap.own_steps(pid))) {
+                    ModelWorld::resume_crash(&snap, pid)
                 } else {
-                    let pid = flushable[c - alive.len()];
-                    choices.push(2 * alive.len() + pid);
-                    ModelWorld::resume_flush(&snap, pid)
-                };
-                resumed_hashes.push(snap.fingerprint());
-            }
-            let gated = ModelWorld::run(
-                RunConfig::replay(n, Crashes::AtOwnStep(plan.clone()), 10_000, &choices)
-                    .record_state_hashes(true)
-                    .view_summaries(viewsum)
-                    .tso(tso),
-                make(),
-            );
-            let report = snap.report(false);
-            prop_assert_eq!(report.outcomes, gated.outcomes);
-            prop_assert_eq!(report.steps, gated.steps);
-            prop_assert_eq!(report.ops_by_kind, gated.ops_by_kind);
-            prop_assert_eq!(
-                resumed_hashes,
-                gated.state_hashes.expect("requested"),
-                "engines disagree on state identity (viewsum {}, tso {}, plan {:?})",
-                viewsum,
-                tso,
-                plan
-            );
+                    let body = make().into_iter().nth(pid).expect("pid in range");
+                    ModelWorld::resume_from(&snap, pid, body)
+                }
+            } else {
+                let pid = flushable[c - alive.len()];
+                choices.push(2 * alive.len() + pid);
+                ModelWorld::resume_flush(&snap, pid)
+            };
+            resumed_hashes.push(snap.fingerprint());
         }
+        let gated = ModelWorld::run(
+            RunConfig::replay(n, Crashes::AtOwnStep(plan.clone()), 10_000, &choices)
+                .record_state_hashes(true)
+                .tso(tso),
+            make(),
+        );
+        let report = snap.report(false);
+        prop_assert_eq!(report.outcomes, gated.outcomes);
+        prop_assert_eq!(report.steps, gated.steps);
+        prop_assert_eq!(report.ops_by_kind, gated.ops_by_kind);
+        prop_assert_eq!(
+            resumed_hashes,
+            gated.state_hashes.expect("requested"),
+            "engines disagree on state identity (tso {}, plan {:?})",
+            tso,
+            plan
+        );
     }
 
     /// Crash planning at own-step granularity: a process crashed at step s
@@ -604,9 +628,9 @@ proptest! {
     }
 
     /// The snapshot byte codec is faithful on arbitrary reachable
-    /// states: walking a random program down a random schedule — in both
-    /// observation modes, with a mid-walk crash on a seed-dependent
-    /// subset of cases — every intermediate snapshot decodes back to a
+    /// states: walking a random program down a random schedule — with a
+    /// mid-walk crash on a seed-dependent subset of cases — every
+    /// intermediate snapshot decodes back to a
     /// state with the same fingerprints and observables, and re-encoding
     /// the decoded state reproduces the bytes exactly.
     #[test]
@@ -616,47 +640,44 @@ proptest! {
         n in 2usize..4,
         ops in 1usize..4,
     ) {
-        let make = move || small_program(seed, n, ops);
-        for viewsum in [false, true] {
-            let mut snap = ModelWorld::snapshot_root(n, true, viewsum, make());
-            let crash_at = (fp_of(&(pick_seed, viewsum)) as usize) % 8;
-            let mut step = 0usize;
-            loop {
-                let bytes = snap.encode().expect("reachable states encode");
-                let decoded = mpcn_runtime::model_world::Snapshot::decode(&bytes)
-                    .expect("own bytes decode");
-                prop_assert_eq!(decoded.fingerprint(), snap.fingerprint());
-                prop_assert_eq!(decoded.fingerprint_quotient(), snap.fingerprint_quotient());
-                prop_assert_eq!(decoded.alive(), snap.alive());
-                prop_assert_eq!(decoded.steps(), snap.steps());
-                for p in 0..n {
-                    prop_assert_eq!(decoded.own_steps(p), snap.own_steps(p));
-                    prop_assert_eq!(decoded.pending_footprint(p), snap.pending_footprint(p));
-                }
-                prop_assert_eq!(
-                    decoded.report(false).outcomes,
-                    snap.report(false).outcomes
-                );
-                prop_assert_eq!(
-                    decoded.encode().expect("decoded states re-encode"),
-                    bytes,
-                    "re-encoding must be byte-stable (viewsum {})",
-                    viewsum
-                );
-                if snap.is_terminal() {
-                    break;
-                }
-                let alive = snap.alive();
-                if step == crash_at && alive.len() > 1 {
-                    snap = ModelWorld::resume_crash(&snap, alive[0]);
-                } else {
-                    let c = (fp_of(&(pick_seed, step)) as usize) % alive.len();
-                    let pid = alive[c];
-                    let body = make().into_iter().nth(pid).expect("pid in range");
-                    snap = ModelWorld::resume_from(&snap, pid, body);
-                }
-                step += 1;
+        let make = move || small_program(seed, n, ops, true);
+        let mut snap = ModelWorld::snapshot_root(n, true, true, make());
+        let crash_at = (draw([pick_seed]) as usize) % 8;
+        let mut step = 0usize;
+        loop {
+            let bytes = snap.encode().expect("reachable states encode");
+            let decoded = mpcn_runtime::model_world::Snapshot::decode(&bytes)
+                .expect("own bytes decode");
+            prop_assert_eq!(decoded.fingerprint(), snap.fingerprint());
+            prop_assert_eq!(decoded.fingerprint_quotient(), snap.fingerprint_quotient());
+            prop_assert_eq!(decoded.alive(), snap.alive());
+            prop_assert_eq!(decoded.steps(), snap.steps());
+            for p in 0..n {
+                prop_assert_eq!(decoded.own_steps(p), snap.own_steps(p));
+                prop_assert_eq!(decoded.pending_footprint(p), snap.pending_footprint(p));
             }
+            prop_assert_eq!(
+                decoded.report(false).outcomes,
+                snap.report(false).outcomes
+            );
+            prop_assert_eq!(
+                decoded.encode().expect("decoded states re-encode"),
+                bytes,
+                "re-encoding must be byte-stable"
+            );
+            if snap.is_terminal() {
+                break;
+            }
+            let alive = snap.alive();
+            if step == crash_at && alive.len() > 1 {
+                snap = ModelWorld::resume_crash(&snap, alive[0]);
+            } else {
+                let c = (draw([pick_seed, step as u64]) as usize) % alive.len();
+                let pid = alive[c];
+                let body = make().into_iter().nth(pid).expect("pid in range");
+                snap = ModelWorld::resume_from(&snap, pid, body);
+            }
+            step += 1;
         }
     }
 
@@ -677,7 +698,7 @@ proptest! {
         halt in 1u64..5,
         adversary in 0usize..3,
     ) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let crashes = match adversary {
             0 => Crashes::None,
             1 => Crashes::AtOwnStep(vec![(seed as usize % n, seed % ops as u64)]),
@@ -686,7 +707,7 @@ proptest! {
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
             vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 4 == 0 {
+            if flagged(seed, 4, &vals, &[]) {
                 return Err(format!("flagged outcome {vals:?}"));
             }
             Ok(())
@@ -738,7 +759,7 @@ proptest! {
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
             vals.sort_unstable();
-            if fp_of(&vals).wrapping_add(seed) % 4 == 0 {
+            if flagged(seed, 4, &vals, &[]) {
                 return Err(format!("flagged outcome {vals:?}"));
             }
             Ok(())
@@ -859,13 +880,13 @@ proptest! {
         ops in 1usize..3,
         f in 1usize..3,
     ) {
-        let make = move || small_program(seed, n, ops);
+        let make = move || small_program(seed, n, ops, true);
         let check = move |r: &RunReport| {
             let mut vals = r.decided_values();
             vals.sort_unstable();
-            let key = (vals, r.crashed_pids(), r.undecided_pids());
-            if fp_of(&key).wrapping_add(seed) % 3 == 0 {
-                return Err(format!("flagged outcome {key:?}"));
+            let (crashed, undecided) = (r.crashed_pids(), r.undecided_pids());
+            if flagged(seed, 3, &vals, &[&crashed, &undecided]) {
+                return Err(format!("flagged outcome {:?}", (vals, crashed, undecided)));
             }
             Ok(())
         };
@@ -937,14 +958,14 @@ fn flag_decided(seed: u64) -> impl Fn(&RunReport) -> Result<(), String> + Copy {
     move |r: &RunReport| {
         let mut vals = r.decided_values();
         vals.sort_unstable();
-        if fp_of(&vals).wrapping_add(seed) % 3 == 0 {
+        if flagged(seed, 3, &vals, &[]) {
             return Err(format!("flagged outcome {vals:?}"));
         }
         Ok(())
     }
 }
 
-/// One `collect_all` sweep of `small_program(seed, n, ops)` under `ex`,
+/// One `collect_all` sweep of `small_program(seed, n, ops, true)` under `ex`,
 /// with a checker that flags about one outcome in five: its summary,
 /// completeness, violations (choices and message) and statistics.
 fn flagged_sweep(
@@ -957,11 +978,11 @@ fn flagged_sweep(
         .limits(ExploreLimits { max_expansions: 100_000, max_steps: 1_000, ..Default::default() })
         .collect_all(true)
         .run(
-            move || small_program(seed, n, ops),
+            move || small_program(seed, n, ops, true),
             move |r: &RunReport| {
                 let mut vals = r.decided_values();
                 vals.sort_unstable();
-                if fp_of(&vals).wrapping_add(seed) % 5 == 0 {
+                if flagged(seed, 5, &vals, &[]) {
                     return Err(format!("flagged outcome {vals:?}"));
                 }
                 Ok(())
