@@ -316,14 +316,14 @@ fn reduction_matrix_preserves_catalogue_verdicts() {
         let (reference, full_expansions) = verdict(sweep, full);
         assert_eq!(reference.1 > 0, sweep.expect_violation, "{}: unexpected verdict", sweep.label);
         let mut row = [full_expansions; 4];
-        for (i, (off, reduction)) in variants.into_iter().enumerate() {
+        for (cell, (off, reduction)) in row[1..].iter_mut().zip(variants) {
             let (variant, variant_expansions) = verdict(sweep, reduction);
             assert_eq!(
                 variant, reference,
                 "{}: switching off {off} changed the verdict",
                 sweep.label
             );
-            row[i + 1] = variant_expansions;
+            *cell = variant_expansions;
         }
         expansions.push((sweep.label, row));
     }
@@ -392,11 +392,11 @@ fn fig1_n6_exhaustive_symm_baseline() {
 /// One scale step beyond the milestone: `n = 6` (depth 24) is also
 /// exhaustible without the symmetry quotient — ~1.37M expansions, about
 /// 5 s release on a 2-vCPU VM — but too heavy for the debug-mode tier-1
-/// suite, so the exact baseline is pinned behind `#[ignore]`. The sweep runs through
-/// a disk-backed `SpillStore` with a resident ceiling far below the
-/// widest layer: checkpoint snapshots live in the segment file, so this
-/// is the storage layer at its design scale — and the pinned line
-/// proves the disk is invisible in the report.
+/// suite, so the exact baseline is pinned behind `#[ignore]`. The sweep
+/// runs through a disk-backed `SpillStore` with a resident ceiling far
+/// below the widest layer: checkpoint snapshots live in the segment
+/// file, so this is the storage layer at its design scale — and the
+/// pinned line proves the disk is invisible in the report.
 /// Reproduce with
 /// `cargo test --release -p mpcn-agreement --test explore_sweeps -- \
 /// --ignored fig1_n6`.
