@@ -133,6 +133,29 @@ const BODY_RUNS: [(&str, u64); 14] = [
     ("fig6 n=3 x=2 tso pruned", 90),
 ];
 
+/// Checkpoint bytes each catalogued sweep writes to its segment file when
+/// [`spilled_catalogue_matches_golden_file`] spills it under the 64-node
+/// ceiling with 8-layer checkpoints (`ExploreStats::spill_bytes`, off the
+/// summary line): an exact work counter of the storage layer, pinned like
+/// the state counts, so a change to the snapshot codec or to what a
+/// sweep checkpoints shows here.
+const SPILL_BYTES: [(&str, u64); 14] = [
+    ("fig1 n=3 pruned", 9_113),
+    ("fig1 n=3 unpruned", 2_288_152),
+    ("fig1 n=3 crash(0@1) pruned", 12_623),
+    ("fig1 n=4 depth<=9 pruned", 15_157),
+    ("fig5 n=4 x=2 pruned", 232),
+    ("fig6 n=3 x=2 pruned", 85_244),
+    ("fig6 n=4 x=2 pruned", 1_464_072),
+    ("fig1 n=4 pruned", 15_157),
+    ("fig1 n=5 pruned", 163_891),
+    ("fig1 n=5 f=1 pruned", 444_694),
+    ("fig1 n=4 f=2 pruned", 45_726),
+    ("fig1 n=3 tso pruned", 104_822),
+    ("fig5 n=4 x=2 tso pruned", 232),
+    ("fig6 n=3 x=2 tso pruned", 113_312),
+];
+
 /// The one place the catalogue's summary lines are pinned: every sweep
 /// of `fixtures::catalogue`, run in memory, must print exactly its line
 /// of `tests/golden/explore_catalogue.txt`, run exactly its
@@ -176,10 +199,11 @@ fn catalogue_matches_golden_file() {
 /// op pick it replays in a pruned sweep hits the continuation cache: each
 /// pruned sweep runs exactly its in-memory [`BODY_RUNS`]. The unpruned
 /// sweep keeps no cache, so each op pick its rehydrations replay runs a
-/// body again: 176 282 more than in memory.
+/// body again: 176 282 more than in memory. Each sweep writes exactly
+/// its [`SPILL_BYTES`].
 #[test]
 fn spilled_catalogue_matches_golden_file() {
-    let mut body_runs = Vec::new();
+    let (mut body_runs, mut spill_bytes) = (Vec::new(), Vec::new());
     let lines: Vec<String> = catalogue()
         .iter()
         .map(|sweep| {
@@ -236,10 +260,12 @@ fn spilled_catalogue_matches_golden_file() {
                 _ => {}
             }
             body_runs.push((label, stats.body_runs));
+            spill_bytes.push((label, stats.spill_bytes));
             report.summary_line(label)
         })
         .collect();
     assert_matches_golden_catalogue(&lines);
+    assert_eq!(spill_bytes, SPILL_BYTES, "checkpoint bytes written per catalogued sweep");
     let expected = BODY_RUNS.map(|(label, runs)| match label {
         "fig1 n=3 unpruned" => (label, 286_535),
         _ => (label, runs),

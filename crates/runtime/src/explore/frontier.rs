@@ -39,7 +39,7 @@
 //! Under the symmetric crash-count adversary, crash delivery is not a
 //! policy decision but a **schedule branch**: at every interior node
 //! whose crash budget is not exhausted — the budget spent is the number
-//! of crashed flags in the node's snapshot ([`Snapshot::crashes`]) —
+//! of crashed outcomes in the node's snapshot ([`Snapshot::crashes`]) —
 //! [`Engine::admit`] queues, next to each alive process's op expansion,
 //! a crash sibling encoded as choice `alive.len() + i` (the crash band
 //! of [`Pick::decode`], which `Schedule::Indexed` shares, so
@@ -293,7 +293,7 @@ where
         // it breaks the permutation-closure the canonical fingerprint's
         // soundness rests on. [`Crashes::None`] and the
         // crash-count adversary [`Crashes::UpTo`] qualify — the budget
-        // is a pure count (the number of crashed flags in the state,
+        // is a pure count (the number of crashed outcomes in the state,
         // which the erasure sort key already carries), so relabeling
         // pids maps every explored schedule to an explored schedule
         // with the same budget consumption (docs/EXPLORER.md §3.6).

@@ -508,7 +508,7 @@ impl Explorer {
     /// their checkpoint record. The directory is created (or wiped) when
     /// the sweep starts. Every crash adversary the explorer accepts spills:
     /// under [`Crashes::None`], [`Crashes::AtOwnStep`] and
-    /// [`Crashes::UpTo`] the adversary state is the crashed flags of
+    /// [`Crashes::UpTo`] the adversary state is the crashed outcomes of
     /// the snapshots a resumed sweep rehydrates.
     pub fn spill_to(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -1392,10 +1392,11 @@ mod tests {
     }
 
     /// Older manifests must be rejected whole, not partially decoded: a
-    /// v11 manifest carries the `view_summaries` key and codec-v3
-    /// checkpoints, a v10 manifest's visited set holds fingerprints of
-    /// the old hash kernel, and a v3 manifest (pre-TSO key set) cannot
-    /// describe a TSO sweep at all.
+    /// v12 manifest's visited set holds fingerprints in which writes
+    /// folded their value, and its checkpoints are codec v4; a v11
+    /// manifest carries the `view_summaries` key and codec-v3
+    /// checkpoints; and a v3 manifest (pre-TSO key set) cannot describe
+    /// a TSO sweep at all.
     #[test]
     #[should_panic(expected = "unsupported manifest version 3")]
     fn resume_rejects_older_manifest_versions() {
@@ -1403,12 +1404,12 @@ mod tests {
         Explorer::new(3).spill_to(&dir).halt_after_layers(2).run(spill_bodies, |_r| Ok(()));
         let manifest = dir.join("MANIFEST");
         let text = std::fs::read_to_string(&manifest).expect("manifest exists");
-        assert!(text.contains("manifest_version=12"), "current manifests are v12");
+        assert!(text.contains("manifest_version=13"), "current manifests are v13");
         let downgrade = |version: u64| {
-            let old = text.replace("manifest_version=12", &format!("manifest_version={version}"));
+            let old = text.replace("manifest_version=13", &format!("manifest_version={version}"));
             std::fs::write(&manifest, old).expect("rewrite manifest");
         };
-        for version in [11, 10] {
+        for version in [12, 11] {
             downgrade(version);
             let Err(e) = store::open_sweep(&dir) else {
                 panic!("a v{version} manifest must be rejected")

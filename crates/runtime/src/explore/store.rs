@@ -47,7 +47,7 @@
 //! every policy the explorer accepts ([`Crashes::None`] /
 //! [`Crashes::AtOwnStep`] / [`Crashes::UpTo`]) that state is which
 //! processes have crashed, so a resumed crash-count sweep re-branches
-//! with exactly the budget its crashed flags leave. [`Crashes::Random`]
+//! with exactly the budget its crashed outcomes leave. [`Crashes::Random`]
 //! carries RNG stream position; the explorer rejects it before any
 //! sweep starts.
 //!
@@ -102,8 +102,12 @@ const STATE_MAGIC: &[u8; 4] = b"MPSW";
 /// [`crate::fingerprint::StateHasher`]: an older sweep's `visited.bin`
 /// and `visited_fnv` hold fingerprints that no current sweep makes. v12
 /// dropped the `view_summaries` key, since every sweep folds declared
-/// view summaries, and came with snapshot codec v4.
-const MANIFEST_VERSION: u64 = 12;
+/// view summaries, and came with snapshot codec v4. v13 came with
+/// snapshot codec v5: writes fold the `()` they return into the
+/// observation fingerprints, not the value they write, so an older
+/// sweep's `visited.bin` and `visited_fnv` hold fingerprints that no
+/// current sweep makes.
+const MANIFEST_VERSION: u64 = 13;
 
 /// Locator of one checkpoint record in the segment file: the payload's
 /// offset and length, read back through [`SpillStore::read`].

@@ -9,10 +9,10 @@
 //! * **Endian-stable**: every integer is little-endian, fixed width;
 //!   `usize` travels as `u64`. Bytes written on one machine decode on any
 //!   other.
-//! * **Canonical**: map-shaped state (the object map, the per-kind op
-//!   counters) is emitted in sorted key order, so encoding the same
-//!   snapshot always yields the same bytes — the property the golden-bytes
-//!   test pins and the spill-store byte-identity gates rely on.
+//! * **Canonical**: map-shaped state (the object map) is emitted in
+//!   sorted key order, so encoding the same snapshot always yields the
+//!   same bytes — the property the golden-bytes test pins and the
+//!   spill-store byte-identity gates rely on.
 //! * **Versioned**: the buffer starts with a magic tag and
 //!   [`CODEC_VERSION`]; any format change must bump the version (and the
 //!   golden-bytes test will fail loudly until it is).
@@ -29,21 +29,23 @@
 //! [`CodecError::UnsupportedValue`] — extending the universe means adding
 //! a tag here and bumping [`CODEC_VERSION`].
 //!
-//! Cell fingerprints are *recomputed* on decode (`fp_of` is a pure
-//! function of the concrete value, see [`crate::fingerprint`]), so they
-//! cost no bytes and cannot drift from the values they describe. The
+//! Cell and observation fingerprints are *recomputed* on decode (`fp_of`
+//! is a pure function of the concrete value, see [`crate::fingerprint`],
+//! and an observation fingerprint is the fold of its log), so they cost
+//! no bytes and cannot drift from the values they describe. The
 //! incremental memory fingerprint is carried verbatim, so decode checks
 //! a tracked snapshot's against the full-map walk over the decoded
 //! objects: nothing downstream would catch a wrong one, because only the
-//! gated engine's debug-build per-pick hashes compare the two. Decode
-//! also rejects a process that is neither alive, decided with a result,
-//! nor crashed without one — states no engine reaches.
+//! gated engine's debug-build per-pick hashes compare the two. A
+//! process's liveness is one tag (0 alive, 1 decided plus its value, 2
+//! crashed); decode rejects a pending operation that contradicts it —
+//! states no engine reaches.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use super::snapshot::LogEntry;
-use super::{BufferedWrite, Cell, Footprint, Object, Snapshot};
+use super::{observe, BufferedWrite, Cell, Footprint, Object, Outcome, Snapshot};
 use crate::fingerprint::fp_of;
 use crate::world::{ObjKey, Stored};
 
@@ -56,8 +58,10 @@ use crate::world::{ObjKey, Stored};
 /// encoded memory and observation fingerprints are made by the
 /// word-wise [`crate::fingerprint::StateHasher`], not FNV-1a. v4: the
 /// view-summary mode byte is gone, since every observation history
-/// folds what its operations returned.
-pub const CODEC_VERSION: u16 = 4;
+/// folds what its operations returned. v5: the observation
+/// fingerprints, own-step clocks and op counters, functions of the logs,
+/// are gone, and a process's liveness is one tag.
+pub const CODEC_VERSION: u16 = 5;
 
 /// Leading magic of an encoded snapshot record.
 const MAGIC: &[u8; 4] = b"MPSN";
@@ -83,8 +87,8 @@ pub enum CodecError {
         tag: u64,
     },
     /// A stored value's dynamic type is outside the closed codec
-    /// universe (the codec module docs list it); `type_name` is the best
-    /// available description of the offender.
+    /// universe (the codec module docs list it). The error says where the
+    /// value sat, not its type: a type-erased value carries no type name.
     UnsupportedValue {
         /// Where the value sat (an object cell or a log entry).
         context: &'static str,
@@ -566,9 +570,6 @@ impl Snapshot {
             encode_object(&mut w, &self.objects[&key])?;
         }
         w.put_u64(self.mem_fp);
-        for &fp in &self.obs_fp {
-            w.put_u64(fp);
-        }
         for log in &self.logs {
             w.put_usize(log.len());
             for entry in log.iter() {
@@ -577,18 +578,18 @@ impl Snapshot {
                 encode_stored(&mut w, &entry.result, "an operation log")?;
             }
         }
-        for p in 0..self.n {
-            w.put_bool(self.finished[p]);
-            w.put_bool(self.crashed[p]);
-            put_opt_u64(&mut w, self.results[p]);
-            match &self.pending_op[p] {
+        for (outcome, pending) in self.outcomes.iter().zip(&self.pending_op) {
+            w.put_u8(outcome.liveness());
+            if let Outcome::Decided(v) = outcome {
+                w.put_u64(*v);
+            }
+            match pending {
                 None => w.put_u8(0),
                 Some(f) => {
                     w.put_u8(1);
                     encode_footprint(&mut w, f);
                 }
             }
-            w.put_u64(self.own_steps[p]);
         }
         for buf in &self.buffers {
             w.put_usize(buf.len());
@@ -598,13 +599,6 @@ impl Snapshot {
                 w.put_usize(bw.len);
                 encode_stored(&mut w, &bw.cell.val, "a store buffer")?;
             }
-        }
-        let mut kinds: Vec<u32> = self.op_counts.keys().copied().collect();
-        kinds.sort_unstable();
-        w.put_usize(kinds.len());
-        for kind in kinds {
-            w.put_u32(kind);
-            w.put_u64(self.op_counts[&kind]);
         }
         w.put_u64(self.steps);
         Ok(w.into_vec())
@@ -621,8 +615,8 @@ impl Snapshot {
     /// Any [`CodecError`] decode variant on malformed, truncated, or
     /// version-mismatched bytes, and [`CodecError::BadTag`] on a state no
     /// engine reaches: a tracked snapshot whose memory fingerprint
-    /// disagrees with its objects, or a process that is neither alive,
-    /// decided with a result, nor crashed without one.
+    /// disagrees with its objects, or a process whose pending operation
+    /// contradicts its liveness (`what: "pending op"`).
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.take(4)? != MAGIC.as_slice() {
@@ -643,45 +637,40 @@ impl Snapshot {
         }
         let mem_fp = r.u64()?;
         let mut obs_fp = Vec::with_capacity(capped(n));
-        for _ in 0..n {
-            obs_fp.push(r.u64()?);
-        }
         let mut logs = Vec::with_capacity(capped(n));
         for _ in 0..n {
             let len = r.usize()?;
-            let mut log = Vec::with_capacity(capped(len));
+            let (mut log, mut obs) = (Vec::with_capacity(capped(len)), 0);
             for _ in 0..len {
                 let op = r.u64()?;
                 let key = decode_key(&mut r)?;
-                let (result, _) = decode_stored(&mut r, false)?;
+                let (result, result_fp) = decode_stored(&mut r, track)?;
+                if track {
+                    observe(&mut obs, op, key, result_fp);
+                }
                 log.push(LogEntry::new(op, key, result));
             }
+            obs_fp.push(obs);
             logs.push(Arc::new(log));
         }
-        let mut finished = Vec::with_capacity(capped(n));
-        let mut crashed = Vec::with_capacity(capped(n));
-        let mut results = Vec::with_capacity(capped(n));
+        let mut outcomes = Vec::with_capacity(capped(n));
         let mut pending_op = Vec::with_capacity(capped(n));
-        let mut own_steps = Vec::with_capacity(capped(n));
         for _ in 0..n {
-            let (done, crash, result) = (r.bool()?, r.bool()?, get_opt_u64(&mut r)?);
-            match (done, crash, result.is_some()) {
-                (false, false, false) | (true, false, true) | (false, true, false) => {}
-                _ => {
-                    let tag =
-                        u64::from(done) | u64::from(crash) << 1 | u64::from(result.is_some()) << 2;
-                    return Err(CodecError::BadTag { what: "process liveness", tag });
+            let outcome = match r.u8()? {
+                0 => Outcome::Undecided,
+                1 => Outcome::Decided(r.u64()?),
+                2 => Outcome::Crashed,
+                tag => {
+                    return Err(CodecError::BadTag { what: "process liveness", tag: tag.into() })
                 }
-            }
-            finished.push(done);
-            crashed.push(crash);
-            results.push(result);
-            pending_op.push(match r.u8()? {
-                0 => None,
-                1 => Some(decode_footprint(&mut r)?),
-                tag => return Err(CodecError::BadTag { what: "pending op", tag: u64::from(tag) }),
+            };
+            // Exactly the alive processes are parked at an operation.
+            pending_op.push(match (r.u8()?, outcome) {
+                (0, Outcome::Decided(_) | Outcome::Crashed) => None,
+                (1, Outcome::Undecided) => Some(decode_footprint(&mut r)?),
+                (tag, _) => return Err(CodecError::BadTag { what: "pending op", tag: tag.into() }),
             });
-            own_steps.push(r.u64()?);
+            outcomes.push(outcome);
         }
         let mut buffers = Vec::with_capacity(capped(n));
         for _ in 0..n {
@@ -699,13 +688,6 @@ impl Snapshot {
             }
             buffers.push(buf);
         }
-        let kind_count = r.usize()?;
-        let mut op_counts =
-            HashMap::with_capacity_and_hasher(capped(kind_count), Default::default());
-        for _ in 0..kind_count {
-            let kind = r.u32()?;
-            op_counts.insert(kind, r.u64()?);
-        }
         let steps = r.u64()?;
         r.finish()?;
         let snap = Snapshot {
@@ -715,12 +697,8 @@ impl Snapshot {
             mem_fp,
             obs_fp,
             logs,
-            finished,
-            crashed,
-            results,
+            outcomes,
             pending_op,
-            own_steps,
-            op_counts,
             steps,
             tso,
             buffers,
@@ -806,7 +784,7 @@ mod tests {
         assert_eq!(hex, GOLDEN_HEX, "snapshot byte format drifted — bump CODEC_VERSION");
     }
 
-    const GOLDEN_HEX: &str = "4d50534e040002000000000000000100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001178eaf6cd3e7e90fbab3d83a41955ba4b30f5778a73f457b02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a000000000000000000000000000000000000000001000101000000000000000002000000000000000000000102000000000000002800000000000000000000000000000000000000000101000000000000000000000000000000000000000000000003000000000000002800000001000000000000002900000001000000000000002a00000001000000000000000300000000000000";
+    const GOLDEN_HEX: &str = "4d50534e050002000000000000000100030000000000000028000000000000000000000000000000000000000101020700000000000000290000000000000000000000000000000000000003012a00000000000000000000000000000000000000020200000000000000000103090000000000000001178eaf6cd3e7e90f02000000000000000100000000000000280000000000000000000000000000000000000000050000000000000029000000000000000000000000000000000000000101010000000000000003000000000000002a0000000000000000000000000000000000000000010100000000000000000001020000000000000028000000000000000000000000000000000000000001000000000000000000000000000000000300000000000000";
 
     #[test]
     fn foreign_and_truncated_bytes_are_rejected() {
@@ -817,10 +795,11 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(matches!(Snapshot::decode(&wrong_version), Err(CodecError::UnsupportedVersion(_))));
-        // A v2 snapshot carries FNV-1a fingerprints and a v3 one a
-        // view-summary mode byte: each is refused by its version, never
-        // decoded.
-        for old in [2u16, 3] {
+        // A v2 snapshot carries FNV-1a fingerprints, a v3 one a
+        // view-summary mode byte, and a v4 one observation words,
+        // own-step clocks, op counters and three liveness fields per
+        // process: each is refused by its version, never decoded.
+        for old in [2u16, 3, 4] {
             let mut stale = bytes.clone();
             stale[4..6].copy_from_slice(&old.to_le_bytes());
             assert_eq!(Snapshot::decode(&stale).err(), Some(CodecError::UnsupportedVersion(old)));
@@ -865,17 +844,43 @@ mod tests {
         assert!(matches!(err, CodecError::BadTag { what: "memory fingerprint", .. }), "{err}");
     }
 
-    /// Every engine leaves a process alive, decided with a result, or
-    /// crashed without one. A process marked finished without a result
-    /// would report `Undecided` and never be scheduled, so it is
-    /// rejected.
+    /// The tiny snapshot's encoding, where pid 1 is alive, that of the
+    /// same state with pid 1 crashed, and the first byte where they
+    /// differ: pid 1's liveness tag.
+    fn pid1_liveness_tag() -> (Vec<u8>, Vec<u8>, usize) {
+        let snap = tiny_snapshot();
+        assert_eq!(snap.alive(), vec![1], "pid 1 is still running");
+        let alive = snap.encode().unwrap();
+        let crashed = ModelWorld::resume_crash(&snap, 1).encode().unwrap();
+        let at = alive.iter().zip(&crashed).position(|(a, c)| a != c).expect("encodings differ");
+        assert_eq!((alive[at], crashed[at]), (0, 2), "alive and crashed liveness tags");
+        (alive, crashed, at)
+    }
+
+    /// A process's liveness is one tag (0 alive, 1 decided with its
+    /// value, 2 crashed), so the old format's finished process without a
+    /// result can no longer be expressed; an unknown tag is rejected.
     #[test]
     fn finished_process_without_a_result_is_rejected() {
-        let mut snap = tiny_snapshot();
-        assert_eq!(snap.alive(), vec![1], "pid 1 is still running");
-        snap.finished[1] = true;
-        let err = Snapshot::decode(&snap.encode().unwrap()).unwrap_err();
-        assert!(matches!(err, CodecError::BadTag { what: "process liveness", tag: 1 }), "{err}");
+        let (mut bytes, _, at) = pid1_liveness_tag();
+        bytes[at] = 3;
+        let err = Snapshot::decode(&bytes).unwrap_err();
+        assert!(matches!(err, CodecError::BadTag { what: "process liveness", tag: 3 }), "{err}");
+    }
+
+    /// Every engine parks an alive process at a pending operation, which
+    /// the explorer's next op pick needs, and clears it when the process
+    /// terminates: a crashed process parked at an operation and an alive
+    /// one parked at none are rejected.
+    #[test]
+    fn pending_op_contradicting_liveness_is_rejected() {
+        let (mut alive, mut crashed, at) = pid1_liveness_tag();
+        alive[at] = 2;
+        crashed[at] = 0;
+        for bytes in [alive, crashed] {
+            let err = Snapshot::decode(&bytes).unwrap_err();
+            assert!(matches!(err, CodecError::BadTag { what: "pending op", .. }), "{err}");
+        }
     }
 
     #[test]

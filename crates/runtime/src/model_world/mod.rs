@@ -22,18 +22,19 @@
 //! used by the boundary experiments to detect forever-blocked simulations).
 //!
 //! **One state, three modes.** The model-world state is one struct,
-//! [`Snapshot`]: shared memory, per-process liveness, results,
-//! observation histories, store buffers and step counters. Every mode
-//! steps it, one operation at a time, through the same code: the object
-//! semantics of `Object`, the store-buffer flush and drain, the state
-//! fingerprint, and the run report.
+//! [`Snapshot`]: shared memory, store buffers, the total step count and
+//! each process's operation log, outcome and observation fingerprint.
+//! Every mode steps it, one operation at a time, through the same code:
+//! the object semantics of `Object`, the store-buffer flush and drain,
+//! the state fingerprint, and the run report.
 //!
 //! * The **free** mode ([`ModelWorld::new_free`]) has no scheduler:
 //!   every operation runs at once under the world lock, so any number of
 //!   real threads may share one world (linearizable, not deterministic).
 //! * The **gated** engine ([`ModelWorld::run`]) gives each process its
 //!   own thread and grants steps through a handshake; the threads hold
-//!   the continuations, so the state's operation logs stay empty.
+//!   the continuations, so the state's operation logs stay empty and the
+//!   engine counts own steps and per-kind ops itself.
 //! * The **resume** engine ([`ModelWorld::resume_from`]) treats a
 //!   [`Snapshot`] as a checkpoint: the per-process operation logs are
 //!   continuation cursors, and a single further step is executed *on
@@ -61,6 +62,8 @@ pub use snapshot::Snapshot;
 use snapshot::{LogEntry, ResumeCtl, ResumeGate};
 
 use std::any::Any;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,7 +73,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::fingerprint::{fp_of, mix, StateHasher};
 use crate::sched::{CrashState, Crashes, Pick, Schedule, ScheduleState};
 use crate::world::{Env, MemVal, ObjKey, Pid, Stored};
-use std::hash::Hasher;
 
 /// The unwind payload that halts a process body: a gated crash or
 /// timeout, or a resume park (see [`Snapshot`]). [`ModelWorld::step`]
@@ -129,7 +131,7 @@ pub struct RunReport {
     /// Completed shared-memory operations per object-kind namespace —
     /// the cost breakdown of a run (e.g. how many steps went to the BG
     /// simulation's input agreements vs. snapshot agreements vs. `MEM`).
-    /// Sorted by kind for stable output.
+    /// Sorted by kind for stable output; flushes count under no kind.
     pub ops_by_kind: Vec<(u32, u64)>,
 }
 
@@ -491,11 +493,12 @@ enum Mode {
 }
 
 /// A world's state: the model-world state proper plus the gated
-/// engine's scheduler handshake.
+/// engine's scheduler handshake and step counts.
 struct State {
     /// The model-world state, the one struct every engine steps. In free
     /// and gated runs its operation logs and pending footprints stay
-    /// empty: the process threads hold the continuations.
+    /// empty: the process threads hold the continuations, and the gated
+    /// engine counts steps below.
     snap: Snapshot,
     mode: Mode,
     permits: Vec<Permit>,
@@ -506,6 +509,10 @@ struct State {
     /// [`ModelWorld::grant`] clears the flag, so the next settle wait
     /// covers the granted step.
     waiting: Vec<bool>,
+    /// Each process's own-step clock in a gated run.
+    own_steps: Vec<u64>,
+    /// A gated run's [`RunReport::ops_by_kind`].
+    op_counts: BTreeMap<u32, u64>,
     failures: Vec<(Pid, String)>,
     trace: Vec<Pid>,
 }
@@ -671,13 +678,25 @@ fn entry_prefix(op: u64, key: ObjKey) -> u64 {
     h.finish()
 }
 
-impl Snapshot {
-    /// Folds one completed operation of `pid` into its observation
-    /// fingerprint (only called when [`Snapshot::track`] is set).
-    fn observe(&mut self, pid: Pid, op: u64, key: ObjKey, result_fp: u64) {
-        self.obs_fp[pid] = mix(self.obs_fp[pid], mix(entry_prefix(op, key), result_fp));
-    }
+/// Folds one completed operation — its tag `op`, its key and the
+/// fingerprint of the value it returned — into the observation
+/// fingerprint `obs` ([`Snapshot::obs_fp`]).
+fn observe(obs: &mut u64, op: u64, key: ObjKey, result_fp: u64) {
+    *obs = mix(*obs, mix(entry_prefix(op, key), result_fp));
+}
 
+impl Outcome {
+    /// The liveness tag fingerprints fold and the codec writes.
+    fn liveness(self) -> u8 {
+        match self {
+            Outcome::Undecided => 0,
+            Outcome::Decided(_) => 1,
+            Outcome::Crashed => 2,
+        }
+    }
+}
+
+impl Snapshot {
     /// Runs `f` on the object at `key` (created via `default` on first
     /// access), maintaining the incremental memory fingerprint
     /// [`Snapshot::mem_fp`]: the key's contribution is XORed out before and
@@ -707,13 +726,6 @@ impl Snapshot {
     /// once; under TSO it parks in `pid`'s store buffer and shared memory
     /// changes only at the flush step.
     fn write(&mut self, pid: Pid, w: BufferedWrite) {
-        if self.track {
-            let (op, result_fp) = match w.cell_idx {
-                None => (OP_REG_WRITE, w.cell.fp),
-                Some(idx) => (OP_SNAP_WRITE, mix(idx as u64, w.cell.fp)),
-            };
-            self.observe(pid, op, w.key, result_fp);
-        }
         if self.tso {
             self.buffers[pid].push(w);
         } else {
@@ -793,15 +805,6 @@ impl Snapshot {
     fn recompute_mem_fp(&self) -> u64 {
         self.objects.iter().fold(0u64, |acc, (key, obj)| acc ^ key_obj_fp(*key, obj))
     }
-
-    /// Accounts one completed operation of `pid` on an object of `kind`:
-    /// its own-step clock, the path's total step count and the per-kind
-    /// op counter.
-    fn count_op(&mut self, pid: Pid, kind: u32) {
-        self.own_steps[pid] += 1;
-        self.steps += 1;
-        *self.op_counts.entry(kind).or_insert(0) += 1;
-    }
 }
 
 struct Inner {
@@ -842,6 +845,8 @@ impl ModelWorld {
             mode,
             permits: vec![Permit::Idle; n],
             waiting: vec![false; n],
+            own_steps: vec![0; n],
+            op_counts: BTreeMap::new(),
             failures: Vec::new(),
             trace: Vec::new(),
         };
@@ -910,8 +915,7 @@ impl ModelWorld {
                 // function of the schedule prefix, so runs are replayable.
                 let mut st = world.inner.st.lock();
                 loop {
-                    let settled =
-                        (0..n).all(|p| st.waiting[p] || st.snap.finished[p] || st.snap.crashed[p]);
+                    let settled = (0..n).all(|p| st.waiting[p] || st.snap.terminated(p));
                     if settled {
                         break;
                     }
@@ -954,7 +958,7 @@ impl ModelWorld {
                 Pick::Crash(p) => (p, true),
                 Pick::Op(p) => (p, false),
             };
-            let own = world.inner.st.lock().snap.own_steps[pid];
+            let own = world.inner.st.lock().own_steps[pid];
             // A crash-flagged pick delivers one of the crash-count
             // adversary's budgeted crashes (inert under other policies);
             // otherwise the crash policy decides, as always.
@@ -981,6 +985,7 @@ impl ModelWorld {
             state_hashes.len()
         );
         let mut report = st.snap.report(timed_out);
+        report.ops_by_kind = std::mem::take(&mut st.op_counts).into_iter().collect();
         report.trace = cfg.record_trace.then(|| std::mem::take(&mut st.trace));
         report.state_hashes = cfg.record_state_hashes.then_some(state_hashes);
         report
@@ -1000,7 +1005,7 @@ impl ModelWorld {
             Err(payload) => {
                 st.failures.push((pid, panic_message(payload.as_ref())));
                 // Settled, so the run can end and report the failure.
-                st.snap.crashed[pid] = true;
+                st.snap.crash(pid);
             }
         }
         self.inner.sched_cv.notify_one();
@@ -1037,15 +1042,18 @@ impl ModelWorld {
     }
 
     /// Performs one shared-memory step of `pid`: runs `op` on the state
-    /// (object map + fingerprint bookkeeping) and counts the step — the
-    /// process's own-step clock, the total step count and the per-kind
-    /// op counter — in every mode. `footprint` describes the operation's
-    /// dependency surface (object, cell granularity, purity — published
-    /// while parked, for the explorer's reductions).
+    /// (object map + fingerprint bookkeeping). `footprint` describes the
+    /// operation's dependency surface (object, cell granularity, purity —
+    /// published while parked, for the explorer's reductions).
     ///
-    /// In the gated mode the step first waits for the scheduler's grant;
-    /// the scheduler sees the step done once the body settles again (at
-    /// its next gate, or finished).
+    /// This is the one observation point: before `op` is run, parked or
+    /// kept, it is wrapped so that on a tracked state it also folds what
+    /// it returns into `pid`'s observation fingerprint. The free mode
+    /// does nothing else.
+    ///
+    /// In the gated mode the step first waits for the scheduler's grant
+    /// and then counts the step; the scheduler sees the step done once
+    /// the body settles again (at its next gate, or finished).
     ///
     /// In the resume mode ([`Snapshot`]) the first `log.len()` operations
     /// are answered from the recorded log without executing `op`; the
@@ -1058,13 +1066,20 @@ impl ModelWorld {
     /// snapshot.
     fn step<R, F>(&self, pid: Pid, footprint: Footprint, op: F) -> R
     where
-        R: Clone + Send + Sync + 'static,
+        R: Clone + Hash + Send + Sync + 'static,
         F: Fn(&mut Snapshot) -> R + Send + Sync + 'static,
     {
         let key = footprint.key;
+        let op = move |snap: &mut Snapshot| {
+            let out = op(snap);
+            if snap.track {
+                observe(&mut snap.obs_fp[pid], footprint.op, key, fp_of(&out));
+            }
+            out
+        };
         let mut st = self.inner.st.lock();
         match &mut st.mode {
-            Mode::Free => {}
+            Mode::Free => return op(&mut st.snap),
             Mode::Resume(ctl) => match ctl.gate::<R>(pid, footprint.op, key) {
                 ResumeGate::Replayed(out) => return out,
                 ResumeGate::Park => {
@@ -1094,9 +1109,13 @@ impl ModelWorld {
             }
         }
         let out = op(&mut st.snap);
-        st.snap.count_op(pid, key.kind);
+        st.snap.steps += 1;
+        let st = &mut *st;
         if let Mode::Resume(ctl) = &mut st.mode {
             ctl.push_fresh(LogEntry::new(footprint.op, key, Arc::new(out.clone())), op);
+        } else {
+            st.own_steps[pid] += 1;
+            *st.op_counts.entry(key.kind).or_insert(0) += 1;
         }
         out
     }
@@ -1130,13 +1149,8 @@ impl Env {
     /// written (the paper's `⊥`).
     pub fn reg_read<T: MemVal>(&self, key: ObjKey) -> Option<T> {
         let pid = self.pid;
-        self.world.step(pid, Footprint::new(OP_REG_READ, key, None, true), move |st| {
-            let out = st.read(pid, key);
-            if st.track {
-                st.observe(pid, OP_REG_READ, key, fp_of::<Option<T>>(&out));
-            }
-            out
-        })
+        self.world
+            .step(pid, Footprint::new(OP_REG_READ, key, None, true), move |st| st.read(pid, key))
     }
 
     /// Writes cell `idx` of the `len`-cell snapshot object `key`.
@@ -1155,11 +1169,7 @@ impl Env {
     pub fn snap_scan<T: MemVal>(&self, key: ObjKey, len: usize) -> Vec<Option<T>> {
         let pid = self.pid;
         self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |st| {
-            let out: Vec<Option<T>> = st.scan(pid, key, len);
-            if st.track {
-                st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
-            }
-            out
+            st.scan(pid, key, len)
         })
     }
 
@@ -1210,11 +1220,7 @@ impl Env {
     ) -> S {
         let pid = self.pid;
         self.world.step(pid, Footprint::new(OP_SNAP_SCAN, key, None, true), move |st| {
-            let out = summarize(&st.scan::<T>(pid, key, len));
-            if st.track {
-                st.observe(pid, OP_SNAP_SCAN, key, fp_of(&out));
-            }
-            out
+            summarize(&st.scan::<T>(pid, key, len))
         })
     }
 
@@ -1233,12 +1239,7 @@ impl Env {
         }
         let pid = self.pid;
         let key = ObjKey::new(FENCE_KIND, pid as u64, 0);
-        self.world.step(pid, Footprint::new(OP_FENCE, key, None, false), move |st| {
-            st.drain(pid);
-            if st.track {
-                st.observe(pid, OP_FENCE, key, 0);
-            }
-        });
+        self.world.step(pid, Footprint::new(OP_FENCE, key, None, false), move |st| st.drain(pid));
     }
 
     /// One-shot test&set: `true` to the first invocation ever, `false` to
@@ -1249,11 +1250,7 @@ impl Env {
             // x86-TSO: a LOCK'd RMW drains the issuing process's buffer as
             // part of its atomic step.
             st.drain(pid);
-            let won = st.with_obj(key, || Object::Tas(false), |obj| obj.test_and_set(key));
-            if st.track {
-                st.observe(pid, OP_TAS, key, u64::from(won));
-            }
-            won
+            st.with_obj(key, || Object::Tas(false), |obj| obj.test_and_set(key))
         })
     }
 
@@ -1270,15 +1267,11 @@ impl Env {
             // LOCK'd RMW under x86-TSO — see `tas`.
             st.drain(pid);
             let track = st.track;
-            let out = st.with_obj(
+            st.with_obj(
                 key,
                 || Object::XCons { ports: ports.clone(), decided: None },
                 |obj| obj.propose(pid, key, &ports, val.clone(), track),
-            );
-            if st.track {
-                st.observe(pid, OP_XCONS, key, fp_of(&out));
-            }
-            out
+            )
         })
     }
 }

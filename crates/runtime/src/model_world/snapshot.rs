@@ -3,9 +3,10 @@
 //! A [`Snapshot`] is a cheap checkpoint of one reachable global state:
 //! shared memory (plain clone of the object map — objects share their
 //! `Arc`ed cells), the incremental memory fingerprint, each process's
-//! observation history, liveness flags and result, and — the key piece —
-//! each process's **operation log**: the ordered `(op, key, result)`
-//! records of every shared-memory operation it has completed. Because
+//! outcome and — the key piece — each process's **operation log**: the
+//! ordered `(op, key, result)` records of every shared-memory operation
+//! it has completed, of which its observation fingerprint, own-step clock
+//! and op counts are functions. Because
 //! process bodies are deterministic closures whose control state is
 //! exactly a function of the values their operations returned, a log *is*
 //! a continuation cursor: re-running the body and answering its first
@@ -41,7 +42,7 @@
 //! The explorer's contract (bounded bodies) already excludes those.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -248,8 +249,8 @@ impl Next {
 /// history instead of once per resume.
 ///
 /// A history is keyed by `(pid, obs_fp[pid], log length)`. The
-/// observation fingerprint folds every operation's tag, key and result,
-/// and a body's control state is a function of the results it received,
+/// observation fingerprint folds the log's tags, keys and results, and a
+/// body's control state is a function of the results it received,
 /// so equal keys mean equal continuations: the history identity the
 /// visited set already relies on when it prunes on state fingerprints.
 /// Only tracked snapshots keep `obs_fp`, so the cache is for sweeps that
@@ -299,21 +300,19 @@ pub struct Snapshot {
     /// map (XOR, not [`mix`], so the fold is independent of `HashMap`
     /// iteration order). Only maintained under [`Snapshot::track`].
     pub(super) mem_fp: u64,
-    /// Per-process rolling fingerprint of the operation/observation
-    /// history: every shared-memory operation folds (op tag, key, result
-    /// fingerprint) into its caller's entry. Because process bodies are
-    /// deterministic closures whose control state is exactly a function of
-    /// the values their operations returned, two runs in which every
-    /// process has the same observation fingerprint (and memory agrees)
-    /// are in behaviorally identical global states.
+    /// Per-process observation fingerprint: the fold of its operation
+    /// log, one (op tag, key, result fingerprint) word per entry, folded
+    /// by [`ModelWorld::step`] under [`Snapshot::track`]. Because process
+    /// bodies are deterministic closures whose control state is exactly a
+    /// function of the values their operations returned, two runs in
+    /// which every process has the same observation fingerprint (and
+    /// memory agrees) are in behaviorally identical global states.
     pub(super) obs_fp: Vec<u64>,
+    /// Per-process operation log (empty in free and gated runs).
     pub(super) logs: Vec<Arc<Vec<LogEntry>>>,
-    pub(super) finished: Vec<bool>,
-    pub(super) crashed: Vec<bool>,
-    pub(super) results: Vec<Option<u64>>,
+    /// Per-process outcome, [`Outcome::Undecided`] while alive.
+    pub(super) outcomes: Vec<Outcome>,
     pub(super) pending_op: Vec<Option<Footprint>>,
-    pub(super) own_steps: Vec<u64>,
-    pub(super) op_counts: HashMap<u32, u64, BuildStateHasher>,
     pub(super) steps: u64,
     /// This path explores TSO store-buffer semantics
     /// ([`super::RunConfig::tso`]); fixed at the root and inherited by
@@ -347,12 +346,8 @@ impl Snapshot {
             mem_fp: 0,
             obs_fp: vec![0; n],
             logs: (0..n).map(|_| Arc::new(Vec::new())).collect(),
-            finished: vec![false; n],
-            crashed: vec![false; n],
-            results: vec![None; n],
+            outcomes: vec![Outcome::Undecided; n],
             pending_op: vec![None; n],
-            own_steps: vec![0; n],
-            op_counts: HashMap::default(),
             steps: 0,
             tso,
             buffers: vec![Vec::new(); n],
@@ -361,8 +356,7 @@ impl Snapshot {
 
     /// Records that `pid`'s body returned `v`.
     pub(super) fn finish(&mut self, pid: Pid, v: u64) {
-        self.finished[pid] = true;
-        self.results[pid] = Some(v);
+        self.outcomes[pid] = Outcome::Decided(v);
         self.pending_op[pid] = None;
     }
 
@@ -373,8 +367,13 @@ impl Snapshot {
 
     /// Records an adversary crash of `pid`.
     pub(super) fn crash(&mut self, pid: Pid) {
-        self.crashed[pid] = true;
+        self.outcomes[pid] = Outcome::Crashed;
         self.pending_op[pid] = None;
+    }
+
+    /// Whether `pid` has decided or crashed.
+    pub(super) fn terminated(&self, pid: Pid) -> bool {
+        self.outcomes[pid] != Outcome::Undecided
     }
 
     /// Number of processes.
@@ -387,32 +386,31 @@ impl Snapshot {
         self.steps
     }
 
-    /// Completed shared-memory steps of `pid` (the crash adversary's
-    /// own-step clock).
+    /// Completed shared-memory operations of `pid`, its log length (the
+    /// crash adversary's own-step clock).
     pub fn own_steps(&self, pid: Pid) -> u64 {
-        self.own_steps[pid]
+        self.logs[pid].len() as u64
     }
 
     /// Schedulable processes, in increasing pid order — the order
     /// [`crate::sched::Schedule::Indexed`] indexes into.
     pub fn alive(&self) -> Vec<Pid> {
-        (0..self.n).filter(|&p| !self.finished[p] && !self.crashed[p]).collect()
+        (0..self.n).filter(|&p| !self.terminated(p)).collect()
     }
 
     /// Adversary crashes delivered along the path to this state: the
-    /// number of crashed flags. Every delivery sets exactly one new flag
-    /// ([`ModelWorld::resume_crash`]), so this is the crash count the
-    /// explorer's [`crate::sched::Crashes::UpTo`] budget reads.
+    /// number of crashed outcomes. Every delivery crashes exactly one
+    /// alive process ([`ModelWorld::resume_crash`]), so this is the crash
+    /// count the explorer's [`crate::sched::Crashes::UpTo`] budget reads.
     pub(crate) fn crashes(&self) -> usize {
-        self.crashed.iter().filter(|&&c| c).count()
+        self.outcomes.iter().filter(|&&o| o == Outcome::Crashed).count()
     }
 
     /// `true` once every process has decided or crashed — and, under TSO,
     /// every store buffer has drained: undelivered writes still change
     /// shared memory, so a state with a non-empty buffer has futures.
     pub fn is_terminal(&self) -> bool {
-        (0..self.n).all(|p| self.finished[p] || self.crashed[p])
-            && self.buffers.iter().all(Vec::is_empty)
+        (0..self.n).all(|p| self.terminated(p)) && self.buffers.iter().all(Vec::is_empty)
     }
 
     /// Whether this path explores TSO store-buffer semantics.
@@ -452,16 +450,16 @@ impl Snapshot {
 
     /// The global-state fingerprint of this snapshot: shared memory (the
     /// incrementally maintained, iteration-order-independent memory
-    /// fingerprint), plus every process's observation history,
-    /// liveness flags, store buffer and result. The gated world records
+    /// fingerprint), plus every process's observation fingerprint,
+    /// liveness, store buffer and result. The gated world records
     /// it per pick under [`super::RunConfig::record_state_hashes`], so
     /// both engines agree on it after the same schedule prefix
     /// (property-tested in `tests/proptests.rs`).
     ///
     /// Two equal fingerprints identify states with identical futures
     /// under identical schedule suffixes — see [`crate::explore`] for the
-    /// pruning argument. Deliberately excluded: step counters, traces,
-    /// and `op_counts` (path statistics, not state).
+    /// pruning argument. Deliberately excluded: the total step count and
+    /// the trace (path statistics, not state).
     ///
     /// # Panics
     ///
@@ -502,18 +500,16 @@ impl Snapshot {
     /// terminated process has a nonempty observation history the
     /// quotient drops. Cheap `O(n)` flag check — no fingerprint fold.
     pub fn quotient_coarsens(&self) -> bool {
-        (0..self.n).any(|p| (self.finished[p] || self.crashed[p]) && self.obs_fp[p] != 0)
+        (0..self.n).any(|p| self.terminated(p) && self.obs_fp[p] != 0)
     }
 
-    /// Process `p`'s liveness word as the fingerprints fold it — bit 0
-    /// finished, bit 1 crashed — extended with its store-buffer fold
-    /// ([`buffer_fp`] over `entry`'s per-entry words) when (and only
-    /// when) the buffer is non-empty, so SC states and drained TSO states
-    /// hash alike. The two bits are the whole liveness state: a process
-    /// has a result exactly when it finished (`Snapshot::decode` rejects
-    /// any other liveness triple).
+    /// Process `p`'s liveness word as the fingerprints fold it — its
+    /// outcome's liveness tag: 0 alive, 1 decided, 2 crashed — extended
+    /// with its store-buffer fold ([`buffer_fp`] over `entry`'s
+    /// per-entry words) when (and only when) the buffer is non-empty, so
+    /// SC states and drained TSO states hash alike.
     fn flags(&self, p: Pid, entry: impl Fn(&BufferedWrite) -> [u64; 2]) -> u64 {
-        let flags = u64::from(self.finished[p]) | u64::from(self.crashed[p]) << 1;
+        let flags = u64::from(self.outcomes[p].liveness());
         let buf = &self.buffers[p];
         if buf.is_empty() {
             flags
@@ -531,11 +527,10 @@ impl Snapshot {
         fold_state_fp(
             mem,
             (0..self.n).map(|p| {
-                let terminated = self.finished[p] || self.crashed[p];
                 (
-                    if quotient_obs && terminated { 0 } else { self.obs_fp[p] },
+                    if quotient_obs && self.terminated(p) { 0 } else { self.obs_fp[p] },
                     self.flags(p, BufferedWrite::plain_words),
-                    self.results[p].unwrap_or(0),
+                    self.outcomes[p].decided().unwrap_or(0),
                 )
             }),
         )
@@ -582,11 +577,11 @@ impl Snapshot {
     /// so SC states canonicalize exactly as before TSO existed.
     ///
     /// The description folds the **operation log itself** (op tag, key,
-    /// relabeled result fingerprint per entry — the exact words
-    /// `Snapshot::observe` folds) rather than the precomputed `obs_fp`,
-    /// which already hashed the unrelabeled results. Pending footprints
-    /// and per-process step counts are deliberately **not** folded:
-    /// bodies are deterministic, so both are functions of the log. Under
+    /// relabeled result fingerprint per entry — the words `obs_fp` folds,
+    /// relabeled) rather than the precomputed `obs_fp`, which already
+    /// hashed the unrelabeled results. Pending footprints are
+    /// deliberately **not** folded: bodies are deterministic, so they are
+    /// a function of the log. Under
     /// `quotient_obs` the observation quotient composes: terminated
     /// processes contribute `0` in place of their log fold and the
     /// path's total step count is mixed into the memory word, exactly as
@@ -688,8 +683,7 @@ impl Snapshot {
         perm: &[Pid],
         spec: &super::Symmetry,
     ) -> [u64; 3] {
-        let terminated = self.finished[p] || self.crashed[p];
-        let obs = if quotient_obs && terminated {
+        let obs = if quotient_obs && self.terminated(p) {
             0
         } else {
             let mut acc = 0u64;
@@ -718,7 +712,7 @@ impl Snapshot {
             };
             [cell, cell_symm_fp(&w.cell, perm, spec)]
         });
-        let result = (spec.relabel_result)(self.results[p].unwrap_or(0), perm);
+        let result = (spec.relabel_result)(self.outcomes[p].decided().unwrap_or(0), perm);
         [obs, flags, result]
     }
 
@@ -777,29 +771,19 @@ impl Snapshot {
     ///
     /// `timed_out` marks a run cut by the step budget (alive processes
     /// report [`Outcome::Undecided`], as the gated world's timeout sweep
-    /// leaves them).
+    /// leaves them). `ops_by_kind` counts the log entries per key kind.
     pub fn report(&self, timed_out: bool) -> RunReport {
-        let outcomes = (0..self.n)
-            .map(|p| {
-                if let Some(v) = self.results[p] {
-                    Outcome::Decided(v)
-                } else if self.crashed[p] {
-                    Outcome::Crashed
-                } else {
-                    Outcome::Undecided
-                }
-            })
-            .collect();
-        let mut ops_by_kind: Vec<(u32, u64)> =
-            self.op_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        ops_by_kind.sort_unstable();
+        let mut ops_by_kind = BTreeMap::new();
+        for entry in self.logs.iter().flat_map(|log| log.iter()) {
+            *ops_by_kind.entry(entry.key.kind).or_insert(0) += 1;
+        }
         RunReport {
-            outcomes,
+            outcomes: self.outcomes.clone(),
             steps: self.steps,
             timed_out,
             trace: None,
             state_hashes: None,
-            ops_by_kind,
+            ops_by_kind: ops_by_kind.into_iter().collect(),
         }
     }
 }
@@ -815,7 +799,7 @@ fn cell_symm_fp(c: &super::Cell, perm: &[Pid], spec: &super::Symmetry) -> u64 {
 /// resumed step.
 fn assert_alive(snap: &Snapshot, pid: Pid) {
     assert!(
-        pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
+        pid < snap.n && !snap.terminated(pid),
         "resume_from requires an alive process (pid {pid})"
     );
 }
@@ -823,16 +807,16 @@ fn assert_alive(snap: &Snapshot, pid: Pid) {
 /// Asserts that `cached`, the successor a continuation-cache hit built,
 /// is `reference`, the one [`ModelWorld::resume_from`] built from the
 /// same snapshot: the same fingerprint, pending footprints, log lengths,
-/// results and step counters.
+/// outcomes, total step count and per-kind op counts.
 fn assert_same_successor(cached: &Snapshot, reference: &Snapshot) {
     let log_lens = |s: &Snapshot| s.logs.iter().map(|log| log.len()).collect::<Vec<_>>();
     assert_eq!(cached.fingerprint(), reference.fingerprint(), "continuation cache: fingerprint");
     assert_eq!(cached.pending_op, reference.pending_op, "continuation cache: pending footprints");
     assert_eq!(log_lens(cached), log_lens(reference), "continuation cache: log lengths");
-    assert_eq!(cached.results, reference.results, "continuation cache: results");
+    assert_eq!(cached.outcomes, reference.outcomes, "continuation cache: outcomes");
     assert_eq!(
-        (cached.steps, &cached.own_steps, &cached.op_counts),
-        (reference.steps, &reference.own_steps, &reference.op_counts),
+        (cached.steps, cached.report(false).ops_by_kind),
+        (reference.steps, reference.report(false).ops_by_kind),
         "continuation cache: step counters"
     );
 }
@@ -1011,7 +995,7 @@ impl ModelWorld {
     /// Every build asserts that a hit's cached footprint is the one `pid`
     /// is parked at; debug builds also check every hit against
     /// [`ModelWorld::resume_from`] (fingerprint, pending footprints, log
-    /// lengths, results and step counters).
+    /// lengths, outcomes and step counts).
     ///
     /// # Panics
     ///
@@ -1048,7 +1032,7 @@ impl ModelWorld {
         let result = catch_unwind(AssertUnwindSafe(|| op(&mut next))).unwrap_or_else(|payload| {
             panic!("virtual process {pid} failed: {}", panic_message(payload.as_ref()))
         });
-        next.count_op(pid, footprint.key.kind);
+        next.steps += 1;
         let mut log = Vec::with_capacity(snap.logs[pid].len() + 1);
         log.extend(snap.logs[pid].iter().cloned());
         log.push(LogEntry::new(footprint.op, footprint.key, result));
@@ -1075,15 +1059,15 @@ impl ModelWorld {
 
     /// Delivers an adversary crash to alive `pid` *instead of* its next
     /// step (the gated world's crash granularity) and returns the
-    /// successor snapshot. Memory, logs, and step counters are untouched;
-    /// only the liveness flags — and hence the fingerprint — change.
+    /// successor snapshot. Memory, logs, and the step count are
+    /// untouched; only the outcome — and hence the fingerprint — changes.
     ///
     /// # Panics
     ///
     /// Panics if `pid` is not alive in `snap`.
     pub fn resume_crash(snap: &Snapshot, pid: Pid) -> Snapshot {
         assert!(
-            pid < snap.n && !snap.finished[pid] && !snap.crashed[pid],
+            pid < snap.n && !snap.terminated(pid),
             "resume_crash requires an alive process (pid {pid})"
         );
         let mut out = snap.clone();
@@ -1095,7 +1079,7 @@ impl ModelWorld {
     /// — one scheduling decision of the TSO flush band — and returns the
     /// successor snapshot. A flush is a hardware step, not a process
     /// step: memory, the buffer, and the global step counter change;
-    /// logs, observation histories, and own-step clocks do not. Legal for
+    /// logs do not. Legal for
     /// finished and crashed owners (the hardware owns the buffer).
     ///
     /// # Panics

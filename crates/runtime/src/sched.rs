@@ -208,8 +208,8 @@ impl Crashes {
     /// Whether a path that has delivered `crashed` crashes may deliver
     /// another scheduled one — `false` for every policy but
     /// [`Crashes::UpTo`], the only one whose crashes are scheduled rather
-    /// than decided. The explorer reads this, with the crashed flags of a
-    /// node's snapshot, to know whether to enumerate crash branches there.
+    /// than decided. The explorer reads this, with the crashed outcomes of
+    /// a node's snapshot, to know whether to enumerate crash branches there.
     pub(crate) fn budget_left(&self, crashed: usize) -> bool {
         matches!(self, Crashes::UpTo(f) if crashed < *f)
     }
@@ -219,7 +219,7 @@ impl Crashes {
 /// to apply it — the crashes delivered so far (the [`Crashes::UpTo`]
 /// budget and the [`Crashes::Random`] cap) and the [`Crashes::Random`]
 /// RNG. The explorer needs none of it: under every policy it accepts,
-/// a node's adversary state is the crashed flags of its snapshot.
+/// a node's adversary state is the crashed outcomes of its snapshot.
 pub(crate) struct CrashState {
     policy: Crashes,
     rng: StdRng,
