@@ -266,7 +266,7 @@ fn equivariant_program_is_invariant_at_every_prefix() {
 /// base run and victim `π(p)` in the relabeled run, keep stepping, and
 /// the canonical fingerprints still agree at every prefix. (The
 /// *explorer* gates the quotient off under crash plans — a plan names
-/// pids — but the fingerprint itself must handle crashed flags
+/// pids — but the fingerprint itself must handle crashed processes
 /// correctly, e.g. for post-crash states reached before the gate.)
 #[test]
 fn pid_permuted_post_crash_states_fingerprint_identically() {

@@ -129,8 +129,8 @@ pub(super) enum Action {
 impl Action {
     /// Whether two actions, performed adjacently by two different
     /// processes, commute (either order reaches the same global state).
-    /// Crash deliveries commute with everything: they only flip the
-    /// victim's liveness flags, which no operation reads, no flush
+    /// Crash deliveries commute with everything: they only set the
+    /// victim's outcome, which no operation reads, no flush
     /// consults, and they leave every other process's enabledness,
     /// own-step clock, and store buffer untouched. A flush is a memory
     /// write by the buffer's owner, so flush/flush and flush/op

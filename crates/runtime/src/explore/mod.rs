@@ -33,7 +33,7 @@
 //! converge to the same global state (e.g. two writes to different
 //! snapshot cells in either order). Every child snapshot is fingerprinted
 //! (shared-memory contents — maintained incrementally as XOR deltas per
-//! write — plus, per process, its liveness flags, result, and the rolling
+//! write — plus, per process, its liveness, result, and the rolling
 //! hash of its *observation history*: every operation's key and returned
 //! value). A deterministic closure's control state is exactly a function
 //! of the values its operations returned, so
@@ -59,7 +59,7 @@
 //! learn it). Two adjacent *actions* commute when their footprints are
 //! independent (both pure reads, disjoint objects, or snapshot writes to
 //! disjoint cells) or when either is a crash delivery (a crash only
-//! flips the victim's liveness flags, which no operation reads, and
+//! sets the victim's outcome, which no operation reads, and
 //! leaves every other process's enabledness and own-step clock
 //! untouched). In the spirit of sleep sets, only the canonical
 //! (pid-ascending) order of each adjacent commuting pair is explored and
@@ -83,7 +83,7 @@
 //! history — required while the process is running, because a
 //! deterministic closure's control state is exactly a function of the
 //! values its operations returned. Once a process has **finished or
-//! crashed** it has no futures: only its result and liveness flags can
+//! crashed** it has no futures: only its result and liveness can
 //! influence any future outcome report — except through the run's
 //! *total step count*, which the `max_steps` timeout reads. The
 //! quotiented fingerprint

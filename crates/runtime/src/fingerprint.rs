@@ -159,7 +159,7 @@ pub fn mix(state: u64, word: u64) -> u64 {
 }
 
 /// Folds a memory accumulator and every process's `(observation
-/// fingerprint, liveness flags, result)` triple into one global-state
+/// fingerprint, liveness word, result)` triple into one global-state
 /// fingerprint — shared by the gated world's per-pick state hashes and
 /// [`crate::model_world::Snapshot::fingerprint`], so the two execution
 /// engines agree on state identity word for word.
@@ -169,7 +169,7 @@ pub fn mix(state: u64, word: u64) -> u64 {
 /// Callers may pass a **quotiented** observation word: a process that has
 /// *finished or crashed* takes no further steps, so its observation
 /// history is not part of any reachable future — only its result,
-/// liveness flags, and its contribution to the global step count (which
+/// liveness, and its contribution to the global step count (which
 /// the explorer's timeout bound reads) are. Zeroing such a process's
 /// observation fingerprint while folding the path's *total step count*
 /// in its stead therefore merges exactly the states that differ only in

@@ -124,7 +124,7 @@ pub struct RunReport {
     /// The global-state fingerprint after each pick, if requested via
     /// [`RunConfig::record_state_hashes`]; entry `i` identifies the state
     /// reached by the schedule prefix of `i + 1` picks (shared memory +
-    /// per-process observation history + liveness flags + results).
+    /// per-process observation history + liveness + results).
     /// Equal fingerprints mean equal futures under equal schedule
     /// suffixes — the prefix-pruning invariant of [`crate::explore`].
     pub state_hashes: Option<Vec<u64>>,

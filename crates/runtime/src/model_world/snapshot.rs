@@ -475,7 +475,7 @@ impl Snapshot {
     /// stead.
     ///
     /// Sound for visited-state pruning because a terminated process has
-    /// no futures: only its result and liveness flags (both still
+    /// no futures: only its result and liveness (both still
     /// folded) plus the run's total step count — which the explorer's
     /// `max_steps` timeout reads, and which the dropped histories
     /// contributed to — can influence any reachable outcome report.
@@ -547,7 +547,7 @@ impl Snapshot {
     /// Canonicalization happens in two passes:
     ///
     /// 1. **Order.** Each process gets a **pid-erased** sort key — the
-    ///    hash of its operation-log fold, liveness flags with its store
+    ///    hash of its operation-log fold, liveness word with its store
     ///    buffer folded in, result, and the erased contents of its own
     ///    pid-indexed snapshot cells (the memory refinement that keeps
     ///    all-terminated states sortable under `quotient_obs`, where the

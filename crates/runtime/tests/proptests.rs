@@ -689,7 +689,7 @@ proptest! {
     /// halt (resume then just reloads the done manifest). The adversary
     /// is an input too — none, a one-entry crash plan, or one counted
     /// crash — since resumed nodes read their crash state back from the
-    /// crashed flags of the snapshot they rehydrate.
+    /// crashed outcomes of the snapshot they rehydrate.
     #[test]
     fn killed_sweeps_resume_to_identical_reports(
         seed in 0u64..1_000_000,

@@ -6,7 +6,7 @@
 //!
 //! The script, on the exhaustive Figure 1 `n = 4` sweep, crash-free and
 //! again under the crash-count adversary `Crashes::UpTo(1)` (whose
-//! resumed nodes read their remaining budget from the crashed flags of
+//! resumed nodes read their remaining budget from the crashed outcomes of
 //! the snapshots they rehydrate):
 //!
 //! 1. run in memory — the reference report;
